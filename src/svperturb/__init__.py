@@ -27,10 +27,12 @@ from .matcore import (
     effective_rank,
     gauge,
     kyfan,
+    leading_svd,
     norm_spec_from_token,
     schatten,
     singular_values,
     svd,
+    wedin_certificate,
 )
 from .subspace import (
     aligned_distance,

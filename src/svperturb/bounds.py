@@ -56,8 +56,11 @@ class BoundReport:
     """One evaluated bound.
 
     violated compares empirical against bound with a 1e-9 relative slack and
-    stays None when no empirical value is attached or preconditions failed.
-    detail is in-memory only; serialized rows carry the scalar fields.
+    stays None when no empirical value is attached. It fails closed: a NaN
+    or infinite empirical value, or a NaN bound, is a violation, never a
+    pass. A bound of +inf appears only on precondition-not-met rows, whose
+    empirical value is None. detail is in-memory only; serialized rows carry
+    the scalar fields.
     """
 
     theorem_id: str
@@ -84,9 +87,7 @@ class BoundReport:
         if empirical_value is not None:
             empirical_value = float(empirical_value)
             ratio = _ratio(empirical_value, bound_value)
-            violated = bool(
-                empirical_value > bound_value + VIOLATION_SLACK * max(1.0, bound_value)
-            )
+            violated = _violates(empirical_value, float(bound_value))
         return cls(
             theorem_id=theorem_id,
             bound_value=float(bound_value),
@@ -99,16 +100,13 @@ class BoundReport:
         )
 
     def with_empirical(self, value: float) -> "BoundReport":
-        ratio = _ratio(float(value), self.bound_value)
-        violated = bool(
-            float(value)
-            > self.bound_value + VIOLATION_SLACK * max(1.0, self.bound_value)
-        )
-        return dataclasses.replace(
-            self,
-            empirical_value=float(value),
-            ratio=ratio,
-            violated=violated,
+        return self.build(
+            self.theorem_id,
+            self.bound_value,
+            self.probability_floor,
+            self.preconditions,
+            value,
+            self.detail,
         )
 
     def row(self) -> dict:
@@ -123,6 +121,12 @@ class BoundReport:
             "pre_gap": self.preconditions.gap_ok,
             "violated": self.violated,
         }
+
+
+def _violates(empirical: float, bound: float) -> bool:
+    if not np.isfinite(empirical) or np.isnan(bound):
+        return True
+    return bool(empirical > bound + VIOLATION_SLACK * max(1.0, bound))
 
 
 def _ratio(empirical: float, bound: float) -> float:
@@ -304,11 +308,19 @@ class IncoherenceStats:
         )
 
 
-def _window_cols(factors, k_lo: int, k_hi: int) -> np.ndarray:
-    m = factors.singulars.shape[0]
-    if not (1 <= k_lo <= k_hi <= m):
-        raise InvalidParameterError(f"window [{k_lo}, {k_hi}] out of range (m={m})")
+def _window_cols(factors, k_lo: int, k_hi: int) -> slice:
+    c = factors.vector_count
+    if not (1 <= k_lo <= k_hi <= c):
+        raise InvalidParameterError(
+            f"window [{k_lo}, {k_hi}] out of range ({c} vector pairs held)"
+        )
     return slice(k_lo - 1, k_hi)
+
+
+def _padded(values, m: int) -> np.ndarray:
+    out = np.zeros(m)
+    out[: values.shape[0]] = values
+    return out
 
 
 def mirsky_check(
@@ -324,7 +336,8 @@ def mirsky_check(
     if e_singulars is None:
         e_singulars = singular_values(inst.noise)
     bound = gauge(e_singulars, spec)
-    diff = inst.svd_signal.singulars - inst.svd_observed.singulars
+    # thin signal factors hold only the r nonzero values
+    diff = _padded(inst.svd_signal.singulars, m) - _padded(inst.svd_observed.singulars, m)
     empirical = gauge(diff, spec)
     return BoundReport.build(f"mirsky:{spec.label}", bound, 1.0, ALL_OK, empirical)
 

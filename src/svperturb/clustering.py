@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, InvalidParameterError
-from .matcore import as_matrix, svd
+from .matcore import as_matrix, leading_svd
 from .seeding import derive_seed
 
 _ENUMERATION_LIMIT = 8
@@ -147,7 +147,7 @@ def spectral_gmm(x, k: int, cfg: KMeansConfig | None = None) -> Labeling:
     if k < 1 or k > min(x.shape):
         raise InvalidParameterError(f"k={k} out of range for shape {x.shape}")
     cfg = KMeansConfig(k=k) if cfg is None else replace(cfg, k=k)
-    emb = svd(x).left[:, :k].T @ x
+    emb = leading_svd(x, k).left.T @ x
     labeling, _, _ = kmeans(emb.T, cfg)
     return labeling
 
@@ -169,9 +169,9 @@ def spectral_submatrix(x, k: int, cfg: KMeansConfig | None = None) -> SubmatrixL
     if k < 1 or k > min(x.shape):
         raise InvalidParameterError(f"k={k} out of range for shape {x.shape}")
     cfg = KMeansConfig(k=k + 1) if cfg is None else replace(cfg, k=k + 1)
-    f = svd(x)
-    col_emb = (f.left[:, :k].T @ x).T
-    row_emb = x @ f.right[:, :k]
+    f = leading_svd(x, k)
+    col_emb = (f.left.T @ x).T
+    row_emb = x @ f.right
     col_labeling, _, _ = kmeans(col_emb, cfg)
     row_labeling, _, _ = kmeans(row_emb, cfg)
     return SubmatrixLabels(cols=col_labeling, rows=row_labeling)
@@ -241,7 +241,7 @@ def embedding_gap(x, k: int, truth_embedding) -> float:
         raise InvalidInputError(
             f"truth embedding must be {k} x {x.shape[1]}, got {t.shape}"
         )
-    emb = svd(x).left[:, :k].T @ x
+    emb = leading_svd(x, k).left.T @ x
     rot, _ = orthogonal_procrustes(t.T, emb.T)
     diff = t.T @ rot - emb.T
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=1))))

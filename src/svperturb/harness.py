@@ -217,11 +217,11 @@ def _bounds_factory(cfg: ExperimentConfig):
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
         rng = np.random.default_rng(tseed)
-        a, _ = low_rank_from_rng(lr, rng)
+        a, factors = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((lr.n_rows, lr.n_cols))
         if noise_scale != 1.0:
             e *= noise_scale
-        inst = perturb(a, e, seed=tseed)
+        inst = perturb(a, e, seed=tseed, factors=factors)
         cache: dict = {}
 
         def e_svals():

@@ -1,4 +1,5 @@
-"""Dense SVD with a fixed sign convention, plus unitarily invariant norms.
+"""Dense SVD with a fixed sign convention, certified leading singular
+triplets, and unitarily invariant norms.
 
 Matrices are plain 2-d float64 numpy arrays; the shape carries the row and
 column counts. Invariant norms are evaluated through a symmetric gauge
@@ -15,6 +16,12 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 
 ORTHO_TOL = 1e-8
+
+# leading_svd: subspace iterations after the first product with the start
+# block, and the largest residual-to-gap ratio it certifies.
+LEADING_ITERATIONS = 2
+LEADING_CERT_TOL = 1e-6
+_START_SEED = 20240314
 
 _INVARIANT_KINDS = ("operator", "frobenius", "nuclear", "schatten", "kyfan")
 _ALL_KINDS = _INVARIANT_KINDS + ("two_inf", "max")
@@ -143,11 +150,14 @@ def gauge(values, spec: NormSpec) -> float:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD ``a = left @ diag(singulars) @ right.T``.
+    """Singular values with the singular vectors of the leading ones.
 
-    left is N x m and right is n x m with orthonormal columns, singulars is
-    nonnegative and descending. ``svd`` produces m = min(N, n); generators
-    may produce the rank-r thin form instead.
+    singulars holds m nonnegative values, descending; left (N x c) and right
+    (n x c) hold orthonormal singular vectors for the leading c <= m of them.
+    ``svd`` produces c = m = min(N, n). Generators produce the exact rank-r
+    form c = m = r. ``leading_svd`` produces c = k vector pairs, with either
+    k values or, with ``spectrum=True``, all min(N, n) of them. Only when
+    c = m is ``left @ diag(singulars) @ right.T`` the whole matrix.
     """
 
     left: np.ndarray
@@ -158,7 +168,7 @@ class SvdFactors:
         m = self.singulars.shape[0]
         if self.left.ndim != 2 or self.right.ndim != 2 or self.singulars.ndim != 1:
             raise InvalidInputError("SvdFactors fields have wrong dimensionality")
-        if self.left.shape[1] != m or self.right.shape[1] != m:
+        if self.left.shape[1] != self.right.shape[1] or self.left.shape[1] > m:
             raise InvalidInputError("factor column counts disagree with singular count")
         if m and (np.any(self.singulars < 0) or np.any(np.diff(self.singulars) > 0)):
             raise InvalidInputError("singular values must be nonnegative and descending")
@@ -167,13 +177,19 @@ class SvdFactors:
     def shape(self) -> tuple[int, int]:
         return (self.left.shape[0], self.right.shape[0])
 
+    @property
+    def vector_count(self) -> int:
+        """Number c of singular vector pairs held."""
+        return self.left.shape[1]
+
     def validate(self, a=None, tol: float = 1e-10, recon_tol: float = 1e-8) -> None:
         """Assert orthonormality (tol) and, given `a`, reconstruction (recon_tol)."""
         check_orthonormal(self.left, tol, "left factor")
         check_orthonormal(self.right, tol, "right factor")
         if a is not None:
             a = as_matrix(a)
-            resid = a - (self.left * self.singulars) @ self.right.T
+            s = self.singulars[: self.vector_count]
+            resid = a - (self.left * s) @ self.right.T
             scale = max(1.0, float(np.linalg.norm(a)))
             err = float(np.linalg.norm(resid))
             if err > recon_tol * scale:
@@ -212,6 +228,84 @@ def singular_values(a) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from None
+
+
+def wedin_certificate(a, factors: SvdFactors) -> np.ndarray | None:
+    """Certified sin-theta of each held vector pair against the exact one.
+
+    With U, s, V the c held triplets, eta = ||a V - U diag(s)||_F +
+    ||a.T U - V diag(s)||_F bounds the distance to a matrix whose leading c
+    triplets are exactly (U, s, V), and tau = ||a - U diag(s) V.T||_F bounds
+    sigma_{c+1}(a) (Eckart-Young). Let g_i be the gap from s_i to its
+    neighbours s_{i-1} and s_{i+1}, with tau below s_c. By Weyl, every other
+    singular value of `a` lies at least g_i - eta from s_i, so by Wedin the
+    i-th pair is within sin-theta r_i / (g_i - eta) of the i-th singular
+    vector pair of `a`, r_i being the pair's own residual norm. Returns
+    those c bounds when every g_i is positive and eta <= LEADING_CERT_TOL *
+    g_i for every i, and None otherwise.
+    """
+    a = as_matrix(a)
+    u, s, v = factors.left, factors.singulars[: factors.vector_count], factors.right
+    r = a @ v - u * s
+    t = a.T @ u - v * s
+    eta = float(np.linalg.norm(r) + np.linalg.norm(t))
+    tau = float(np.linalg.norm(a - (u * s) @ v.T))
+    above = np.concatenate(([np.inf], s[:-1])) - s
+    below = s - np.concatenate((s[1:], [tau]))
+    gaps = np.minimum(above, below)
+    if not np.all((gaps > 0.0) & (eta <= LEADING_CERT_TOL * gaps)):
+        return None
+    return np.hypot(np.linalg.norm(r, axis=0), np.linalg.norm(t, axis=0)) / (gaps - eta)
+
+
+def _rayleigh_ritz(a: np.ndarray, block: np.ndarray) -> SvdFactors:
+    """Block subspace iteration from `block`, then Rayleigh-Ritz."""
+    try:
+        q, _ = np.linalg.qr(a @ block)
+        for _ in range(LEADING_ITERATIONS):
+            p, _ = np.linalg.qr(a.T @ q)
+            q, _ = np.linalg.qr(a @ p)
+        w, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"subspace iteration failed: {exc}") from None
+    u = q @ w
+    v = np.ascontiguousarray(vt.T)
+    _fix_signs(u, v)
+    return SvdFactors(left=u, singulars=s, right=v)
+
+
+def leading_svd(a, k: int, start=None, spectrum: bool = False) -> SvdFactors:
+    """Leading k singular triplets of `a`, certified or computed by LAPACK.
+
+    Runs LEADING_ITERATIONS rounds of block subspace iteration from the
+    n x k block `start` (a fixed Gaussian block when None) and a
+    Rayleigh-Ritz step (Halko, Martinsson and Tropp 2011, Alg. 4.4). The
+    Ritz triplets are returned, under the sign convention of ``svd``, only
+    when ``wedin_certificate`` holds; otherwise the result is ``svd(a)``
+    truncated to k vector pairs. Deterministic, and draws from no caller
+    generator. With spectrum=True the result carries all min(N, n) singular
+    values: from a values-only LAPACK call after a certified run, from the
+    full SVD after a fallback.
+    """
+    a = as_matrix(a)
+    if not 1 <= k <= min(a.shape):
+        raise InvalidParameterError(f"k={k} out of range for shape {a.shape}")
+    if start is None:
+        block = np.random.default_rng(_START_SEED).standard_normal((a.shape[1], k))
+    else:
+        block = np.asarray(start, dtype=float)
+        if block.shape != (a.shape[1], k):
+            raise InvalidInputError(
+                f"start block must be {a.shape[1]} x {k}, got {block.shape}"
+            )
+    ritz = _rayleigh_ritz(a, block)
+    if wedin_certificate(a, ritz) is None:
+        full = svd(a)
+        values = full.singulars if spectrum else full.singulars[:k]
+        return SvdFactors(left=full.left[:, :k], singulars=values, right=full.right[:, :k])
+    if spectrum:
+        return SvdFactors(left=ritz.left, singulars=singular_values(a), right=ritz.right)
+    return ritz
 
 
 def apply_norm(a, spec: NormSpec) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .clustering import Labeling
 from .errors import InvalidInputError, InvalidParameterError
-from .matcore import SvdFactors, as_matrix, effective_rank, svd
+from .matcore import SvdFactors, as_matrix, effective_rank, leading_svd, svd
 
 
 def gen_gaussian(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
@@ -102,10 +102,13 @@ def gen_low_rank(spec: LowRankSpec, seed: int):
 
 @dataclass(frozen=True, eq=False)
 class PerturbationInstance:
-    """A signal/noise pair with both SVDs cached.
+    """A signal/noise pair with the factorizations the bounds read.
 
-    observed = signal + noise; svd_signal and svd_observed hold the full
-    min(N, n)-column factorizations under the deterministic sign convention.
+    observed = signal + noise. svd_observed always holds all min(N, n)
+    observed singular values; its vector pairs, under the deterministic sign
+    convention, are all min(N, n) of them or only the leading r ones (see
+    ``perturb``). svd_signal holds either the full SVD of the signal or the
+    signal's exact thin rank-r factors.
     """
 
     signal: np.ndarray
@@ -123,8 +126,17 @@ class PerturbationInstance:
         return effective_rank(self.svd_signal, tol)
 
 
-def perturb(signal, noise, seed: int = 0) -> PerturbationInstance:
-    """Form signal + noise and cache both factorizations."""
+def perturb(
+    signal, noise, seed: int = 0, factors: SvdFactors | None = None
+) -> PerturbationInstance:
+    """Form signal + noise and factorize both.
+
+    Without `factors` both matrices get a full min(N, n)-column SVD. With
+    the signal's exact thin factors (as ``gen_low_rank`` returns them, r
+    pairs) no signal SVD is taken: the observed matrix gets its full
+    spectrum and its leading r vector pairs from ``leading_svd``, started
+    from the signal's right factor.
+    """
     signal = as_matrix(signal)
     noise = as_matrix(noise)
     if signal.shape != noise.shape:
@@ -132,12 +144,21 @@ def perturb(signal, noise, seed: int = 0) -> PerturbationInstance:
             f"signal and noise shapes differ: {signal.shape} vs {noise.shape}"
         )
     observed = signal + noise
+    if factors is None:
+        svd_signal, svd_observed = svd(signal), svd(observed)
+    else:
+        if factors.shape != signal.shape or factors.vector_count != factors.singulars.size:
+            raise InvalidInputError("factors must be the signal's thin factorization")
+        svd_signal = factors
+        svd_observed = leading_svd(
+            observed, factors.vector_count, start=factors.right, spectrum=True
+        )
     return PerturbationInstance(
         signal=signal,
         noise=noise,
         observed=observed,
-        svd_signal=svd(signal),
-        svd_observed=svd(observed),
+        svd_signal=svd_signal,
+        svd_observed=svd_observed,
         seed=seed,
     )
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svperturb.bounds import (
     ALL_OK,
+    VIOLATION_SLACK,
     BoundReport,
     GaussianBoundParams,
     GeneralNoiseParams,
@@ -31,8 +34,16 @@ from svperturb.matcore import (
     kyfan,
     orth_projector,
     singular_values,
+    svd,
 )
-from svperturb.models import LowRankSpec, gen_gaussian, gen_low_rank, perturb
+from svperturb.models import (
+    LowRankSpec,
+    PerturbationInstance,
+    gen_gaussian,
+    gen_low_rank,
+    low_rank_from_rng,
+    perturb,
+)
 from svperturb.resolvent import LinearizationSpectrum, phi_values
 from svperturb.subspace import procrustes_align, sin_theta_norm, two_inf_residual
 
@@ -79,6 +90,16 @@ class TestBoundReport:
         assert done.violated is True
         assert done.ratio == pytest.approx(2.0)
 
+    def test_non_finite_values_fail_closed(self):
+        cases = ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (np.inf, np.inf), (0.5, np.nan))
+        for emp, bound in cases:
+            rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+            assert rep.violated is True, (emp, bound)
+
+    def test_infinite_bound_without_empirical_stays_unjudged(self):
+        flags = PreconditionFlags(True, True, False)
+        assert BoundReport.build("x", np.inf, 0.0, flags, None).violated is None
+
     def test_row_fields(self):
         rep = BoundReport.build("x", 1.0, 0.9, PreconditionFlags(True, False, True), 0.5)
         row = rep.row()
@@ -94,6 +115,35 @@ class TestBoundReport:
             "violated",
         }
         assert row["pre_snr"] is False
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+finite_float = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+class TestBoundReportProperties:
+    @given(any_float, any_float)
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_never_passes(self, bound, emp):
+        rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        if not np.isfinite(emp) or np.isnan(bound):
+            assert rep.violated is True
+
+    @given(finite_float, finite_float)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_values_use_relative_slack(self, bound, emp):
+        rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        assert rep.violated == (emp > bound + VIOLATION_SLACK * max(1.0, bound))
+
+    @given(any_float, any_float)
+    @settings(max_examples=200, deadline=None)
+    def test_with_empirical_agrees_with_build(self, bound, emp):
+        built = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        attached = BoundReport.build("x", bound, 0.9, ALL_OK, None).with_empirical(emp)
+        assert attached.violated == built.violated
+        assert attached.ratio == built.ratio or (
+            np.isnan(attached.ratio) and np.isnan(built.ratio)
+        )
 
 
 class TestGaussianBoundParams:
@@ -217,6 +267,19 @@ class TestMirsky:
     def test_theorem_id(self):
         inst = make_instance(4)
         assert mirsky_check(inst, kyfan(2)).theorem_id == "mirsky:kyfan2"
+
+    def test_thin_signal_factors(self):
+        # generator factors have rank-r width; the signal spectrum is padded
+        rng = np.random.default_rng(5)
+        a, fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0, 6.0)), rng)
+        e = 0.5 * rng.standard_normal((40, 30))
+        thin = PerturbationInstance(a, e, a + e, fac, svd(a + e))
+        full = perturb(a, e)
+        for spec in (OPERATOR, FROBENIUS, NUCLEAR, kyfan(3)):
+            got = mirsky_check(thin, spec)
+            want = mirsky_check(full, spec)
+            assert got.violated is False
+            assert got.empirical_value == pytest.approx(want.empirical_value, rel=1e-9)
 
 
 class TestWedin:
@@ -631,6 +694,16 @@ class TestSpectralNormEvent:
 class TestEmpiricalQuantity:
     def setup_method(self):
         self.inst = make_instance(11, scale=0.3)
+
+    def test_window_beyond_held_vectors_rejected(self):
+        a, fac = gen_low_rank(LowRankSpec(40, 30, (20.0, 12.0)), seed=8)
+        inst = perturb(a, 0.3 * gen_gaussian(40, 30, seed=9), factors=fac)
+        assert inst.svd_observed.vector_count == 2
+        assert inst.svd_observed.singulars.shape == (30,)
+        with pytest.raises(InvalidParameterError):
+            empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=3, spec=OPERATOR)
+        with pytest.raises(InvalidParameterError):
+            cross_term_norm(inst, 2, 3, FROBENIUS, rank=2)
 
     def test_sv_gap(self):
         s = self.inst.svd_signal.singulars

@@ -1,0 +1,66 @@
+"""Golden reports: the behaviour oracle for changes that move arithmetic.
+
+tests/golden/ holds the report of every REPLAY_CONFIGS entry of the release
+gate, as written by the code before singular vectors came from certified
+subspace iteration. A change that alters arithmetic on purpose must keep
+counts (trials, valid, violations) exactly and every rate and ratio quantile
+within RTOL relative plus ATOL absolute. Regenerating a golden is a logged
+change.
+"""
+
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+from test_acceptance import REPLAY_CONFIGS
+
+from svperturb.harness import main as harness_main
+
+GOLDEN = Path(__file__).parent / "golden"
+COUNTS = ("trials", "valid", "violations")
+VALUES = ("rate", "ratio_p50", "ratio_p90", "ratio_p99")
+RTOL = 1e-6
+ATOL = 1e-6
+
+
+def _rows(text: str, fmt: str) -> list[dict]:
+    if fmt == "json":
+        return json.loads(text)["rows"]
+    rows = []
+    for row in csv.DictReader(io.StringIO(text)):
+        for key in COUNTS:
+            row[key] = int(row[key])
+        for key in VALUES:
+            row[key] = float(row[key]) if row[key] else None
+        rows.append(row)
+    return rows
+
+
+def _close(a, b) -> bool:
+    # None is an empty cell; JSON reports spell non-finite values as text
+    if a is None or b is None or isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return str(a) == str(b)
+    return abs(a - b) <= RTOL * max(abs(a), abs(b)) + ATOL
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
+def test_report_matches_golden(name, tmp_path):
+    cfg = REPLAY_CONFIGS[name]
+    fmt = cfg["format"]
+    cfg_path = tmp_path / f"{name}.config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{name}.{fmt}"
+    assert harness_main([cfg["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 0
+    got = _rows(out.read_text(), fmt)
+    want = _rows((GOLDEN / f"{name}.{fmt}").read_text(), fmt)
+    assert [r["theorem_id"] for r in got] == [r["theorem_id"] for r in want]
+    for row, ref in zip(got, want):
+        for key in COUNTS:
+            assert row[key] == ref[key], (row["theorem_id"], key)
+        for key in VALUES:
+            assert _close(row[key], ref[key]), (row["theorem_id"], key, row[key], ref[key])

@@ -18,12 +18,15 @@ from svperturb.matcore import (
     effective_rank,
     gauge,
     kyfan,
+    leading_svd,
     norm_spec_from_token,
     orth_projector,
     schatten,
     singular_values,
     svd,
+    wedin_certificate,
 )
+from svperturb.models import LowRankSpec, haar_basis, low_rank_from_rng
 
 RNG = np.random.default_rng(20240814)
 
@@ -285,3 +288,114 @@ class TestOrthonormal:
         b = b + 1e-3
         with pytest.raises(InvalidInputError):
             check_orthonormal(b)
+
+
+@st.composite
+def low_rank_plus_noise(draw):
+    """A shape, a leading spectrum (ties allowed) and a noise level."""
+    n_rows = draw(st.integers(2, 40))
+    n_cols = draw(st.integers(2, 40))
+    k = draw(st.integers(1, min(n_rows, n_cols)))
+    lead = draw(st.lists(st.floats(1.0, 1e6), min_size=k, max_size=k))
+    noise = draw(st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.sort(lead)[::-1]
+    a = (haar_basis(rng, n_rows, k) * s) @ haar_basis(rng, n_cols, k).T
+    return a + noise * rng.standard_normal(a.shape), k
+
+
+def _sin(x, y):
+    """Sine of the angle between unit vectors x and y."""
+    return float(np.linalg.norm(y - (x @ y) * x))
+
+
+def _lapack_top(a, k):
+    full = svd(a)
+    return full.left[:, :k], full.singulars[:k], full.right[:, :k]
+
+
+class TestLeadingSvd:
+    @given(low_rank_plus_noise())
+    @settings(max_examples=80, deadline=None)
+    def test_certified_columns_lie_within_their_bound_of_lapack(self, case):
+        a, k = case
+        got = leading_svd(a, k)
+        check_orthonormal(got.left, 1e-10)
+        check_orthonormal(got.right, 1e-10)
+        bounds = wedin_certificate(a, got)
+        left, values, right = _lapack_top(a, k)
+        if bounds is None:
+            assert np.array_equal(got.left, left) and np.array_equal(got.right, right)
+            return
+        # LAPACK's own round-off is far below any certified bound
+        slack = 1e-9
+        for i in range(k):
+            assert _sin(got.left[:, i], left[:, i]) <= bounds[i] + slack
+            assert _sin(got.right[:, i], right[:, i]) <= bounds[i] + slack
+        assert np.allclose(got.singulars, values, rtol=1e-9, atol=1e-9 * values[0])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_weak_gap_returns_lapack_truncation(self, seed):
+        # the command-line model: sigma_3 = 20 against a noise edge near 17
+        rng = np.random.default_rng(seed)
+        a, fac = low_rank_from_rng(LowRankSpec(80, 60, (40.0, 30.0, 20.0)), rng)
+        observed = a + rng.standard_normal((80, 60))
+        got = leading_svd(observed, 3, start=fac.right)
+        left, values, right = _lapack_top(observed, 3)
+        assert np.array_equal(got.left, left)
+        assert np.array_equal(got.singulars, values)
+        assert np.array_equal(got.right, right)
+        with_spectrum = leading_svd(observed, 3, start=fac.right, spectrum=True)
+        assert np.array_equal(with_spectrum.singulars, svd(observed).singulars)
+
+    @given(low_rank_plus_noise())
+    @settings(max_examples=30, deadline=None)
+    def test_repeat_calls_are_byte_identical(self, case):
+        a, k = case
+        one, two = leading_svd(a, k), leading_svd(a, k)
+        for x, y in ((one.left, two.left), (one.singulars, two.singulars), (one.right, two.right)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_leaves_generators_untouched(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((30, 20))
+        a[:, 0] *= 1e4
+        state = rng.bit_generator.state
+        legacy = np.random.get_state()
+        leading_svd(a, 2)
+        assert rng.bit_generator.state == state
+        after = np.random.get_state()
+        assert after[0] == legacy[0] and np.array_equal(after[1], legacy[1])
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 1.0])
+    def test_tied_signal_singulars_factorize(self, noise):
+        rng = np.random.default_rng(32)
+        a = (haar_basis(rng, 60, 3) * 1e4) @ haar_basis(rng, 50, 3).T
+        a = a + noise * rng.standard_normal(a.shape)
+        got = leading_svd(a, 3)
+        check_orthonormal(got.left, 1e-10)
+        check_orthonormal(got.right, 1e-10)
+        scale = float(np.linalg.norm(a, 2))
+        assert np.linalg.norm(a @ got.right - got.left * got.singulars) <= 1e-9 * scale
+        assert np.linalg.norm(a.T @ got.left - got.right * got.singulars) <= 1e-9 * scale
+        left = svd(a).left[:, :3]
+        assert np.linalg.norm(left - got.left @ (got.left.T @ left)) <= 1e-9
+
+    def test_spectrum_keeps_every_value(self):
+        rng = np.random.default_rng(33)
+        a = (haar_basis(rng, 50, 2) * np.array([1e4, 5e3])) @ haar_basis(rng, 40, 2).T
+        a = a + rng.standard_normal(a.shape)
+        got = leading_svd(a, 2, spectrum=True)
+        assert got.vector_count == 2
+        assert np.allclose(got.singulars, singular_values(a), rtol=1e-12)
+        assert wedin_certificate(a, got) is not None
+
+    def test_rejects_bad_arguments(self):
+        a = random_matrix(6, 4, 34)
+        with pytest.raises(InvalidParameterError):
+            leading_svd(a, 5)
+        with pytest.raises(InvalidParameterError):
+            leading_svd(a, 0)
+        with pytest.raises(InvalidInputError):
+            leading_svd(a, 2, start=np.ones((4, 3)))

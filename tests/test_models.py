@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from svperturb.errors import InvalidInputError, InvalidParameterError
+from svperturb.matcore import svd
 from svperturb.models import (
     GmmSpec,
     LowRankSpec,
@@ -140,6 +141,26 @@ class TestPerturb:
             inst.observed,
             atol=1e-9,
         )
+
+    def test_exact_factors_replace_the_signal_svd(self):
+        spec = LowRankSpec(60, 45, (900.0, 500.0))
+        a, fac = gen_low_rank(spec, seed=3)
+        e = gen_gaussian(60, 45, seed=4)
+        inst = perturb(a, e, factors=fac)
+        assert inst.svd_signal is fac
+        assert inst.rank() == 2
+        observed = inst.svd_observed
+        assert observed.vector_count == 2
+        assert np.allclose(observed.singulars, svd(a + e).singulars, rtol=1e-12)
+        full = perturb(a, e).svd_observed
+        for i in range(2):
+            assert abs(observed.left[:, i] @ full.left[:, i]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(observed.right[:, i] @ full.right[:, i]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_factors_must_fit_the_signal(self):
+        a, fac = gen_low_rank(LowRankSpec(9, 7, (4.0, 2.0)), seed=1)
+        with pytest.raises(InvalidInputError):
+            perturb(a.T, gen_gaussian(7, 9, seed=2), factors=fac)
 
 
 class TestGmm:
