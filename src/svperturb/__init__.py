@@ -26,6 +26,7 @@ from .matcore import (
     apply_norm,
     effective_rank,
     gauge,
+    gram_spectrum,
     kyfan,
     leading_svd,
     norm_spec_from_token,

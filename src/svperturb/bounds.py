@@ -58,9 +58,10 @@ class BoundReport:
     violated compares empirical against bound with a 1e-9 relative slack and
     stays None when no empirical value is attached. It fails closed: a NaN
     or infinite empirical value, or a NaN bound, is a violation, never a
-    pass. A bound of +inf appears only on precondition-not-met rows, whose
-    empirical value is None. detail is in-memory only; serialized rows carry
-    the scalar fields.
+    pass, and its ratio is +inf, so ratio quantiles rank it worst. A bound
+    of +inf appears only on precondition-not-met rows, whose empirical
+    value is None. detail is in-memory only; serialized rows carry the
+    scalar fields.
     """
 
     theorem_id: str
@@ -123,13 +124,20 @@ class BoundReport:
         }
 
 
+def _fails_closed(empirical: float, bound: float) -> bool:
+    return not np.isfinite(empirical) or np.isnan(bound)
+
+
 def _violates(empirical: float, bound: float) -> bool:
-    if not np.isfinite(empirical) or np.isnan(bound):
+    if _fails_closed(empirical, bound):
         return True
     return bool(empirical > bound + VIOLATION_SLACK * max(1.0, bound))
 
 
 def _ratio(empirical: float, bound: float) -> float:
+    # a fail-closed comparison ranks as the worst possible ratio
+    if _fails_closed(empirical, bound):
+        return float("inf")
     if bound > 0 and np.isfinite(bound):
         return float(empirical / bound)
     if not np.isfinite(bound):

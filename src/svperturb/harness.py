@@ -7,7 +7,9 @@ resolvent (linearization probes), selftest (deterministic invariants).
 Trial i draws everything from the generator seeded with
 derive_seed(base_seed, i), so runs are reproducible for a fixed config and
 aggregation is order-independent. Exit codes: 0 success, 1 invalid config,
-2 violation budget exceeded (or selftest failure), 3 runtime failure.
+2 violation budget exceeded (or selftest failure), 3 runtime failure. Any
+exception inside a trial is a runtime failure, reported with the trial's
+index and seed.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .matcore import (
     OPERATOR,
     apply_norm,
     gauge,
+    gram_spectrum,
     kyfan,
     norm_spec_from_token,
     schatten,
@@ -226,7 +229,7 @@ def _bounds_factory(cfg: ExperimentConfig):
 
         def e_svals():
             if "esv" not in cache:
-                cache["esv"] = singular_values(inst.noise)
+                cache["esv"] = gram_spectrum(inst.noise)
             return cache["esv"]
 
         def inco():
@@ -953,10 +956,33 @@ _FACTORIES = {
 }
 
 
+class TrialFailure(RuntimeError):
+    """An exception raised inside one trial, with the trial's index and seed.
+
+    Trial i draws only from derive_seed(base_seed, i), and derive_seed(s, 0)
+    is s, so ``--trials 1 --seed <seed>`` replays the failing trial.
+    """
+
+    def __init__(self, index: int, seed: int):
+        super().__init__(f"trial {index} (seed {seed})")
+        self.index = index
+        self.seed = seed
+
+
 def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
-    """Run cfg.trials seeded trials and aggregate per-theorem rows."""
+    """Run cfg.trials seeded trials and aggregate per-theorem rows.
+
+    An exception inside trial i is re-raised as TrialFailure, chained to it.
+    """
     start = time.perf_counter()
-    trial = _FACTORIES[cfg.scenario](cfg)
+    run_trial = _FACTORIES[cfg.scenario](cfg)
+
+    def trial(i: int) -> list[BoundReport]:
+        try:
+            return run_trial(i)
+        except Exception as exc:
+            raise TrialFailure(i, derive_seed(cfg.base_seed, i)) from exc
+
     indices = range(cfg.trials)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -995,10 +1021,8 @@ def _aggregate(per_trial: list[list[BoundReport]]):
         a = acc[tid]
         valid = a["valid"]
         rate = (a["violations"] / valid) if valid else None
-        finite = [r for r in a["ratios"] if r is not None]
-        if finite:
-            qs = np.quantile(np.asarray(finite, dtype=float), [0.5, 0.9, 0.99])
-            p50, p90, p99 = (float(q) for q in qs)
+        if a["ratios"]:
+            p50, p90, p99 = _ratio_quantiles(a["ratios"])
         else:
             p50 = p90 = p99 = None
         rows.append(
@@ -1019,6 +1043,26 @@ def _aggregate(per_trial: list[list[BoundReport]]):
             if rate > budget + margin:
                 exceeded.append(tid)
     return rows, exceeded
+
+
+_RATIO_QUANTILES = (0.5, 0.9, 0.99)
+
+
+def _ratio_quantiles(ratios: list[float]) -> list[float]:
+    """The 0.5, 0.9 and 0.99 linear-interpolation quantiles of the ratios.
+
+    A fail-closed report carries ratio +inf, and numpy interpolates next to
+    an infinite value to NaN. Here a quantile whose interpolation touches a
+    +inf ratio is +inf, and every other one is numpy's value.
+    """
+    r = np.sort(np.asarray(ratios, dtype=float))
+    finite = r.size - int(np.count_nonzero(np.isposinf(r)))
+    if finite == 0:
+        return [float("inf")] * len(_RATIO_QUANTILES)
+    r[finite:] = r[finite - 1]
+    qs = np.quantile(r, _RATIO_QUANTILES)
+    touched = np.ceil((r.size - 1) * np.asarray(_RATIO_QUANTILES))
+    return [float(q) if t < finite else float("inf") for q, t in zip(qs, touched)]
 
 
 def _cell(v) -> str:
@@ -1197,6 +1241,13 @@ def main(argv=None) -> int:
             Path(cfg.output).write_text(text)
         else:
             sys.stdout.write(text)
+    except TrialFailure as exc:
+        cause = exc.__cause__
+        print(
+            f"error: runtime failure in {exc}: {type(cause).__name__}: {cause}",
+            file=sys.stderr,
+        )
+        return EXIT_RUNTIME
     except (InvalidParameterError, InvalidInputError) as exc:
         # model and theorem-token validation happens when the scenario is built
         print(f"error: invalid config: {exc}", file=sys.stderr)

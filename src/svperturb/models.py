@@ -107,8 +107,10 @@ class PerturbationInstance:
     observed = signal + noise. svd_observed always holds all min(N, n)
     observed singular values; its vector pairs, under the deterministic sign
     convention, are all min(N, n) of them or only the leading r ones (see
-    ``perturb``). svd_signal holds either the full SVD of the signal or the
-    signal's exact thin rank-r factors.
+    ``perturb``). In the second form the values past the r-th may come from
+    Gram eigenvalues, accurate to gauge and resolvent-sum precision rather
+    than to LAPACK's (see ``leading_svd``). svd_signal holds either the full
+    SVD of the signal or the signal's exact thin rank-r factors.
     """
 
     signal: np.ndarray
@@ -133,9 +135,12 @@ def perturb(
 
     Without `factors` both matrices get a full min(N, n)-column SVD. With
     the signal's exact thin factors (as ``gen_low_rank`` returns them, r
-    pairs) no signal SVD is taken: the observed matrix gets its full
-    spectrum and its leading r vector pairs from ``leading_svd``, started
-    from the signal's right factor.
+    pairs) no signal SVD is taken: the observed matrix gets its leading r
+    vector pairs and its full spectrum from ``leading_svd(..., spectrum=True)``,
+    started from the signal's right factor. When those pairs are certified,
+    the spectrum is the r Ritz values followed by the Gram-eigenvalue
+    spectrum of the deflated observed matrix; after a fallback one full
+    LAPACK SVD supplies vectors and values.
     """
     signal = as_matrix(signal)
     noise = as_matrix(noise)

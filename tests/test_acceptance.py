@@ -32,7 +32,15 @@ from svperturb.bounds import (
 )
 from svperturb.clustering import KMeansConfig, match_labels, spectral_gmm, spectral_submatrix
 from svperturb.harness import main as harness_main
-from svperturb.matcore import FROBENIUS, NUCLEAR, OPERATOR, kyfan, singular_values, svd
+from svperturb.matcore import (
+    FROBENIUS,
+    NUCLEAR,
+    OPERATOR,
+    gram_spectrum,
+    kyfan,
+    singular_values,
+    svd,
+)
 from svperturb.models import (
     GmmSpec,
     LowRankSpec,
@@ -218,8 +226,10 @@ def test_subspace_identities():
 def heavy_stream():
     """200 draws at N = n = 900, rank 2, shared by the three Gaussian gates.
 
-    Instances are built from the generator's exact factors (one full SVD of
-    the observed matrix per draw); only the small report rows are kept.
+    Instances are built from the generator's exact factors: the observed
+    matrix gets its certified leading pairs and its spectrum from
+    ``perturb(..., factors=...)``, the noise its spectrum from
+    ``gram_spectrum``. Only the small report rows are kept.
     """
     lr = LowRankSpec(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA)
     p_top = GaussianBoundParams(
@@ -235,15 +245,8 @@ def heavy_stream():
         rng = np.random.default_rng(tseed)
         a, fac = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((900, 900))
-        inst = PerturbationInstance(
-            signal=a,
-            noise=e,
-            observed=a + e,
-            svd_signal=fac,
-            svd_observed=svd(a + e),
-            seed=tseed,
-        )
-        esv = singular_values(e)
+        inst = perturb(a, e, seed=tseed, factors=fac)
+        esv = gram_spectrum(e)
         e_norm = float(esv[0])
         inco = IncoherenceStats.from_instance(inst)
 

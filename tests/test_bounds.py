@@ -95,6 +95,7 @@ class TestBoundReport:
         for emp, bound in cases:
             rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
             assert rep.violated is True, (emp, bound)
+            assert rep.ratio == np.inf, (emp, bound)
 
     def test_infinite_bound_without_empirical_stays_unjudged(self):
         flags = PreconditionFlags(True, True, False)
@@ -128,6 +129,12 @@ class TestBoundReportProperties:
         rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
         if not np.isfinite(emp) or np.isnan(bound):
             assert rep.violated is True
+            assert rep.ratio == np.inf
+
+    @given(any_float, any_float)
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_is_never_nan(self, bound, emp):
+        assert not np.isnan(BoundReport.build("x", bound, 0.9, ALL_OK, emp).ratio)
 
     @given(finite_float, finite_float)
     @settings(max_examples=200, deadline=None)

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svperturb.bounds import ALL_OK, BoundReport, PreconditionFlags
-from svperturb.errors import InvalidParameterError, NumericalFailureError
+from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 from svperturb import harness
 from svperturb.harness import (
     EXIT_CONFIG,
@@ -13,11 +15,13 @@ from svperturb.harness import (
     EXIT_VIOLATION,
     ExperimentConfig,
     SummaryReport,
+    TrialFailure,
     _aggregate,
     emit_report,
     main,
     run_monte_carlo,
 )
+from svperturb.seeding import derive_seed
 
 BOUNDS_MODEL = {
     "n_rows": 30,
@@ -204,6 +208,41 @@ class TestAggregate:
         assert rows[0]["rate"] == pytest.approx(2.0 / 50.0)
         assert exceeded == []
 
+    def test_fail_closed_report_ranks_worst(self):
+        per_trial = [
+            [self.rep("t", 1.0, 0.5)],
+            [BoundReport.build("t", 1.0, 0.5, ALL_OK, np.nan)],
+            [self.rep("t", np.nan, 0.25)],
+        ]
+        row = _aggregate(per_trial)[0][0]
+        assert row["violations"] == 2
+        assert row["ratio_p50"] == np.inf and row["ratio_p99"] == np.inf
+
+    @given(
+        st.lists(st.floats(0.0, 1e6), max_size=60),
+        st.integers(0, 5),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_quantiles_stay_defined_with_failed_trials(self, ratios, failures, bad):
+        reports = [[self.rep("t", 1.0, r)] for r in ratios]
+        reports += [[self.rep("t", 1.0, bad)] for _ in range(failures)]
+        if not reports:
+            return
+        row = _aggregate(reports)[0][0]
+        got = [row["ratio_p50"], row["ratio_p90"], row["ratio_p99"]]
+        assert not any(np.isnan(q) for q in got)
+        assert got == sorted(got)
+        if failures == 0:
+            assert got == [float(q) for q in np.quantile(ratios, [0.5, 0.9, 0.99])]
+        elif not ratios:
+            assert got == [np.inf] * 3
+        else:
+            # a failed trial ranks above every finite ratio
+            worse = np.quantile(ratios + [2e6] * failures, [0.5, 0.9, 0.99])
+            for q, w in zip(got, worse):
+                assert q == w or (q == np.inf and w >= max(ratios))
+
     def test_none_empirical_not_valid(self):
         per_trial = [[BoundReport.build("t", 1.0, 0.9, ALL_OK, None)]]
         rows, _ = _aggregate(per_trial)
@@ -349,6 +388,48 @@ class TestMain:
         monkeypatch.setattr(harness, "run_monte_carlo", lambda cfg: fake)
         assert main(["selftest"]) == EXIT_VIOLATION
         assert "budget exceeded" in capsys.readouterr().err
+
+    def test_trial_failure_names_trial_and_seed_and_replays(self, tmp_path, monkeypatch, capsys):
+        # an InvalidInputError raised inside a trial is a runtime failure,
+        # never an invalid config
+        bad_seed = derive_seed(7, 2)
+        real = harness.perturb
+
+        def perturb(signal, noise, seed=0, factors=None):
+            if seed == bad_seed:
+                raise InvalidInputError("singular values must be nonnegative and descending")
+            return real(signal, noise, seed=seed, factors=factors)
+
+        monkeypatch.setattr(harness, "perturb", perturb)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"theorems": ["mirsky:operator"], "model": BOUNDS_MODEL}))
+        assert main(["bounds", "--config", str(p), "--trials", "4", "--seed", "7"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: runtime failure in trial 2 (seed {bad_seed}): ")
+        assert "InvalidInputError: singular values must be" in err
+        assert "invalid config" not in err
+        replay = ["bounds", "--config", str(p), "--trials", "1", "--seed", str(bad_seed)]
+        assert main(replay) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: runtime failure in trial 0 (seed {bad_seed}): ")
+
+    def test_trial_failure_under_threads(self, monkeypatch):
+        def trial_factory(cfg):
+            def trial(i):
+                if i == 3:
+                    raise ZeroDivisionError("boom")
+                return []
+
+            return trial
+
+        monkeypatch.setitem(harness._FACTORIES, "selftest", trial_factory)
+        cfg = ExperimentConfig(
+            scenario="selftest", trials=5, base_seed=11, theorems=(), model={}, threads=2
+        )
+        with pytest.raises(TrialFailure) as info:
+            run_monte_carlo(cfg)
+        assert (info.value.index, info.value.seed) == (3, derive_seed(11, 3))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_runtime_failure_exit(self, monkeypatch, capsys):
         def boom(cfg):
