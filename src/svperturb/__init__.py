@@ -66,7 +66,6 @@ from .bounds import (
     cross_term_norm,
     empirical_quantity,
     entrywise_bound,
-    fbounded_probability,
     gauss_subspace_bound,
     gauss_subspace_simplified,
     gauss_sv_location_check,
@@ -96,7 +95,7 @@ from .clustering import (
     kmeans,
     match_labels,
     misclassification,
-    single_linkage,
+    spectral_embedding,
     spectral_gmm,
     spectral_submatrix,
 )

@@ -20,13 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .matcore import (
-    MAX_ABS,
-    NormSpec,
-    apply_norm,
-    gauge,
-    singular_values,
-)
+from .matcore import NormSpec, gauge, singular_values
 from .models import PerturbationInstance
 from .subspace import procrustes_align, sin_theta_norm, two_inf_residual
 
@@ -58,8 +52,10 @@ class BoundReport:
     violated compares empirical against bound with a 1e-9 relative slack and
     stays None when no empirical value is attached. It fails closed: a NaN
     or infinite empirical value, or a NaN bound, is a violation, never a
-    pass, and its ratio is +inf, so ratio quantiles rank it worst. A bound
-    of +inf appears only on precondition-not-met rows, whose empirical
+    pass, and its ratio is +inf, so ratio quantiles rank it worst. Against
+    a bound <= 0 (or -inf) the ratio is +inf for a violation or a positive
+    empirical value and 0 otherwise, so a violation never ranks below 1. A
+    bound of +inf appears only on precondition-not-met rows, whose empirical
     value is None. detail is in-memory only; serialized rows carry the
     scalar fields.
     """
@@ -138,11 +134,44 @@ def _ratio(empirical: float, bound: float) -> float:
     # a fail-closed comparison ranks as the worst possible ratio
     if _fails_closed(empirical, bound):
         return float("inf")
-    if bound > 0 and np.isfinite(bound):
-        return float(empirical / bound)
-    if not np.isfinite(bound):
-        return 0.0
-    return 0.0 if empirical <= 0 else float("inf")
+    if bound > 0:
+        return float(empirical / bound) if np.isfinite(bound) else 0.0
+    return float("inf") if empirical > 0 or _violates(empirical, bound) else 0.0
+
+
+def dim_snr_flags(
+    n_rows: int, n_cols: int, rank: int, tail: float, sigma_min: float | None = None
+) -> tuple[bool, bool | None]:
+    """(dim_ok, snr_ok): the dimension and signal-strength hypotheses on an
+    N x n rank-r model. snr_ok is None without sigma_min; the Gaussian
+    bounds test r0() instead."""
+    root = np.sqrt(n_rows) + np.sqrt(n_cols)
+    logsum = np.log(n_rows + n_cols)
+    dim_ok = bool(root**2 >= 32.0 * (tail + 7.0) * logsum + 64.0 * np.log(9.0) * rank)
+    if sigma_min is None:
+        return dim_ok, None
+    snr_ok = bool(
+        sigma_min
+        >= 40.0 * root
+        + 3.8e4 * rank * np.sqrt(2.0 * np.log(9.0) * rank + (tail + 7.0) * logsum)
+    )
+    return dim_ok, snr_ok
+
+
+def tail_probability(count: float, n_rows: int, n_cols: int, tail: float) -> float:
+    """Failure budget count * (N+n)^-tail, floored into [0, 1]."""
+    val = count * float(n_rows + n_cols) ** (-tail)
+    return float(min(1.0, max(0.0, val)))
+
+
+def require_norm(spec: NormSpec, m: int) -> NormSpec:
+    """The norm rule of the bounds: unitarily invariant, and a Ky Fan order
+    at most m = min(N, n)."""
+    if not spec.invariant:
+        raise InvalidParameterError(f"{spec.label} is not a unitarily invariant norm")
+    if spec.kind == "kyfan" and spec.k > m:
+        raise InvalidParameterError(f"kyfan order {spec.k} exceeds min(N, n) = {m}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -257,19 +286,12 @@ class GaussianBoundParams:
         return None
 
     def preconditions(self) -> PreconditionFlags:
-        root_sum = np.sqrt(self.n_rows) + np.sqrt(self.n_cols)
-        dim_ok = bool(
-            root_sum**2
-            >= 32.0 * (self.tail + 7.0) * self.dim_sum_log
-            + 64.0 * np.log(9.0) * self.rank
-        )
+        dim_ok, _ = dim_snr_flags(self.n_rows, self.n_cols, self.rank, self.tail)
         gap_ok = bool(self.min_gap >= 75.0 * self.chi * self.eta * self.rank)
         return PreconditionFlags(dim_ok=dim_ok, snr_ok=self.r0() is not None, gap_ok=gap_ok)
 
     def tail_probability(self, count: float) -> float:
-        """Failure budget count * (N+n)^-tail, floored into [0, 1]."""
-        val = count * float(self.n_rows + self.n_cols) ** (-self.tail)
-        return float(min(1.0, max(0.0, val)))
+        return tail_probability(count, self.n_rows, self.n_cols, self.tail)
 
 
 @dataclass(frozen=True)
@@ -336,11 +358,8 @@ def mirsky_check(
 ) -> BoundReport:
     """Invariant norm of the singular-value displacement vs the same norm of
     the noise. Deterministic; holds for every draw."""
-    if not spec.invariant:
-        raise InvalidParameterError("needs a unitarily invariant norm")
     m = min(inst.shape)
-    if spec.kind == "kyfan" and spec.k > m:
-        raise InvalidParameterError(f"kyfan order {spec.k} exceeds min(N, n) = {m}")
+    require_norm(spec, m)
     if e_singulars is None:
         e_singulars = singular_values(inst.noise)
     bound = gauge(e_singulars, spec)
@@ -356,12 +375,11 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
     Requires the observed gap sigma_k(signal) - sigma_{k+1}(observed) > 0;
     otherwise reports precondition-not-met.
     """
-    if not spec.invariant:
-        raise InvalidParameterError("needs a unitarily invariant norm")
+    m = min(inst.shape)
+    require_norm(spec, m)
     r = inst.rank()
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..rank={r}")
-    m = min(inst.shape)
     sigma_k = inst.svd_signal.singulars[k - 1]
     next_observed = inst.svd_observed.singulars[k] if k < m else 0.0
     gap_hat = float(sigma_k - next_observed)
@@ -407,8 +425,7 @@ def cross_term_norm(
     the observed window on each side; the direct-sum norm is the gauge of
     the concatenated singular values.
     """
-    if not spec.invariant:
-        raise InvalidParameterError("needs a unitarily invariant norm")
+    require_norm(spec, min(inst.shape))
     r = inst.rank() if rank is None else rank
     u = inst.svd_signal.left[:, :r]
     v = inst.svd_signal.right[:, :r]
@@ -440,8 +457,7 @@ def gauss_subspace_bound(
     noise for the operator form, the direct-sum window norm otherwise.
     The caller attaches the empirical sin-theta via with_empirical.
     """
-    if not spec.invariant:
-        raise InvalidParameterError("needs a unitarily invariant norm")
+    require_norm(spec, min(p.n_rows, p.n_cols))
     if cross_norm is None or cross_norm < 0:
         raise InvalidParameterError("cross_norm must be a nonnegative measured value")
     b = p.margin
@@ -613,21 +629,6 @@ def general_subspace_bound(
     return BoundReport.build(
         f"general_sin_theta:k{k}:{spec.label}", first + second, prob, flags
     )
-
-
-def fbounded_probability(f, t: float, r: int, k: int, delta_k: float) -> float:
-    """Success floor 1 - r^2 9^(2r) f(t/2r) - k^2 9^(2k) f(delta_k/4k), clipped
-    into [0, 1]. f is a nonincreasing tail function of the noise."""
-    if r < 1 or k < 1:
-        raise InvalidParameterError("r and k must be positive integers")
-    if t <= 0 or delta_k <= 0:
-        raise InvalidParameterError("t and delta_k must be positive")
-    val = (
-        1.0
-        - r**2 * 9.0 ** (2 * r) * float(f(t / (2.0 * r)))
-        - k**2 * 9.0 ** (2 * k) * float(f(delta_k / (4.0 * k)))
-    )
-    return float(min(1.0, max(0.0, val)))
 
 
 def entrywise_bound(
@@ -806,8 +807,7 @@ def empirical_quantity(inst: PerturbationInstance, which: str, **kw) -> float:
     """Measured left-hand sides.
 
     which: sin_theta(k_lo, k_hi, spec), two_inf_proj(k_lo, k_hi),
-    two_inf_aligned(k_lo, k_hi), max_aligned(k_lo, k_hi),
-    bilinear(k_lo, k_hi, x, y), weighted_2inf(k_lo, k_hi),
+    two_inf_aligned(k_lo, k_hi), weighted_2inf(k_lo, k_hi),
     weighted_aligned(k_lo, k_hi), sv_gap(k). Subspace quantities take the
     max over the left and right side where both are bounded.
     """
@@ -835,18 +835,6 @@ def empirical_quantity(inst: PerturbationInstance, which: str, **kw) -> float:
         return two_inf_residual(u_w, ut_w, mode="projector")
     if which == "two_inf_aligned":
         return two_inf_residual(u_w, ut_w, mode="aligned")
-    if which == "max_aligned":
-        o = procrustes_align(u_w, ut_w)
-        return apply_norm(ut_w - u_w @ o, MAX_ABS)
-    if which == "bilinear":
-        x = np.asarray(kw["x"], dtype=float).ravel()
-        y = np.asarray(kw["y"], dtype=float).ravel()
-        if x.shape[0] != inst.shape[0]:
-            raise InvalidInputError("x must have ambient (row) length")
-        if y.shape[0] != k_hi - k_lo + 1:
-            raise InvalidInputError("y must have window length")
-        resid = ut_w - u_w @ (u_w.T @ ut_w)
-        return float(abs(x @ resid @ y))
     if which in ("weighted_2inf", "weighted_aligned"):
         d_w = inst.svd_observed.singulars[w]
         if which == "weighted_2inf":

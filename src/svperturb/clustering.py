@@ -2,16 +2,15 @@
 
 Labels are 1-based. k-means is Lloyd iteration with k-means++ seeding,
 multiple restarts and farthest-point repair of empty clusters; the whole
-path is deterministic for a fixed config.
+path is deterministic for a fixed config. Labels are matched by an exact
+assignment solver for every k.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.linalg import orthogonal_procrustes
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
@@ -19,8 +18,6 @@ from scipy.spatial.distance import cdist
 from .errors import InvalidInputError, InvalidParameterError
 from .matcore import as_matrix, leading_svd
 from .seeding import derive_seed
-
-_ENUMERATION_LIMIT = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +138,19 @@ def kmeans(points, cfg: KMeansConfig):
     return Labeling(labels + 1, cfg.k), centers, inertia
 
 
-def spectral_gmm(x, k: int, cfg: KMeansConfig | None = None) -> Labeling:
-    """k-means on the columns of the top-k left-subspace embedding of x."""
+def spectral_embedding(x, k: int) -> np.ndarray:
+    """The k x n embedding U_k^T x of the columns of x on its top-k left
+    singular subspace."""
     x = as_matrix(x)
     if k < 1 or k > min(x.shape):
         raise InvalidParameterError(f"k={k} out of range for shape {x.shape}")
+    return leading_svd(x, k).left.T @ x
+
+
+def spectral_gmm(x, k: int, cfg: KMeansConfig | None = None) -> Labeling:
+    """k-means on the columns of the top-k left-subspace embedding of x."""
+    emb = spectral_embedding(x, k)
     cfg = KMeansConfig(k=k) if cfg is None else replace(cfg, k=k)
-    emb = leading_svd(x, k).left.T @ x
     labeling, _, _ = kmeans(emb.T, cfg)
     return labeling
 
@@ -183,76 +186,39 @@ def _confusion(truth: Labeling, found: Labeling) -> np.ndarray:
     return conf
 
 
-def _best_matching(conf: np.ndarray) -> tuple[int, dict[int, int]]:
-    """Max total agreement over bijections found-label -> truth-label."""
-    k = conf.shape[0]
-    if k <= _ENUMERATION_LIMIT:
-        best_hits = -1
-        best_perm = None
-        for perm in itertools.permutations(range(k)):
-            hits = sum(conf[perm[b], b] for b in range(k))
-            if hits > best_hits:
-                best_hits = hits
-                best_perm = perm
-        return best_hits, {b + 1: best_perm[b] + 1 for b in range(k)}
-    rows, cols = linear_sum_assignment(-conf)
-    hits = int(conf[rows, cols].sum())
-    perm = {int(c) + 1: int(r) + 1 for r, c in zip(rows, cols)}
-    return hits, perm
-
-
-def misclassification(truth: Labeling, found: Labeling) -> float:
-    """Fraction of points misassigned under the best label bijection.
-
-    Exact enumeration for k <= 8, assignment solver beyond.
-    """
-    if len(truth) != len(found):
-        raise InvalidInputError("labelings have different lengths")
-    if truth.k != found.k:
-        raise InvalidInputError(f"group counts differ: {truth.k} vs {found.k}")
-    hits, _ = _best_matching(_confusion(truth, found))
-    return float(len(truth) - hits) / float(len(truth))
-
-
 def match_labels(truth: Labeling, found: Labeling) -> RecoveryResult:
-    """Misclassification, exactness flag and the realizing permutation."""
+    """Misclassification under the best label bijection, exactness flag and
+    the realizing permutation (found label -> truth label)."""
     if len(truth) != len(found):
         raise InvalidInputError("labelings have different lengths")
     if truth.k != found.k:
         raise InvalidInputError(f"group counts differ: {truth.k} vs {found.k}")
-    hits, perm = _best_matching(_confusion(truth, found))
+    conf = _confusion(truth, found)
+    rows, cols = linear_sum_assignment(conf, maximize=True)
+    hits = int(conf[rows, cols].sum())
     rate = float(len(truth) - hits) / float(len(truth))
     return RecoveryResult(
         found_labels=found,
         misclassification=rate,
         exact=(rate == 0.0),
-        permutation=perm,
+        permutation={int(c) + 1: int(r) + 1 for r, c in zip(rows, cols)},
     )
 
 
-def embedding_gap(x, k: int, truth_embedding) -> float:
-    """Largest column distance between the measured embedding and the
-    orthogonally aligned truth embedding."""
-    x = as_matrix(x)
+def misclassification(truth: Labeling, found: Labeling) -> float:
+    """Fraction of points misassigned under the best label bijection."""
+    return match_labels(truth, found).misclassification
+
+
+def embedding_gap(embedding, truth_embedding) -> float:
+    """Largest column distance between a measured k x n embedding (see
+    spectral_embedding) and the orthogonally aligned truth embedding."""
+    emb = as_matrix(embedding)
     t = as_matrix(truth_embedding)
-    if k < 1 or k > min(x.shape):
-        raise InvalidParameterError(f"k={k} out of range for shape {x.shape}")
-    if t.shape != (k, x.shape[1]):
+    if t.shape != emb.shape:
         raise InvalidInputError(
-            f"truth embedding must be {k} x {x.shape[1]}, got {t.shape}"
+            f"truth embedding must be {emb.shape[0]} x {emb.shape[1]}, got {t.shape}"
         )
-    emb = leading_svd(x, k).left.T @ x
     rot, _ = orthogonal_procrustes(t.T, emb.T)
     diff = t.T @ rot - emb.T
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=1))))
-
-
-def single_linkage(points, k: int) -> Labeling:
-    """Single-linkage fallback labeling (used when Lloyd degenerates)."""
-    pts = as_matrix(points)
-    if pts.shape[0] < k:
-        raise InvalidParameterError(f"need at least k={k} points")
-    if k == 1:
-        return Labeling(np.ones(pts.shape[0], dtype=int), 1)
-    merges = linkage(pts, method="single")
-    return Labeling(fcluster(merges, t=k, criterion="maxclust"), k)

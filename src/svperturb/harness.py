@@ -19,7 +19,8 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .bounds import (
     IncoherenceStats,
     PreconditionFlags,
     cross_term_norm,
+    dim_snr_flags,
     empirical_quantity,
     entrywise_bound,
     gauss_subspace_bound,
@@ -41,12 +43,21 @@ from .bounds import (
     general_sv_bounds,
     general_subspace_bound,
     mirsky_check,
+    require_norm,
     spectral_norm_report,
+    tail_probability,
     wedin_check,
     weighted_bound,
     linear_bilinear_bound,
 )
-from .clustering import KMeansConfig, match_labels, embedding_gap, spectral_gmm, spectral_submatrix
+from .clustering import (
+    KMeansConfig,
+    embedding_gap,
+    kmeans,
+    match_labels,
+    spectral_embedding,
+    spectral_submatrix,
+)
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -54,9 +65,9 @@ from .errors import (
 )
 from .matcore import (
     FROBENIUS,
-    MAX_ABS,
     NUCLEAR,
     OPERATOR,
+    NormSpec,
     apply_norm,
     gauge,
     gram_spectrum,
@@ -64,13 +75,13 @@ from .matcore import (
     norm_spec_from_token,
     schatten,
     singular_values,
-    svd,
+    svd,  # unused here; perfbench's tracer tests patch svperturb.harness.svd
 )
 from .models import (
     GmmSpec,
     LowRankSpec,
+    PerturbationInstance,
     SubmatrixSpec,
-    gen_gaussian,
     low_rank_from_rng,
     perturb,
     plant_submatrices,
@@ -145,17 +156,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {
-            "scenario",
-            "trials",
-            "base_seed",
-            "theorems",
-            "model",
-            "output",
-            "format",
-            "threads",
-        }
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise InvalidParameterError(f"unknown config keys: {sorted(extra)}")
         return cls(
@@ -194,6 +195,202 @@ def _require(model: dict, key: str):
     return model[key]
 
 
+# The bounds theorem table. A token is KIND[:ARG[:ARG]], and each kind is the
+# _BoundsTrial method of that name, registered by @_theorem with one validator
+# (text, params) -> value per argument and, where the kind needs one, a check
+# of the model. Validators and checks run when the scenario is built.
+_BOUNDS_THEOREMS: dict[str, tuple] = {}
+
+
+def _theorem(*validators, check=None):
+    def register(evaluate):
+        _BOUNDS_THEOREMS[evaluate.__name__] = (validators, check, evaluate)
+        return evaluate
+
+    return register
+
+
+def _bind_token(token: str, params: GaussianBoundParams):
+    """Validate a bounds token against the model: (evaluator, parsed args)."""
+    kind, *texts = token.split(":")
+    entry = _BOUNDS_THEOREMS.get(kind)
+    if entry is None or len(texts) != len(entry[0]):
+        raise InvalidParameterError(f"unknown theorem token {token!r}")
+    validators, check, evaluate = entry
+    if check is not None:
+        check(params)
+    return evaluate, [parse(text, params) for parse, text in zip(validators, texts)]
+
+
+def _rank_index(text: str, p: GaussianBoundParams) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise InvalidParameterError(f"index {text!r} is not an integer")
+    if not 1 <= int(text) <= p.rank:
+        raise InvalidParameterError(f"index {text} outside 1..rank={p.rank}")
+    return int(text)
+
+
+def _window_index(text: str, p: GaussianBoundParams) -> int:
+    if not p.k_lo <= _rank_index(text, p) <= p.k_hi:
+        raise InvalidParameterError(f"location index {text} outside the window")
+    return int(text)
+
+
+def _norm(text: str, p: GaussianBoundParams) -> NormSpec:
+    return require_norm(norm_spec_from_token(text), min(p.n_rows, p.n_cols))
+
+
+def _full_window(p: GaussianBoundParams) -> None:
+    if p.k_lo != 1 or p.k_hi != p.rank:
+        raise InvalidParameterError("the corollary needs the full window [1, rank]")
+
+
+@dataclass
+class _BoundsTrial:
+    """One bounds trial. The quantities several kinds share are computed on
+    first use, at most once per trial."""
+
+    inst: PerturbationInstance
+    p: GaussianBoundParams
+    rng: np.random.Generator
+
+    @cached_property
+    def noise_spectrum(self) -> np.ndarray:
+        return gram_spectrum(self.inst.noise)
+
+    @cached_property
+    def e_norm(self) -> float:
+        return float(self.noise_spectrum[0])
+
+    @cached_property
+    def inc(self) -> IncoherenceStats:
+        return IncoherenceStats.from_instance(self.inst, rank=self.p.rank)
+
+    @cached_property
+    def general(self) -> tuple[GeneralNoiseParams, ...]:
+        """Measured noise caps; entry k - 1 serves index k."""
+        r = self.inst.rank()
+        u = self.inst.svd_signal.left[:, :r]
+        v = self.inst.svd_signal.right[:, :r]
+        core = u.T @ self.inst.noise @ v
+        core_bound = float(np.linalg.norm(core, 2))
+        return tuple(
+            GeneralNoiseParams(self.e_norm, core_bound, float(np.linalg.norm(core[:k, :k], 2)))
+            for k in range(1, r + 1)
+        )
+
+    def _measured(self, rep: BoundReport, which: str, k_lo: int, k_hi: int, spec=None):
+        """rep with the empirical quantity `which` on the window [k_lo, k_hi]."""
+        value = empirical_quantity(self.inst, which, k_lo=k_lo, k_hi=k_hi, spec=spec)
+        return [rep.with_empirical(value)]
+
+    @_theorem(_norm)
+    def mirsky(self, spec: NormSpec) -> list[BoundReport]:
+        return [mirsky_check(self.inst, spec, e_singulars=self.noise_spectrum)]
+
+    @_theorem(_rank_index, _norm)
+    def wedin(self, k: int, spec: NormSpec) -> list[BoundReport]:
+        return [wedin_check(self.inst, k, spec)]
+
+    @_theorem(_norm)
+    def gauss_sin_theta(self, spec: NormSpec) -> list[BoundReport]:
+        p = self.p
+        if spec.kind == "operator":
+            cross = self.e_norm
+        else:
+            cross = cross_term_norm(self.inst, p.k_lo, p.k_hi, spec, rank=p.rank)
+        rep = gauss_subspace_bound(p, spec, cross)
+        return self._measured(rep, "sin_theta", p.k_lo, p.k_hi, spec)
+
+    @_theorem()
+    def gauss_sin_theta_simplified(self) -> list[BoundReport]:
+        rep = gauss_subspace_simplified(self.p, self.e_norm)
+        return self._measured(rep, "sin_theta", 1, self.p.k_lo, OPERATOR)
+
+    @_theorem(_window_index)
+    def gauss_sv_location(self, j: int) -> list[BoundReport]:
+        def phi_at(z):
+            return phi_from_eta(self.noise_spectrum, *self.inst.shape, z).varphi.real
+
+        return [gauss_sv_location_check(self.inst, self.p, j, phi_at)]
+
+    @_theorem()
+    def gauss_2inf(self) -> list[BoundReport]:
+        rep = entrywise_bound(self.p, self.inc, "infnorm_nonasymptotic")
+        return self._measured(rep, "two_inf_proj", self.p.k_lo, self.p.k_hi)
+
+    @_theorem()
+    def gauss_vector_inf(self) -> list[BoundReport]:
+        u = self.inst.svd_signal.left[:, self.p.k_lo - 1]
+        ut = self.inst.svd_observed.left[:, self.p.k_lo - 1]
+        rep = entrywise_bound(self.p, self.inc, "vector_inf")
+        return [rep.with_empirical(float(np.max(np.abs(ut - (ut @ u) * u))))]
+
+    @_theorem()
+    def gauss_matrix_2inf(self) -> list[BoundReport]:
+        rep = entrywise_bound(self.p, self.inc, "matrix_2inf")
+        return self._measured(rep, "two_inf_proj", 1, self.p.k_lo)
+
+    @_theorem()
+    def gauss_2inf_aligned(self) -> list[BoundReport]:
+        uw = self.inst.svd_signal.left[:, : self.p.k_lo]
+        window_u = float(np.sqrt(np.max(np.sum(uw * uw, axis=1))))
+        rep = entrywise_bound(
+            self.p, self.inc, "corollary_aligned", e_norm=self.e_norm, window_u_2inf=window_u
+        )
+        return self._measured(rep, "two_inf_aligned", 1, self.p.k_lo)
+
+    def _directional(self, bilinear: bool) -> list[BoundReport]:
+        # each token draws x, then y, from the trial generator
+        p, inst = self.p, self.inst
+        x = self.rng.standard_normal(inst.shape[0])
+        x /= np.linalg.norm(x)
+        y = self.rng.standard_normal(p.window)
+        y /= np.linalg.norm(y)
+        xu = float(np.linalg.norm(x @ inst.svd_signal.left[:, : p.rank]))
+        lin, bil = linear_bilinear_bound(p, xu, y)
+        uw = inst.svd_signal.left[:, p.k_lo - 1 : p.k_hi]
+        utw = inst.svd_observed.left[:, p.k_lo - 1 : p.k_hi]
+        resid = utw - uw @ (uw.T @ utw)
+        if bilinear:
+            return [bil.with_empirical(float(abs(x @ resid @ y)))]
+        return [lin.with_empirical(float(np.linalg.norm(x @ resid)))]
+
+    @_theorem()
+    def gauss_linear(self) -> list[BoundReport]:
+        return self._directional(bilinear=False)
+
+    @_theorem()
+    def gauss_bilinear(self) -> list[BoundReport]:
+        return self._directional(bilinear=True)
+
+    @_theorem()
+    def gauss_weighted(self) -> list[BoundReport]:
+        rep = weighted_bound(self.p, self.inc, "theorem")
+        return self._measured(rep, "weighted_2inf", self.p.k_lo, self.p.k_hi)
+
+    @_theorem(check=_full_window)
+    def gauss_weighted_corollary(self) -> list[BoundReport]:
+        rep = weighted_bound(self.p, self.inc, "corollary_full", e_norm=self.e_norm)
+        return self._measured(rep, "weighted_aligned", 1, self.p.rank)
+
+    @_theorem(_rank_index)
+    def general_sv(self, k: int) -> list[BoundReport]:
+        return list(general_sv_bounds(self.inst, k, self.general[k - 1]))
+
+    @_theorem(_rank_index, _norm)
+    def general_sin_theta(self, k: int, spec: NormSpec) -> list[BoundReport]:
+        delta_k = empirical_quantity(self.inst, "sv_gap", k=k)
+        sigma_k = float(self.inst.svd_signal.singulars[k - 1])
+        gp = self.general[k - 1]
+        rep = general_subspace_bound(k, self.inst.rank(), delta_k, sigma_k, gp, spec)
+        return self._measured(rep, "sin_theta", 1, k, spec)
+
+    @_theorem()
+    def spectral_norm_event(self) -> list[BoundReport]:
+        return [spectral_norm_report(self.e_norm, *self.inst.shape)]
+
+
 def _bounds_factory(cfg: ExperimentConfig):
     model = cfg.model
     lr = LowRankSpec(
@@ -215,7 +412,7 @@ def _bounds_factory(cfg: ExperimentConfig):
     noise_scale = float(model.get("noise_scale", 1.0))
     if noise_scale <= 0:
         raise InvalidParameterError("noise_scale must be positive")
-    parsed = [_parse_bounds_token(tok, params) for tok in cfg.theorems]
+    bound = [_bind_token(tok, params) for tok in cfg.theorems]
 
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
@@ -224,209 +421,29 @@ def _bounds_factory(cfg: ExperimentConfig):
         e = rng.standard_normal((lr.n_rows, lr.n_cols))
         if noise_scale != 1.0:
             e *= noise_scale
-        inst = perturb(a, e, seed=tseed, factors=factors)
-        cache: dict = {}
-
-        def e_svals():
-            if "esv" not in cache:
-                cache["esv"] = gram_spectrum(inst.noise)
-            return cache["esv"]
-
-        def inco():
-            if "inc" not in cache:
-                cache["inc"] = IncoherenceStats.from_instance(inst, rank=params.rank)
-            return cache["inc"]
-
-        reports: list[BoundReport] = []
-        for kind, args in parsed:
-            reports.extend(
-                _eval_bounds_token(kind, args, inst, params, rng, e_svals, inco)
-            )
-        return reports
+        t = _BoundsTrial(perturb(a, e, seed=tseed, factors=factors), params, rng)
+        # config order: gauss_linear and gauss_bilinear draw from rng
+        return [rep for evaluate, args in bound for rep in evaluate(t, *args)]
 
     return trial
 
 
-def _parse_bounds_token(token: str, params: GaussianBoundParams):
-    parts = token.split(":")
-    kind = parts[0]
-    r = params.rank
-    if kind == "mirsky" and len(parts) == 2:
-        return ("mirsky", (norm_spec_from_token(parts[1]),))
-    if kind == "wedin" and len(parts) == 3:
-        k = int(parts[1])
-        if not 1 <= k <= r:
-            raise InvalidParameterError(f"wedin index {k} outside 1..rank={r}")
-        return ("wedin", (k, norm_spec_from_token(parts[2])))
-    if kind == "gauss_sin_theta" and len(parts) == 2:
-        return ("gauss_sin_theta", (norm_spec_from_token(parts[1]),))
-    if kind == "gauss_sin_theta_simplified" and len(parts) == 1:
-        return ("gauss_sin_theta_simplified", ())
-    if kind == "gauss_sv_location" and len(parts) == 2:
-        j = int(parts[1])
-        if not params.k_lo <= j <= params.k_hi:
-            raise InvalidParameterError(f"location index {j} outside the window")
-        return ("gauss_sv_location", (j,))
-    if kind == "gauss_2inf" and len(parts) == 1:
-        return ("gauss_2inf", ())
-    if kind in ("gauss_vector_inf", "gauss_matrix_2inf", "gauss_2inf_aligned") and len(parts) == 1:
-        return (kind, ())
-    if kind in ("gauss_linear", "gauss_bilinear") and len(parts) == 1:
-        return (kind, ())
-    if kind == "gauss_weighted" and len(parts) == 1:
-        return ("gauss_weighted", ())
-    if kind == "gauss_weighted_corollary" and len(parts) == 1:
-        if params.k_lo != 1 or params.k_hi != r:
-            raise InvalidParameterError(
-                "gauss_weighted_corollary needs the full window [1, rank]"
-            )
-        return ("gauss_weighted_corollary", ())
-    if kind == "general_sv" and len(parts) == 2:
-        k = int(parts[1])
-        if not 1 <= k <= r:
-            raise InvalidParameterError(f"general_sv index {k} outside 1..rank={r}")
-        return ("general_sv", (k,))
-    if kind == "general_sin_theta" and len(parts) == 3:
-        k = int(parts[1])
-        if not 1 <= k <= r:
-            raise InvalidParameterError(f"general_sin_theta index {k} outside 1..rank")
-        return ("general_sin_theta", (k, norm_spec_from_token(parts[2])))
-    if kind == "spectral_norm_event" and len(parts) == 1:
-        return ("spectral_norm_event", ())
-    raise InvalidParameterError(f"unknown theorem token {token!r}")
-
-
-def _measured_general_params(inst, k: int, e_svals) -> GeneralNoiseParams:
-    r = inst.rank()
-    u = inst.svd_signal.left[:, :r]
-    v = inst.svd_signal.right[:, :r]
-    core = u.T @ inst.noise @ v
-    return GeneralNoiseParams(
-        op_bound=float(e_svals()[0]),
-        core_bound=float(np.linalg.norm(core, 2)),
-        corner_bound=float(np.linalg.norm(core[:k, :k], 2)),
-        epsilon=0.0,
-    )
-
-
-def _eval_bounds_token(kind, args, inst, params, rng, e_svals, inco):
-    k_lo, k_hi = params.k_lo, params.k_hi
-    if kind == "mirsky":
-        return [mirsky_check(inst, args[0], e_singulars=e_svals())]
-    if kind == "wedin":
-        return [wedin_check(inst, args[0], args[1])]
-    if kind == "gauss_sin_theta":
-        spec = args[0]
-        if spec.kind == "operator":
-            cross = float(e_svals()[0])
-        else:
-            cross = cross_term_norm(inst, k_lo, k_hi, spec, rank=params.rank)
-        rep = gauss_subspace_bound(params, spec, cross)
-        emp = empirical_quantity(inst, "sin_theta", k_lo=k_lo, k_hi=k_hi, spec=spec)
-        return [rep.with_empirical(emp)]
-    if kind == "gauss_sin_theta_simplified":
-        rep = gauss_subspace_simplified(params, float(e_svals()[0]))
-        emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=k_lo, spec=OPERATOR)
-        return [rep.with_empirical(emp)]
-    if kind == "gauss_sv_location":
-        j = args[0]
-        esv = e_svals()
-
-        def phi_at(z):
-            return phi_from_eta(esv, inst.shape[0], inst.shape[1], z).varphi.real
-
-        return [gauss_sv_location_check(inst, params, j, phi_at)]
-    if kind == "gauss_2inf":
-        rep = entrywise_bound(params, inco(), "infnorm_nonasymptotic")
-        emp = empirical_quantity(inst, "two_inf_proj", k_lo=k_lo, k_hi=k_hi)
-        return [rep.with_empirical(emp)]
-    if kind == "gauss_vector_inf":
-        rep = entrywise_bound(params, inco(), "vector_inf")
-        u = inst.svd_signal.left[:, k_lo - 1]
-        ut = inst.svd_observed.left[:, k_lo - 1]
-        emp = float(np.max(np.abs(ut - (ut @ u) * u)))
-        return [rep.with_empirical(emp)]
-    if kind == "gauss_matrix_2inf":
-        rep = entrywise_bound(params, inco(), "matrix_2inf")
-        emp = empirical_quantity(inst, "two_inf_proj", k_lo=1, k_hi=k_lo)
-        return [rep.with_empirical(emp)]
-    if kind == "gauss_2inf_aligned":
-        uw = inst.svd_signal.left[:, :k_lo]
-        window_u = float(np.sqrt(np.max(np.sum(uw * uw, axis=1))))
-        rep = entrywise_bound(
-            params,
-            inco(),
-            "corollary_aligned",
-            e_norm=float(e_svals()[0]),
-            window_u_2inf=window_u,
-        )
-        emp = empirical_quantity(inst, "two_inf_aligned", k_lo=1, k_hi=k_lo)
-        return [rep.with_empirical(emp)]
-    if kind in ("gauss_linear", "gauss_bilinear"):
-        x = rng.standard_normal(inst.shape[0])
-        x /= np.linalg.norm(x)
-        w = k_hi - k_lo + 1
-        y = rng.standard_normal(w)
-        y /= np.linalg.norm(y)
-        r = params.rank
-        xu = float(np.linalg.norm(x @ inst.svd_signal.left[:, :r]))
-        lin, bil = linear_bilinear_bound(params, xu, y)
-        uw = inst.svd_signal.left[:, k_lo - 1 : k_hi]
-        utw = inst.svd_observed.left[:, k_lo - 1 : k_hi]
-        resid = utw - uw @ (uw.T @ utw)
-        if kind == "gauss_linear":
-            return [lin.with_empirical(float(np.linalg.norm(x @ resid)))]
-        return [bil.with_empirical(float(abs(x @ resid @ y)))]
-    if kind == "gauss_weighted":
-        rep = weighted_bound(params, inco(), "theorem")
-        emp = empirical_quantity(inst, "weighted_2inf", k_lo=k_lo, k_hi=k_hi)
-        return [rep.with_empirical(emp)]
-    if kind == "gauss_weighted_corollary":
-        rep = weighted_bound(params, inco(), "corollary_full", e_norm=float(e_svals()[0]))
-        emp = empirical_quantity(inst, "weighted_aligned", k_lo=1, k_hi=params.rank)
-        return [rep.with_empirical(emp)]
-    if kind == "general_sv":
-        k = args[0]
-        gp = _measured_general_params(inst, k, e_svals)
-        lower, upper = general_sv_bounds(inst, k, gp)
-        return [lower, upper]
-    if kind == "general_sin_theta":
-        k, spec = args
-        gp = _measured_general_params(inst, k, e_svals)
-        r = inst.rank()
-        delta_k = empirical_quantity(inst, "sv_gap", k=k)
-        sigma_k = float(inst.svd_signal.singulars[k - 1])
-        rep = general_subspace_bound(k, r, delta_k, sigma_k, gp, spec)
-        emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=k, spec=spec)
-        return [rep.with_empirical(emp)]
-    if kind == "spectral_norm_event":
-        return [spectral_norm_report(float(e_svals()[0]), inst.shape[0], inst.shape[1])]
-    raise InvalidParameterError(f"unhandled theorem kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
-# gmm scenario
+# gmm and submatrix scenarios
 
 
-def _gmm_flags(sample, k: int, tail: float) -> PreconditionFlags:
-    p = sample.x.shape[0]
-    n = sample.x.shape[1]
-    root = np.sqrt(n) + np.sqrt(p)
-    logsum = np.log(n + p)
-    dim_ok = bool(root**2 >= 32.0 * (tail + 7.0) * logsum + 64.0 * np.log(9.0) * k)
-    snr_ok = bool(
-        sample.sigma_min
-        >= 40.0 * root
-        + 3.8e4 * k * np.sqrt(2.0 * np.log(9.0) * k + (tail + 7.0) * logsum)
-    )
-    gap_ok = bool(
-        sample.center_gap
-        >= max(
-            40.0 * root / np.sqrt(sample.min_cluster),
-            1800.0 * k * np.sqrt((tail + 7.0) * logsum),
-        )
-    )
-    return PreconditionFlags(dim_ok=dim_ok, snr_ok=snr_ok, gap_ok=gap_ok)
+def _recovery_floor(
+    n_rows: int, n_cols: int, k: int, tail: float, sigma_min: float, separations
+) -> tuple[PreconditionFlags, float]:
+    """Hypotheses and probability floor of the two recovery applications;
+    separations holds (gap, smallest group size) pairs."""
+    dim_ok, snr_ok = dim_snr_flags(n_rows, n_cols, k, tail, sigma_min)
+    root = np.sqrt(n_rows) + np.sqrt(n_cols)
+    need = 1800.0 * k * np.sqrt((tail + 7.0) * np.log(n_rows + n_cols))
+    gap_ok = all(bool(gap >= max(40.0 * root / np.sqrt(n), need)) for gap, n in separations)
+    flags = PreconditionFlags(dim_ok=dim_ok, snr_ok=snr_ok, gap_ok=gap_ok)
+    prob = 1.0 - tail_probability(40.0, n_rows, n_cols, tail) if flags.all_ok else 0.0
+    return flags, prob
 
 
 def _centers_from_model(model: dict, k: int, p: int) -> np.ndarray:
@@ -465,26 +482,20 @@ def _gmm_factory(cfg: ExperimentConfig):
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
         sample = sample_gmm(spec, tseed)
-        flags = _gmm_flags(sample, k, tail)
-        budget = 40.0 * float(n + p) ** (-tail)
-        prob = 1.0 - min(1.0, budget) if flags.all_ok else 0.0
+        flags, prob = _recovery_floor(
+            p, n, k, tail, sample.sigma_min, [(sample.center_gap, sample.min_cluster)]
+        )
+        emb = spectral_embedding(sample.x, k)
         reports = []
         if "gmm_recovery" in wanted:
             cfg_k = KMeansConfig(k=k, restarts=restarts, seed=derive_seed(tseed, 1))
-            found = spectral_gmm(sample.x, k, cfg_k)
+            found, _, _ = kmeans(emb.T, cfg_k)
             res = match_labels(sample.truth, found)
             reports.append(
-                BoundReport.build(
-                    "gmm_recovery",
-                    0.0,
-                    prob,
-                    flags,
-                    res.misclassification,
-                    {"exact": res.exact},
-                )
+                BoundReport.build("gmm_recovery", 0.0, prob, flags, res.misclassification)
             )
         if "gmm_embedding_gap" in wanted:
-            gap = embedding_gap(sample.x, k, sample.truth_embedding)
+            gap = embedding_gap(emb, sample.truth_embedding)
             reports.append(
                 BoundReport.build(
                     "gmm_embedding_gap", sample.center_gap / 5.0, prob, flags, gap
@@ -493,27 +504,6 @@ def _gmm_factory(cfg: ExperimentConfig):
         return reports
 
     return trial
-
-
-# ---------------------------------------------------------------------------
-# submatrix scenario
-
-
-def _submatrix_flags(sample, k: int, tail: float, m: int, n: int) -> PreconditionFlags:
-    root = np.sqrt(m) + np.sqrt(n)
-    logsum = np.log(m + n)
-    dim_ok = bool(root**2 >= 32.0 * (tail + 7.0) * logsum + 64.0 * np.log(9.0) * k)
-    snr_ok = bool(
-        sample.sigma_min
-        >= 40.0 * root
-        + 3.8e4 * k * np.sqrt(2.0 * np.log(9.0) * k + (tail + 7.0) * logsum)
-    )
-    need = 1800.0 * k * np.sqrt((tail + 7.0) * logsum)
-    gap_ok = bool(
-        sample.row_gap >= max(40.0 * root / np.sqrt(sample.min_rows), need)
-        and sample.col_gap >= max(40.0 * root / np.sqrt(sample.min_cols), need)
-    )
-    return PreconditionFlags(dim_ok=dim_ok, snr_ok=snr_ok, gap_ok=gap_ok)
 
 
 def _submatrix_spec_from_model(model: dict) -> SubmatrixSpec:
@@ -550,27 +540,20 @@ def _submatrix_factory(cfg: ExperimentConfig):
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
         sample = plant_submatrices(spec, tseed)
-        flags = _submatrix_flags(sample, k, tail, spec.n_rows, spec.n_cols)
-        budget = 40.0 * float(spec.n_rows + spec.n_cols) ** (-tail)
-        prob = 1.0 - min(1.0, budget) if flags.all_ok else 0.0
+        flags, prob = _recovery_floor(
+            spec.n_rows,
+            spec.n_cols,
+            k,
+            tail,
+            sample.sigma_min,
+            [(sample.row_gap, sample.min_rows), (sample.col_gap, sample.min_cols)],
+        )
         cfg_k = KMeansConfig(k=k + 1, restarts=restarts, seed=derive_seed(tseed, 1))
         labs = spectral_submatrix(sample.x, k, cfg_k)
         col_res = match_labels(sample.col_truth, labs.cols)
         row_res = match_labels(sample.row_truth, labs.rows)
         emp = max(col_res.misclassification, row_res.misclassification)
-        return [
-            BoundReport.build(
-                "submatrix_recovery",
-                0.0,
-                prob,
-                flags,
-                emp,
-                {
-                    "col_rate": col_res.misclassification,
-                    "row_rate": row_res.misclassification,
-                },
-            )
-        ]
+        return [BoundReport.build("submatrix_recovery", 0.0, prob, flags, emp)]
 
     return trial
 
@@ -972,10 +955,18 @@ class TrialFailure(RuntimeError):
 def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
     """Run cfg.trials seeded trials and aggregate per-theorem rows.
 
-    An exception inside trial i is re-raised as TrialFailure, chained to it.
+    A ValueError or TypeError while the scenario is built (a malformed model
+    value or theorem token) is re-raised as InvalidParameterError. An
+    exception inside trial i is re-raised as TrialFailure, chained to it.
     """
     start = time.perf_counter()
-    run_trial = _FACTORIES[cfg.scenario](cfg)
+    try:
+        run_trial = _FACTORIES[cfg.scenario](cfg)
+    except np.linalg.LinAlgError:
+        raise
+    except (ValueError, TypeError) as exc:
+        # every model value and theorem token is checked here, before trial 0
+        raise InvalidParameterError(str(exc)) from exc
 
     def trial(i: int) -> list[BoundReport]:
         try:

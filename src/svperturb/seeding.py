@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 # 64-bit golden-ratio multiplier; decorrelates consecutive trial indices.
 GOLDEN_MIX = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -13,6 +11,3 @@ def derive_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: base_seed XOR (index * golden multiplier), mod 2^64."""
     return (int(base_seed) ^ ((int(index) * GOLDEN_MIX) & _MASK)) & _MASK
 
-
-def rng_for(base_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(base_seed, index))

@@ -606,6 +606,38 @@ REPLAY_CONFIGS = {
         },
         "format": "csv",
     },
+    # one token of each of the 16 bounds kinds; every row has valid > 0
+    "bounds-every-kind": {
+        "scenario": "bounds",
+        "trials": 2,
+        "base_seed": 20260823,
+        "theorems": [
+            "mirsky:schatten3",
+            "wedin:2:nuclear",
+            "gauss_sin_theta:kyfan2",
+            "gauss_sin_theta_simplified",
+            "gauss_sv_location:2",
+            "gauss_2inf",
+            "gauss_vector_inf",
+            "gauss_matrix_2inf",
+            "gauss_2inf_aligned",
+            "gauss_linear",
+            "gauss_bilinear",
+            "gauss_weighted",
+            "gauss_weighted_corollary",
+            "general_sv:1",
+            "general_sin_theta:1:frobenius",
+            "spectral_norm_event",
+        ],
+        "model": {
+            "n_rows": 900,
+            "n_cols": 900,
+            "singulars": [2.0e5, 1.2e5],
+            "k_lo": 1,
+            "k_hi": 2,
+        },
+        "format": "csv",
+    },
     "gmm-strong": {
         "scenario": "gmm",
         "trials": 3,

@@ -14,7 +14,6 @@ from svperturb.bounds import (
     cross_term_norm,
     empirical_quantity,
     entrywise_bound,
-    fbounded_probability,
     gauss_subspace_bound,
     gauss_subspace_simplified,
     gauss_sv_location_check,
@@ -97,6 +96,13 @@ class TestBoundReport:
             assert rep.violated is True, (emp, bound)
             assert rep.ratio == np.inf, (emp, bound)
 
+    def test_violation_of_a_non_positive_bound_ranks_worst(self):
+        for bound, emp in ((-np.inf, 1.0), (-np.inf, -1e300), (-2.0, -1.0), (-2.0, 0.0)):
+            rep = BoundReport.build("x", bound, 0.5, ALL_OK, emp)
+            assert rep.violated is True, (bound, emp)
+            assert rep.ratio == np.inf, (bound, emp)
+        assert BoundReport.build("x", -2.0, 0.5, ALL_OK, -3.0).ratio == 0.0
+
     def test_infinite_bound_without_empirical_stays_unjudged(self):
         flags = PreconditionFlags(True, True, False)
         assert BoundReport.build("x", np.inf, 0.0, flags, None).violated is None
@@ -141,6 +147,12 @@ class TestBoundReportProperties:
     def test_finite_values_use_relative_slack(self, bound, emp):
         rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
         assert rep.violated == (emp > bound + VIOLATION_SLACK * max(1.0, bound))
+
+    @given(st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, -1.0]), any_float), any_float)
+    @settings(max_examples=400, deadline=None)
+    def test_a_violation_never_ranks_below_one(self, bound, emp):
+        rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        assert not rep.violated or rep.ratio >= 1.0
 
     @given(any_float, any_float)
     @settings(max_examples=200, deadline=None)
@@ -532,23 +544,6 @@ class TestGeneralNoise:
             GeneralNoiseParams(1.0, 1.0, 1.0, epsilon=1.0)
 
 
-class TestFBounded:
-    def test_formula(self):
-        f = lambda s: float(np.exp(-s))
-        t, r, k, delta = 80.0, 2, 2, 160.0
-        expect = 1.0 - 2.0 * 4 * 9.0**4 * np.exp(-20.0)
-        assert fbounded_probability(f, t, r, k, delta) == pytest.approx(expect)
-        assert 0.0 < expect < 1.0
-
-    def test_clipping(self):
-        f = lambda s: 1.0
-        assert fbounded_probability(f, 1.0, 1, 1, 1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            fbounded_probability(lambda s: 0.0, 0.0, 1, 1, 1.0)
-
-
 class TestEntrywise:
     def params(self):
         return strong_params(singulars=(2.0e5, 1.2e5))
@@ -609,7 +604,7 @@ class TestLinearBilinear:
         resid = ut_w - u_w @ (u_w.T @ ut_w)
         lin_emp = float(np.linalg.norm(x @ resid))
         assert lin.with_empirical(lin_emp).violated is False
-        bil_emp = empirical_quantity(inst, "bilinear", k_lo=1, k_hi=1, x=x, y=y)
+        bil_emp = float(abs(x @ resid @ y))
         assert bil.with_empirical(bil_emp).violated is False
 
     def test_hypothesis_flag_blocks_probability(self):

@@ -10,7 +10,7 @@ from svperturb.clustering import (
     kmeans,
     match_labels,
     misclassification,
-    single_linkage,
+    spectral_embedding,
     spectral_gmm,
     spectral_submatrix,
 )
@@ -207,12 +207,6 @@ class TestSpectral:
             centers=5.0 * np.eye(2, 8),
         )
         sample = sample_gmm(spec, seed=15, noiseless=True)
-        gap = embedding_gap(sample.x, 2, sample.truth_embedding)
+        gap = embedding_gap(spectral_embedding(sample.x, 2), sample.truth_embedding)
         assert gap == pytest.approx(0.0, abs=1e-8)
 
-
-class TestSingleLinkage:
-    def test_separated_blobs(self):
-        pts, truth = blobs(seed=16, k=2, per=15, spread=0.01)
-        labs = single_linkage(pts, 2)
-        assert misclassification(truth, labs) == 0.0

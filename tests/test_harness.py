@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,13 @@ class TestTokenValidation:
         with pytest.raises(InvalidParameterError):
             run_monte_carlo(cfg)
 
+    def test_readme_lists_exactly_the_table_kinds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("Theorem tokens for the `bounds` scenario")[1]
+        bullets = re.findall(r"^- `([a-z0-9_]+)[:`]", section.split("\n\n")[1], re.M)
+        assert len(bullets) == len(set(bullets))
+        assert set(bullets) == set(harness._BOUNDS_THEOREMS)
+
 
 class TestRun:
     def test_rows_sorted_and_counted(self):
@@ -140,6 +149,27 @@ class TestRun:
         summary = run_monte_carlo(cfg)
         ids = [r["theorem_id"] for r in summary.rows]
         assert ids == ["gmm_embedding_gap", "gmm_recovery"]
+
+    def test_gmm_trial_factorizes_once(self, monkeypatch):
+        import svperturb.clustering
+
+        calls = []
+        real = svperturb.clustering.leading_svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svperturb.clustering, "leading_svd", counting)
+        cfg = ExperimentConfig(
+            scenario="gmm",
+            trials=3,
+            base_seed=1,
+            theorems=("gmm_recovery", "gmm_embedding_gap"),
+            model={"n_features": 12, "n_samples": 40, "n_clusters": 2, "center_scale": 25.0},
+        )
+        run_monte_carlo(cfg)
+        assert calls == [(12, 40)] * 3
 
     def test_selftest_all_pass(self):
         cfg = ExperimentConfig(
@@ -329,6 +359,37 @@ class TestMain:
             json.dumps({"scenario": "bounds", "theorems": ["weyl:1"], "model": BOUNDS_MODEL})
         )
         assert main(["bounds", "--config", str(p), "--trials", "1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "theorem, model",
+        [
+            ("gauss_sv_location:x", None),
+            ("wedin:1.5:operator", None),
+            ("mirsky:operator", {"n_rows": "x", "n_cols": 60, "singulars": [40.0, 30.0]}),
+            ("mirsky:two_inf", None),
+            ("wedin:1:two_inf", None),
+            ("gauss_sin_theta:max", None),
+            ("general_sin_theta:1:max", None),
+            ("mirsky:kyfan99", None),
+        ],
+    )
+    def test_malformed_token_or_model_is_config_error(self, tmp_path, capsys, theorem, model):
+        # rejected when the scenario is built, never as a traceback or a trial failure
+        doc = {"theorems": [theorem]}
+        if model is not None:
+            doc["model"] = model
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["bounds", "--config", str(p), "--trials", "2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: invalid config: ")
+
+    def test_linalg_error_while_building_is_runtime(self, monkeypatch, capsys):
+        def factory(cfg):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setitem(harness._FACTORIES, "selftest", factory)
+        assert main(["selftest"]) == EXIT_RUNTIME
+        assert "invalid config" not in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["teleport"]) == EXIT_CONFIG

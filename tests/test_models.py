@@ -15,7 +15,7 @@ from svperturb.models import (
     plant_submatrices,
     sample_gmm,
 )
-from svperturb.seeding import derive_seed, rng_for
+from svperturb.seeding import derive_seed
 
 
 class TestSeeding:
@@ -29,11 +29,6 @@ class TestSeeding:
     def test_in_64_bit_range(self):
         s = derive_seed(2**63, 2**20)
         assert 0 <= s < 2**64
-
-    def test_rng_for_reproduces(self):
-        a = rng_for(3, 4).standard_normal(5)
-        b = rng_for(3, 4).standard_normal(5)
-        assert np.array_equal(a, b)
 
 
 class TestGaussian:
