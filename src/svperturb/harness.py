@@ -19,8 +19,8 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -186,13 +186,56 @@ class SummaryReport:
 
 
 # ---------------------------------------------------------------------------
-# bounds scenario
+# model keys, theorem tokens and fixed row sets
+
+
+class _ModelKeys(dict):
+    """A scenario's model that records every key the factory looks up."""
+
+    def __init__(self, model: dict):
+        super().__init__(model)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def _require(model: dict, key: str):
     if key not in model:
         raise InvalidParameterError(f"model is missing key {key!r}")
     return model[key]
+
+
+def _reject_repeats(tokens, keys) -> None:
+    """Reject two tokens with one key: they would count each trial twice."""
+    seen: dict = {}
+    for token, key in zip(tokens, keys):
+        if key in seen:
+            raise InvalidParameterError(f"theorem tokens {seen[key]!r} and {token!r} repeat a row")
+        seen[key] = token
+
+
+def _fixed_rows(cfg: ExperimentConfig, rows: tuple[str, ...]) -> set[str]:
+    """The requested rows of a scenario with a fixed row set (all when none is named)."""
+    unknown = set(cfg.theorems) - set(rows)
+    if unknown:
+        raise InvalidParameterError(f"unknown {cfg.scenario} theorems: {sorted(unknown)}")
+    _reject_repeats(cfg.theorems, cfg.theorems)
+    return set(cfg.theorems) or set(rows)
+
+
+def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    x = rng.standard_normal(dim)
+    return x / np.linalg.norm(x)
+
+
+# ---------------------------------------------------------------------------
+# bounds scenario
 
 
 # The bounds theorem table. A token is KIND[:ARG[:ARG]], and each kind is the
@@ -343,10 +386,8 @@ class _BoundsTrial:
     def _directional(self, bilinear: bool) -> list[BoundReport]:
         # each token draws x, then y, from the trial generator
         p, inst = self.p, self.inst
-        x = self.rng.standard_normal(inst.shape[0])
-        x /= np.linalg.norm(x)
-        y = self.rng.standard_normal(p.window)
-        y /= np.linalg.norm(y)
+        x = _unit_vector(self.rng, inst.shape[0])
+        y = _unit_vector(self.rng, p.window)
         xu = float(np.linalg.norm(x @ inst.svd_signal.left[:, : p.rank]))
         lin, bil = linear_bilinear_bound(p, xu, y)
         uw = inst.svd_signal.left[:, p.k_lo - 1 : p.k_hi]
@@ -413,6 +454,7 @@ def _bounds_factory(cfg: ExperimentConfig):
     if noise_scale <= 0:
         raise InvalidParameterError("noise_scale must be positive")
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
+    _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
 
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
@@ -430,6 +472,9 @@ def _bounds_factory(cfg: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # gmm and submatrix scenarios
+
+_GMM_ROWS = ("gmm_recovery", "gmm_embedding_gap")
+_SUBMATRIX_ROWS = ("submatrix_recovery",)
 
 
 def _recovery_floor(
@@ -474,10 +519,7 @@ def _gmm_factory(cfg: ExperimentConfig):
     )
     tail = float(model.get("tail", 1.0))
     restarts = int(model.get("restarts", 10))
-    wanted = set(cfg.theorems) or {"gmm_recovery", "gmm_embedding_gap"}
-    unknown = wanted - {"gmm_recovery", "gmm_embedding_gap"}
-    if unknown:
-        raise InvalidParameterError(f"unknown gmm theorems: {sorted(unknown)}")
+    wanted = _fixed_rows(cfg, _GMM_ROWS)
 
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
@@ -532,10 +574,7 @@ def _submatrix_factory(cfg: ExperimentConfig):
     k = spec.n_blocks
     tail = float(model.get("tail", 1.0))
     restarts = int(model.get("restarts", 10))
-    wanted = set(cfg.theorems) or {"submatrix_recovery"}
-    unknown = wanted - {"submatrix_recovery"}
-    if unknown:
-        raise InvalidParameterError(f"unknown submatrix theorems: {sorted(unknown)}")
+    _fixed_rows(cfg, _SUBMATRIX_ROWS)
 
     def trial(i: int) -> list[BoundReport]:
         tseed = derive_seed(cfg.base_seed, i)
@@ -592,173 +631,92 @@ def _resolvent_factory(cfg: ExperimentConfig):
         raise InvalidParameterError("z_factors must be >= 1 (scaled by the base radius)")
     if not 1 <= signal_rank <= min(n_rows, n_cols):
         raise InvalidParameterError("signal_rank out of range")
-    wanted = set(cfg.theorems) or set(_RESOLVENT_ROWS)
-    unknown = wanted - set(_RESOLVENT_ROWS)
-    if unknown:
-        raise InvalidParameterError(f"unknown resolvent theorems: {sorted(unknown)}")
+    wanted = _fixed_rows(cfg, _RESOLVENT_ROWS)
+    b = margin
     base = min_abs_z(n_rows, n_cols, margin)
-    event_prob = 1.0 - 2.0 * float(
-        np.exp(-((np.sqrt(n_rows) + np.sqrt(n_cols)) ** 2) / 2.0)
-    )
+    zs = [f * base for f in z_factors] + [complex(base, 0.5 * base)]
+    grid = np.linspace(base, 3.0 * base, 25)
+    sigma_j = 3.0 * base
+    root = np.sqrt(n_rows) + np.sqrt(n_cols)
+    event_prob = 1.0 - 2.0 * float(np.exp(-(root**2) / 2.0))
+    ring_lo = 1.0 - 1.0 / (4.0 * b * (b - 1.0))
+    ring_hi = 1.0 + 1.0 / (4.0 * b * (b - 1.0))
+    lip_lo = 1.0 - 1.0 / (2.0 * (b - 1.0) ** 2)
+    lip_hi = 1.0 + 1.0 / (2.0 * (b - 1.0) ** 2)
+    law_dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
+    law_prob = 1.0 - 9.0 * float(n_rows + n_cols) ** (-(tail + 1.0)) if law_dim_ok else 0.0
 
     def trial(i: int) -> list[BoundReport]:
-        tseed = derive_seed(cfg.base_seed, i)
-        rng = np.random.default_rng(tseed)
+        # rows run in this order, and uphiu, local_law and dense_match draw from rng
+        rng = np.random.default_rng(derive_seed(cfg.base_seed, i))
         e = rng.standard_normal((n_rows, n_cols))
         ls = LinearizationSpectrum.from_noise(e)
-        on_event = ls.spectral_norm <= 2.0 * (np.sqrt(n_rows) + np.sqrt(n_cols))
-        event_flags = PreconditionFlags(True, on_event, True)
+        # the six event rows hold on ||E|| <= 2 (sqrt(N) + sqrt(n)), with event_prob
+        event = (event_prob, PreconditionFlags(True, ls.spectral_norm <= 2.0 * root, True))
+        # phi at the z points, formed on first use (phi_values raises inside the spectrum)
+        probes = cache(lambda: [phi_values(ls, z) for z in zs])
         reports: list[BoundReport] = []
-        zs = [f * base for f in z_factors]
-        zs.append(complex(base, 0.5 * base))
+
+        def row(name, bound, value, prob=1.0, flags=ALL_OK):
+            reports.append(BoundReport.build(name, bound, prob, flags, value))
 
         if "phi_identity" in wanted:
             dev = 0.0
-            for z in zs:
-                pr = phi_values(ls, z)
-                gap = abs(pr.phi1 - pr.phi2 + (n_cols - n_rows) / complex(z))
+            for pr in probes():
+                gap = abs(pr.phi1 - pr.phi2 + (n_cols - n_rows) / pr.z)
                 dev = max(dev, gap / max(1.0, abs(pr.phi1)))
-            reports.append(BoundReport.build("phi_identity", 1e-8, 1.0, ALL_OK, dev))
-
-        grid = np.linspace(base, 3.0 * base, 25)
-        if "phi_monotone" in wanted or "phi_crude" in wanted or "phi_lipschitz" in wanted:
+            row("phi_identity", 1e-8, dev)
+        if wanted & {"phi_monotone", "phi_crude", "phi_lipschitz"}:
             vals = np.array([phi_values(ls, z).varphi.real for z in grid])
-            if "phi_monotone" in wanted:
-                worst = float(max(0.0, -np.min(np.diff(vals))))
-                reports.append(
-                    BoundReport.build("phi_monotone", 0.0, 1.0, ALL_OK, worst)
-                )
-            if "phi_crude" in wanted:
-                worst = float(
-                    max(
-                        0.0,
-                        float(np.max(vals - grid**2)),
-                        float(np.max(-vals)),
-                    )
-                )
-                reports.append(BoundReport.build("phi_crude", 0.0, 1.0, ALL_OK, worst))
-            if "phi_lipschitz" in wanted:
-                b = margin
-                lo_c = 1.0 - 1.0 / (2.0 * (b - 1.0) ** 2)
-                hi_c = 1.0 + 1.0 / (2.0 * (b - 1.0) ** 2)
-                worst = 0.0
-                for a_idx in range(len(grid) - 1):
-                    z0, z1 = grid[a_idx], grid[a_idx + 1]
-                    dphi = abs(vals[a_idx + 1] - vals[a_idx])
-                    dz2 = abs(z1**2 - z0**2)
-                    worst = max(
-                        worst, lo_c * dz2 - dphi, dphi - hi_c * dz2
-                    )
-                reports.append(
-                    BoundReport.build(
-                        "phi_lipschitz", 0.0, event_prob, event_flags, max(0.0, worst)
-                    )
-                )
-
-        if "phi_ring" in wanted:
-            b = margin
-            lo_c = 1.0 - 1.0 / (4.0 * b * (b - 1.0))
-            hi_c = 1.0 + 1.0 / (4.0 * b * (b - 1.0))
+        if "phi_monotone" in wanted:
+            row("phi_monotone", 0.0, float(max(0.0, -np.min(np.diff(vals)))))
+        if "phi_crude" in wanted:
+            row("phi_crude", 0.0, max(0.0, float(np.max(vals - grid**2)), float(np.max(-vals))))
+        if "phi_lipschitz" in wanted:
             worst = 0.0
-            for z in zs:
-                pr = phi_values(ls, z)
+            for v0, v1, z0, z1 in zip(vals, vals[1:], grid, grid[1:]):
+                dphi, dz2 = abs(v1 - v0), abs(z1**2 - z0**2)
+                worst = max(worst, lip_lo * dz2 - dphi, dphi - lip_hi * dz2)
+            row("phi_lipschitz", 0.0, max(0.0, worst), *event)
+        if "phi_ring" in wanted:
+            worst = 0.0
+            for pr in probes():
+                r = abs(pr.z)
                 for phi in (pr.phi1, pr.phi2):
-                    worst = max(
-                        worst,
-                        lo_c * abs(complex(z)) - abs(phi),
-                        abs(phi) - hi_c * abs(complex(z)),
-                    )
-            reports.append(
-                BoundReport.build(
-                    "phi_ring", 0.0, event_prob, event_flags, max(0.0, worst)
-                )
-            )
-
+                    worst = max(worst, ring_lo * r - abs(phi), abs(phi) - ring_hi * r)
+            row("phi_ring", 0.0, max(0.0, worst), *event)
         if "uphiu" in wanted:
             u = haar_basis(rng, n_rows, signal_rank)
-            v = haar_basis(rng, n_cols, signal_rank)
-            u_lin = linearized_basis(u, v)
-            dev = max(uphiu_deviation(ls, u_lin, z) for z in zs)
-            reports.append(BoundReport.build("uphiu", 1e-8, 1.0, ALL_OK, dev))
-
+            u_lin = linearized_basis(u, haar_basis(rng, n_cols, signal_rank))
+            row("uphiu", 1e-8, max(uphiu_deviation(ls, u_lin, z) for z in zs))
         if "local_law" in wanted:
-            x = rng.standard_normal(n_rows + n_cols)
-            x /= np.linalg.norm(x)
-            y = rng.standard_normal(n_rows + n_cols)
-            y /= np.linalg.norm(y)
-            z = base
-            gap = local_law_gap(ls, z, x, y)
-            bound = local_law_bound(n_rows, n_cols, margin, tail, z)
-            root = np.sqrt(n_rows) + np.sqrt(n_cols)
-            dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
-            flags = PreconditionFlags(dim_ok, True, True)
-            prob = (
-                1.0 - 9.0 * float(n_rows + n_cols) ** (-(tail + 1.0)) if dim_ok else 0.0
-            )
-            reports.append(BoundReport.build("local_law", bound, prob, flags, gap))
-
+            x, y = _unit_vector(rng, n_rows + n_cols), _unit_vector(rng, n_rows + n_cols)
+            gap = local_law_gap(ls, base, x, y)
+            bound = local_law_bound(n_rows, n_cols, margin, tail, base)
+            row("local_law", bound, gap, law_prob, PreconditionFlags(law_dim_ok, True, True))
         if "zj_bracket" in wanted:
-            sigma_j = 3.0 * base
             try:
                 zj = solve_zj(ls, sigma_j, margin)
-                chi = 1.0 + 1.0 / (4.0 * margin * (margin - 1.0))
-                worst = max(0.0, sigma_j - zj, zj - chi * sigma_j)
-                reports.append(
-                    BoundReport.build(
-                        "zj_bracket", 0.0, event_prob, event_flags, worst
-                    )
-                )
             except NumericalFailureError:
-                reports.append(
-                    BoundReport.build(
-                        "zj_bracket",
-                        0.0,
-                        0.0,
-                        PreconditionFlags(True, False, True),
-                        None,
-                    )
-                )
-
-        if dense and {"dense_match", "g_norm", "g_approx1", "g_approx2"} & wanted:
+                row("zj_bracket", 0.0, None, 0.0, PreconditionFlags(True, False, True))
+            else:
+                row("zj_bracket", 0.0, max(0.0, sigma_j - zj, zj - ring_hi * sigma_j), *event)
+        if dense and wanted & {"dense_match", "g_norm", "g_approx1", "g_approx2"}:
             lin = linearized_noise(e)
-            dim = lin.shape[0]
-            z = base
+            dim, z, s = lin.shape[0], base, ls.spectral_norm
             g = np.linalg.inv(z * np.eye(dim) - lin)
             if "dense_match" in wanted:
-                x = rng.standard_normal(dim)
-                x /= np.linalg.norm(x)
-                y = rng.standard_normal(dim)
-                y /= np.linalg.norm(y)
+                x, y = _unit_vector(rng, dim), _unit_vector(rng, dim)
                 via_eigen = resolvent_bilinear(ls, z, x, y)
                 via_dense = complex(x @ (g @ y))
-                dev = abs(via_eigen - via_dense) / max(1.0, abs(via_dense))
-                reports.append(
-                    BoundReport.build("dense_match", 1e-8, 1.0, ALL_OK, dev)
-                )
-            b = margin
-            if "g_norm" in wanted:
-                gn = float(np.linalg.norm(g, 2))
-                reports.append(
-                    BoundReport.build(
-                        "g_norm", b / ((b - 1.0) * z), event_prob, event_flags, gn
-                    )
-                )
-            if "g_approx1" in wanted:
-                dev = float(np.linalg.norm(g - np.eye(dim) / z, 2))
-                bound = b / (b - 1.0) * ls.spectral_norm / z**2
-                reports.append(
-                    BoundReport.build(
-                        "g_approx1", bound, event_prob, event_flags, dev
-                    )
-                )
-            if "g_approx2" in wanted:
-                dev = float(np.linalg.norm(g - np.eye(dim) / z - lin / z**2, 2))
-                bound = b / (b - 1.0) * ls.spectral_norm**2 / z**3
-                reports.append(
-                    BoundReport.build(
-                        "g_approx2", bound, event_prob, event_flags, dev
-                    )
-                )
+                row("dense_match", 1e-8, abs(via_eigen - via_dense) / max(1.0, abs(via_dense)))
+            # g, g - I/z and g - I/z - lin/z^2: the successive Neumann remainders
+            rems = [g, g - np.eye(dim) / z]
+            rems.append(rems[1] - lin / z**2)
+            bounds = (b / ((b - 1.0) * z), b / (b - 1.0) * s / z**2, b / (b - 1.0) * s**2 / z**3)
+            for name, rem, bound in zip(("g_norm", "g_approx1", "g_approx2"), rems, bounds):
+                if name in wanted:
+                    row(name, bound, float(np.linalg.norm(rem, 2)), *event)
         return reports
 
     return trial
@@ -882,10 +840,7 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
             abs(pr.phi1 - pr.phi2 + (5 - 8) / complex(z)) / max(1.0, abs(pr.phi1)),
             1e-8,
         )
-        x = rng.standard_normal(13)
-        x /= np.linalg.norm(x)
-        y = rng.standard_normal(13)
-        y /= np.linalg.norm(y)
+        x, y = _unit_vector(rng, 13), _unit_vector(rng, 13)
         via_eigen = resolvent_bilinear(ls, z, x, y)
         via_dense = dense_resolvent_bilinear(e, z, x, y)
         check(
@@ -920,6 +875,8 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
 
 
 def _selftest_factory(cfg: ExperimentConfig):
+    _fixed_rows(cfg, ())  # selftest takes no theorem tokens
+
     def trial(i: int) -> list[BoundReport]:
         return _selftest_reports(derive_seed(cfg.base_seed, i))
 
@@ -956,17 +913,22 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
     """Run cfg.trials seeded trials and aggregate per-theorem rows.
 
     A ValueError or TypeError while the scenario is built (a malformed model
-    value or theorem token) is re-raised as InvalidParameterError. An
-    exception inside trial i is re-raised as TrialFailure, chained to it.
+    value or theorem token) is re-raised as InvalidParameterError, and so is
+    a model key the scenario never reads. An exception inside trial i is
+    re-raised as TrialFailure, chained to it.
     """
     start = time.perf_counter()
+    model = _ModelKeys(cfg.model)
     try:
-        run_trial = _FACTORIES[cfg.scenario](cfg)
+        run_trial = _FACTORIES[cfg.scenario](replace(cfg, model=model))
     except np.linalg.LinAlgError:
         raise
     except (ValueError, TypeError) as exc:
         # every model value and theorem token is checked here, before trial 0
         raise InvalidParameterError(str(exc)) from exc
+    unread = set(model) - model.read
+    if unread:
+        raise InvalidParameterError(f"model keys {cfg.scenario} never reads: {sorted(unread)}")
 
     def trial(i: int) -> list[BoundReport]:
         try:
@@ -1146,8 +1108,8 @@ _DEFAULT_THEOREMS = {
         "wedin:1:frobenius",
         "spectral_norm_event",
     ),
-    "gmm": ("gmm_recovery", "gmm_embedding_gap"),
-    "submatrix": ("submatrix_recovery",),
+    "gmm": _GMM_ROWS,
+    "submatrix": _SUBMATRIX_ROWS,
     "resolvent": _RESOLVENT_ROWS,
     "selftest": (),
 }
@@ -1257,3 +1219,7 @@ def main(argv=None) -> int:
 
 def cli() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli()

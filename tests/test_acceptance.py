@@ -671,6 +671,16 @@ REPLAY_CONFIGS = {
         "model": {"n_rows": 36, "n_cols": 30},
         "format": "csv",
     },
+    # a subset of the resolvent rows, out of table order: pins the rows that
+    # run only on request and their draws from the trial generator
+    "resolvent-partial": {
+        "scenario": "resolvent",
+        "trials": 3,
+        "base_seed": 23,
+        "theorems": ["zj_bracket", "g_approx2", "local_law", "dense_match", "phi_ring", "uphiu"],
+        "model": {"n_rows": 100, "n_cols": 80, "dense": True},
+        "format": "csv",
+    },
     "selftest": {"scenario": "selftest", "trials": 3, "base_seed": 19, "format": "json"},
 }
 

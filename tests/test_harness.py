@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,9 @@ BOUNDS_MODEL = {
     "k_hi": 1,
     "noise_scale": 0.2,
 }
+
+
+GMM_MODEL = harness._DEFAULT_MODELS["gmm"]
 
 
 def config(**kw):
@@ -94,6 +101,19 @@ class TestTokenValidation:
         cfg = config(theorems=("mirsky:euclid",))
         with pytest.raises(InvalidParameterError):
             run_monte_carlo(cfg)
+
+    def test_readme_lists_exactly_the_fixed_rows(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("Rows of the scenarios with a fixed row set")[1].split("\n\n")[1]
+        listed = {
+            name: tuple(re.findall(r"`([a-z0-9_]+)`", rows))
+            for name, rows in re.findall(r"^- `([a-z]+)`: (.+)$", section, re.M)
+        }
+        assert listed == {
+            "gmm": harness._GMM_ROWS,
+            "submatrix": harness._SUBMATRIX_ROWS,
+            "resolvent": harness._RESOLVENT_ROWS,
+        }
 
     def test_readme_lists_exactly_the_table_kinds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -361,27 +381,85 @@ class TestMain:
         assert main(["bounds", "--config", str(p), "--trials", "1"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "theorem, model",
+        "theorems, model",
         [
-            ("gauss_sv_location:x", None),
-            ("wedin:1.5:operator", None),
-            ("mirsky:operator", {"n_rows": "x", "n_cols": 60, "singulars": [40.0, 30.0]}),
-            ("mirsky:two_inf", None),
-            ("wedin:1:two_inf", None),
-            ("gauss_sin_theta:max", None),
-            ("general_sin_theta:1:max", None),
-            ("mirsky:kyfan99", None),
+            pytest.param(["gauss_sv_location:x"], None, id="gauss_sv_location:x-None"),
+            pytest.param(["wedin:1.5:operator"], None, id="wedin:1.5:operator-None"),
+            pytest.param(
+                ["mirsky:operator"],
+                {"n_rows": "x", "n_cols": 60, "singulars": [40.0, 30.0]},
+                id="mirsky:operator-model2",
+            ),
+            pytest.param(["mirsky:two_inf"], None, id="mirsky:two_inf-None"),
+            pytest.param(["wedin:1:two_inf"], None, id="wedin:1:two_inf-None"),
+            pytest.param(["gauss_sin_theta:max"], None, id="gauss_sin_theta:max-None"),
+            pytest.param(["general_sin_theta:1:max"], None, id="general_sin_theta:1:max-None"),
+            pytest.param(["mirsky:kyfan99"], None, id="mirsky:kyfan99-None"),
+            pytest.param(["mirsky:operator", "mirsky:operator"], None, id="repeat"),
+            pytest.param(["mirsky:OPERATOR", "mirsky:operator"], None, id="repeat-case"),
+            pytest.param(
+                ["gauss_sin_theta:schatten2", "gauss_sin_theta:schatten2.0"],
+                None,
+                id="repeat-schatten",
+            ),
+            pytest.param(["gauss_sv_location:1", "gauss_sv_location:01"], None, id="repeat-index"),
+            pytest.param(
+                ["mirsky:operator"],
+                {"n_rows": 80, "n_cols": 60, "singulars": [40.0, 30.0], "noise_scal": 5.0},
+                id="unread-key",
+            ),
         ],
     )
-    def test_malformed_token_or_model_is_config_error(self, tmp_path, capsys, theorem, model):
+    def test_malformed_token_or_model_is_config_error(self, tmp_path, capsys, theorems, model):
         # rejected when the scenario is built, never as a traceback or a trial failure
-        doc = {"theorems": [theorem]}
+        doc = {"theorems": theorems}
         if model is not None:
             doc["model"] = model
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["bounds", "--config", str(p), "--trials", "2"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: invalid config: ")
+
+    @pytest.mark.parametrize(
+        "scenario, doc",
+        [
+            ("gmm", {"model": dict(GMM_MODEL, center_scal=60.0)}),
+            ("gmm", {"model": dict(GMM_MODEL, centers=np.eye(3, 50).tolist())}),
+            ("gmm", {"theorems": ["gmm_recovery", "gmm_recovery"]}),
+            ("submatrix", {"theorems": ["submatrix_recovery", "planted"]}),
+            ("resolvent", {"model": {"n_rows": 10, "n_cols": 8, "sparse": True}}),
+            ("resolvent", {"theorems": ["uphiu", "g_norm", "uphiu"]}),
+            ("selftest", {"theorems": ["nonsense"]}),
+            ("selftest", {"model": {"whatever": 3}}),
+        ],
+    )
+    def test_unread_key_or_bad_row_is_config_error(self, tmp_path, capsys, scenario, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main([scenario, "--config", str(p), "--trials", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: invalid config: ")
+
+    def test_every_default_model_key_is_read(self):
+        for scenario, model in harness._DEFAULT_MODELS.items():
+            cfg = ExperimentConfig(scenario, 1, 0, harness._DEFAULT_THEOREMS[scenario], model)
+            keys = harness._ModelKeys(model)
+            harness._FACTORIES[scenario](replace(cfg, model=keys))
+            assert keys.read >= set(model), scenario
+
+    def test_module_entry_point_runs(self, tmp_path):
+        src = str(Path(harness.__file__).parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "svperturb.harness", "selftest", "--trials", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith(",".join(harness._CSV_COLUMNS) + "\n")
 
     def test_linalg_error_while_building_is_runtime(self, monkeypatch, capsys):
         def factory(cfg):
