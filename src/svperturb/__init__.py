@@ -17,10 +17,8 @@ from .errors import (
 )
 from .matcore import (
     FROBENIUS,
-    MAX_ABS,
     NUCLEAR,
     OPERATOR,
-    TWO_INF,
     NormSpec,
     SvdFactors,
     apply_norm,
@@ -63,19 +61,25 @@ from .bounds import (
     GeneralNoiseParams,
     IncoherenceStats,
     PreconditionFlags,
+    aligned_2inf_bound,
     cross_term_norm,
-    empirical_quantity,
-    entrywise_bound,
     gauss_subspace_bound,
     gauss_subspace_simplified,
     gauss_sv_location_check,
     general_subspace_bound,
     general_sv_bounds,
     linear_bilinear_bound,
+    matrix_2inf_bound,
     mirsky_check,
     spectral_norm_report,
+    two_inf_bound,
+    vector_inf_bound,
     wedin_check,
-    weighted_bound,
+    weighted_corollary_bound,
+    weighted_window_bound,
+    window_2inf_residual,
+    window_sin_theta,
+    window_weighted_residual,
 )
 from .resolvent import (
     LinearizationSpectrum,
@@ -96,7 +100,6 @@ from .clustering import (
     match_labels,
     misclassification,
     spectral_embedding,
-    spectral_gmm,
     spectral_submatrix,
 )
 from .harness import (

@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .matcore import NormSpec, gauge, singular_values
+from .matcore import NormSpec, gauge, require_norm, singular_values
 from .models import PerturbationInstance
 from .subspace import procrustes_align, sin_theta_norm, two_inf_residual
 
@@ -106,19 +106,6 @@ class BoundReport:
             self.detail,
         )
 
-    def row(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "bound": self.bound_value,
-            "empirical": self.empirical_value,
-            "ratio": self.ratio,
-            "prob_floor": self.probability_floor,
-            "pre_dim": self.preconditions.dim_ok,
-            "pre_snr": self.preconditions.snr_ok,
-            "pre_gap": self.preconditions.gap_ok,
-            "violated": self.violated,
-        }
-
 
 def _fails_closed(empirical: float, bound: float) -> bool:
     return not np.isfinite(empirical) or np.isnan(bound)
@@ -158,20 +145,17 @@ def dim_snr_flags(
     return dim_ok, snr_ok
 
 
+def check_tail(tail: float) -> float:
+    """The tail rule of every failure budget: (N+n)^-tail must decay."""
+    if not tail > 0:
+        raise InvalidParameterError("tail exponent must be positive")
+    return tail
+
+
 def tail_probability(count: float, n_rows: int, n_cols: int, tail: float) -> float:
     """Failure budget count * (N+n)^-tail, floored into [0, 1]."""
     val = count * float(n_rows + n_cols) ** (-tail)
     return float(min(1.0, max(0.0, val)))
-
-
-def require_norm(spec: NormSpec, m: int) -> NormSpec:
-    """The norm rule of the bounds: unitarily invariant, and a Ky Fan order
-    at most m = min(N, n)."""
-    if not spec.invariant:
-        raise InvalidParameterError(f"{spec.label} is not a unitarily invariant norm")
-    if spec.kind == "kyfan" and spec.k > m:
-        raise InvalidParameterError(f"kyfan order {spec.k} exceeds min(N, n) = {m}")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -208,8 +192,7 @@ class GaussianBoundParams:
             )
         if self.margin < 2.0:
             raise InvalidParameterError("margin must be at least 2")
-        if self.tail <= 0:
-            raise InvalidParameterError("tail exponent must be positive")
+        check_tail(self.tail)
 
     @property
     def rank(self) -> int:
@@ -232,6 +215,25 @@ class GaussianBoundParams:
     @property
     def min_gap(self) -> float:
         return min(self.delta(self.k_lo - 1), self.delta(self.k_hi))
+
+    def require_full_window(self) -> None:
+        """The corollaries' rule: the window is [1, rank]."""
+        if self.k_lo != 1 or self.k_hi != self.rank:
+            raise InvalidParameterError("the corollary needs the full window [1, rank]")
+
+    @property
+    def window_lead(self) -> float:
+        """3 sqrt(2) (b+1)^2 / (b-1)^2 [window != rank], the leading constant of
+        the windowed statements."""
+        b = self.margin
+        off_full = 0.0 if self.window == self.rank else 1.0
+        return 3.0 * _SQRT2 * ((b + 1.0) ** 2 / (b - 1.0) ** 2) * off_full
+
+    @property
+    def tail_factor(self) -> float:
+        """2 sqrt(2) b^2 / (b-1)^2, the constant of the spectrum-tail terms."""
+        b = self.margin
+        return 2.0 * _SQRT2 * b**2 / (b - 1.0) ** 2
 
     @property
     def dim_sum_log(self) -> float:
@@ -445,6 +447,13 @@ def _alt_factor(margin: float) -> float:
     return (margin + 2.0) ** 2 / (margin + 1.0) ** 2
 
 
+def _shape_report(theorem_id: str, p: GaussianBoundParams, value: float) -> BoundReport:
+    """A constant-free asymptotic statement: constant 1, no probability."""
+    return BoundReport.build(
+        theorem_id, value, 0.0, p.preconditions(), None, {"non_quantitative": True}
+    )
+
+
 def gauss_subspace_bound(
     p: GaussianBoundParams, spec: NormSpec, cross_norm: float
 ) -> BoundReport:
@@ -461,13 +470,12 @@ def gauss_subspace_bound(
     if cross_norm is None or cross_norm < 0:
         raise InvalidParameterError("cross_norm must be a nonnegative measured value")
     b = p.margin
-    bfac = (b + 1.0) ** 2 / (b - 1.0) ** 2
     w = p.window
-    r = p.rank
     if spec.kind == "operator":
-        lead = 3.0 * _SQRT2 * bfac * (0.0 if w == r else 1.0)
+        lead = p.window_lead
     else:
-        lead = 6.0 * _SQRT2 * bfac * np.sqrt(max(min(w, r - w), 0))
+        bfac = (b + 1.0) ** 2 / (b - 1.0) ** 2
+        lead = 6.0 * _SQRT2 * bfac * np.sqrt(max(min(w, p.rank - w), 0))
     first = lead * p.eta * np.sqrt(w) / p.min_gap
     second = 2.0 * cross_norm / p.singulars[p.k_hi - 1]
     flags = p.preconditions()
@@ -490,21 +498,11 @@ def gauss_subspace_simplified(p: GaussianBoundParams, e_norm: float) -> BoundRep
     non-quantitative; never used as a pass/fail gate.
     """
     kk = p.k_lo
-    r = p.rank
     shape = (
-        np.sqrt(kk * p.k0)
-        * np.sqrt(r + p.dim_sum_log)
-        / p.delta(kk)
+        np.sqrt(kk * p.k0) * np.sqrt(p.rank + p.dim_sum_log) / p.delta(kk)
         + kk * e_norm / p.singulars[kk - 1]
     )
-    return BoundReport.build(
-        "gauss_sin_theta_simplified",
-        shape,
-        0.0,
-        p.preconditions(),
-        None,
-        {"non_quantitative": True},
-    )
+    return _shape_report("gauss_sin_theta_simplified", p, shape)
 
 
 def gauss_sv_location_check(
@@ -610,8 +608,6 @@ def general_subspace_bound(
     Requires the gap to dominate twice the core cap; otherwise the report
     says precondition-not-met. The caller attaches the empirical value.
     """
-    if not spec.invariant:
-        raise InvalidParameterError("needs a unitarily invariant norm")
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..r={r}")
     if delta_k <= 0 or sigma_k <= 0:
@@ -631,77 +627,59 @@ def general_subspace_bound(
     )
 
 
-def entrywise_bound(
-    p: GaussianBoundParams,
-    inc: IncoherenceStats,
-    form: str,
-    e_norm: float | None = None,
-    window_u_2inf: float | None = None,
-) -> BoundReport:
-    """Row-wise residual bounds for singular-vector windows.
+def _row_shape(p: GaussianBoundParams, u: float, scale: float, gap: float) -> float:
+    """scale * (sqrt(r + log(N+n)) u / gap + sqrt(r log(N+n)) (1 + u) / sigma_{k_lo}),
+    the asymptotic row-wise shape of the leading window."""
+    r, lnsum = p.rank, p.dim_sum_log
+    sigma_k = p.singulars[p.k_lo - 1]
+    return scale * np.sqrt(r + lnsum) / gap * u + scale * np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
 
-    forms: 'vector_inf' and 'matrix_2inf' are asymptotic shapes (constant 1,
-    non-quantitative) bound to the window [1, k_lo]; 'corollary_aligned'
-    adds the alignment remainder (needs the measured noise norm e_norm);
-    'infnorm_nonasymptotic' is the explicit-constant bound for the window
-    [k_lo, k_hi] with the spectrum-split tail.
-    """
+
+def vector_inf_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+    """Asymptotic l-inf shape for the k_lo-th left singular vector."""
+    gap = min(p.delta(p.k_lo - 1), p.delta(p.k_lo))
+    return _shape_report("gauss_vector_inf", p, _row_shape(p, inc.u_2inf, 1.0, gap))
+
+
+def matrix_2inf_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+    """Asymptotic l2,inf shape for the window [1, k_lo]."""
+    shape = _row_shape(p, inc.u_2inf, np.sqrt(p.k_lo), p.delta(p.k_lo))
+    return _shape_report("gauss_matrix_2inf", p, shape)
+
+
+def aligned_2inf_bound(
+    p: GaussianBoundParams, inc: IncoherenceStats, e_norm: float, window_u_2inf: float
+) -> BoundReport:
+    """matrix_2inf_bound plus the alignment remainder e_norm^2 / sigma_{k_lo}^2
+    times the row mass window_u_2inf of the signal window [1, k_lo]."""
+    shape = _row_shape(p, inc.u_2inf, np.sqrt(p.k_lo), p.delta(p.k_lo))
+    remainder = e_norm**2 / p.singulars[p.k_lo - 1] ** 2 * window_u_2inf
+    return _shape_report("gauss_2inf_aligned", p, shape + remainder)
+
+
+def two_inf_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+    """Explicit-constant l2,inf bound for the window [k_lo, k_hi]. Indices
+    whose signal value exceeds (column count)^2 enter the wide-tail sum."""
     u = inc.u_2inf
-    r = p.rank
-    lnsum = p.dim_sum_log
     flags = p.preconditions()
-    kk = p.k_lo
-    sigma_k = p.singulars[kk - 1]
-    if form == "vector_inf":
-        ming = min(p.delta(kk - 1), p.delta(kk))
-        val = np.sqrt(r + lnsum) / ming * u + np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
-        return BoundReport.build(
-            "gauss_vector_inf", val, 0.0, flags, None, {"non_quantitative": True}
-        )
-    if form == "matrix_2inf":
-        val = np.sqrt(kk) * np.sqrt(r + lnsum) / p.delta(kk) * u + np.sqrt(kk) * np.sqrt(
-            r * lnsum
-        ) / sigma_k * (1.0 + u)
-        return BoundReport.build(
-            "gauss_matrix_2inf", val, 0.0, flags, None, {"non_quantitative": True}
-        )
-    if form == "corollary_aligned":
-        if e_norm is None:
-            raise InvalidParameterError("corollary_aligned needs the measured e_norm")
-        val = (
-            np.sqrt(kk) * np.sqrt(r + lnsum) / p.delta(kk) * u
-            + np.sqrt(kk) * np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
-            + e_norm**2
-            / sigma_k**2
-            * (u if window_u_2inf is None else window_u_2inf)
-        )
-        return BoundReport.build(
-            "gauss_2inf_aligned", val, 0.0, flags, None, {"non_quantitative": True}
-        )
-    if form == "infnorm_nonasymptotic":
-        b = p.margin
-        w = p.window
-        bfac = (b + 1.0) ** 2 / (b - 1.0) ** 2
-        lead = 3.0 * _SQRT2 * bfac * (0.0 if w == r else 1.0)
-        first = lead * u * p.eta * np.sqrt(w) / p.min_gap
-        col_cut = float(p.n_cols) ** 2
-        acc = 0.0
-        tail_acc = 0.0
-        for i in range(p.k_lo, p.k_hi + 1):
-            si = p.singulars[i - 1]
-            if si <= col_cut:
-                acc += p.gamma**2 / si**2
-            else:
-                tail_acc += 16.0 * p.n_cols / si**2
-        second = 2.0 * _SQRT2 * b**2 / (b - 1.0) ** 2 * (1.0 + u) * np.sqrt(acc + tail_acc)
-        prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
-        detail = {
-            "first_term": float(first),
-            "tail_sum": float(tail_acc),
-            "bound_alt_b2": float(first * _alt_factor(b) + second),
-        }
-        return BoundReport.build("gauss_2inf", first + second, prob, flags, None, detail)
-    raise InvalidParameterError(f"unknown form {form!r}")
+    first = p.window_lead * u * p.eta * np.sqrt(p.window) / p.min_gap
+    col_cut = float(p.n_cols) ** 2
+    acc = 0.0
+    tail_acc = 0.0
+    for i in range(p.k_lo, p.k_hi + 1):
+        si = p.singulars[i - 1]
+        if si <= col_cut:
+            acc += p.gamma**2 / si**2
+        else:
+            tail_acc += 16.0 * p.n_cols / si**2
+    second = p.tail_factor * (1.0 + u) * np.sqrt(acc + tail_acc)
+    prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
+    detail = {
+        "first_term": float(first),
+        "tail_sum": float(tail_acc),
+        "bound_alt_b2": float(first * _alt_factor(p.margin) + second),
+    }
+    return BoundReport.build("gauss_2inf", first + second, prob, flags, None, detail)
 
 
 def linear_bilinear_bound(
@@ -724,12 +702,8 @@ def linear_bilinear_bound(
     hyp_ok = p.singulars[0] <= float(p.n_cols) ** 2
     flags = p.preconditions()
     prob = 1.0 - p.tail_probability(40.0) if (flags.all_ok and hyp_ok) else 0.0
-    b = p.margin
-    bfac = (b + 1.0) ** 2 / (b - 1.0) ** 2
-    lead = 3.0 * _SQRT2 * bfac * x_signal_norm * p.eta / p.min_gap
-    if w == p.rank:
-        lead = 0.0
-    tail_coef = 2.0 * _SQRT2 * b**2 / (b - 1.0) ** 2 * p.gamma * (1.0 + x_signal_norm)
+    lead = p.window_lead * x_signal_norm * p.eta / p.min_gap
+    tail_coef = p.tail_factor * p.gamma * (1.0 + x_signal_norm)
     sig = np.asarray(p.singulars[p.k_lo - 1 : p.k_hi])
     linear_val = lead * np.sqrt(w) + tail_coef * np.sqrt(np.sum(1.0 / sig**2))
     y_support = int(np.count_nonzero(y))
@@ -742,56 +716,32 @@ def linear_bilinear_bound(
     return linear, bilinear
 
 
-def weighted_bound(
-    p: GaussianBoundParams,
-    inc: IncoherenceStats,
-    form: str,
-    e_norm: float | None = None,
-) -> BoundReport:
-    """Row-wise residual bounds for the observed-value weighted window.
+def weighted_window_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+    """Row-wise bound on the observed-value weighted window [k_lo, k_hi]."""
+    u = inc.u_2inf
+    w = p.window
+    flags = p.preconditions()
+    first = p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w) / p.min_gap
+    second = p.tail_factor * (1.0 + u) * np.sqrt(p.gamma**2 * w + 16.0)
+    prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
+    detail = {"bound_alt_b2": float(first * _alt_factor(p.margin) + second)}
+    return BoundReport.build("gauss_weighted", first + second, prob, flags, None, detail)
 
-    'theorem' is the windowed statement; 'corollary_full' the full-window
-    aligned corollary (k_lo = 1, k_hi = rank) and needs the measured noise
-    norm.
-    """
+
+def weighted_corollary_bound(
+    p: GaussianBoundParams, inc: IncoherenceStats, e_norm: float
+) -> BoundReport:
+    """Aligned corollary of the weighted bound on the full window [1, rank],
+    with the measured noise operator norm e_norm."""
+    p.require_full_window()
     u = inc.u_2inf
     b = p.margin
     flags = p.preconditions()
-    if form == "theorem":
-        w = p.window
-        bfac = (b + 1.0) ** 2 / (b - 1.0) ** 2
-        lead = 3.0 * _SQRT2 * bfac * (0.0 if w == p.rank else 1.0)
-        first = lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w) / p.min_gap
-        second = (
-            2.0
-            * _SQRT2
-            * b**2
-            / (b - 1.0) ** 2
-            * (1.0 + u)
-            * np.sqrt(p.gamma**2 * w + 16.0)
-        )
-        prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
-        detail = {"bound_alt_b2": float(first * _alt_factor(b) + second)}
-        return BoundReport.build("gauss_weighted", first + second, prob, flags, None, detail)
-    if form == "corollary_full":
-        if p.k_lo != 1 or p.k_hi != p.rank:
-            raise InvalidParameterError("corollary_full needs the full window [1, rank]")
-        if e_norm is None:
-            raise InvalidParameterError("corollary_full needs the measured e_norm")
-        first = (
-            36.0
-            * b**4
-            / (b - 1.0) ** 4
-            * p.rank
-            * np.sqrt((p.tail + 7.0) * p.dim_sum_log)
-            * (1.0 + u)
-        )
-        second = 2.0 * u * e_norm**2 / p.singulars[-1]
-        prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
-        return BoundReport.build(
-            "gauss_weighted_corollary", first + second, prob, flags, None, {}
-        )
-    raise InvalidParameterError(f"unknown form {form!r}")
+    scale = 36.0 * b**4 / (b - 1.0) ** 4 * p.rank * np.sqrt((p.tail + 7.0) * p.dim_sum_log)
+    first = scale * (1.0 + u)
+    second = 2.0 * u * e_norm**2 / p.singulars[-1]
+    prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
+    return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags, None, {})
 
 
 def spectral_norm_report(e_norm: float, n_rows: int, n_cols: int) -> BoundReport:
@@ -803,44 +753,37 @@ def spectral_norm_report(e_norm: float, n_rows: int, n_cols: int) -> BoundReport
     )
 
 
-def empirical_quantity(inst: PerturbationInstance, which: str, **kw) -> float:
-    """Measured left-hand sides.
+# Measured left-hand sides on the window [k_lo, k_hi] of held vector pairs.
 
-    which: sin_theta(k_lo, k_hi, spec), two_inf_proj(k_lo, k_hi),
-    two_inf_aligned(k_lo, k_hi), weighted_2inf(k_lo, k_hi),
-    weighted_aligned(k_lo, k_hi), sv_gap(k). Subspace quantities take the
-    max over the left and right side where both are bounded.
-    """
-    if which == "sv_gap":
-        k = int(kw["k"])
-        s = inst.svd_signal.singulars
-        if not 1 <= k <= s.shape[0]:
-            raise InvalidParameterError(f"k={k} out of range")
-        nxt = s[k] if k < s.shape[0] else 0.0
-        return float(s[k - 1] - nxt)
 
-    k_lo = int(kw["k_lo"])
-    k_hi = int(kw["k_hi"])
+def _left_window(inst: PerturbationInstance, k_lo: int, k_hi: int):
     w = _window_cols(inst.svd_observed, k_lo, k_hi)
-    u_w = inst.svd_signal.left[:, w]
-    ut_w = inst.svd_observed.left[:, w]
-    if which == "sin_theta":
-        spec = kw["spec"]
-        v_w = inst.svd_signal.right[:, w]
-        vt_w = inst.svd_observed.right[:, w]
-        return max(
-            sin_theta_norm(u_w, ut_w, spec), sin_theta_norm(v_w, vt_w, spec)
-        )
-    if which == "two_inf_proj":
-        return two_inf_residual(u_w, ut_w, mode="projector")
-    if which == "two_inf_aligned":
-        return two_inf_residual(u_w, ut_w, mode="aligned")
-    if which in ("weighted_2inf", "weighted_aligned"):
-        d_w = inst.svd_observed.singulars[w]
-        if which == "weighted_2inf":
-            resid = ut_w - u_w @ (u_w.T @ ut_w)
-        else:
-            resid = ut_w - u_w @ procrustes_align(u_w, ut_w)
-        resid = resid * d_w
-        return float(np.sqrt(np.max(np.sum(resid * resid, axis=1))))
-    raise InvalidParameterError(f"unknown empirical quantity {which!r}")
+    return inst.svd_signal.left[:, w], inst.svd_observed.left[:, w], w
+
+
+def window_sin_theta(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: NormSpec) -> float:
+    """The larger of the left and right sin-theta norms of the window."""
+    u_w, ut_w, w = _left_window(inst, k_lo, k_hi)
+    v_w = inst.svd_signal.right[:, w]
+    vt_w = inst.svd_observed.right[:, w]
+    return max(sin_theta_norm(u_w, ut_w, spec), sin_theta_norm(v_w, vt_w, spec))
+
+
+def window_2inf_residual(
+    inst: PerturbationInstance, k_lo: int, k_hi: int, aligned: bool = False
+) -> float:
+    """Largest row length of the observed left window minus its projection on
+    the signal left window (aligned: minus its Procrustes fit)."""
+    u_w, ut_w, _ = _left_window(inst, k_lo, k_hi)
+    return two_inf_residual(u_w, ut_w, mode="aligned" if aligned else "projector")
+
+
+def window_weighted_residual(
+    inst: PerturbationInstance, k_lo: int, k_hi: int, aligned: bool = False
+) -> float:
+    """window_2inf_residual with the residual's columns scaled by the observed
+    window singular values."""
+    u_w, ut_w, w = _left_window(inst, k_lo, k_hi)
+    fit = procrustes_align(u_w, ut_w) if aligned else u_w.T @ ut_w
+    resid = (ut_w - u_w @ fit) * inst.svd_observed.singulars[w]
+    return float(np.sqrt(np.max(np.sum(resid * resid, axis=1))))

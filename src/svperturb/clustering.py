@@ -147,14 +147,6 @@ def spectral_embedding(x, k: int) -> np.ndarray:
     return leading_svd(x, k).left.T @ x
 
 
-def spectral_gmm(x, k: int, cfg: KMeansConfig | None = None) -> Labeling:
-    """k-means on the columns of the top-k left-subspace embedding of x."""
-    emb = spectral_embedding(x, k)
-    cfg = KMeansConfig(k=k) if cfg is None else replace(cfg, k=k)
-    labeling, _, _ = kmeans(emb.T, cfg)
-    return labeling
-
-
 @dataclass(frozen=True)
 class SubmatrixLabels:
     cols: Labeling

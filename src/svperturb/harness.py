@@ -33,22 +33,28 @@ from .bounds import (
     GeneralNoiseParams,
     IncoherenceStats,
     PreconditionFlags,
+    aligned_2inf_bound,
+    check_tail,
     cross_term_norm,
     dim_snr_flags,
-    empirical_quantity,
-    entrywise_bound,
     gauss_subspace_bound,
     gauss_subspace_simplified,
     gauss_sv_location_check,
     general_sv_bounds,
     general_subspace_bound,
+    linear_bilinear_bound,
+    matrix_2inf_bound,
     mirsky_check,
-    require_norm,
     spectral_norm_report,
     tail_probability,
+    two_inf_bound,
+    vector_inf_bound,
     wedin_check,
-    weighted_bound,
-    linear_bilinear_bound,
+    weighted_corollary_bound,
+    weighted_window_bound,
+    window_2inf_residual,
+    window_sin_theta,
+    window_weighted_residual,
 )
 from .clustering import (
     KMeansConfig,
@@ -73,6 +79,7 @@ from .matcore import (
     gram_spectrum,
     kyfan,
     norm_spec_from_token,
+    require_norm,
     schatten,
     singular_values,
     svd,  # unused here; perfbench's tracer tests patch svperturb.harness.svd
@@ -283,11 +290,6 @@ def _norm(text: str, p: GaussianBoundParams) -> NormSpec:
     return require_norm(norm_spec_from_token(text), min(p.n_rows, p.n_cols))
 
 
-def _full_window(p: GaussianBoundParams) -> None:
-    if p.k_lo != 1 or p.k_hi != p.rank:
-        raise InvalidParameterError("the corollary needs the full window [1, rank]")
-
-
 @dataclass
 class _BoundsTrial:
     """One bounds trial. The quantities several kinds share are computed on
@@ -322,11 +324,6 @@ class _BoundsTrial:
             for k in range(1, r + 1)
         )
 
-    def _measured(self, rep: BoundReport, which: str, k_lo: int, k_hi: int, spec=None):
-        """rep with the empirical quantity `which` on the window [k_lo, k_hi]."""
-        value = empirical_quantity(self.inst, which, k_lo=k_lo, k_hi=k_hi, spec=spec)
-        return [rep.with_empirical(value)]
-
     @_theorem(_norm)
     def mirsky(self, spec: NormSpec) -> list[BoundReport]:
         return [mirsky_check(self.inst, spec, e_singulars=self.noise_spectrum)]
@@ -343,12 +340,12 @@ class _BoundsTrial:
         else:
             cross = cross_term_norm(self.inst, p.k_lo, p.k_hi, spec, rank=p.rank)
         rep = gauss_subspace_bound(p, spec, cross)
-        return self._measured(rep, "sin_theta", p.k_lo, p.k_hi, spec)
+        return [rep.with_empirical(window_sin_theta(self.inst, p.k_lo, p.k_hi, spec))]
 
     @_theorem()
     def gauss_sin_theta_simplified(self) -> list[BoundReport]:
         rep = gauss_subspace_simplified(self.p, self.e_norm)
-        return self._measured(rep, "sin_theta", 1, self.p.k_lo, OPERATOR)
+        return [rep.with_empirical(window_sin_theta(self.inst, 1, self.p.k_lo, OPERATOR))]
 
     @_theorem(_window_index)
     def gauss_sv_location(self, j: int) -> list[BoundReport]:
@@ -359,29 +356,28 @@ class _BoundsTrial:
 
     @_theorem()
     def gauss_2inf(self) -> list[BoundReport]:
-        rep = entrywise_bound(self.p, self.inc, "infnorm_nonasymptotic")
-        return self._measured(rep, "two_inf_proj", self.p.k_lo, self.p.k_hi)
+        p = self.p
+        rep = two_inf_bound(p, self.inc)
+        return [rep.with_empirical(window_2inf_residual(self.inst, p.k_lo, p.k_hi))]
 
     @_theorem()
     def gauss_vector_inf(self) -> list[BoundReport]:
         u = self.inst.svd_signal.left[:, self.p.k_lo - 1]
         ut = self.inst.svd_observed.left[:, self.p.k_lo - 1]
-        rep = entrywise_bound(self.p, self.inc, "vector_inf")
+        rep = vector_inf_bound(self.p, self.inc)
         return [rep.with_empirical(float(np.max(np.abs(ut - (ut @ u) * u))))]
 
     @_theorem()
     def gauss_matrix_2inf(self) -> list[BoundReport]:
-        rep = entrywise_bound(self.p, self.inc, "matrix_2inf")
-        return self._measured(rep, "two_inf_proj", 1, self.p.k_lo)
+        rep = matrix_2inf_bound(self.p, self.inc)
+        return [rep.with_empirical(window_2inf_residual(self.inst, 1, self.p.k_lo))]
 
     @_theorem()
     def gauss_2inf_aligned(self) -> list[BoundReport]:
-        uw = self.inst.svd_signal.left[:, : self.p.k_lo]
-        window_u = float(np.sqrt(np.max(np.sum(uw * uw, axis=1))))
-        rep = entrywise_bound(
-            self.p, self.inc, "corollary_aligned", e_norm=self.e_norm, window_u_2inf=window_u
-        )
-        return self._measured(rep, "two_inf_aligned", 1, self.p.k_lo)
+        k = self.p.k_lo
+        window_u = IncoherenceStats.from_instance(self.inst, rank=k).u_2inf
+        rep = aligned_2inf_bound(self.p, self.inc, self.e_norm, window_u)
+        return [rep.with_empirical(window_2inf_residual(self.inst, 1, k, aligned=True))]
 
     def _directional(self, bilinear: bool) -> list[BoundReport]:
         # each token draws x, then y, from the trial generator
@@ -407,13 +403,15 @@ class _BoundsTrial:
 
     @_theorem()
     def gauss_weighted(self) -> list[BoundReport]:
-        rep = weighted_bound(self.p, self.inc, "theorem")
-        return self._measured(rep, "weighted_2inf", self.p.k_lo, self.p.k_hi)
+        p = self.p
+        rep = weighted_window_bound(p, self.inc)
+        return [rep.with_empirical(window_weighted_residual(self.inst, p.k_lo, p.k_hi))]
 
-    @_theorem(check=_full_window)
+    @_theorem(check=GaussianBoundParams.require_full_window)
     def gauss_weighted_corollary(self) -> list[BoundReport]:
-        rep = weighted_bound(self.p, self.inc, "corollary_full", e_norm=self.e_norm)
-        return self._measured(rep, "weighted_aligned", 1, self.p.rank)
+        rep = weighted_corollary_bound(self.p, self.inc, self.e_norm)
+        value = window_weighted_residual(self.inst, 1, self.p.rank, aligned=True)
+        return [rep.with_empirical(value)]
 
     @_theorem(_rank_index)
     def general_sv(self, k: int) -> list[BoundReport]:
@@ -421,11 +419,10 @@ class _BoundsTrial:
 
     @_theorem(_rank_index, _norm)
     def general_sin_theta(self, k: int, spec: NormSpec) -> list[BoundReport]:
-        delta_k = empirical_quantity(self.inst, "sv_gap", k=k)
         sigma_k = float(self.inst.svd_signal.singulars[k - 1])
         gp = self.general[k - 1]
-        rep = general_subspace_bound(k, self.inst.rank(), delta_k, sigma_k, gp, spec)
-        return self._measured(rep, "sin_theta", 1, k, spec)
+        rep = general_subspace_bound(k, self.inst.rank(), self.p.delta(k), sigma_k, gp, spec)
+        return [rep.with_empirical(window_sin_theta(self.inst, 1, k, spec))]
 
     @_theorem()
     def spectral_norm_event(self) -> list[BoundReport]:
@@ -517,8 +514,8 @@ def _gmm_factory(cfg: ExperimentConfig):
         centers=_centers_from_model(model, k, p),
         assignment=model.get("assignment", "balanced"),
     )
-    tail = float(model.get("tail", 1.0))
-    restarts = int(model.get("restarts", 10))
+    tail = check_tail(float(model.get("tail", 1.0)))
+    kmeans_cfg = KMeansConfig(k=k, restarts=int(model.get("restarts", 10)))
     wanted = _fixed_rows(cfg, _GMM_ROWS)
 
     def trial(i: int) -> list[BoundReport]:
@@ -530,8 +527,7 @@ def _gmm_factory(cfg: ExperimentConfig):
         emb = spectral_embedding(sample.x, k)
         reports = []
         if "gmm_recovery" in wanted:
-            cfg_k = KMeansConfig(k=k, restarts=restarts, seed=derive_seed(tseed, 1))
-            found, _, _ = kmeans(emb.T, cfg_k)
+            found, _, _ = kmeans(emb.T, replace(kmeans_cfg, seed=derive_seed(tseed, 1)))
             res = match_labels(sample.truth, found)
             reports.append(
                 BoundReport.build("gmm_recovery", 0.0, prob, flags, res.misclassification)
@@ -572,8 +568,8 @@ def _submatrix_factory(cfg: ExperimentConfig):
     model = cfg.model
     spec = _submatrix_spec_from_model(model)
     k = spec.n_blocks
-    tail = float(model.get("tail", 1.0))
-    restarts = int(model.get("restarts", 10))
+    tail = check_tail(float(model.get("tail", 1.0)))
+    kmeans_cfg = KMeansConfig(k=k + 1, restarts=int(model.get("restarts", 10)))
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
 
     def trial(i: int) -> list[BoundReport]:
@@ -587,8 +583,7 @@ def _submatrix_factory(cfg: ExperimentConfig):
             sample.sigma_min,
             [(sample.row_gap, sample.min_rows), (sample.col_gap, sample.min_cols)],
         )
-        cfg_k = KMeansConfig(k=k + 1, restarts=restarts, seed=derive_seed(tseed, 1))
-        labs = spectral_submatrix(sample.x, k, cfg_k)
+        labs = spectral_submatrix(sample.x, k, replace(kmeans_cfg, seed=derive_seed(tseed, 1)))
         col_res = match_labels(sample.col_truth, labs.cols)
         row_res = match_labels(sample.row_truth, labs.rows)
         emp = max(col_res.misclassification, row_res.misclassification)
@@ -621,7 +616,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
     n_rows = int(_require(model, "n_rows"))
     n_cols = int(_require(model, "n_cols"))
     margin = float(model.get("margin", 2.0))
-    tail = float(model.get("tail", 1.0))
+    tail = check_tail(float(model.get("tail", 1.0)))
     z_factors = tuple(float(v) for v in model.get("z_factors", (1.0, 1.5, 3.0)))
     signal_rank = int(model.get("signal_rank", 3))
     dense = bool(model.get("dense", n_rows + n_cols <= 120))

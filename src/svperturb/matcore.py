@@ -25,8 +25,7 @@ LEADING_ITERATIONS = 2
 LEADING_CERT_TOL = 1e-6
 _START_SEED = 20240314
 
-_INVARIANT_KINDS = ("operator", "frobenius", "nuclear", "schatten", "kyfan")
-_ALL_KINDS = _INVARIANT_KINDS + ("two_inf", "max")
+_KINDS = ("operator", "frobenius", "nuclear", "schatten", "kyfan")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -53,12 +52,10 @@ def check_orthonormal(b, tol: float = ORTHO_TOL, what: str = "basis") -> np.ndar
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A matrix norm selector.
+    """A unitarily invariant matrix norm.
 
-    kind is one of operator, frobenius, nuclear, schatten, kyfan, two_inf,
-    max. schatten carries an exponent p >= 1, kyfan an order k >= 1. The
-    first five are unitarily invariant; two_inf (largest row length) and max
-    (largest absolute entry) are not.
+    kind is one of operator, frobenius, nuclear, schatten, kyfan. schatten
+    carries an exponent p >= 1, kyfan an order k >= 1.
     """
 
     kind: str
@@ -66,7 +63,7 @@ class NormSpec:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in _KINDS:
             raise InvalidParameterError(f"unknown norm kind {self.kind!r}")
         if self.kind == "schatten":
             if self.p is None or not np.isfinite(self.p) or self.p < 1:
@@ -80,10 +77,6 @@ class NormSpec:
             raise InvalidParameterError(f"{self.kind} norm takes no order")
 
     @property
-    def invariant(self) -> bool:
-        return self.kind in _INVARIANT_KINDS
-
-    @property
     def label(self) -> str:
         if self.kind == "schatten":
             return f"schatten{self.p:g}"
@@ -95,8 +88,6 @@ class NormSpec:
 OPERATOR = NormSpec("operator")
 FROBENIUS = NormSpec("frobenius")
 NUCLEAR = NormSpec("nuclear")
-TWO_INF = NormSpec("two_inf")
-MAX_ABS = NormSpec("max")
 
 
 def schatten(p: float) -> NormSpec:
@@ -110,7 +101,7 @@ def kyfan(k: int) -> NormSpec:
 def norm_spec_from_token(token: str) -> NormSpec:
     """Parse a norm token such as 'operator', 'kyfan3' or 'schatten2.5'."""
     token = token.strip().lower()
-    if token in ("operator", "frobenius", "nuclear", "two_inf", "max"):
+    if token in ("operator", "frobenius", "nuclear"):
         return NormSpec(token)
     if token.startswith("kyfan"):
         try:
@@ -125,15 +116,20 @@ def norm_spec_from_token(token: str) -> NormSpec:
     raise InvalidParameterError(f"unknown norm token {token!r}")
 
 
+def require_norm(spec: NormSpec, m: int) -> NormSpec:
+    """The norm rule for a matrix with m = min(N, n): a Ky Fan order is at most m."""
+    if spec.kind == "kyfan" and spec.k > m:
+        raise InvalidParameterError(f"kyfan order {spec.k} exceeds min(N, n) = {m}")
+    return spec
+
+
 def gauge(values, spec: NormSpec) -> float:
     """Symmetric gauge function of a value vector.
 
     Permutation and sign invariant; zero padding never changes the result.
     Applied to the singular value vector this evaluates the corresponding
-    unitarily invariant matrix norm. Non-invariant specs are rejected.
+    unitarily invariant matrix norm.
     """
-    if not spec.invariant:
-        raise InvalidParameterError(f"{spec.kind} is not a gauge norm")
     v = np.sort(np.abs(np.asarray(values, dtype=float).ravel()))[::-1]
     if v.size == 0 or v[0] == 0.0:
         return 0.0
@@ -183,19 +179,6 @@ class SvdFactors:
     def vector_count(self) -> int:
         """Number c of singular vector pairs held."""
         return self.left.shape[1]
-
-    def validate(self, a=None, tol: float = 1e-10, recon_tol: float = 1e-8) -> None:
-        """Assert orthonormality (tol) and, given `a`, reconstruction (recon_tol)."""
-        check_orthonormal(self.left, tol, "left factor")
-        check_orthonormal(self.right, tol, "right factor")
-        if a is not None:
-            a = as_matrix(a)
-            s = self.singulars[: self.vector_count]
-            resid = a - (self.left * s) @ self.right.T
-            scale = max(1.0, float(np.linalg.norm(a)))
-            err = float(np.linalg.norm(resid))
-            if err > recon_tol * scale:
-                raise InvalidInputError(f"reconstruction error {err:.3e} exceeds tolerance")
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
@@ -353,14 +336,7 @@ def leading_svd(a, k: int, start=None, spectrum: bool = False) -> SvdFactors:
 def apply_norm(a, spec: NormSpec) -> float:
     """Evaluate the selected norm of the matrix `a`."""
     a = as_matrix(a)
-    if spec.kind == "two_inf":
-        return float(np.sqrt(np.max(np.sum(a * a, axis=1))))
-    if spec.kind == "max":
-        return float(np.max(np.abs(a)))
-    if spec.kind == "kyfan" and spec.k > min(a.shape):
-        raise InvalidParameterError(
-            f"kyfan order {spec.k} exceeds min(N, n) = {min(a.shape)}"
-        )
+    require_norm(spec, min(a.shape))
     return gauge(singular_values(a), spec)
 
 
@@ -372,9 +348,3 @@ def effective_rank(factors: SvdFactors, tol: float) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def orth_projector(b) -> np.ndarray:
-    """Orthogonal projector b @ b.T onto the column span of an orthonormal b."""
-    b = check_orthonormal(b)
-    return b @ b.T

@@ -42,8 +42,6 @@ def principal_angles(u, v) -> np.ndarray:
 
 def sin_theta_norm(u, v, spec: NormSpec) -> float:
     """Invariant norm of the sin-theta spectrum between span(u) and span(v)."""
-    if not spec.invariant:
-        raise InvalidParameterError(f"{spec.kind} has no subspace-distance meaning here")
     return gauge(np.sin(principal_angles(u, v)), spec)
 
 
@@ -59,8 +57,6 @@ def procrustes_align(u, v) -> np.ndarray:
 
 def aligned_distance(u, v, spec: NormSpec) -> float:
     """Invariant norm of u @ O - v at the Procrustes-optimal O."""
-    if not spec.invariant:
-        raise InvalidParameterError(f"{spec.kind} not supported for aligned distance")
     u, v = _check_pair(u, v)
     return apply_norm(u @ procrustes_align(u, v) - v, spec)
 

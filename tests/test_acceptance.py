@@ -18,8 +18,6 @@ from svperturb.bounds import (
     GaussianBoundParams,
     GeneralNoiseParams,
     IncoherenceStats,
-    empirical_quantity,
-    entrywise_bound,
     gauss_subspace_bound,
     gauss_sv_location_check,
     general_subspace_bound,
@@ -27,10 +25,20 @@ from svperturb.bounds import (
     linear_bilinear_bound,
     mirsky_check,
     spectral_norm_report,
+    two_inf_bound,
     wedin_check,
-    weighted_bound,
+    weighted_corollary_bound,
+    window_2inf_residual,
+    window_sin_theta,
+    window_weighted_residual,
 )
-from svperturb.clustering import KMeansConfig, match_labels, spectral_gmm, spectral_submatrix
+from svperturb.clustering import (
+    KMeansConfig,
+    kmeans,
+    match_labels,
+    spectral_embedding,
+    spectral_submatrix,
+)
 from svperturb.harness import main as harness_main
 from svperturb.matcore import (
     FROBENIUS,
@@ -251,7 +259,7 @@ def heavy_stream():
         inco = IncoherenceStats.from_instance(inst)
 
         rep = gauss_subspace_bound(p_top, OPERATOR, e_norm)
-        emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=1, spec=OPERATOR)
+        emp = window_sin_theta(inst, 1, 1, OPERATOR)
         rows["sin_theta"].append(rep.with_empirical(emp))
 
         def phi_at(zv, esv=esv):
@@ -259,8 +267,8 @@ def heavy_stream():
 
         rows["location"].append(gauss_sv_location_check(inst, p_top, 1, phi_at))
 
-        rep = entrywise_bound(p_top, inco, "infnorm_nonasymptotic")
-        emp = empirical_quantity(inst, "two_inf_proj", k_lo=1, k_hi=1)
+        rep = two_inf_bound(p_top, inco)
+        emp = window_2inf_residual(inst, 1, 1)
         rows["two_inf"].append(rep.with_empirical(emp))
 
         x = rng.standard_normal(900)
@@ -274,8 +282,8 @@ def heavy_stream():
         resid = utw - uw @ (uw.T @ utw)
         rows["bilinear"].append(bil.with_empirical(float(abs(x @ resid @ y))))
 
-        rep = weighted_bound(p_full, inco, "corollary_full", e_norm=e_norm)
-        emp = empirical_quantity(inst, "weighted_aligned", k_lo=1, k_hi=2)
+        rep = weighted_corollary_bound(p_full, inco, e_norm)
+        emp = window_weighted_residual(inst, 1, 2, aligned=True)
         rows["weighted"].append(rep.with_empirical(emp))
     return {"rows": rows, "wall_s": time.perf_counter() - t0, "p_top": p_top, "p_full": p_full}
 
@@ -332,6 +340,7 @@ def test_rowwise_bilinear_weighted(heavy_stream):
 
 def test_general_noise_bounds():
     lr = LowRankSpec(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA)
+    gaps = GaussianBoundParams(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA, k_lo=1, k_hi=1)
     valid = bad = 0
     gap_fail = 0
     for i in range(500):
@@ -358,11 +367,11 @@ def test_general_noise_bounds():
             )
             lower, upper = general_sv_bounds(inst, k, gp)
             reps = [lower, upper]
-            delta_k = empirical_quantity(inst, "sv_gap", k=k)
+            delta_k = gaps.delta(k)
             sigma_k = float(fac.singulars[k - 1])
             for spec in (OPERATOR, FROBENIUS):
                 rep = general_subspace_bound(k, 4, delta_k, sigma_k, gp, spec)
-                emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=k, spec=spec)
+                emp = window_sin_theta(inst, 1, k, spec)
                 rep = rep.with_empirical(emp)
                 gap_fail += not rep.preconditions.gap_ok
                 reps.append(rep)
@@ -506,9 +515,8 @@ def test_gmm_recovery():
     for i in range(100):
         tseed = derive_seed(GMM_SEED, i)
         sample = sample_gmm(spec, tseed)
-        found = spectral_gmm(
-            sample.x, 3, KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
-        )
+        cfg = KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
+        found, _, _ = kmeans(spectral_embedding(sample.x, 3).T, cfg)
         exact += match_labels(sample.truth, found).exact
 
     # practical separation, reported but not gated
@@ -520,9 +528,8 @@ def test_gmm_recovery():
     for i in range(100):
         tseed = derive_seed(GMM_SEED + 1, i)
         sample = sample_gmm(spec2, tseed)
-        found = spectral_gmm(
-            sample.x, 3, KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
-        )
+        cfg = KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
+        found, _, _ = kmeans(spectral_embedding(sample.x, 3).T, cfg)
         rates.append(match_labels(sample.truth, found).misclassification)
     median_rate = float(np.median(rates))
     wall = time.perf_counter() - t0
@@ -635,6 +642,34 @@ REPLAY_CONFIGS = {
             "singulars": [2.0e5, 1.2e5],
             "k_lo": 1,
             "k_hi": 2,
+        },
+        "format": "csv",
+    },
+    # the inner window [1, 1] of a rank-2 model: pins the window indicator
+    # term that the full window [1, rank] sets to 0
+    "bounds-inner-window": {
+        "scenario": "bounds",
+        "trials": 2,
+        "base_seed": 20261018,
+        "theorems": [
+            "gauss_sin_theta:operator",
+            "gauss_sin_theta:schatten3",
+            "gauss_2inf",
+            "gauss_vector_inf",
+            "gauss_matrix_2inf",
+            "gauss_2inf_aligned",
+            "gauss_linear",
+            "gauss_bilinear",
+            "gauss_weighted",
+            "general_sin_theta:1:kyfan2",
+            "general_sv:2",
+        ],
+        "model": {
+            "n_rows": 900,
+            "n_cols": 900,
+            "singulars": [2.0e5, 1.2e5],
+            "k_lo": 1,
+            "k_hi": 1,
         },
         "format": "csv",
     },

@@ -11,27 +11,33 @@ from svperturb.bounds import (
     GeneralNoiseParams,
     IncoherenceStats,
     PreconditionFlags,
+    aligned_2inf_bound,
     cross_term_norm,
-    empirical_quantity,
-    entrywise_bound,
     gauss_subspace_bound,
     gauss_subspace_simplified,
     gauss_sv_location_check,
     general_subspace_bound,
     general_sv_bounds,
     linear_bilinear_bound,
+    matrix_2inf_bound,
     mirsky_check,
     spectral_norm_report,
+    two_inf_bound,
+    vector_inf_bound,
     wedin_check,
-    weighted_bound,
+    weighted_corollary_bound,
+    weighted_window_bound,
+    window_2inf_residual,
+    window_sin_theta,
+    window_weighted_residual,
 )
 from svperturb.errors import EvaluationDomainError, InvalidParameterError
 from svperturb.matcore import (
     FROBENIUS,
     NUCLEAR,
     OPERATOR,
+    NormSpec,
     kyfan,
-    orth_projector,
     singular_values,
     svd,
 )
@@ -106,22 +112,6 @@ class TestBoundReport:
     def test_infinite_bound_without_empirical_stays_unjudged(self):
         flags = PreconditionFlags(True, True, False)
         assert BoundReport.build("x", np.inf, 0.0, flags, None).violated is None
-
-    def test_row_fields(self):
-        rep = BoundReport.build("x", 1.0, 0.9, PreconditionFlags(True, False, True), 0.5)
-        row = rep.row()
-        assert set(row) == {
-            "theorem_id",
-            "bound",
-            "empirical",
-            "ratio",
-            "prob_floor",
-            "pre_dim",
-            "pre_snr",
-            "pre_gap",
-            "violated",
-        }
-        assert row["pre_snr"] is False
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
@@ -343,8 +333,8 @@ class TestCrossTerm:
         v_r = inst.svd_signal.right[:, :r]
         ut_w = inst.svd_observed.left[:, k_lo - 1 : k_hi]
         vt_w = inst.svd_observed.right[:, k_lo - 1 : k_hi]
-        b1 = (np.eye(18) - orth_projector(u_r)) @ inst.noise @ orth_projector(vt_w)
-        b2 = (np.eye(14) - orth_projector(v_r)) @ inst.noise.T @ orth_projector(ut_w)
+        b1 = (np.eye(18) - u_r @ u_r.T) @ inst.noise @ (vt_w @ vt_w.T)
+        b2 = (np.eye(14) - v_r @ v_r.T) @ inst.noise.T @ (ut_w @ ut_w.T)
         sv = np.concatenate([singular_values(b1), singular_values(b2)])
         expect_fro = float(np.sqrt(np.sum(sv**2)))
         got = cross_term_norm(inst, k_lo, k_hi, FROBENIUS)
@@ -363,7 +353,7 @@ class TestGaussSubspace:
         rep = gauss_subspace_bound(p, OPERATOR, float(esv[0]))
         assert rep.preconditions.all_ok
         assert rep.probability_floor == pytest.approx(1.0 - 20.0 / 1200.0)
-        emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=1, spec=OPERATOR)
+        emp = window_sin_theta(inst, 1, 1, OPERATOR)
         done = rep.with_empirical(emp)
         assert done.violated is False
         assert done.ratio < 0.1  # far from tight in this regime
@@ -373,7 +363,7 @@ class TestGaussSubspace:
         inst = strong_instance(2)
         cross = cross_term_norm(inst, 1, 1, FROBENIUS)
         rep = gauss_subspace_bound(p, FROBENIUS, cross)
-        emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=1, spec=FROBENIUS)
+        emp = window_sin_theta(inst, 1, 1, FROBENIUS)
         assert rep.with_empirical(emp).violated is False
 
     def test_operator_indicator_vanishes_on_full_window(self):
@@ -419,10 +409,10 @@ class TestGaussSubspace:
         assert rep.probability_floor == 0.0
 
     def test_rejects_non_invariant_norm(self):
-        from svperturb.matcore import TWO_INF
-
-        with pytest.raises(InvalidParameterError):
-            gauss_subspace_bound(strong_params(), TWO_INF, 1.0)
+        # the l2,inf and max norms are not norm kinds, so no bound takes them
+        for kind in ("two_inf", "max"):
+            with pytest.raises(InvalidParameterError):
+                gauss_subspace_bound(strong_params(), NormSpec(kind), 1.0)
 
 
 class TestSimplified:
@@ -509,18 +499,19 @@ class TestGeneralNoise:
         assert lower.bound_value == pytest.approx(gp.corner_bound)
 
     def test_subspace_bound_holds_measured(self):
+        p = GaussianBoundParams(60, 50, (60.0, 40.0, 20.0), 1, 1)
         for seed in range(10):
-            inst = make_instance(seed + 50, n_rows=60, n_cols=50, singulars=(60.0, 40.0, 20.0), scale=0.3)
+            inst = make_instance(seed + 50, n_rows=60, n_cols=50, singulars=p.singulars, scale=0.3)
             r = inst.rank()
             for k in (1, 2, 3):
                 gp = self.measured(inst, k)
-                delta_k = empirical_quantity(inst, "sv_gap", k=k)
+                delta_k = p.delta(k)
                 sigma_k = float(inst.svd_signal.singulars[k - 1])
                 for spec in (OPERATOR, FROBENIUS):
                     rep = general_subspace_bound(k, r, delta_k, sigma_k, gp, spec)
                     if not rep.preconditions.gap_ok:
                         continue
-                    emp = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=k, spec=spec)
+                    emp = window_sin_theta(inst, 1, k, spec)
                     assert rep.with_empirical(emp).violated is False, (seed, k, spec.label)
 
     def test_small_gap_reports_not_met(self):
@@ -552,8 +543,8 @@ class TestEntrywise:
         p = self.params()
         inst = strong_instance(6)
         inc = IncoherenceStats.from_instance(inst)
-        rep = entrywise_bound(p, inc, "infnorm_nonasymptotic")
-        emp = empirical_quantity(inst, "two_inf_proj", k_lo=1, k_hi=1)
+        rep = two_inf_bound(p, inc)
+        emp = window_2inf_residual(inst, 1, 1)
         assert rep.with_empirical(emp).violated is False
 
     def test_tail_split_at_column_cut(self):
@@ -562,7 +553,7 @@ class TestEntrywise:
             n_rows=30, n_cols=5, singulars=(30.0, 20.0), k_lo=1, k_hi=2
         )
         inc = IncoherenceStats(0.5, 0.5)
-        rep = entrywise_bound(p, inc, "infnorm_nonasymptotic")
+        rep = two_inf_bound(p, inc)
         assert rep.detail["tail_sum"] == pytest.approx(16.0 * 5 / 30.0**2)
 
     def test_vector_form_shape(self):
@@ -570,7 +561,7 @@ class TestEntrywise:
             n_rows=50, n_cols=50, singulars=(30.0, 20.0, 10.0), k_lo=2, k_hi=2
         )
         inc = IncoherenceStats(0.3, 0.4)
-        rep = entrywise_bound(p, inc, "vector_inf")
+        rep = vector_inf_bound(p, inc)
         lnsum = np.log(100.0)
         ming = min(10.0, 10.0)
         expect = np.sqrt(3 + lnsum) / ming * 0.3 + np.sqrt(3 * lnsum) / 20.0 * 1.3
@@ -578,13 +569,15 @@ class TestEntrywise:
         assert rep.probability_floor == 0.0
 
     def test_aligned_needs_e_norm(self):
+        # the aligned shape is the matrix shape plus e_norm^2 / sigma_1^2 times
+        # the window row mass
         p = self.params()
-        with pytest.raises(InvalidParameterError):
-            entrywise_bound(p, IncoherenceStats(0.1, 0.1), "corollary_aligned")
-
-    def test_unknown_form(self):
-        with pytest.raises(InvalidParameterError):
-            entrywise_bound(self.params(), IncoherenceStats(0.1, 0.1), "entryish")
+        inc = IncoherenceStats(0.1, 0.1)
+        shape = matrix_2inf_bound(p, inc).bound_value
+        assert aligned_2inf_bound(p, inc, 0.0, 0.3).bound_value == shape
+        rep = aligned_2inf_bound(p, inc, 100.0, 0.3)
+        assert rep.bound_value == pytest.approx(shape + 100.0**2 / 2.0e5**2 * 0.3, rel=1e-12)
+        assert rep.detail["non_quantitative"] is True
 
 
 class TestLinearBilinear:
@@ -649,14 +642,14 @@ class TestWeighted:
         p = strong_params()
         inst = strong_instance(9)
         inc = IncoherenceStats.from_instance(inst)
-        rep = weighted_bound(p, inc, "theorem")
-        emp = empirical_quantity(inst, "weighted_2inf", k_lo=1, k_hi=1)
+        rep = weighted_window_bound(p, inc)
+        emp = window_weighted_residual(inst, 1, 1)
         assert rep.with_empirical(emp).violated is False
 
     def test_corollary_needs_full_window(self):
         p = strong_params()  # window [1, 1] but rank 2
         with pytest.raises(InvalidParameterError):
-            weighted_bound(p, IncoherenceStats(0.1, 0.1), "corollary_full", e_norm=1.0)
+            weighted_corollary_bound(p, IncoherenceStats(0.1, 0.1), 1.0)
 
     def test_corollary_full_window(self):
         p = GaussianBoundParams(
@@ -665,13 +658,9 @@ class TestWeighted:
         inst = strong_instance(10)
         inc = IncoherenceStats.from_instance(inst)
         esv = singular_values(inst.noise)
-        rep = weighted_bound(p, inc, "corollary_full", e_norm=float(esv[0]))
-        emp = empirical_quantity(inst, "weighted_aligned", k_lo=1, k_hi=2)
+        rep = weighted_corollary_bound(p, inc, float(esv[0]))
+        emp = window_weighted_residual(inst, 1, 2, aligned=True)
         assert rep.with_empirical(emp).violated is False
-
-    def test_unknown_form(self):
-        with pytest.raises(InvalidParameterError):
-            weighted_bound(strong_params(), IncoherenceStats(0.1, 0.1), "corollary")
 
 
 class TestSpectralNormEvent:
@@ -703,16 +692,15 @@ class TestEmpiricalQuantity:
         assert inst.svd_observed.vector_count == 2
         assert inst.svd_observed.singulars.shape == (30,)
         with pytest.raises(InvalidParameterError):
-            empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=3, spec=OPERATOR)
+            window_sin_theta(inst, 1, 3, OPERATOR)
         with pytest.raises(InvalidParameterError):
             cross_term_norm(inst, 2, 3, FROBENIUS, rank=2)
 
     def test_sv_gap(self):
-        s = self.inst.svd_signal.singulars
-        assert empirical_quantity(self.inst, "sv_gap", k=1) == pytest.approx(
-            float(s[0] - s[1])
-        )
-        assert empirical_quantity(self.inst, "sv_gap", k=3) == pytest.approx(float(s[2]))
+        s = self.inst.svd_signal.singulars[:3]
+        p = GaussianBoundParams(40, 30, tuple(s), 1, 1)
+        assert p.delta(1) == float(s[0] - s[1])
+        assert p.delta(3) == float(s[2])
 
     def test_sin_theta_is_max_of_sides(self):
         inst = self.inst
@@ -723,19 +711,19 @@ class TestEmpiricalQuantity:
         expect = max(
             sin_theta_norm(u_w, ut_w, FROBENIUS), sin_theta_norm(v_w, vt_w, FROBENIUS)
         )
-        got = empirical_quantity(inst, "sin_theta", k_lo=1, k_hi=2, spec=FROBENIUS)
+        got = window_sin_theta(inst, 1, 2, FROBENIUS)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_two_inf_modes(self):
         inst = self.inst
         u_w = inst.svd_signal.left[:, :1]
         ut_w = inst.svd_observed.left[:, :1]
-        assert empirical_quantity(inst, "two_inf_proj", k_lo=1, k_hi=1) == pytest.approx(
+        assert window_2inf_residual(inst, 1, 1) == pytest.approx(
             two_inf_residual(u_w, ut_w, mode="projector")
         )
-        assert empirical_quantity(
-            inst, "two_inf_aligned", k_lo=1, k_hi=1
-        ) == pytest.approx(two_inf_residual(u_w, ut_w, mode="aligned"))
+        assert window_2inf_residual(inst, 1, 1, aligned=True) == pytest.approx(
+            two_inf_residual(u_w, ut_w, mode="aligned")
+        )
 
     def test_weighted_scales_after_subtraction(self):
         inst = self.inst
@@ -744,7 +732,7 @@ class TestEmpiricalQuantity:
         d_w = inst.svd_observed.singulars[:2]
         resid = (ut_w - u_w @ (u_w.T @ ut_w)) * d_w
         expect = float(np.max(np.sqrt(np.sum(resid**2, axis=1))))
-        got = empirical_quantity(inst, "weighted_2inf", k_lo=1, k_hi=2)
+        got = window_weighted_residual(inst, 1, 2)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_weighted_aligned_uses_procrustes(self):
@@ -755,12 +743,8 @@ class TestEmpiricalQuantity:
         o = procrustes_align(u_w, ut_w)
         resid = (ut_w - u_w @ o) * d_w
         expect = float(np.max(np.sqrt(np.sum(resid**2, axis=1))))
-        got = empirical_quantity(inst, "weighted_aligned", k_lo=1, k_hi=2)
+        got = window_weighted_residual(inst, 1, 2, aligned=True)
         assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_unknown_which(self):
-        with pytest.raises(InvalidParameterError):
-            empirical_quantity(self.inst, "angles", k_lo=1, k_hi=1)
 
 
 class TestIncoherence:

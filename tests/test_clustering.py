@@ -11,7 +11,6 @@ from svperturb.clustering import (
     match_labels,
     misclassification,
     spectral_embedding,
-    spectral_gmm,
     spectral_submatrix,
 )
 from svperturb.errors import InvalidInputError, InvalidParameterError
@@ -170,7 +169,7 @@ class TestSpectral:
             centers=25.0 * np.eye(3, 20),
         )
         sample = sample_gmm(spec, seed=11)
-        found = spectral_gmm(sample.x, 3, KMeansConfig(k=3, restarts=10, seed=1))
+        found, _, _ = kmeans(spectral_embedding(sample.x, 3).T, KMeansConfig(k=3, seed=1))
         assert misclassification(sample.truth, found) == 0.0
 
     def test_gmm_partition_invariant_under_left_rotation(self):
@@ -182,8 +181,9 @@ class TestSpectral:
         )
         sample = sample_gmm(spec, seed=12)
         q = np.linalg.qr(np.random.default_rng(13).standard_normal((10, 10)))[0]
-        f1 = spectral_gmm(sample.x, 2, KMeansConfig(k=2, restarts=8, seed=2))
-        f2 = spectral_gmm(q @ sample.x, 2, KMeansConfig(k=2, restarts=8, seed=2))
+        cfg = KMeansConfig(k=2, restarts=8, seed=2)
+        f1, _, _ = kmeans(spectral_embedding(sample.x, 2).T, cfg)
+        f2, _, _ = kmeans(spectral_embedding(q @ sample.x, 2).T, cfg)
         assert misclassification(f1, f2) == 0.0
 
     def test_submatrix_recovery(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from svperturb.bounds import ALL_OK, BoundReport, PreconditionFlags
 from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
-from svperturb import harness
+from svperturb import harness, matcore
 from svperturb.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -40,6 +40,7 @@ BOUNDS_MODEL = {
 
 
 GMM_MODEL = harness._DEFAULT_MODELS["gmm"]
+SUBMATRIX_MODEL = harness._DEFAULT_MODELS["submatrix"]
 
 
 def config(**kw):
@@ -121,6 +122,15 @@ class TestTokenValidation:
         bullets = re.findall(r"^- `([a-z0-9_]+)[:`]", section.split("\n\n")[1], re.M)
         assert len(bullets) == len(set(bullets))
         assert set(bullets) == set(harness._BOUNDS_THEOREMS)
+
+    def test_readme_lists_exactly_the_norm_kinds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rule = readme.split("Every NORM argument obeys one rule")[1].split(")")[0]
+        listed = re.findall(r"`([a-z_]+)(?:<[a-z]>)?`", rule)
+        examples = {"kyfan": "kyfan2", "schatten": "schatten3"}
+        parsed = [matcore.norm_spec_from_token(examples.get(k, k)).kind for k in listed]
+        assert parsed == listed
+        assert sorted(listed) == sorted(matcore._KINDS)
 
 
 class TestRun:
@@ -431,6 +441,11 @@ class TestMain:
             ("resolvent", {"theorems": ["uphiu", "g_norm", "uphiu"]}),
             ("selftest", {"theorems": ["nonsense"]}),
             ("selftest", {"model": {"whatever": 3}}),
+            ("resolvent", {"model": {"n_rows": 100, "n_cols": 80, "tail": -2.0}}),
+            ("gmm", {"model": dict(GMM_MODEL, restarts=0)}),
+            ("gmm", {"model": dict(GMM_MODEL, tail=-4)}),
+            ("submatrix", {"model": dict(SUBMATRIX_MODEL, restarts=0)}),
+            ("submatrix", {"model": dict(SUBMATRIX_MODEL, tail=-4)}),
         ],
     )
     def test_unread_key_or_bad_row_is_config_error(self, tmp_path, capsys, scenario, doc):

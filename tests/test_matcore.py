@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 from svperturb.matcore import (
     FROBENIUS,
-    MAX_ABS,
     NUCLEAR,
     OPERATOR,
-    TWO_INF,
     NormSpec,
     SvdFactors,
     apply_norm,
@@ -24,7 +22,6 @@ from svperturb.matcore import (
     kyfan,
     leading_svd,
     norm_spec_from_token,
-    orth_projector,
     schatten,
     singular_values,
     svd,
@@ -138,13 +135,12 @@ class TestNormSpec:
             NormSpec("spectralish")
 
     def test_invariant_flags(self):
-        assert OPERATOR.invariant
-        assert FROBENIUS.invariant
-        assert NUCLEAR.invariant
-        assert schatten(3).invariant
-        assert kyfan(2).invariant
-        assert not TWO_INF.invariant
-        assert not MAX_ABS.invariant
+        # every kind is unitarily invariant: l2,inf and max are not kinds
+        for kind in ("two_inf", "max"):
+            with pytest.raises(InvalidParameterError):
+                NormSpec(kind)
+            with pytest.raises(InvalidParameterError):
+                norm_spec_from_token(kind)
 
     def test_labels(self):
         assert OPERATOR.label == "operator"
@@ -152,7 +148,7 @@ class TestNormSpec:
         assert schatten(2).label == "schatten2"
 
     def test_token_roundtrip(self):
-        for tok in ("operator", "frobenius", "nuclear", "kyfan4", "schatten2.5", "two_inf", "max"):
+        for tok in ("operator", "frobenius", "nuclear", "kyfan4", "schatten2.5"):
             spec = norm_spec_from_token(tok)
             assert spec.label == tok
 
@@ -170,14 +166,6 @@ class TestApplyNorm:
         assert apply_norm(a, FROBENIUS) == pytest.approx(np.linalg.norm(a, "fro"))
         assert apply_norm(a, NUCLEAR) == pytest.approx(np.linalg.norm(a, "nuc"))
 
-    def test_two_inf_is_max_row_length(self):
-        a = np.array([[3.0, 4.0], [1.0, 0.0]])
-        assert apply_norm(a, TWO_INF) == pytest.approx(5.0)
-
-    def test_max_abs_entry(self):
-        a = np.array([[1.0, -9.0], [2.0, 3.0]])
-        assert apply_norm(a, MAX_ABS) == 9.0
-
     def test_kyfan_beyond_rank_rejected(self):
         a = random_matrix(4, 3, 2)
         with pytest.raises(InvalidParameterError):
@@ -192,18 +180,6 @@ class TestApplyNorm:
                 apply_norm(a, spec), rel=1e-9
             )
 
-    def test_two_inf_not_left_invariant(self):
-        a = np.zeros((3, 2))
-        a[0, 0] = 1.0
-        q = np.array(
-            [
-                [1 / np.sqrt(3), -np.sqrt(2.0 / 3.0), 0.0],
-                [1 / np.sqrt(3), 1 / np.sqrt(6), -1 / np.sqrt(2)],
-                [1 / np.sqrt(3), 1 / np.sqrt(6), 1 / np.sqrt(2)],
-            ]
-        )
-        assert apply_norm(q @ a, TWO_INF) != pytest.approx(apply_norm(a, TWO_INF))
-
     def test_submultiplicative_sandwich(self):
         a = random_matrix(6, 6, 6)
         b = random_matrix(6, 6, 7)
@@ -217,7 +193,8 @@ class TestSvd:
     def test_reconstruction_and_orthonormality(self):
         a = random_matrix(7, 5, 8)
         fac = svd(a)
-        fac.validate(a)  # raises on failure
+        check_orthonormal(fac.left, 1e-10)
+        check_orthonormal(fac.right, 1e-10)
         assert np.allclose(fac.left @ np.diag(fac.singulars) @ fac.right.T, a)
 
     def test_descending_order(self):
@@ -285,7 +262,7 @@ class TestEffectiveRank:
 class TestOrthonormal:
     def test_projector(self):
         b = np.linalg.qr(random_matrix(9, 4, 16))[0]
-        p = orth_projector(b)
+        p = check_orthonormal(b) @ b.T
         assert np.allclose(p @ p, p)
         assert np.allclose(p @ b, b)
 

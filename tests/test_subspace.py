@@ -6,9 +6,8 @@ from svperturb.matcore import (
     FROBENIUS,
     NUCLEAR,
     OPERATOR,
-    TWO_INF,
+    NormSpec,
     kyfan,
-    orth_projector,
     singular_values,
 )
 from svperturb.models import haar_basis
@@ -61,7 +60,7 @@ class TestPrincipalAngles:
         # singular values of P_u P_v are the angle cosines padded with zeros
         u, v = pair(4, n=15, d=3)
         ang = principal_angles(u, v)
-        prod = orth_projector(u) @ orth_projector(v)
+        prod = (u @ u.T) @ (v @ v.T)
         sv = singular_values(prod)
         assert np.allclose(np.sort(sv[:3]), np.sort(np.cos(ang)), atol=1e-9)
         assert np.allclose(sv[3:], 0.0, atol=1e-9)
@@ -70,7 +69,7 @@ class TestPrincipalAngles:
         # singular values of P_u - P_v are the angle sines, each twice
         u, v = pair(5, n=12, d=3)
         ang = principal_angles(u, v)
-        diff = orth_projector(u) - orth_projector(v)
+        diff = u @ u.T - v @ v.T
         sv = np.sort(singular_values(diff))[::-1]
         expect = np.sort(np.concatenate([np.sin(ang), np.sin(ang)]))[::-1]
         assert np.allclose(sv[:6], expect, atol=1e-8)
@@ -106,8 +105,8 @@ class TestSinThetaNorm:
 
     def test_complement_projector_oracle(self):
         u, v = pair(11, n=14, d=4)
-        p_comp = np.eye(14) - orth_projector(u)
-        direct = singular_values(p_comp @ orth_projector(v))
+        p_comp = np.eye(14) - u @ u.T
+        direct = singular_values(p_comp @ (v @ v.T))
         assert sin_theta_norm(u, v, OPERATOR) == pytest.approx(direct[0], abs=1e-9)
 
     def test_kyfan(self):
@@ -117,9 +116,10 @@ class TestSinThetaNorm:
         assert sin_theta_norm(u, v, kyfan(2)) == pytest.approx(float(top2), abs=1e-9)
 
     def test_requires_invariant_norm(self):
+        # l2,inf is not a norm kind, so sin_theta_norm never receives it
         u, v = pair(13)
         with pytest.raises(InvalidParameterError):
-            sin_theta_norm(u, v, TWO_INF)
+            sin_theta_norm(u, v, NormSpec("two_inf"))
 
 
 class TestProcrustes:
@@ -187,7 +187,7 @@ class TestAlignedDistance:
 class TestTwoInfResidual:
     def test_projector_mode_oracle(self):
         u, v = pair(30, n=13, d=3)
-        resid = v - orth_projector(u) @ v
+        resid = v - (u @ u.T) @ v
         expect = float(np.max(np.sqrt(np.sum(resid**2, axis=1))))
         assert two_inf_residual(u, v, mode="projector") == pytest.approx(expect)
 
