@@ -47,7 +47,6 @@ from .models import (
     PerturbationInstance,
     SubmatrixSample,
     SubmatrixSpec,
-    gen_gaussian,
     gen_low_rank,
     haar_basis,
     low_rank_from_rng,

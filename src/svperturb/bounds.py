@@ -10,7 +10,6 @@ with constant 1 and flagged non-quantitative.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .matcore import NormSpec, gauge, require_norm, singular_values
 from .models import PerturbationInstance
+from .resolvent import margin_offsets, min_abs_z
 from .subspace import procrustes_align, sin_theta_norm, two_inf_residual
 
 VIOLATION_SLACK = 1e-9
@@ -261,17 +261,15 @@ class GaussianBoundParams:
 
     @property
     def chi(self) -> float:
-        b = self.margin
-        return 1.0 + 1.0 / (4.0 * b * (b - 1.0))
+        return 1.0 + margin_offsets(self.margin)[0]
 
     @property
     def xi(self) -> float:
-        b = self.margin
-        return 1.0 + 1.0 / (2.0 * (b - 1.0) ** 2)
+        return 1.0 + margin_offsets(self.margin)[1]
 
     @property
     def base_radius(self) -> float:
-        return 2.0 * self.margin * (np.sqrt(self.n_rows) + np.sqrt(self.n_cols))
+        return min_abs_z(self.n_rows, self.n_cols, self.margin)
 
     @property
     def k0(self) -> int:
@@ -542,12 +540,9 @@ def gauss_sv_location_check(
         20.0 * p.xi * p.chi * p.eta * p.rank * (observed + p.chi * p.singulars[j_star - 1])
     )
     detail = {"j0": j_star, "membership": bool(admissible), "phi_value": phi_val}
-    report = BoundReport.build(
-        theorem_id, threshold, prob, flags, residuals[j_star], detail
-    )
-    if not admissible and report.violated is False:
-        report = dataclasses.replace(report, violated=True)
-    return report
+    # an observed value in no strip fails closed, whatever its residual
+    value = residuals[j_star] if admissible else np.inf
+    return BoundReport.build(theorem_id, threshold, prob, flags, value, detail)
 
 
 def general_sv_bounds(
@@ -744,13 +739,11 @@ def weighted_corollary_bound(
     return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags, None, {})
 
 
-def spectral_norm_report(e_norm: float, n_rows: int, n_cols: int) -> BoundReport:
-    """Operator-norm concentration event for unit Gaussian noise."""
+def spectral_norm_report(e_norm: float | None, n_rows: int, n_cols: int) -> BoundReport:
+    """Event ||E|| <= 2 (sqrt(N) + sqrt(n)) of unit Gaussian noise; e_norm None: bound and floor."""
     root_sum = np.sqrt(n_rows) + np.sqrt(n_cols)
     prob = 1.0 - 2.0 * float(np.exp(-(root_sum**2) / 2.0))
-    return BoundReport.build(
-        "spectral_norm_event", 2.0 * root_sum, max(prob, 0.0), ALL_OK, e_norm
-    )
+    return BoundReport.build("spectral_norm_event", 2.0 * root_sum, max(prob, 0.0), ALL_OK, e_norm)
 
 
 # Measured left-hand sides on the window [k_lo, k_hi] of held vector pairs.

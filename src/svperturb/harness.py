@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -101,6 +102,7 @@ from .resolvent import (
     linearized_noise,
     local_law_bound,
     local_law_gap,
+    margin_offsets,
     min_abs_z,
     phi_from_eta,
     phi_values,
@@ -137,13 +139,44 @@ _CSV_COLUMNS = (
 )
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _typed(name: str, value, kind, at_least=None, above=None):
+    """value checked as kind, else InvalidParameterError. Kinds: int (never a
+    bool), float (finite; an integer becomes a float), bool, str, list[kind] (as a
+    tuple) and unions. Each number must be >= at_least and > above where given."""
+    if get_origin(kind) not in (None, list):  # a union: the option of value's outer type
+        options = get_args(kind)
+        kind = next((k for k in options if isinstance(value, get_origin(k) or k)), options[0])
+    if get_origin(kind) is list:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidParameterError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(name, v, get_args(kind)[0], at_least, above) for v in value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        # NaN, +-inf and integers beyond the float range fail the comparison
+        ok = number and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind) and (number or kind is not int)
+    if not ok:
+        raise InvalidParameterError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise InvalidParameterError(f"{name} must be at least {at_least}, got {value!r}")
+    if above is not None and value <= above:
+        raise InvalidParameterError(f"{name} must be above {above}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run; each field's default here is the only one."""
+
     scenario: str
-    trials: int
-    base_seed: int
-    theorems: tuple[str, ...]
-    model: dict
+    trials: int = 1
+    base_seed: int = 0
+    theorems: tuple[str, ...] = ()
+    model: dict = field(default_factory=dict)
     output: str | None = None
     format: str = "csv"
     threads: int = 1
@@ -151,31 +184,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
             raise InvalidParameterError(f"unknown scenario {self.scenario!r}")
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be positive")
-        if self.format not in _FORMATS:
-            raise InvalidParameterError(f"format must be one of {_FORMATS}")
-        if self.threads < 1:
-            raise InvalidParameterError("threads must be positive")
-        object.__setattr__(self, "theorems", tuple(self.theorems))
+        _typed("trials", self.trials, int, at_least=1)
+        _typed("base_seed", self.base_seed, int)
+        _typed("threads", self.threads, int, at_least=1)
+        object.__setattr__(self, "theorems", _typed("theorems", self.theorems, list[str]))
         if not isinstance(self.model, dict):
             raise InvalidParameterError("model must be a mapping")
+        _typed("output", self.output, str | None)
+        if _typed("format", self.format, str) not in _FORMATS:
+            raise InvalidParameterError(f"format must be one of {_FORMATS}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise InvalidParameterError(f"unknown config keys: {sorted(extra)}")
-        return cls(
-            scenario=d["scenario"],
-            trials=int(d.get("trials", 1)),
-            base_seed=int(d.get("base_seed", 0)),
-            theorems=tuple(d.get("theorems", ())),
-            model=dict(d.get("model", {})),
-            output=d.get("output"),
-            format=d.get("format", "csv"),
-            threads=int(d.get("threads", 1)),
-        )
+        return cls(**d)
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -197,25 +221,20 @@ class SummaryReport:
 
 
 class _ModelKeys(dict):
-    """A scenario's model that records every key the factory looks up."""
+    """A scenario's model; factories read it only through take, which records each key."""
 
     def __init__(self, model: dict):
         super().__init__(model)
         self.read: set = set()
 
-    def __getitem__(self, key):
+    def take(self, key: str, kind, default=None, *, at_least=None, above=None):
+        """key's value checked as kind (see _typed); if absent, default (unchecked) or an error."""
         self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-def _require(model: dict, key: str):
-    if key not in model:
-        raise InvalidParameterError(f"model is missing key {key!r}")
-    return model[key]
+        if key in self:
+            return _typed(f"model key {key!r}", self[key], kind, at_least, above)
+        if default is None:
+            raise InvalidParameterError(f"model is missing key {key!r}")
+        return default
 
 
 def _reject_repeats(tokens, keys) -> None:
@@ -432,24 +451,22 @@ class _BoundsTrial:
 def _bounds_factory(cfg: ExperimentConfig):
     model = cfg.model
     lr = LowRankSpec(
-        n_rows=int(_require(model, "n_rows")),
-        n_cols=int(_require(model, "n_cols")),
-        singulars=tuple(float(v) for v in _require(model, "singulars")),
-        factor_mode=model.get("factor_mode", "haar"),
-        coherent_row=int(model.get("coherent_row", 0)),
+        n_rows=model.take("n_rows", int),
+        n_cols=model.take("n_cols", int),
+        singulars=model.take("singulars", list[float]),
+        factor_mode=model.take("factor_mode", str, "haar"),
+        coherent_row=model.take("coherent_row", int, 0),
     )
     params = GaussianBoundParams(
         n_rows=lr.n_rows,
         n_cols=lr.n_cols,
         singulars=lr.singulars,
-        k_lo=int(model.get("k_lo", 1)),
-        k_hi=int(model.get("k_hi", 1)),
-        margin=float(model.get("margin", 2.0)),
-        tail=float(model.get("tail", 1.0)),
+        k_lo=model.take("k_lo", int, 1),
+        k_hi=model.take("k_hi", int, 1),
+        margin=model.take("margin", float, 2.0),
+        tail=model.take("tail", float, 1.0),
     )
-    noise_scale = float(model.get("noise_scale", 1.0))
-    if noise_scale <= 0:
-        raise InvalidParameterError("noise_scale must be positive")
+    noise_scale = model.take("noise_scale", float, 1.0, above=0.0)
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
 
@@ -488,34 +505,32 @@ def _recovery_floor(
     return flags, prob
 
 
-def _centers_from_model(model: dict, k: int, p: int) -> np.ndarray:
+def _centers_from_model(model: _ModelKeys, k: int, p: int):
+    """The k x p centers: the model's own, or center_scale times the first k axes."""
     if "centers" in model:
-        return np.asarray(model["centers"], dtype=float)
-    mode = model.get("center_mode", "orthogonal")
+        return model.take("centers", list[list[float]])
+    mode = model.take("center_mode", str, "orthogonal")
     if mode != "orthogonal":
         raise InvalidParameterError(f"unknown center_mode {mode!r}")
     if k > p:
         raise InvalidParameterError("orthogonal centers need n_clusters <= n_features")
-    scale = float(model.get("center_scale", 1.0))
-    if scale <= 0:
-        raise InvalidParameterError("center_scale must be positive")
-    return scale * np.eye(k, p)
+    return model.take("center_scale", float, 1.0, above=0.0) * np.eye(k, p)
 
 
 def _gmm_factory(cfg: ExperimentConfig):
     model = cfg.model
-    k = int(_require(model, "n_clusters"))
-    p = int(_require(model, "n_features"))
-    n = int(_require(model, "n_samples"))
+    k = model.take("n_clusters", int)
+    p = model.take("n_features", int)
+    n = model.take("n_samples", int)
     spec = GmmSpec(
         n_features=p,
         n_samples=n,
         n_clusters=k,
         centers=_centers_from_model(model, k, p),
-        assignment=model.get("assignment", "balanced"),
+        assignment=model.take("assignment", str | list[int], "balanced"),
     )
-    tail = check_tail(float(model.get("tail", 1.0)))
-    kmeans_cfg = KMeansConfig(k=k, restarts=int(model.get("restarts", 10)))
+    tail = check_tail(model.take("tail", float, 1.0))
+    kmeans_cfg = KMeansConfig(k=k, restarts=model.take("restarts", int, 10))
     wanted = _fixed_rows(cfg, _GMM_ROWS)
 
     def trial(i: int) -> list[BoundReport]:
@@ -544,17 +559,17 @@ def _gmm_factory(cfg: ExperimentConfig):
     return trial
 
 
-def _submatrix_spec_from_model(model: dict) -> SubmatrixSpec:
-    m = int(_require(model, "n_rows"))
-    n = int(_require(model, "n_cols"))
-    amps = tuple(float(a) for a in _require(model, "amplitudes"))
+def _submatrix_spec_from_model(model: _ModelKeys) -> SubmatrixSpec:
+    m = model.take("n_rows", int)
+    n = model.take("n_cols", int)
+    amps = model.take("amplitudes", list[float])
     if "row_sets" in model or "col_sets" in model:
-        row_sets = tuple(tuple(int(i) for i in s) for s in _require(model, "row_sets"))
-        col_sets = tuple(tuple(int(i) for i in s) for s in _require(model, "col_sets"))
+        row_sets = model.take("row_sets", list[list[int]])
+        col_sets = model.take("col_sets", list[list[int]])
     else:
         k = len(amps)
-        br = int(_require(model, "block_rows"))
-        bc = int(_require(model, "block_cols"))
+        br = model.take("block_rows", int)
+        bc = model.take("block_cols", int)
         if k * br > m or k * bc > n:
             raise InvalidParameterError("blocks do not fit in the matrix")
         row_sets = tuple(tuple(range(i * br, (i + 1) * br)) for i in range(k))
@@ -568,8 +583,8 @@ def _submatrix_factory(cfg: ExperimentConfig):
     model = cfg.model
     spec = _submatrix_spec_from_model(model)
     k = spec.n_blocks
-    tail = check_tail(float(model.get("tail", 1.0)))
-    kmeans_cfg = KMeansConfig(k=k + 1, restarts=int(model.get("restarts", 10)))
+    tail = check_tail(model.take("tail", float, 1.0))
+    kmeans_cfg = KMeansConfig(k=k + 1, restarts=model.take("restarts", int, 10))
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
 
     def trial(i: int) -> list[BoundReport]:
@@ -613,17 +628,13 @@ _RESOLVENT_ROWS = (
 
 def _resolvent_factory(cfg: ExperimentConfig):
     model = cfg.model
-    n_rows = int(_require(model, "n_rows"))
-    n_cols = int(_require(model, "n_cols"))
-    margin = float(model.get("margin", 2.0))
-    tail = check_tail(float(model.get("tail", 1.0)))
-    z_factors = tuple(float(v) for v in model.get("z_factors", (1.0, 1.5, 3.0)))
-    signal_rank = int(model.get("signal_rank", 3))
-    dense = bool(model.get("dense", n_rows + n_cols <= 120))
-    if margin < 2.0:
-        raise InvalidParameterError("margin must be at least 2")
-    if any(f < 1.0 for f in z_factors):
-        raise InvalidParameterError("z_factors must be >= 1 (scaled by the base radius)")
+    n_rows = model.take("n_rows", int, at_least=1)
+    n_cols = model.take("n_cols", int, at_least=1)
+    margin = model.take("margin", float, 2.0, at_least=2.0)
+    tail = check_tail(model.take("tail", float, 1.0))
+    z_factors = model.take("z_factors", list[float], (1.0, 1.5, 3.0), at_least=1.0)
+    signal_rank = model.take("signal_rank", int, 3)
+    dense = model.take("dense", bool, n_rows + n_cols <= 120)
     if not 1 <= signal_rank <= min(n_rows, n_cols):
         raise InvalidParameterError("signal_rank out of range")
     wanted = _fixed_rows(cfg, _RESOLVENT_ROWS)
@@ -633,11 +644,9 @@ def _resolvent_factory(cfg: ExperimentConfig):
     grid = np.linspace(base, 3.0 * base, 25)
     sigma_j = 3.0 * base
     root = np.sqrt(n_rows) + np.sqrt(n_cols)
-    event_prob = 1.0 - 2.0 * float(np.exp(-(root**2) / 2.0))
-    ring_lo = 1.0 - 1.0 / (4.0 * b * (b - 1.0))
-    ring_hi = 1.0 + 1.0 / (4.0 * b * (b - 1.0))
-    lip_lo = 1.0 - 1.0 / (2.0 * (b - 1.0) ** 2)
-    lip_hi = 1.0 + 1.0 / (2.0 * (b - 1.0) ** 2)
+    norm_event = spectral_norm_report(None, n_rows, n_cols)
+    ring, lip = margin_offsets(b)
+    ring_lo, ring_hi, lip_lo, lip_hi = 1.0 - ring, 1.0 + ring, 1.0 - lip, 1.0 + lip
     law_dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
     law_prob = 1.0 - 9.0 * float(n_rows + n_cols) ** (-(tail + 1.0)) if law_dim_ok else 0.0
 
@@ -646,8 +655,9 @@ def _resolvent_factory(cfg: ExperimentConfig):
         rng = np.random.default_rng(derive_seed(cfg.base_seed, i))
         e = rng.standard_normal((n_rows, n_cols))
         ls = LinearizationSpectrum.from_noise(e)
-        # the six event rows hold on ||E|| <= 2 (sqrt(N) + sqrt(n)), with event_prob
-        event = (event_prob, PreconditionFlags(True, ls.spectral_norm <= 2.0 * root, True))
+        # the six event rows hold on ||E|| <= 2 (sqrt(N) + sqrt(n)), with its floor
+        on_event = ls.spectral_norm <= norm_event.bound_value
+        event = (norm_event.probability_floor, PreconditionFlags(True, on_event, True))
         # phi at the z points, formed on first use (phi_values raises inside the spectrum)
         probes = cache(lambda: [phi_values(ls, z) for z in zs])
         reports: list[BoundReport] = []
@@ -1129,8 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helps[name])
         sp.add_argument("--config", help="JSON config file (flags override it)")
         sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int, help="base seed")
-        sp.add_argument("--out", help="output path (stdout when omitted)")
+        sp.add_argument("--seed", type=int, dest="base_seed", help="base seed")
+        sp.add_argument("--out", dest="output", help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=list(_FORMATS))
         sp.add_argument("--threads", type=int)
     return parser
@@ -1141,12 +1151,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {
         "scenario": scenario,
         "trials": _DEFAULT_TRIALS[scenario],
-        "base_seed": 0,
-        "theorems": list(_DEFAULT_THEOREMS[scenario]),
-        "model": dict(_DEFAULT_MODELS[scenario]),
-        "output": None,
-        "format": "csv",
-        "threads": 1,
+        "theorems": _DEFAULT_THEOREMS[scenario],
+        "model": _DEFAULT_MODELS[scenario],
     }
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
@@ -1156,18 +1162,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise InvalidParameterError(
                 f"config scenario {loaded['scenario']!r} does not match {scenario!r}"
             )
-        for key, value in loaded.items():
-            data[key] = value
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["base_seed"] = args.seed
-    if args.out is not None:
-        data["output"] = args.out
-    if args.format is not None:
-        data["format"] = args.format
-    if args.threads is not None:
-        data["threads"] = args.threads
+        data.update(loaded)
+    for key in ("trials", "base_seed", "output", "format", "threads"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     return ExperimentConfig.from_dict(data)
 
 
@@ -1179,7 +1177,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         cfg = _config_from_args(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -1,4 +1,4 @@
-"""Seeded generators: Gaussian noise, low-rank signals, mixtures, planted blocks.
+"""Seeded generators: low-rank signals, mixtures, planted blocks.
 
 Every generator is bit-reproducible from an integer seed via
 numpy.random.default_rng. Row/column index sets are 0-based.
@@ -13,14 +13,6 @@ import numpy as np
 from .clustering import Labeling
 from .errors import InvalidInputError, InvalidParameterError
 from .matcore import SvdFactors, as_matrix, effective_rank, leading_svd, svd
-
-
-def gen_gaussian(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
-    """i.i.d. standard Gaussian matrix, bit-reproducible per seed."""
-    if n_rows < 1 or n_cols < 1:
-        raise InvalidParameterError("matrix dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_rows, n_cols))
 
 
 def haar_basis(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -89,6 +89,12 @@ def min_abs_z(n_rows: int, n_cols: int, margin: float) -> float:
     return 2.0 * margin * (np.sqrt(n_rows) + np.sqrt(n_cols))
 
 
+def margin_offsets(margin: float) -> tuple[float, float]:
+    """(1/(4b(b-1)), 1/(2(b-1)^2)): past the base radius, |phi_i(z)| / |z| and each
+    change of varphi over that of z^2 lie within 1 -+ these."""
+    return 1.0 / (4.0 * margin * (margin - 1.0)), 1.0 / (2.0 * (margin - 1.0) ** 2)
+
+
 def phi_from_eta(eta, n_rows: int, n_cols: int, z) -> ResolventProbe:
     """phi_values from the bare noise singular values (vectors not needed)."""
     z = complex(z)
@@ -228,8 +234,8 @@ def solve_zj(spec: LinearizationSpectrum, sigma_j: float, margin: float) -> floa
         return lo
     if flo > 0:
         raise NumericalFailureError("varphi already exceeds the target at the base radius")
-    # chi(margin) = 1 + 1/(4 margin (margin-1)) caps the root; double for slack
-    hi = 2.0 * (1.0 + 1.0 / (4.0 * margin * (margin - 1.0))) * sigma_j
+    # chi(margin) = 1 + margin_offsets(margin)[0] caps the root; double for slack
+    hi = 2.0 * (1.0 + margin_offsets(margin)[0]) * sigma_j
     hi = max(hi, 2.0 * lo)
     expansions = 0
     while f(hi) < 0:

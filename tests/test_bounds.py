@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,6 @@ from svperturb.matcore import (
 from svperturb.models import (
     LowRankSpec,
     PerturbationInstance,
-    gen_gaussian,
     gen_low_rank,
     low_rank_from_rng,
     perturb,
@@ -55,7 +56,7 @@ from svperturb.subspace import procrustes_align, sin_theta_norm, two_inf_residua
 
 def make_instance(seed, n_rows=40, n_cols=30, singulars=(20.0, 12.0, 6.0), scale=1.0):
     a, _ = gen_low_rank(LowRankSpec(n_rows, n_cols, singulars), seed=seed)
-    e = scale * gen_gaussian(n_rows, n_cols, seed=seed + 10_000)
+    e = scale * np.random.default_rng(seed + 10_000).standard_normal((n_rows, n_cols))
     return perturb(a, e)
 
 
@@ -67,7 +68,7 @@ def strong_params(n=600, singulars=(2.0e5, 1.2e5)):
 
 def strong_instance(seed, n=600, singulars=(2.0e5, 1.2e5)):
     a, _ = gen_low_rank(LowRankSpec(n, n, singulars), seed=seed)
-    e = gen_gaussian(n, n, seed=seed + 77)
+    e = np.random.default_rng(seed + 77).standard_normal((n, n))
     return perturb(a, e)
 
 
@@ -448,6 +449,16 @@ class TestSvLocation:
         assert rep.detail["membership"] is True
         assert rep.violated is False
 
+    def test_value_in_no_strip_fails_closed(self):
+        # the 900^2 gate model with window [1, 1]; observed sigma_1 = 3e5 lies
+        # above every strip while phi lands exactly on sigma_1^2
+        p = strong_params(n=900)
+        inst = SimpleNamespace(svd_observed=SimpleNamespace(singulars=np.array([3.0e5, 1.2e5])))
+        rep = gauss_sv_location_check(inst, p, 1, lambda z: p.singulars[0] ** 2)
+        assert rep.detail["membership"] is False
+        assert rep.violated is True
+        assert rep.ratio == np.inf
+
     def test_domain_error_reports_not_met(self):
         p = strong_params()
         inst = strong_instance(4)
@@ -674,7 +685,7 @@ class TestSpectralNormEvent:
     def test_monte_carlo_frequency(self):
         hits = 0
         for seed in range(100):
-            e = gen_gaussian(30, 20, seed=seed)
+            e = np.random.default_rng(seed).standard_normal((30, 20))
             rep = spectral_norm_report(
                 float(np.linalg.norm(e, 2)), 30, 20
             )
@@ -688,7 +699,7 @@ class TestEmpiricalQuantity:
 
     def test_window_beyond_held_vectors_rejected(self):
         a, fac = gen_low_rank(LowRankSpec(40, 30, (20.0, 12.0)), seed=8)
-        inst = perturb(a, 0.3 * gen_gaussian(40, 30, seed=9), factors=fac)
+        inst = perturb(a, 0.3 * np.random.default_rng(9).standard_normal((40, 30)), factors=fac)
         assert inst.svd_observed.vector_count == 2
         assert inst.svd_observed.singulars.shape == (30,)
         with pytest.raises(InvalidParameterError):
@@ -762,7 +773,7 @@ class TestIncoherence:
             LowRankSpec(20, 10, (5.0, 2.0), factor_mode="coherent", coherent_row=3),
             seed=1,
         )
-        e = 0.01 * gen_gaussian(20, 10, seed=2)
+        e = 0.01 * np.random.default_rng(2).standard_normal((20, 10))
         inst = perturb(a, e)
         inc = IncoherenceStats.from_instance(inst)
         assert inc.u_2inf == pytest.approx(1.0)

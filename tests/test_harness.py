@@ -39,8 +39,23 @@ BOUNDS_MODEL = {
 }
 
 
+CLI_BOUNDS_MODEL = harness._DEFAULT_MODELS["bounds"]
 GMM_MODEL = harness._DEFAULT_MODELS["gmm"]
 SUBMATRIX_MODEL = harness._DEFAULT_MODELS["submatrix"]
+RESOLVENT_MODEL = harness._DEFAULT_MODELS["resolvent"]
+
+
+def wrong_kinds(value) -> list:
+    """Values of the wrong kind for a model key whose valid value is value."""
+    if isinstance(value, bool):
+        return ["true", 1]
+    if isinstance(value, int):
+        return [True, 2.5, "3"]
+    if isinstance(value, float):
+        return [True, float("nan"), float("inf"), "1.0"]
+    if isinstance(value, str):
+        return [1]
+    return [value[0], [True]]
 
 
 def config(**kw):
@@ -418,6 +433,16 @@ class TestMain:
                 {"n_rows": 80, "n_cols": 60, "singulars": [40.0, 30.0], "noise_scal": 5.0},
                 id="unread-key",
             ),
+            pytest.param(["mirsky:operator"], dict(CLI_BOUNDS_MODEL, n_rows=80.7), id="n_rows-80.7"),
+            pytest.param(["mirsky:operator"], dict(CLI_BOUNDS_MODEL, k_lo=True), id="k_lo-true"),
+            pytest.param(
+                ["mirsky:operator"], dict(CLI_BOUNDS_MODEL, margin=float("nan")), id="margin-nan"
+            ),
+            pytest.param(
+                ["mirsky:operator"],
+                dict(CLI_BOUNDS_MODEL, noise_scale=float("inf")),
+                id="noise_scale-inf",
+            ),
         ],
     )
     def test_malformed_token_or_model_is_config_error(self, tmp_path, capsys, theorems, model):
@@ -446,13 +471,45 @@ class TestMain:
             ("gmm", {"model": dict(GMM_MODEL, tail=-4)}),
             ("submatrix", {"model": dict(SUBMATRIX_MODEL, restarts=0)}),
             ("submatrix", {"model": dict(SUBMATRIX_MODEL, tail=-4)}),
+            ("resolvent", {"model": dict(RESOLVENT_MODEL, dense="false")}),
+            ("resolvent", {"model": dict(RESOLVENT_MODEL, z_factors=[float("nan")])}),
+            ("resolvent", {"model": dict(RESOLVENT_MODEL, margin=float("inf"))}),
+            ("resolvent", {"model": dict(RESOLVENT_MODEL, n_rows=0)}),
+            ("resolvent", {"model": dict(RESOLVENT_MODEL, signal_rank=2.9)}),
+            ("selftest", {"trials": 2.5}),
+            ("selftest", {"trials": True}),
+            ("bounds", {"theorems": "mirsky:operator"}),
         ],
     )
     def test_unread_key_or_bad_row_is_config_error(self, tmp_path, capsys, scenario, doc):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(doc))
-        assert main([scenario, "--config", str(p), "--trials", "1"]) == EXIT_CONFIG
+        p.write_text(json.dumps({"trials": 1, **doc}))
+        assert main([scenario, "--config", str(p)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: invalid config: ")
+
+    def test_bad_value_of_any_model_key_is_config_error_naming_it(self, tmp_path, capsys):
+        # every key of every CLI default model, given a value of the wrong kind,
+        # and each single-key range
+        cases = [
+            (scenario, key, bad)
+            for scenario, model in harness._DEFAULT_MODELS.items()
+            for key, value in model.items()
+            for bad in wrong_kinds(value)
+        ]
+        cases += [
+            ("bounds", "noise_scale", 0.0),
+            ("gmm", "center_scale", 0.0),
+            ("resolvent", "margin", 1.5),
+            ("resolvent", "z_factors", [1.0, 0.5]),
+            ("resolvent", "n_rows", 0),
+            ("resolvent", "n_cols", 0),
+        ]
+        p = tmp_path / "cfg.json"
+        for scenario, key, bad in cases:
+            p.write_text(json.dumps({"model": dict(harness._DEFAULT_MODELS[scenario], **{key: bad})}))
+            assert main([scenario, "--config", str(p), "--trials", "1"]) == EXIT_CONFIG, (key, bad)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid config: model key {key!r}"), (key, bad, err)
 
     def test_every_default_model_key_is_read(self):
         for scenario, model in harness._DEFAULT_MODELS.items():
