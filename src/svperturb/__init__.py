@@ -37,6 +37,7 @@ from .subspace import (
     aligned_distance,
     principal_angles,
     procrustes_align,
+    row_mass,
     sin_theta_norm,
     two_inf_residual,
 )
@@ -58,7 +59,6 @@ from .bounds import (
     BoundReport,
     GaussianBoundParams,
     GeneralNoiseParams,
-    IncoherenceStats,
     PreconditionFlags,
     aligned_2inf_bound,
     cross_term_norm,
@@ -81,7 +81,6 @@ from .bounds import (
     window_weighted_residual,
 )
 from .resolvent import (
-    LinearizationSpectrum,
     ResolventProbe,
     local_law_bound,
     local_law_gap,

@@ -22,7 +22,7 @@ from .errors import (
 from .matcore import NormSpec, gauge, require_norm, singular_values
 from .models import PerturbationInstance
 from .resolvent import margin_offsets, min_abs_z
-from .subspace import procrustes_align, sin_theta_norm, two_inf_residual
+from .subspace import procrustes_align, row_mass, sin_theta_norm, two_inf_residual
 
 VIOLATION_SLACK = 1e-9
 
@@ -190,7 +190,7 @@ class GaussianBoundParams:
             raise InvalidParameterError(
                 f"need 1 <= k_lo <= k_hi <= rank, got [{self.k_lo}, {self.k_hi}], r={r}"
             )
-        if self.margin < 2.0:
+        if not self.margin >= 2.0:  # NaN fails too
             raise InvalidParameterError("margin must be at least 2")
         check_tail(self.tail)
 
@@ -299,43 +299,25 @@ class GeneralNoiseParams:
     """Deterministic noise functionals for the distribution-free bounds.
 
     op_bound caps the noise operator norm, core_bound the r x r projected
-    core, corner_bound the k x k leading corner. epsilon is the probability
-    with which any cap may fail; 0 is allowed for measured (realized) values.
+    core, corner_bound the k x k leading corner. They are measured
+    (realized) values, so the bounds built on them hold with probability 1.
     """
 
     op_bound: float
     core_bound: float
     corner_bound: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.op_bound < 0 or self.core_bound < 0 or self.corner_bound < 0:
             raise InvalidParameterError("noise caps must be nonnegative")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise InvalidParameterError("epsilon must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class IncoherenceStats:
-    """Largest row lengths of the signal factors (both in [0, 1])."""
-
-    u_2inf: float
-    v_2inf: float
-
-    def __post_init__(self):
-        for v in (self.u_2inf, self.v_2inf):
-            if not 0.0 <= v <= 1.0 + 1e-8:
-                raise InvalidInputError(f"row-mass value {v} outside [0, 1]")
-
-    @classmethod
-    def from_instance(cls, inst: PerturbationInstance, rank: int | None = None):
-        r = inst.rank() if rank is None else rank
-        u = inst.svd_signal.left[:, :r]
-        v = inst.svd_signal.right[:, :r]
-        return cls(
-            u_2inf=float(np.sqrt(np.max(np.sum(u * u, axis=1)))),
-            v_2inf=float(np.sqrt(np.max(np.sum(v * v, axis=1)))),
-        )
+def _checked_row_mass(u_2inf: float) -> float:
+    """u_2inf, the largest row length of an orthonormal signal factor (see
+    subspace.row_mass), checked to lie in [0, 1]."""
+    if not 0.0 <= u_2inf <= 1.0 + 1e-8:
+        raise InvalidInputError(f"row-mass value {u_2inf} outside [0, 1]")
+    return u_2inf
 
 
 def _window_cols(factors, k_lo: int, k_hi: int) -> slice:
@@ -559,7 +541,7 @@ def general_sv_bounds(
         raise InvalidParameterError(f"k={k} outside 1..rank={r}")
     sigma_k = float(inst.svd_signal.singulars[k - 1])
     observed_k = float(inst.svd_observed.singulars[k - 1])
-    prob = 1.0 - gp.epsilon
+    prob = 1.0
     lower = BoundReport.build(
         f"general_sv_lower:k{k}",
         gp.corner_bound,
@@ -616,7 +598,7 @@ def general_subspace_bound(
     else:
         first = 2.0 * np.sqrt(k * min(k, r - k)) * core
         second = 2.0 * k * gp.op_bound / sigma_k
-    prob = (1.0 - gp.epsilon) if gap_ok else 0.0
+    prob = 1.0 if gap_ok else 0.0
     return BoundReport.build(
         f"general_sin_theta:k{k}:{spec.label}", first + second, prob, flags
     )
@@ -630,32 +612,33 @@ def _row_shape(p: GaussianBoundParams, u: float, scale: float, gap: float) -> fl
     return scale * np.sqrt(r + lnsum) / gap * u + scale * np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
 
 
-def vector_inf_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+def vector_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     """Asymptotic l-inf shape for the k_lo-th left singular vector."""
     gap = min(p.delta(p.k_lo - 1), p.delta(p.k_lo))
-    return _shape_report("gauss_vector_inf", p, _row_shape(p, inc.u_2inf, 1.0, gap))
+    return _shape_report("gauss_vector_inf", p, _row_shape(p, _checked_row_mass(u_2inf), 1.0, gap))
 
 
-def matrix_2inf_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+def matrix_2inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     """Asymptotic l2,inf shape for the window [1, k_lo]."""
-    shape = _row_shape(p, inc.u_2inf, np.sqrt(p.k_lo), p.delta(p.k_lo))
+    shape = _row_shape(p, _checked_row_mass(u_2inf), np.sqrt(p.k_lo), p.delta(p.k_lo))
     return _shape_report("gauss_matrix_2inf", p, shape)
 
 
 def aligned_2inf_bound(
-    p: GaussianBoundParams, inc: IncoherenceStats, e_norm: float, window_u_2inf: float
+    p: GaussianBoundParams, u_2inf: float, e_norm: float, window_u_2inf: float
 ) -> BoundReport:
     """matrix_2inf_bound plus the alignment remainder e_norm^2 / sigma_{k_lo}^2
     times the row mass window_u_2inf of the signal window [1, k_lo]."""
-    shape = _row_shape(p, inc.u_2inf, np.sqrt(p.k_lo), p.delta(p.k_lo))
-    remainder = e_norm**2 / p.singulars[p.k_lo - 1] ** 2 * window_u_2inf
+    shape = _row_shape(p, _checked_row_mass(u_2inf), np.sqrt(p.k_lo), p.delta(p.k_lo))
+    remainder = e_norm**2 / p.singulars[p.k_lo - 1] ** 2 * _checked_row_mass(window_u_2inf)
     return _shape_report("gauss_2inf_aligned", p, shape + remainder)
 
 
-def two_inf_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     """Explicit-constant l2,inf bound for the window [k_lo, k_hi]. Indices
-    whose signal value exceeds (column count)^2 enter the wide-tail sum."""
-    u = inc.u_2inf
+    whose signal value exceeds (column count)^2 enter the wide-tail sum.
+    u_2inf is the largest row length of the signal's left factor."""
+    u = _checked_row_mass(u_2inf)
     flags = p.preconditions()
     first = p.window_lead * u * p.eta * np.sqrt(p.window) / p.min_gap
     col_cut = float(p.n_cols) ** 2
@@ -711,9 +694,9 @@ def linear_bilinear_bound(
     return linear, bilinear
 
 
-def weighted_window_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> BoundReport:
+def weighted_window_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     """Row-wise bound on the observed-value weighted window [k_lo, k_hi]."""
-    u = inc.u_2inf
+    u = _checked_row_mass(u_2inf)
     w = p.window
     flags = p.preconditions()
     first = p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w) / p.min_gap
@@ -724,12 +707,12 @@ def weighted_window_bound(p: GaussianBoundParams, inc: IncoherenceStats) -> Boun
 
 
 def weighted_corollary_bound(
-    p: GaussianBoundParams, inc: IncoherenceStats, e_norm: float
+    p: GaussianBoundParams, u_2inf: float, e_norm: float
 ) -> BoundReport:
     """Aligned corollary of the weighted bound on the full window [1, rank],
     with the measured noise operator norm e_norm."""
     p.require_full_window()
-    u = inc.u_2inf
+    u = _checked_row_mass(u_2inf)
     b = p.margin
     flags = p.preconditions()
     scale = 36.0 * b**4 / (b - 1.0) ** 4 * p.rank * np.sqrt((p.tail + 7.0) * p.dim_sum_log)
@@ -778,5 +761,4 @@ def window_weighted_residual(
     window singular values."""
     u_w, ut_w, w = _left_window(inst, k_lo, k_hi)
     fit = procrustes_align(u_w, ut_w) if aligned else u_w.T @ ut_w
-    resid = (ut_w - u_w @ fit) * inst.svd_observed.singulars[w]
-    return float(np.sqrt(np.max(np.sum(resid * resid, axis=1))))
+    return row_mass((ut_w - u_w @ fit) * inst.svd_observed.singulars[w])

@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 from .errors import InvalidInputError, InvalidParameterError
 from .matcore import as_matrix, leading_svd
 from .seeding import derive_seed
+from .subspace import row_mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +64,8 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    found_labels: Labeling
     misclassification: float
     exact: bool
-    permutation: dict[int, int]
 
 
 def _kpp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,8 +178,7 @@ def _confusion(truth: Labeling, found: Labeling) -> np.ndarray:
 
 
 def match_labels(truth: Labeling, found: Labeling) -> RecoveryResult:
-    """Misclassification under the best label bijection, exactness flag and
-    the realizing permutation (found label -> truth label)."""
+    """Misclassification under the best label bijection and exactness flag."""
     if len(truth) != len(found):
         raise InvalidInputError("labelings have different lengths")
     if truth.k != found.k:
@@ -189,12 +187,7 @@ def match_labels(truth: Labeling, found: Labeling) -> RecoveryResult:
     rows, cols = linear_sum_assignment(conf, maximize=True)
     hits = int(conf[rows, cols].sum())
     rate = float(len(truth) - hits) / float(len(truth))
-    return RecoveryResult(
-        found_labels=found,
-        misclassification=rate,
-        exact=(rate == 0.0),
-        permutation={int(c) + 1: int(r) + 1 for r, c in zip(rows, cols)},
-    )
+    return RecoveryResult(misclassification=rate, exact=(rate == 0.0))
 
 
 def misclassification(truth: Labeling, found: Labeling) -> float:
@@ -213,4 +206,4 @@ def embedding_gap(embedding, truth_embedding) -> float:
         )
     rot, _ = orthogonal_procrustes(t.T, emb.T)
     diff = t.T @ rot - emb.T
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=1))))
+    return row_mass(diff)

@@ -32,7 +32,6 @@ from .bounds import (
     BoundReport,
     GaussianBoundParams,
     GeneralNoiseParams,
-    IncoherenceStats,
     PreconditionFlags,
     aligned_2inf_bound,
     check_tail,
@@ -83,7 +82,7 @@ from .matcore import (
     require_norm,
     schatten,
     singular_values,
-    svd,  # unused here; perfbench's tracer tests patch svperturb.harness.svd
+    svd,
 )
 from .models import (
     GmmSpec,
@@ -96,7 +95,6 @@ from .models import (
     sample_gmm,
 )
 from .resolvent import (
-    LinearizationSpectrum,
     dense_resolvent_bilinear,
     linearized_basis,
     linearized_noise,
@@ -104,7 +102,6 @@ from .resolvent import (
     local_law_gap,
     margin_offsets,
     min_abs_z,
-    phi_from_eta,
     phi_values,
     resolvent_bilinear,
     solve_zj,
@@ -115,6 +112,7 @@ from .subspace import (
     aligned_distance,
     principal_angles,
     procrustes_align,
+    row_mass,
     sin_theta_norm,
     two_inf_residual,
 )
@@ -139,6 +137,7 @@ _CSV_COLUMNS = (
 )
 
 
+_INT64 = np.iinfo(np.int64)
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
@@ -228,13 +227,19 @@ class _ModelKeys(dict):
         self.read: set = set()
 
     def take(self, key: str, kind, default=None, *, at_least=None, above=None):
-        """key's value checked as kind (see _typed); if absent, default (unchecked) or an error."""
+        """key's value checked as kind (see _typed); if absent, default (unchecked) or an error.
+        Every integer must fit numpy's int64, as array sizes and indices do."""
         self.read.add(key)
-        if key in self:
-            return _typed(f"model key {key!r}", self[key], kind, at_least, above)
-        if default is None:
-            raise InvalidParameterError(f"model is missing key {key!r}")
-        return default
+        if key not in self:
+            if default is None:
+                raise InvalidParameterError(f"model is missing key {key!r}")
+            return default
+        name = f"model key {key!r}"
+        value = _typed(name, self[key], kind, at_least, above)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, int) and not _INT64.min <= v <= _INT64.max:
+                raise InvalidParameterError(f"{name} is outside the 64-bit integer range")
+        return value
 
 
 def _reject_repeats(tokens, keys) -> None:
@@ -327,8 +332,8 @@ class _BoundsTrial:
         return float(self.noise_spectrum[0])
 
     @cached_property
-    def inc(self) -> IncoherenceStats:
-        return IncoherenceStats.from_instance(self.inst, rank=self.p.rank)
+    def u_2inf(self) -> float:
+        return row_mass(self.inst.svd_signal.left[:, : self.p.rank])
 
     @cached_property
     def general(self) -> tuple[GeneralNoiseParams, ...]:
@@ -369,33 +374,33 @@ class _BoundsTrial:
     @_theorem(_window_index)
     def gauss_sv_location(self, j: int) -> list[BoundReport]:
         def phi_at(z):
-            return phi_from_eta(self.noise_spectrum, *self.inst.shape, z).varphi.real
+            return phi_values(self.noise_spectrum, *self.inst.shape, z).varphi.real
 
         return [gauss_sv_location_check(self.inst, self.p, j, phi_at)]
 
     @_theorem()
     def gauss_2inf(self) -> list[BoundReport]:
         p = self.p
-        rep = two_inf_bound(p, self.inc)
+        rep = two_inf_bound(p, self.u_2inf)
         return [rep.with_empirical(window_2inf_residual(self.inst, p.k_lo, p.k_hi))]
 
     @_theorem()
     def gauss_vector_inf(self) -> list[BoundReport]:
         u = self.inst.svd_signal.left[:, self.p.k_lo - 1]
         ut = self.inst.svd_observed.left[:, self.p.k_lo - 1]
-        rep = vector_inf_bound(self.p, self.inc)
+        rep = vector_inf_bound(self.p, self.u_2inf)
         return [rep.with_empirical(float(np.max(np.abs(ut - (ut @ u) * u))))]
 
     @_theorem()
     def gauss_matrix_2inf(self) -> list[BoundReport]:
-        rep = matrix_2inf_bound(self.p, self.inc)
+        rep = matrix_2inf_bound(self.p, self.u_2inf)
         return [rep.with_empirical(window_2inf_residual(self.inst, 1, self.p.k_lo))]
 
     @_theorem()
     def gauss_2inf_aligned(self) -> list[BoundReport]:
         k = self.p.k_lo
-        window_u = IncoherenceStats.from_instance(self.inst, rank=k).u_2inf
-        rep = aligned_2inf_bound(self.p, self.inc, self.e_norm, window_u)
+        window_u = row_mass(self.inst.svd_signal.left[:, :k])
+        rep = aligned_2inf_bound(self.p, self.u_2inf, self.e_norm, window_u)
         return [rep.with_empirical(window_2inf_residual(self.inst, 1, k, aligned=True))]
 
     def _directional(self, bilinear: bool) -> list[BoundReport]:
@@ -423,12 +428,12 @@ class _BoundsTrial:
     @_theorem()
     def gauss_weighted(self) -> list[BoundReport]:
         p = self.p
-        rep = weighted_window_bound(p, self.inc)
+        rep = weighted_window_bound(p, self.u_2inf)
         return [rep.with_empirical(window_weighted_residual(self.inst, p.k_lo, p.k_hi))]
 
     @_theorem(check=GaussianBoundParams.require_full_window)
     def gauss_weighted_corollary(self) -> list[BoundReport]:
-        rep = weighted_corollary_bound(self.p, self.inc, self.e_norm)
+        rep = weighted_corollary_bound(self.p, self.u_2inf, self.e_norm)
         value = window_weighted_residual(self.inst, 1, self.p.rank, aligned=True)
         return [rep.with_empirical(value)]
 
@@ -477,7 +482,7 @@ def _bounds_factory(cfg: ExperimentConfig):
         e = rng.standard_normal((lr.n_rows, lr.n_cols))
         if noise_scale != 1.0:
             e *= noise_scale
-        t = _BoundsTrial(perturb(a, e, seed=tseed, factors=factors), params, rng)
+        t = _BoundsTrial(perturb(a, e, factors=factors), params, rng)
         # config order: gauss_linear and gauss_bilinear draw from rng
         return [rep for evaluate, args in bound for rep in evaluate(t, *args)]
 
@@ -654,12 +659,13 @@ def _resolvent_factory(cfg: ExperimentConfig):
         # rows run in this order, and uphiu, local_law and dense_match draw from rng
         rng = np.random.default_rng(derive_seed(cfg.base_seed, i))
         e = rng.standard_normal((n_rows, n_cols))
-        ls = LinearizationSpectrum.from_noise(e)
+        noise = svd(e)
+        eta, e_norm = noise.singulars, float(noise.singulars[0])
         # the six event rows hold on ||E|| <= 2 (sqrt(N) + sqrt(n)), with its floor
-        on_event = ls.spectral_norm <= norm_event.bound_value
+        on_event = e_norm <= norm_event.bound_value
         event = (norm_event.probability_floor, PreconditionFlags(True, on_event, True))
         # phi at the z points, formed on first use (phi_values raises inside the spectrum)
-        probes = cache(lambda: [phi_values(ls, z) for z in zs])
+        probes = cache(lambda: [phi_values(eta, n_rows, n_cols, z) for z in zs])
         reports: list[BoundReport] = []
 
         def row(name, bound, value, prob=1.0, flags=ALL_OK):
@@ -672,7 +678,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
                 dev = max(dev, gap / max(1.0, abs(pr.phi1)))
             row("phi_identity", 1e-8, dev)
         if wanted & {"phi_monotone", "phi_crude", "phi_lipschitz"}:
-            vals = np.array([phi_values(ls, z).varphi.real for z in grid])
+            vals = np.array([phi_values(eta, n_rows, n_cols, z).varphi.real for z in grid])
         if "phi_monotone" in wanted:
             row("phi_monotone", 0.0, float(max(0.0, -np.min(np.diff(vals)))))
         if "phi_crude" in wanted:
@@ -693,26 +699,27 @@ def _resolvent_factory(cfg: ExperimentConfig):
         if "uphiu" in wanted:
             u = haar_basis(rng, n_rows, signal_rank)
             u_lin = linearized_basis(u, haar_basis(rng, n_cols, signal_rank))
-            row("uphiu", 1e-8, max(uphiu_deviation(ls, u_lin, z) for z in zs))
+            dev = max(uphiu_deviation(pr, u_lin, n_rows, n_cols) for pr in probes())
+            row("uphiu", 1e-8, dev)
         if "local_law" in wanted:
             x, y = _unit_vector(rng, n_rows + n_cols), _unit_vector(rng, n_rows + n_cols)
-            gap = local_law_gap(ls, base, x, y)
+            gap = local_law_gap(noise, phi_values(eta, n_rows, n_cols, base), x, y)
             bound = local_law_bound(n_rows, n_cols, margin, tail, base)
             row("local_law", bound, gap, law_prob, PreconditionFlags(law_dim_ok, True, True))
         if "zj_bracket" in wanted:
             try:
-                zj = solve_zj(ls, sigma_j, margin)
+                zj = solve_zj(noise, sigma_j, margin)
             except NumericalFailureError:
                 row("zj_bracket", 0.0, None, 0.0, PreconditionFlags(True, False, True))
             else:
                 row("zj_bracket", 0.0, max(0.0, sigma_j - zj, zj - ring_hi * sigma_j), *event)
         if dense and wanted & {"dense_match", "g_norm", "g_approx1", "g_approx2"}:
             lin = linearized_noise(e)
-            dim, z, s = lin.shape[0], base, ls.spectral_norm
+            dim, z, s = lin.shape[0], base, e_norm
             g = np.linalg.inv(z * np.eye(dim) - lin)
             if "dense_match" in wanted:
                 x, y = _unit_vector(rng, dim), _unit_vector(rng, dim)
-                via_eigen = resolvent_bilinear(ls, z, x, y)
+                via_eigen = resolvent_bilinear(noise, z, x, y)
                 via_dense = complex(x @ (g @ y))
                 row("dense_match", 1e-8, abs(via_eigen - via_dense) / max(1.0, abs(via_dense)))
             # g, g - I/z and g - I/z - lin/z^2: the successive Neumann remainders
@@ -811,7 +818,7 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
         )
         proj_res = two_inf_residual(u, v, mode="projector")
         ali_res = two_inf_residual(u, v, mode="aligned")
-        u_mass = float(np.sqrt(np.max(np.sum(u * u, axis=1))))
+        u_mass = row_mass(u)
         sin_sq = float(np.sin(ang[-1]) ** 2)
         check(
             f"selftest:prop_two_inf_{idx}",
@@ -836,17 +843,17 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
 
     # resolvent identities on a small noise draw
     e = rng.standard_normal((8, 5))
-    ls = LinearizationSpectrum.from_noise(e)
+    noise = svd(e)
     base = min_abs_z(8, 5, 2.0)
     for zi, z in enumerate((base, complex(base, 3.0))):
-        pr = phi_values(ls, z)
+        pr = phi_values(noise.singulars, 8, 5, z)
         check(
             f"selftest:phi_identity_{zi}",
             abs(pr.phi1 - pr.phi2 + (5 - 8) / complex(z)) / max(1.0, abs(pr.phi1)),
             1e-8,
         )
         x, y = _unit_vector(rng, 13), _unit_vector(rng, 13)
-        via_eigen = resolvent_bilinear(ls, z, x, y)
+        via_eigen = resolvent_bilinear(noise, z, x, y)
         via_dense = dense_resolvent_bilinear(e, z, x, y)
         check(
             f"selftest:resolvent_dense_{zi}",
@@ -855,14 +862,11 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
         )
     u = haar_basis(rng, 8, 2)
     v = haar_basis(rng, 5, 2)
-    check(
-        "selftest:uphiu",
-        uphiu_deviation(ls, linearized_basis(u, v), base),
-        1e-8,
-    )
-    zero_ls = LinearizationSpectrum.from_noise(np.zeros((6, 9)))
-    pr = phi_values(zero_ls, 4.0)
-    check("selftest:phi_zero_noise", abs(pr.phi1 - (4.0 - 9.0 / 4.0)) + abs(pr.phi2 - (4.0 - 6.0 / 4.0)))
+    pr = phi_values(noise.singulars, 8, 5, base)
+    check("selftest:uphiu", uphiu_deviation(pr, linearized_basis(u, v), 8, 5), 1e-8)
+    pr = phi_values(svd(np.zeros((6, 9))).singulars, 6, 9, 4.0)
+    dev = abs(pr.phi1 - (4.0 - 9.0 / 4.0)) + abs(pr.phi2 - (4.0 - 6.0 / 4.0))
+    check("selftest:phi_zero_noise", dev)
 
     # label matching examples
     from .clustering import Labeling, misclassification

@@ -110,7 +110,6 @@ class PerturbationInstance:
     observed: np.ndarray
     svd_signal: SvdFactors
     svd_observed: SvdFactors
-    seed: int = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -120,9 +119,7 @@ class PerturbationInstance:
         return effective_rank(self.svd_signal, tol)
 
 
-def perturb(
-    signal, noise, seed: int = 0, factors: SvdFactors | None = None
-) -> PerturbationInstance:
+def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationInstance:
     """Form signal + noise and factorize both.
 
     Without `factors` both matrices get a full min(N, n)-column SVD. With
@@ -156,7 +153,6 @@ def perturb(
         observed=observed,
         svd_signal=svd_signal,
         svd_observed=svd_observed,
-        seed=seed,
     )
 
 

@@ -1,10 +1,11 @@
 """Resolvent probes of the symmetrized noise linearization.
 
 The linearization of an N x n noise matrix is the (N+n) square symmetric
-block matrix with the noise and its transpose off-diagonal. All probes go
-through its eigen-structure (noise SVD), never through a dense inverse, so
-the cost per probe is O(min(N,n) * max(N,n)). Dense oracles are provided
-for small-size cross-checks only.
+block matrix with the noise and its transpose off-diagonal. Its eigenvalues
+are +-eta_i, the noise singular values, plus |N - n| zeros. All probes go
+through the noise SVD (the SvdFactors of ``matcore.svd``), never through a
+dense inverse, so the cost per probe is O(min(N,n) * max(N,n)). Dense oracles
+are provided for small-size cross-checks only.
 """
 
 from __future__ import annotations
@@ -18,52 +19,10 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .matcore import as_matrix, check_orthonormal, svd
+from .matcore import SvdFactors, as_matrix, check_orthonormal
 
 _ZJ_MAX_ITER = 200
 _ZJ_REL_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class LinearizationSpectrum:
-    """Noise SVD packaged for resolvent evaluation.
-
-    eta holds the min(N, n) singular values descending; left_vecs (N x m)
-    and right_vecs (n x m) the corresponding vectors. Eigenvalues of the
-    linearization are +-eta_i plus |N - n| zeros.
-    """
-
-    eta: np.ndarray
-    left_vecs: np.ndarray
-    right_vecs: np.ndarray
-    n_rows: int
-    n_cols: int
-
-    @classmethod
-    def from_noise(cls, e) -> "LinearizationSpectrum":
-        e = as_matrix(e)
-        f = svd(e)
-        return cls(
-            eta=f.singulars,
-            left_vecs=f.left,
-            right_vecs=f.right,
-            n_rows=e.shape[0],
-            n_cols=e.shape[1],
-        )
-
-    def __post_init__(self):
-        m = min(self.n_rows, self.n_cols)
-        if self.eta.shape != (m,):
-            raise InvalidInputError(f"eta must have length min(N, n) = {m}")
-        if self.left_vecs.shape != (self.n_rows, m) or self.right_vecs.shape != (
-            self.n_cols,
-            m,
-        ):
-            raise InvalidInputError("singular vector blocks have wrong shapes")
-
-    @property
-    def spectral_norm(self) -> float:
-        return float(self.eta[0]) if self.eta.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -95,11 +54,20 @@ def margin_offsets(margin: float) -> tuple[float, float]:
     return 1.0 / (4.0 * margin * (margin - 1.0)), 1.0 / (2.0 * (margin - 1.0) ** 2)
 
 
-def phi_from_eta(eta, n_rows: int, n_cols: int, z) -> ResolventProbe:
-    """phi_values from the bare noise singular values (vectors not needed)."""
+def _norm(eta: np.ndarray) -> float:
+    return float(eta[0]) if eta.size else 0.0
+
+
+def phi_values(eta, n_rows: int, n_cols: int, z) -> ResolventProbe:
+    """The two block traces of the resolvent at z, from the N x n noise's
+    singular values eta (descending; vectors not needed).
+
+    Requires |z| > ||noise||. With zero noise phi1 = z - n/z and
+    phi2 = z - N/z.
+    """
     z = complex(z)
     eta = np.asarray(eta, dtype=float).ravel()
-    top = float(eta[0]) if eta.size else 0.0
+    top = _norm(eta)
     if abs(z) <= top:
         raise EvaluationDomainError(
             f"|z| = {abs(z):.6g} inside the spectrum (norm {top:.6g})"
@@ -112,56 +80,46 @@ def phi_from_eta(eta, n_rows: int, n_cols: int, z) -> ResolventProbe:
     return ResolventProbe(z=z, phi1=phi1, phi2=phi2, varphi=phi1 * phi2, alpha=alpha, beta=beta)
 
 
-def phi_values(spec: LinearizationSpectrum, z) -> ResolventProbe:
-    """Evaluate the two block traces of the resolvent at z.
-
-    Requires |z| > ||noise||. With zero noise phi1 = z - n/z and
-    phi2 = z - N/z.
-    """
-    return phi_from_eta(spec.eta, spec.n_rows, spec.n_cols, z)
-
-
-def _split(spec: LinearizationSpectrum, x) -> tuple[np.ndarray, np.ndarray]:
+def _split(n_rows: int, n_cols: int, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != spec.n_rows + spec.n_cols:
-        raise InvalidInputError(
-            f"vector length {x.shape[0]} != N + n = {spec.n_rows + spec.n_cols}"
-        )
-    return x[: spec.n_rows], x[spec.n_rows :]
+    if x.shape[0] != n_rows + n_cols:
+        raise InvalidInputError(f"vector length {x.shape[0]} != N + n = {n_rows + n_cols}")
+    return x[:n_rows], x[n_rows:]
 
 
-def resolvent_bilinear(spec: LinearizationSpectrum, z, x, y) -> complex:
-    """x^T (zI - linearization)^{-1} y via the eigen-expansion.
+def resolvent_bilinear(noise: SvdFactors, z, x, y) -> complex:
+    """x^T (zI - linearization)^{-1} y via the eigen-expansion of the noise SVD.
 
     With zero noise this reduces to (x . y) / z.
     """
     z = complex(z)
-    if abs(z) <= spec.spectral_norm:
+    if abs(z) <= _norm(noise.singulars):
         raise EvaluationDomainError(f"|z| = {abs(z):.6g} inside the spectrum")
-    x1, x2 = _split(spec, x)
-    y1, y2 = _split(spec, y)
-    a = spec.left_vecs.T @ x1
-    b = spec.right_vecs.T @ x2
-    c = spec.left_vecs.T @ y1
-    d = spec.right_vecs.T @ y2
-    eta = spec.eta
+    n_rows, n_cols = noise.shape
+    x1, x2 = _split(n_rows, n_cols, x)
+    y1, y2 = _split(n_rows, n_cols, y)
+    a = noise.left.T @ x1
+    b = noise.right.T @ x2
+    c = noise.left.T @ y1
+    d = noise.right.T @ y2
+    eta = noise.singulars
     total = np.sum(
         (a + b) * (c + d) / (2.0 * (z - eta)) + (a - b) * (c - d) / (2.0 * (z + eta))
     )
-    if spec.n_rows > spec.n_cols:
+    if n_rows > n_cols:
         total += (x1 @ y1 - a @ c) / z
-    elif spec.n_cols > spec.n_rows:
+    elif n_cols > n_rows:
         total += (x2 @ y2 - b @ d) / z
     return complex(total)
 
 
-def local_law_gap(spec: LinearizationSpectrum, z, x, y) -> float:
-    """|x^T (G(z) - Phi(z)) y| where Phi applies 1/phi1 and 1/phi2 blockwise."""
-    probe = phi_values(spec, z)
-    x1, x2 = _split(spec, x)
-    y1, y2 = _split(spec, y)
+def local_law_gap(noise: SvdFactors, probe: ResolventProbe, x, y) -> float:
+    """|x^T (G(z) - Phi(z)) y| at z = probe.z, where Phi applies 1/phi1 and
+    1/phi2 blockwise; probe is phi_values of the noise at z."""
+    x1, x2 = _split(*noise.shape, x)
+    y1, y2 = _split(*noise.shape, y)
     surrogate = (x1 @ y1) / probe.phi1 + (x2 @ y2) / probe.phi2
-    return float(abs(resolvent_bilinear(spec, z, x, y) - surrogate))
+    return float(abs(resolvent_bilinear(noise, probe.z, x, y) - surrogate))
 
 
 def local_law_bound(n_rows: int, n_cols: int, margin: float, tail: float, z) -> float:
@@ -182,22 +140,22 @@ def linearized_basis(u, v) -> np.ndarray:
     return np.vstack([top, bot]) / np.sqrt(2.0)
 
 
-def uphiu_deviation(spec: LinearizationSpectrum, u_lin, z) -> float:
-    """Max abs entry deviation of U_lin^T Phi U_lin from its closed form.
+def uphiu_deviation(probe: ResolventProbe, u_lin, n_rows: int, n_cols: int) -> float:
+    """Max abs entry deviation of U_lin^T Phi U_lin from its closed form, with
+    Phi from the probe of an N x n noise.
 
     The closed form is alpha on the 2r diagonal and beta on the two
     off-diagonal r x r identity blocks.
     """
     u_lin = check_orthonormal(u_lin, what="linearized basis")
-    total = spec.n_rows + spec.n_cols
+    total = n_rows + n_cols
     if u_lin.shape[0] != total or u_lin.shape[1] % 2 != 0:
         raise InvalidInputError(
             f"linearized basis must be ({total}) x 2r, got {u_lin.shape}"
         )
-    probe = phi_values(spec, z)
     w = u_lin.astype(complex).copy()
-    w[: spec.n_rows] /= probe.phi1
-    w[spec.n_rows :] /= probe.phi2
+    w[:n_rows] /= probe.phi1
+    w[n_rows:] /= probe.phi2
     t = u_lin.T @ w
     r = u_lin.shape[1] // 2
     target = np.zeros((2 * r, 2 * r), dtype=complex)
@@ -209,17 +167,19 @@ def uphiu_deviation(spec: LinearizationSpectrum, u_lin, z) -> float:
     return float(np.max(np.abs(t - target)))
 
 
-def solve_zj(spec: LinearizationSpectrum, sigma_j: float, margin: float) -> float:
+def solve_zj(noise: SvdFactors, sigma_j: float, margin: float) -> float:
     """Root of varphi(z) = sigma_j^2 on the real axis right of the spectrum.
 
     Bisection on [base radius, expanding upper bracket]; stops when the
     residual drops below 1e-8 relative to sigma_j^2. Raises on a missing
     bracket or non-convergence.
     """
-    if sigma_j <= 0 or margin < 2.0:
+    # NaN fails too
+    if not sigma_j > 0 or not margin >= 2.0:
         raise InvalidInputError("need sigma_j > 0 and margin >= 2")
-    lo = min_abs_z(spec.n_rows, spec.n_cols, margin)
-    if spec.spectral_norm >= lo:
+    n_rows, n_cols = noise.shape
+    lo = min_abs_z(n_rows, n_cols, margin)
+    if _norm(noise.singulars) >= lo:
         raise NumericalFailureError(
             "noise norm reaches the probe domain, no valid bracket"
         )
@@ -227,7 +187,7 @@ def solve_zj(spec: LinearizationSpectrum, sigma_j: float, margin: float) -> floa
     tol = _ZJ_REL_TOL * target
 
     def f(zz: float) -> float:
-        return phi_values(spec, zz).varphi.real - target
+        return phi_values(noise.singulars, n_rows, n_cols, zz).varphi.real - target
 
     flo = f(lo)
     if abs(flo) <= tol:

@@ -61,6 +61,11 @@ def aligned_distance(u, v, spec: NormSpec) -> float:
     return apply_norm(u @ procrustes_align(u, v) - v, spec)
 
 
+def row_mass(m) -> float:
+    """Largest row length of m; for an orthonormal basis it lies in [0, 1]."""
+    return float(np.sqrt(np.max(np.sum(m * m, axis=1))))
+
+
 def two_inf_residual(u, w, mode: str = "projector") -> float:
     """Largest row length of the part of w not explained by u.
 
@@ -81,4 +86,4 @@ def two_inf_residual(u, w, mode: str = "projector") -> float:
         resid = w - u @ procrustes_align(u, w)
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    return float(np.sqrt(np.max(np.sum(resid * resid, axis=1))))
+    return row_mass(resid)

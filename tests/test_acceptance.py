@@ -17,7 +17,6 @@ import pytest
 from svperturb.bounds import (
     GaussianBoundParams,
     GeneralNoiseParams,
-    IncoherenceStats,
     gauss_subspace_bound,
     gauss_sv_location_check,
     general_subspace_bound,
@@ -61,13 +60,11 @@ from svperturb.models import (
     sample_gmm,
 )
 from svperturb.resolvent import (
-    LinearizationSpectrum,
     dense_resolvent_bilinear,
     linearized_basis,
     local_law_bound,
     local_law_gap,
     min_abs_z,
-    phi_from_eta,
     phi_values,
     resolvent_bilinear,
     uphiu_deviation,
@@ -77,6 +74,7 @@ from svperturb.subspace import (
     aligned_distance,
     principal_angles,
     procrustes_align,
+    row_mass,
     sin_theta_norm,
     two_inf_residual,
 )
@@ -119,14 +117,14 @@ def _rate_cap(count: float, dims: int, tail: float, trials: int) -> float:
     return budget + 3.0 * float(np.sqrt(budget * (1.0 - budget) / trials))
 
 
-def _scaled_noise_instance(rng, seed):
+def _scaled_noise_instance(rng):
     """50 x 50 rank-5 draw with the noise norm uniform in [0.1 sigma_r, 2 sigma_1]."""
     a, _ = low_rank_from_rng(SMALL_SPEC, rng)
     e = rng.standard_normal((50, 50))
     esv = singular_values(e)
     target = rng.uniform(0.1 * SMALL_SIGMA[-1], 2.0 * SMALL_SIGMA[0])
     factor = target / esv[0]
-    return perturb(a, e * factor, seed=seed), esv * factor
+    return perturb(a, e * factor), esv * factor
 
 
 def test_mirsky_displacement_bound():
@@ -135,7 +133,7 @@ def test_mirsky_displacement_bound():
     worst = 0.0
     for i in range(1000):
         rng = np.random.default_rng(derive_seed(MIRSKY_SEED, i))
-        inst, esv = _scaled_noise_instance(rng, i)
+        inst, esv = _scaled_noise_instance(rng)
         for spec in INVARIANT_NORMS:
             rep = mirsky_check(inst, spec, e_singulars=esv)
             valid += 1
@@ -156,7 +154,7 @@ def test_wedin_sin_theta_bound():
     valid = bad = skipped = 0
     for i in range(1000):
         rng = np.random.default_rng(derive_seed(WEDIN_SEED, i))
-        inst, _ = _scaled_noise_instance(rng, i)
+        inst, _ = _scaled_noise_instance(rng)
         for k in range(1, 6):
             for spec in INVARIANT_NORMS:
                 rep = wedin_check(inst, k, spec)
@@ -210,7 +208,7 @@ def test_subspace_identities():
         resid_p = v - u @ (u.T @ v)
         vec_ok = np.linalg.norm(x @ resid_o) <= np.linalg.norm(x @ resid_p) + xu * sin_sq + SLACK
         bil_ok = abs(x @ resid_o @ y) <= abs(x @ resid_p @ y) + xu * sin_sq + SLACK
-        u_mass = float(np.sqrt(np.max(np.sum(u * u, axis=1))))
+        u_mass = row_mass(u)
         row_ok = (
             two_inf_residual(u, v, mode="aligned")
             <= two_inf_residual(u, v, mode="projector") + u_mass * sin_sq + SLACK
@@ -253,21 +251,21 @@ def heavy_stream():
         rng = np.random.default_rng(tseed)
         a, fac = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((900, 900))
-        inst = perturb(a, e, seed=tseed, factors=fac)
+        inst = perturb(a, e, factors=fac)
         esv = gram_spectrum(e)
         e_norm = float(esv[0])
-        inco = IncoherenceStats.from_instance(inst)
+        u_2inf = row_mass(fac.left)
 
         rep = gauss_subspace_bound(p_top, OPERATOR, e_norm)
         emp = window_sin_theta(inst, 1, 1, OPERATOR)
         rows["sin_theta"].append(rep.with_empirical(emp))
 
         def phi_at(zv, esv=esv):
-            return phi_from_eta(esv, 900, 900, zv).varphi.real
+            return phi_values(esv, 900, 900, zv).varphi.real
 
         rows["location"].append(gauss_sv_location_check(inst, p_top, 1, phi_at))
 
-        rep = two_inf_bound(p_top, inco)
+        rep = two_inf_bound(p_top, u_2inf)
         emp = window_2inf_residual(inst, 1, 1)
         rows["two_inf"].append(rep.with_empirical(emp))
 
@@ -282,7 +280,7 @@ def heavy_stream():
         resid = utw - uw @ (uw.T @ utw)
         rows["bilinear"].append(bil.with_empirical(float(abs(x @ resid @ y))))
 
-        rep = weighted_corollary_bound(p_full, inco, e_norm)
+        rep = weighted_corollary_bound(p_full, u_2inf, e_norm)
         emp = window_weighted_residual(inst, 1, 2, aligned=True)
         rows["weighted"].append(rep.with_empirical(emp))
     return {"rows": rows, "wall_s": time.perf_counter() - t0, "p_top": p_top, "p_full": p_full}
@@ -354,7 +352,6 @@ def test_general_noise_bounds():
             observed=a + e,
             svd_signal=fac,
             svd_observed=svd(a + e),
-            seed=tseed,
         )
         esv = singular_values(e)
         core = fac.left.T @ e @ fac.right
@@ -363,7 +360,6 @@ def test_general_noise_bounds():
                 op_bound=float(esv[0]),
                 core_bound=float(np.linalg.norm(core, 2)),
                 corner_bound=float(np.linalg.norm(core[:k, :k], 2)),
-                epsilon=0.0,
             )
             lower, upper = general_sv_bounds(inst, k, gp)
             reps = [lower, upper]
@@ -395,27 +391,28 @@ def test_resolvent_identities():
         nr = int(rng.integers(40, 301))
         nc = int(rng.integers(40, 301))
         e = rng.standard_normal((nr, nc))
-        ls = LinearizationSpectrum.from_noise(e)
+        eta = svd(e).singulars
         base = min_abs_z(nr, nc, 2.0)
         zs = (base, 1.5 * base, 2.2 * base, 3.0 * base,
               base * complex(1.0, 0.5), base * complex(0.5, 1.0))
         for z in zs:
-            pr = phi_values(ls, z)
+            pr = phi_values(eta, nr, nc, z)
             ident_worst = max(ident_worst, abs(pr.phi1 - pr.phi2 + (nc - nr) / complex(z)))
             probes += 1
         grid = np.linspace(base, 3.0 * base, 25)
-        phis = np.array([phi_values(ls, z).varphi.real for z in grid])
+        phis = np.array([phi_values(eta, nr, nc, z).varphi.real for z in grid])
         mono_ok = mono_ok and bool(np.all(np.diff(phis) > 0.0))
         crude_ok = crude_ok and bool(np.all((phis > 0.0) & (phis < grid**2)))
         u = haar_basis(rng, nr, 3)
         v = haar_basis(rng, nc, 3)
         ulin = linearized_basis(u, v)
         for z in (base, 2.0 * base):
-            uphiu_worst = max(uphiu_worst, uphiu_deviation(ls, ulin, z))
+            dev = uphiu_deviation(phi_values(eta, nr, nc, z), ulin, nr, nc)
+            uphiu_worst = max(uphiu_worst, dev)
     for _ in range(20):
         n = int(rng.integers(8, 41))
         e = rng.standard_normal((n, n))
-        ls = LinearizationSpectrum.from_noise(e)
+        noise = svd(e)
         base = min_abs_z(n, n, 2.0)
         for z in (base, base * complex(1.0, 0.4)):
             x = rng.standard_normal(2 * n)
@@ -424,7 +421,7 @@ def test_resolvent_identities():
             y /= np.linalg.norm(y)
             dense_worst = max(
                 dense_worst,
-                abs(resolvent_bilinear(ls, z, x, y) - dense_resolvent_bilinear(e, z, x, y)),
+                abs(resolvent_bilinear(noise, z, x, y) - dense_resolvent_bilinear(e, z, x, y)),
             )
     ok = (
         probes == 300
@@ -454,14 +451,14 @@ def test_resolvent_local_law():
     trials = 2000
     for i in range(trials):
         e = rng.standard_normal((200, 200))
-        ls = LinearizationSpectrum.from_noise(e)
+        noise = svd(e)
         zf = rng.uniform(1.0, 3.0)
         z = base * complex(zf, 0.5) if i % 3 == 0 else base * zf
         x = rng.standard_normal(400)
         x /= np.linalg.norm(x)
         y = rng.standard_normal(400)
         y /= np.linalg.norm(y)
-        gap = local_law_gap(ls, z, x, y)
+        gap = local_law_gap(noise, phi_values(noise.singulars, 200, 200, z), x, y)
         hits += gap <= local_law_bound(200, 200, 2.0, 1.0, z)
     budget = 9.0 * 400.0 ** (-2.0)
     floor = 1.0 - budget - 3.0 * float(np.sqrt(budget * (1.0 - budget) / trials))
@@ -714,6 +711,21 @@ REPLAY_CONFIGS = {
         "base_seed": 23,
         "theorems": ["zj_bracket", "g_approx2", "local_law", "dense_match", "phi_ring", "uphiu"],
         "model": {"n_rows": 100, "n_cols": 80, "dense": True},
+        "format": "csv",
+    },
+    # z_factors starting past 1.0: pins that local_law probes at the base
+    # radius, not at the first z point
+    "resolvent-offset-z": {
+        "scenario": "resolvent",
+        "trials": 3,
+        "base_seed": 29,
+        "model": {
+            "n_rows": 100,
+            "n_cols": 80,
+            "margin": 3.0,
+            "z_factors": [1.5, 3.0],
+            "dense": True,
+        },
         "format": "csv",
     },
     "selftest": {"scenario": "selftest", "trials": 3, "base_seed": 19, "format": "json"},

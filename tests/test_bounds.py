@@ -11,7 +11,6 @@ from svperturb.bounds import (
     BoundReport,
     GaussianBoundParams,
     GeneralNoiseParams,
-    IncoherenceStats,
     PreconditionFlags,
     aligned_2inf_bound,
     cross_term_norm,
@@ -33,7 +32,7 @@ from svperturb.bounds import (
     window_sin_theta,
     window_weighted_residual,
 )
-from svperturb.errors import EvaluationDomainError, InvalidParameterError
+from svperturb.errors import EvaluationDomainError, InvalidInputError, InvalidParameterError
 from svperturb.matcore import (
     FROBENIUS,
     NUCLEAR,
@@ -50,8 +49,8 @@ from svperturb.models import (
     low_rank_from_rng,
     perturb,
 )
-from svperturb.resolvent import LinearizationSpectrum, phi_values
-from svperturb.subspace import procrustes_align, sin_theta_norm, two_inf_residual
+from svperturb.resolvent import phi_values
+from svperturb.subspace import procrustes_align, row_mass, sin_theta_norm, two_inf_residual
 
 
 def make_instance(seed, n_rows=40, n_cols=30, singulars=(20.0, 12.0, 6.0), scale=1.0):
@@ -241,6 +240,8 @@ class TestGaussianBoundParams:
             self.params(k_lo=2, k_hi=1)
         with pytest.raises(InvalidParameterError):
             self.params(margin=1.5)
+        with pytest.raises(InvalidParameterError):
+            self.params(margin=float("nan"))
         with pytest.raises(InvalidParameterError):
             self.params(tail=0.0)
 
@@ -440,10 +441,10 @@ class TestSvLocation:
     def test_strong_regime_membership(self):
         p = strong_params()
         inst = strong_instance(3)
-        ls = LinearizationSpectrum.from_noise(inst.noise)
+        eta = svd(inst.noise).singulars
 
         def phi_at(z):
-            return phi_values(ls, z).varphi.real
+            return phi_values(eta, 600, 600, z).varphi.real
 
         rep = gauss_sv_location_check(inst, p, 1, phi_at)
         assert rep.detail["membership"] is True
@@ -531,19 +532,10 @@ class TestGeneralNoise:
         assert rep.preconditions.gap_ok is False
         assert rep.probability_floor == 0.0
 
-    def test_epsilon_shifts_probability(self):
-        gp = GeneralNoiseParams(op_bound=1.0, core_bound=0.5, corner_bound=0.2, epsilon=0.1)
-        rep = general_subspace_bound(1, 3, 10.0, 20.0, gp, OPERATOR)
-        assert rep.probability_floor == pytest.approx(0.9)
-
     def test_operator_indicator_at_full_rank(self):
         gp = GeneralNoiseParams(op_bound=1.0, core_bound=0.1, corner_bound=0.1)
         rep = general_subspace_bound(3, 3, 5.0, 20.0, gp, OPERATOR)
         assert rep.bound_value == pytest.approx(2.0 * 1.0 / 20.0)
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            GeneralNoiseParams(1.0, 1.0, 1.0, epsilon=1.0)
 
 
 class TestEntrywise:
@@ -553,8 +545,7 @@ class TestEntrywise:
     def test_nonasymptotic_holds_strong_regime(self):
         p = self.params()
         inst = strong_instance(6)
-        inc = IncoherenceStats.from_instance(inst)
-        rep = two_inf_bound(p, inc)
+        rep = two_inf_bound(p, row_mass(inst.svd_signal.left[:, :2]))
         emp = window_2inf_residual(inst, 1, 1)
         assert rep.with_empirical(emp).violated is False
 
@@ -563,16 +554,14 @@ class TestEntrywise:
         p = GaussianBoundParams(
             n_rows=30, n_cols=5, singulars=(30.0, 20.0), k_lo=1, k_hi=2
         )
-        inc = IncoherenceStats(0.5, 0.5)
-        rep = two_inf_bound(p, inc)
+        rep = two_inf_bound(p, 0.5)
         assert rep.detail["tail_sum"] == pytest.approx(16.0 * 5 / 30.0**2)
 
     def test_vector_form_shape(self):
         p = GaussianBoundParams(
             n_rows=50, n_cols=50, singulars=(30.0, 20.0, 10.0), k_lo=2, k_hi=2
         )
-        inc = IncoherenceStats(0.3, 0.4)
-        rep = vector_inf_bound(p, inc)
+        rep = vector_inf_bound(p, 0.3)
         lnsum = np.log(100.0)
         ming = min(10.0, 10.0)
         expect = np.sqrt(3 + lnsum) / ming * 0.3 + np.sqrt(3 * lnsum) / 20.0 * 1.3
@@ -583,12 +572,30 @@ class TestEntrywise:
         # the aligned shape is the matrix shape plus e_norm^2 / sigma_1^2 times
         # the window row mass
         p = self.params()
-        inc = IncoherenceStats(0.1, 0.1)
-        shape = matrix_2inf_bound(p, inc).bound_value
-        assert aligned_2inf_bound(p, inc, 0.0, 0.3).bound_value == shape
-        rep = aligned_2inf_bound(p, inc, 100.0, 0.3)
+        shape = matrix_2inf_bound(p, 0.1).bound_value
+        assert aligned_2inf_bound(p, 0.1, 0.0, 0.3).bound_value == shape
+        rep = aligned_2inf_bound(p, 0.1, 100.0, 0.3)
         assert rep.bound_value == pytest.approx(shape + 100.0**2 / 2.0e5**2 * 0.3, rel=1e-12)
         assert rep.detail["non_quantitative"] is True
+
+    @pytest.mark.parametrize("u_2inf", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, u: two_inf_bound(p, u),
+            lambda p, u: vector_inf_bound(p, u),
+            lambda p, u: matrix_2inf_bound(p, u),
+            lambda p, u: aligned_2inf_bound(p, u, 1.0, 0.5),
+            lambda p, u: aligned_2inf_bound(p, 0.5, 1.0, u),
+            lambda p, u: weighted_window_bound(p, u),
+            lambda p, u: weighted_corollary_bound(
+                GaussianBoundParams(600, 600, (2.0e5, 1.2e5), 1, 2), u, 1.0
+            ),
+        ],
+    )
+    def test_row_mass_outside_unit_interval_rejected(self, call, u_2inf):
+        with pytest.raises(InvalidInputError, match="row-mass"):
+            call(self.params(), u_2inf)
 
 
 class TestLinearBilinear:
@@ -652,24 +659,22 @@ class TestWeighted:
     def test_theorem_strong_regime(self):
         p = strong_params()
         inst = strong_instance(9)
-        inc = IncoherenceStats.from_instance(inst)
-        rep = weighted_window_bound(p, inc)
+        rep = weighted_window_bound(p, row_mass(inst.svd_signal.left[:, :2]))
         emp = window_weighted_residual(inst, 1, 1)
         assert rep.with_empirical(emp).violated is False
 
     def test_corollary_needs_full_window(self):
         p = strong_params()  # window [1, 1] but rank 2
         with pytest.raises(InvalidParameterError):
-            weighted_corollary_bound(p, IncoherenceStats(0.1, 0.1), 1.0)
+            weighted_corollary_bound(p, 0.1, 1.0)
 
     def test_corollary_full_window(self):
         p = GaussianBoundParams(
             n_rows=600, n_cols=600, singulars=(2.0e5, 1.2e5), k_lo=1, k_hi=2
         )
         inst = strong_instance(10)
-        inc = IncoherenceStats.from_instance(inst)
         esv = singular_values(inst.noise)
-        rep = weighted_corollary_bound(p, inc, float(esv[0]))
+        rep = weighted_corollary_bound(p, row_mass(inst.svd_signal.left[:, :2]), float(esv[0]))
         emp = window_weighted_residual(inst, 1, 2, aligned=True)
         assert rep.with_empirical(emp).violated is False
 
@@ -761,12 +766,9 @@ class TestEmpiricalQuantity:
 class TestIncoherence:
     def test_from_instance(self):
         inst = make_instance(12)
-        inc = IncoherenceStats.from_instance(inst)
         u = inst.svd_signal.left[:, :3]
-        assert inc.u_2inf == pytest.approx(
-            float(np.max(np.sqrt(np.sum(u**2, axis=1))))
-        )
-        assert 0.0 < inc.u_2inf <= 1.0 + 1e-9
+        assert row_mass(u) == pytest.approx(float(np.max(np.sqrt(np.sum(u**2, axis=1)))))
+        assert 0.0 < row_mass(u) <= 1.0 + 1e-9
 
     def test_coherent_factors_hit_one(self):
         a, _ = gen_low_rank(
@@ -775,5 +777,4 @@ class TestIncoherence:
         )
         e = 0.01 * np.random.default_rng(2).standard_normal((20, 10))
         inst = perturb(a, e)
-        inc = IncoherenceStats.from_instance(inst)
-        assert inc.u_2inf == pytest.approx(1.0)
+        assert row_mass(inst.svd_signal.left[:, :2]) == pytest.approx(1.0)

@@ -443,6 +443,9 @@ class TestMain:
                 dict(CLI_BOUNDS_MODEL, noise_scale=float("inf")),
                 id="noise_scale-inf",
             ),
+            pytest.param(
+                ["mirsky:operator"], dict(CLI_BOUNDS_MODEL, n_rows=10**400), id="n_rows-1e400"
+            ),
         ],
     )
     def test_malformed_token_or_model_is_config_error(self, tmp_path, capsys, theorems, model):
@@ -495,6 +498,14 @@ class TestMain:
             for scenario, model in harness._DEFAULT_MODELS.items()
             for key, value in model.items()
             for bad in wrong_kinds(value)
+        ]
+        # an integer past int64, which no array size or index can take
+        cases += [
+            (scenario, key, bad)
+            for scenario, model in harness._DEFAULT_MODELS.items()
+            for key, value in model.items()
+            if isinstance(value, int) and not isinstance(value, bool)
+            for bad in (2**63, -(2**63) - 1, 10**400)
         ]
         cases += [
             ("bounds", "noise_scale", 0.0),
@@ -594,6 +605,17 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["config"]["base_seed"] == 12
 
+    def test_base_seed_past_int64_is_reduced_not_rejected(self, tmp_path):
+        # derive_seed works mod 2^64, so base_seed takes any integer, unlike a model value
+        p = tmp_path / "cfg.json"
+        reports = []
+        for i, seed in enumerate((5, 5 + 3 * 2**64)):
+            p.write_text(json.dumps({"scenario": "selftest", "trials": 2, "base_seed": seed}))
+            out = tmp_path / f"{i}.csv"
+            assert main(["selftest", "--config", str(p), "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_violation_budget_exit(self, monkeypatch, capsys):
         fake = SummaryReport(rows=[], config={}, version="0.1.0", exceeded=["t"])
         monkeypatch.setattr(harness, "run_monte_carlo", lambda cfg: fake)
@@ -604,13 +626,19 @@ class TestMain:
         # an InvalidInputError raised inside a trial is a runtime failure,
         # never an invalid config
         bad_seed = derive_seed(7, 2)
+        seeds = []  # the seed of the trial running now is seeds[-1]
         real = harness.perturb
 
-        def perturb(signal, noise, seed=0, factors=None):
-            if seed == bad_seed:
-                raise InvalidInputError("singular values must be nonnegative and descending")
-            return real(signal, noise, seed=seed, factors=factors)
+        def trial_seed(base_seed, i):
+            seeds.append(derive_seed(base_seed, i))
+            return seeds[-1]
 
+        def perturb(signal, noise, factors=None):
+            if seeds[-1] == bad_seed:
+                raise InvalidInputError("singular values must be nonnegative and descending")
+            return real(signal, noise, factors=factors)
+
+        monkeypatch.setattr(harness, "derive_seed", trial_seed)
         monkeypatch.setattr(harness, "perturb", perturb)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"theorems": ["mirsky:operator"], "model": BOUNDS_MODEL}))
