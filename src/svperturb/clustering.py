@@ -1,14 +1,15 @@
 """Seeded k-means and spectral clustering drivers, plus label matching.
 
 Labels are 1-based. k-means is Lloyd iteration with k-means++ seeding,
-multiple restarts and farthest-point repair of empty clusters; the whole
-path is deterministic for a fixed config. Labels are matched by an exact
-assignment solver for every k.
+restarts that run as one batch and farthest-point repair of empty
+clusters; the whole path is deterministic for a fixed config. Labels are
+matched by an exact assignment solver for every k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
@@ -56,9 +57,13 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "restarts", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.k < 1 or self.restarts < 1 or self.max_iter < 1:
             raise InvalidParameterError("k, restarts and max_iter must be positive")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise InvalidParameterError("tol must be nonnegative")
 
 
@@ -68,73 +73,111 @@ class RecoveryResult:
     exact: bool
 
 
-def _kpp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kpp_init(pts: np.ndarray, k: int, rngs: list) -> np.ndarray:
+    """k-means++ centers of every restart, shape (R, k, d).
+
+    Restart r draws only from rngs[r]. A weighted draw is Generator.choice(n,
+    p=q) written out: one random() u, then the count of normalized cumsum(q)
+    entries <= u.
+    """
     n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    idx = np.array([rng.integers(n) for rng in rngs])
+    centers = np.empty((len(rngs), k, pts.shape[1]))
+    centers[:, 0] = pts[idx]
+    d2 = np.sum((pts - centers[:, :1]) ** 2, axis=2)
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = int(rng.integers(n))
-        centers[j] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+        total = d2.sum(axis=1)
+        if not np.all(np.isfinite(total)):
+            raise InvalidInputError("squared distances overflow")
+        drawn = total > 0
+        cdf = np.cumsum(d2 / np.where(drawn, total, 1.0)[:, None], axis=1)
+        cdf /= np.where(drawn, cdf[:, -1], 1.0)[:, None]
+        for r, rng in enumerate(rngs):
+            idx[r] = np.count_nonzero(cdf[r] <= rng.random()) if drawn[r] else rng.integers(n)
+        centers[:, j] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[:, j : j + 1]) ** 2, axis=2))
     return centers
 
 
-def _lloyd(pts, k, rng, max_iter, tol):
+def _fill_empty(pts, d2, labels, centers, counts) -> None:
+    """Move the farthest points into the empty clusters of one restart, in place."""
+    owndist = d2[np.arange(pts.shape[0]), labels]
+    for j in np.flatnonzero(counts == 0):
+        far = int(owndist.argmax())
+        # all points already sit on centers: leave the cluster empty
+        if owndist[far] <= 0.0:
+            continue
+        labels[far] = j
+        centers[j] = pts[far]
+        owndist[far] = 0.0
+
+
+def _lloyd(pts, centers, max_iter, tol):
+    """Lloyd rounds of every restart from the (R, k, d) centers, which are
+    updated in place. The live restarts advance together and each stops on
+    its own inertia test. Returns the (R, n) labels and the (R,) inertias."""
+    n_rest, k, d = centers.shape
     n = pts.shape[0]
-    centers = _kpp_init(pts, k, rng)
-    labels = np.zeros(n, dtype=int)
-    prev = np.inf
-    inertia = np.inf
+    labels = np.zeros((n_rest, n), dtype=int)
+    inertia = np.full(n_rest, np.inf)
+    prev = np.full(n_rest, np.inf)
+    live = np.arange(n_rest)
+    weights = np.tile(pts.ravel(), n_rest)
     for _ in range(max_iter):
-        d2 = cdist(pts, centers, "sqeuclidean")
-        labels = d2.argmin(axis=1)
-        counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            owndist = d2[np.arange(n), labels]
-            for j in np.flatnonzero(counts == 0):
-                far = int(owndist.argmax())
-                # all points already sit on centers: leave the cluster empty
-                if owndist[far] <= 0.0:
-                    continue
-                labels[far] = j
-                centers[j] = pts[far]
-                owndist[far] = 0.0
-            counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j]:
-                centers[j] = pts[labels == j].mean(axis=0)
-        inertia = float(np.sum((pts - centers[labels]) ** 2))
-        if prev - inertia <= tol * max(1.0, inertia):
+        n_live = live.size
+        cen = centers[live]
+        rows = np.arange(n_live)[:, None]
+        d2 = cdist(pts, cen.reshape(-1, d), "sqeuclidean").reshape(n, n_live, k)
+        lab = np.ascontiguousarray(d2.argmin(axis=2).T)
+        key = lab + k * rows
+        counts = np.bincount(key.ravel(), minlength=n_live * k).reshape(n_live, k)
+        empty = np.flatnonzero((counts == 0).any(axis=1))
+        if empty.size:
+            for r in empty:
+                _fill_empty(pts, d2[:, r], lab[r], cen[r], counts[r])
+            key = lab + k * rows
+            counts = np.bincount(key.ravel(), minlength=n_live * k).reshape(n_live, k)
+        if d == 1:
+            # numpy sums a one-column selection pairwise, bincount row by row
+            sums = np.array([[pts[row == j].sum(axis=0) for j in range(k)] for row in lab])
+        else:
+            cells = ((key * d)[:, :, None] + np.arange(d)).ravel()
+            sums = np.bincount(cells, weights[: cells.size], minlength=n_live * k * d)
+            sums = sums.reshape(n_live, k, d)
+        np.divide(sums, counts[:, :, None], out=cen, where=counts[:, :, None] > 0)
+        # one row-major pairwise sum per restart, as np.sum over one restart
+        now = np.sum(((pts - cen[rows, lab]) ** 2).reshape(n_live, -1), axis=1)
+        centers[live] = cen
+        labels[live] = lab
+        inertia[live] = now
+        done = prev[live] - now <= tol * np.maximum(1.0, now)
+        prev[live] = now
+        live = live[~done]
+        if not live.size:
             break
-        prev = inertia
-    return labels, centers, inertia
+    return labels, inertia
 
 
 def kmeans(points, cfg: KMeansConfig):
     """Best-of-restarts Lloyd k-means.
 
-    Returns (labeling, centers, inertia). Restart r uses the generator
-    seeded with derive_seed(cfg.seed, r); ties on inertia keep the earliest
-    restart.
+    Returns (labeling, centers, inertia). The restarts run together: one
+    k-means++ seeding and one set of Lloyd rounds advance all of them, and
+    a restart drops out when its own inertia test stops it. Restart r draws
+    only from the generator seeded with derive_seed(cfg.seed, r), so each
+    restart makes the same draws as it would alone. Ties on inertia keep the
+    earliest restart. The distance array holds restarts * n * k doubles.
     """
     pts = as_matrix(points)
     if pts.shape[0] < cfg.k:
         raise InvalidParameterError(
             f"need at least k={cfg.k} points, got {pts.shape[0]}"
         )
-    best = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(derive_seed(cfg.seed, r))
-        labels, centers, inertia = _lloyd(pts, cfg.k, rng, cfg.max_iter, cfg.tol)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    labels, centers, inertia = best
-    return Labeling(labels + 1, cfg.k), centers, inertia
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, r)) for r in range(cfg.restarts)]
+    centers = _kpp_init(pts, cfg.k, rngs)
+    labels, inertia = _lloyd(pts, centers, cfg.max_iter, cfg.tol)
+    best = min(range(cfg.restarts), key=inertia.__getitem__)
+    return Labeling(labels[best] + 1, cfg.k), centers[best], float(inertia[best])
 
 
 def spectral_embedding(x, k: int) -> np.ndarray:

@@ -683,6 +683,20 @@ REPLAY_CONFIGS = {
         },
         "format": "csv",
     },
+    # both rows have valid > 0, so the report's bytes depend on the k-means labels
+    "gmm-valid": {
+        "scenario": "gmm",
+        "trials": 3,
+        "base_seed": 31,
+        "model": {
+            "n_features": 300,
+            "n_samples": 1500,
+            "n_clusters": 3,
+            "center_mode": "orthogonal",
+            "center_scale": 1.0e6,
+        },
+        "format": "csv",
+    },
     "submatrix-small": {
         "scenario": "submatrix",
         "trials": 2,

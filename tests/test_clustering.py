@@ -1,3 +1,6 @@
+import copy
+
+import kmeans_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from svperturb.clustering import (
     KMeansConfig,
     Labeling,
+    _kpp_init,
+    _lloyd,
     embedding_gap,
     kmeans,
     match_labels,
@@ -84,6 +89,160 @@ class TestKMeans:
         _, _, i2 = kmeans(pts, KMeansConfig(k=2, restarts=5, seed=0))
         _, _, i4 = kmeans(pts, KMeansConfig(k=4, restarts=5, seed=0))
         assert i4 <= i2 + 1e-9
+
+
+def _points(seed, n, d, kind, span, fortran):
+    """n x d points: a normal cloud with column scales, a mixture of tight
+    blobs, or an integer grid in [0, span) full of duplicate points."""
+    rng = np.random.default_rng(seed)
+    if kind == "cloud":
+        pts = rng.standard_normal((n, d)) * np.exp(3.0 * rng.standard_normal(d))
+    elif kind == "blobs":
+        centers = 10.0 * rng.standard_normal((span + 1, d))
+        pts = centers[rng.integers(0, span + 1, n)] + 0.3 * rng.standard_normal((n, d))
+    else:
+        pts = rng.integers(0, span, (n, d)).astype(float)
+    # spectral embeddings reach kmeans as column-major transposes
+    return np.asfortranarray(pts) if fortran else pts
+
+
+@st.composite
+def kmeans_cases(draw, max_d=5):
+    n = draw(st.integers(3, 200))
+    pts = _points(
+        draw(st.integers(0, 2**32 - 1)),
+        n,
+        draw(st.integers(1, max_d)),
+        draw(st.sampled_from(["cloud", "blobs", "grid"])),
+        draw(st.integers(1, 3)),
+        draw(st.booleans()),
+    )
+    cfg = KMeansConfig(
+        k=draw(st.integers(1, min(n, 7))),
+        restarts=draw(st.integers(1, 12)),
+        max_iter=draw(st.integers(1, 30)),
+        tol=draw(st.sampled_from([0.0, 1e-8, 1e-3])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return pts, cfg
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestKMeansConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": 3, "tol": float("nan")},
+            {"k": 3, "tol": -1e-9},
+            {"k": True},
+            {"k": 3, "restarts": True},
+            {"k": 3, "max_iter": False},
+            {"k": 3.0},
+            {"k": 3, "restarts": "10"},
+        ],
+        ids=[
+            "tol-nan",
+            "tol-negative",
+            "k-bool",
+            "restarts-bool",
+            "max_iter-bool",
+            "k-float",
+            "restarts-str",
+        ],
+    )
+    def test_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            KMeansConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = KMeansConfig(k=np.int64(3), restarts=np.int32(2), max_iter=np.uint8(5))
+        assert (cfg.k, cfg.restarts, cfg.max_iter) == (3, 2, 5)
+
+
+class TestBatchedKMeans:
+    """The batched kmeans against the per-restart loop in kmeans_reference."""
+
+    @given(kmeans_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, case):
+        pts, cfg = case
+        got_lab, got_centers, got_inertia = kmeans(pts, cfg)
+        want_lab, want_centers, want_inertia = kmeans_reference.kmeans(pts, cfg)
+        assert np.array_equal(got_lab.labels, want_lab.labels)
+        assert _same_bits(got_centers, want_centers)
+        assert got_inertia == want_inertia
+
+    @given(kmeans_cases(max_d=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_wide_points(self, case):
+        # rows of 9 or more coordinates are where numpy's pairwise sums
+        # depend on memory layout
+        pts, cfg = case
+        got = kmeans(pts, cfg)
+        want = kmeans_reference.kmeans(pts, cfg)
+        assert np.array_equal(got[0].labels, want[0].labels)
+        assert _same_bits(got[1], want[1]) and got[2] == want[2]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.sampled_from(["cloud", "grid"]),
+        st.integers(1, 3),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_seeding_draws_equal_generator_choice(self, seed, n, d, kind, span, restarts):
+        # the reference seeds through Generator.choice; the batched seeding
+        # spells that draw out and must take the same centers and leave
+        # each generator in the same state
+        pts = _points(seed, n, d, kind, span, False)
+        k = min(n, 5)
+        rngs = [np.random.default_rng(seed + r) for r in range(restarts)]
+        clones = [copy.deepcopy(rng) for rng in rngs]
+        got = _kpp_init(pts, k, rngs)
+        for r, clone in enumerate(clones):
+            want = kmeans_reference._kpp_init(pts, k, clone)
+            assert _same_bits(got[r], want)
+            assert rngs[r].bit_generator.state == clone.bit_generator.state
+
+    @given(kmeans_cases(), st.integers(0, 2**32 - 1), st.floats(0.1, 100.0))
+    @settings(max_examples=150, deadline=None)
+    def test_lloyd_from_any_centers_matches_reference(self, case, seed, spread):
+        # k-means++ almost never leaves a cluster empty while some point is
+        # off its center; arbitrary starting centers do, so this runs the
+        # repair that moves the farthest point
+        pts, cfg = case
+        start = spread * np.random.default_rng(seed).standard_normal(
+            (cfg.restarts, cfg.k, pts.shape[1])
+        )
+        centers = start.copy()
+        labels, inertia = _lloyd(pts, centers, cfg.max_iter, cfg.tol)
+        for r in range(cfg.restarts):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kmeans_reference, "_kpp_init", lambda *_, r=r: start[r].copy())
+                want = kmeans_reference._lloyd(pts, cfg.k, None, cfg.max_iter, cfg.tol)
+            assert np.array_equal(labels[r], want[0])
+            assert _same_bits(centers[r], want[1])
+            assert inertia[r] == want[2]
+
+    def test_identical_points_leave_clusters_empty(self):
+        # every point sits on a center, so the empty clusters stay empty
+        pts = np.ones((6, 2))
+        cfg = KMeansConfig(k=3, restarts=3, seed=4)
+        got = kmeans(pts, cfg)
+        want = kmeans_reference.kmeans(pts, cfg)
+        assert np.all(got[0].labels == 1)
+        assert np.array_equal(got[0].labels, want[0].labels)
+        assert _same_bits(got[1], want[1]) and got[2] == want[2] == 0.0
+
+    def test_overflowing_distances_rejected(self):
+        pts = np.array([[0.0], [1e200], [-1e200]])
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+            kmeans(pts, KMeansConfig(k=2))
 
 
 class TestMisclassification:
