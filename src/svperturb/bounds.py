@@ -11,6 +11,7 @@ with constant 1 and flagged non-quantitative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def dim_snr_flags(
 ) -> tuple[bool, bool | None]:
     """(dim_ok, snr_ok): the dimension and signal-strength hypotheses on an
     N x n rank-r model. snr_ok is None without sigma_min; the Gaussian
-    bounds test r0() instead."""
+    bounds test r0 instead."""
     root = np.sqrt(n_rows) + np.sqrt(n_cols)
     logsum = np.log(n_rows + n_cols)
     dim_ok = bool(root**2 >= 32.0 * (tail + 7.0) * logsum + 64.0 * np.log(9.0) * rank)
@@ -212,7 +213,7 @@ class GaussianBoundParams:
             return self.singulars[-1]
         return self.singulars[i - 1] - self.singulars[i]
 
-    @property
+    @cached_property
     def min_gap(self) -> float:
         return min(self.delta(self.k_lo - 1), self.delta(self.k_hi))
 
@@ -221,7 +222,7 @@ class GaussianBoundParams:
         if self.k_lo != 1 or self.k_hi != self.rank:
             raise InvalidParameterError("the corollary needs the full window [1, rank]")
 
-    @property
+    @cached_property
     def window_lead(self) -> float:
         """3 sqrt(2) (b+1)^2 / (b-1)^2 [window != rank], the leading constant of
         the windowed statements."""
@@ -229,17 +230,17 @@ class GaussianBoundParams:
         off_full = 0.0 if self.window == self.rank else 1.0
         return 3.0 * _SQRT2 * ((b + 1.0) ** 2 / (b - 1.0) ** 2) * off_full
 
-    @property
+    @cached_property
     def tail_factor(self) -> float:
         """2 sqrt(2) b^2 / (b-1)^2, the constant of the spectrum-tail terms."""
         b = self.margin
         return 2.0 * _SQRT2 * b**2 / (b - 1.0) ** 2
 
-    @property
+    @cached_property
     def dim_sum_log(self) -> float:
         return float(np.log(self.n_rows + self.n_cols))
 
-    @property
+    @cached_property
     def eta(self) -> float:
         b = self.margin
         return float(
@@ -249,7 +250,7 @@ class GaussianBoundParams:
             * np.sqrt(2.0 * np.log(9.0) * self.rank + (self.tail + 7.0) * self.dim_sum_log)
         )
 
-    @property
+    @cached_property
     def gamma(self) -> float:
         b = self.margin
         return float(
@@ -259,22 +260,23 @@ class GaussianBoundParams:
             * np.sqrt(self.rank * (self.tail + 7.0) * self.dim_sum_log)
         )
 
-    @property
+    @cached_property
     def chi(self) -> float:
         return 1.0 + margin_offsets(self.margin)[0]
 
-    @property
+    @cached_property
     def xi(self) -> float:
         return 1.0 + margin_offsets(self.margin)[1]
 
-    @property
+    @cached_property
     def base_radius(self) -> float:
         return min_abs_z(self.n_rows, self.n_cols, self.margin)
 
-    @property
+    @cached_property
     def k0(self) -> int:
         return min(self.k_lo, self.rank - self.k_lo)
 
+    @cached_property
     def r0(self) -> int | None:
         """Largest index in [k_hi, rank] whose singular value clears the noise
         floor and whose gap clears the window threshold; None if none does."""
@@ -285,10 +287,11 @@ class GaussianBoundParams:
                 return j
         return None
 
+    @cached_property
     def preconditions(self) -> PreconditionFlags:
         dim_ok, _ = dim_snr_flags(self.n_rows, self.n_cols, self.rank, self.tail)
         gap_ok = bool(self.min_gap >= 75.0 * self.chi * self.eta * self.rank)
-        return PreconditionFlags(dim_ok=dim_ok, snr_ok=self.r0() is not None, gap_ok=gap_ok)
+        return PreconditionFlags(dim_ok=dim_ok, snr_ok=self.r0 is not None, gap_ok=gap_ok)
 
     def tail_probability(self, count: float) -> float:
         return tail_probability(count, self.n_rows, self.n_cols, self.tail)
@@ -430,7 +433,7 @@ def _alt_factor(margin: float) -> float:
 def _shape_report(theorem_id: str, p: GaussianBoundParams, value: float) -> BoundReport:
     """A constant-free asymptotic statement: constant 1, no probability."""
     return BoundReport.build(
-        theorem_id, value, 0.0, p.preconditions(), None, {"non_quantitative": True}
+        theorem_id, value, 0.0, p.preconditions, None, {"non_quantitative": True}
     )
 
 
@@ -458,12 +461,12 @@ def gauss_subspace_bound(
         lead = 6.0 * _SQRT2 * bfac * np.sqrt(max(min(w, p.rank - w), 0))
     first = lead * p.eta * np.sqrt(w) / p.min_gap
     second = 2.0 * cross_norm / p.singulars[p.k_hi - 1]
-    flags = p.preconditions()
+    flags = p.preconditions
     prob = 1.0 - p.tail_probability(20.0) if flags.all_ok else 0.0
     detail = {
         "first_term": float(first),
         "cross_term": float(second),
-        "r0": p.r0(),
+        "r0": p.r0,
         "bound_alt_b2": float(first * _alt_factor(b) + second),
     }
     return BoundReport.build(
@@ -499,7 +502,7 @@ def gauss_sv_location_check(
     if not p.k_lo <= j <= p.k_hi:
         raise InvalidParameterError(f"j={j} outside the window [{p.k_lo}, {p.k_hi}]")
     observed = float(inst.svd_observed.singulars[j - 1])
-    flags = p.preconditions()
+    flags = p.preconditions
     prob = 1.0 - p.tail_probability(10.0) if flags.all_ok else 0.0
     theorem_id = f"gauss_sv_location:j{j}"
     try:
@@ -639,7 +642,7 @@ def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     whose signal value exceeds (column count)^2 enter the wide-tail sum.
     u_2inf is the largest row length of the signal's left factor."""
     u = _checked_row_mass(u_2inf)
-    flags = p.preconditions()
+    flags = p.preconditions
     first = p.window_lead * u * p.eta * np.sqrt(p.window) / p.min_gap
     col_cut = float(p.n_cols) ** 2
     acc = 0.0
@@ -678,7 +681,7 @@ def linear_bilinear_bound(
     if y.shape[0] != w:
         raise InvalidParameterError(f"y must have window length {w}, got {y.shape[0]}")
     hyp_ok = p.singulars[0] <= float(p.n_cols) ** 2
-    flags = p.preconditions()
+    flags = p.preconditions
     prob = 1.0 - p.tail_probability(40.0) if (flags.all_ok and hyp_ok) else 0.0
     lead = p.window_lead * x_signal_norm * p.eta / p.min_gap
     tail_coef = p.tail_factor * p.gamma * (1.0 + x_signal_norm)
@@ -698,7 +701,7 @@ def weighted_window_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     """Row-wise bound on the observed-value weighted window [k_lo, k_hi]."""
     u = _checked_row_mass(u_2inf)
     w = p.window
-    flags = p.preconditions()
+    flags = p.preconditions
     first = p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w) / p.min_gap
     second = p.tail_factor * (1.0 + u) * np.sqrt(p.gamma**2 * w + 16.0)
     prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
@@ -714,7 +717,7 @@ def weighted_corollary_bound(
     p.require_full_window()
     u = _checked_row_mass(u_2inf)
     b = p.margin
-    flags = p.preconditions()
+    flags = p.preconditions
     scale = 36.0 * b**4 / (b - 1.0) ** 4 * p.rank * np.sqrt((p.tail + 7.0) * p.dim_sum_log)
     first = scale * (1.0 + u)
     second = 2.0 * u * e_norm**2 / p.singulars[-1]

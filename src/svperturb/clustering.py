@@ -3,7 +3,8 @@
 Labels are 1-based. k-means is Lloyd iteration with k-means++ seeding,
 restarts that run as one batch and farthest-point repair of empty
 clusters; the whole path is deterministic for a fixed config. Labels are
-matched by an exact assignment solver for every k.
+matched through the optimal value of a k x k assignment problem, solved
+exactly by the Hungarian method for every k.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, InvalidParameterError
 from .matcore import as_matrix, leading_svd
@@ -112,6 +110,20 @@ def _fill_empty(pts, d2, labels, centers, counts) -> None:
         owndist[far] = 0.0
 
 
+def _sq_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from the points to the m centers.
+
+    Each distance is summed one coordinate after another, the order of a
+    scalar loop s += (x_j - c_j)**2, which is how a per-pair distance
+    routine sums; a pairwise or blocked sum would round differently and
+    could move a label.
+    """
+    d2 = (pts[:, :1] - centers[:, 0]) ** 2
+    for j in range(1, pts.shape[1]):
+        d2 += (pts[:, j : j + 1] - centers[:, j]) ** 2
+    return d2
+
+
 def _lloyd(pts, centers, max_iter, tol):
     """Lloyd rounds of every restart from the (R, k, d) centers, which are
     updated in place. The live restarts advance together and each stops on
@@ -127,7 +139,7 @@ def _lloyd(pts, centers, max_iter, tol):
         n_live = live.size
         cen = centers[live]
         rows = np.arange(n_live)[:, None]
-        d2 = cdist(pts, cen.reshape(-1, d), "sqeuclidean").reshape(n, n_live, k)
+        d2 = _sq_distances(pts, cen.reshape(-1, d)).reshape(n, n_live, k)
         lab = np.ascontiguousarray(d2.argmin(axis=2).T)
         key = lab + k * rows
         counts = np.bincount(key.ravel(), minlength=n_live * k).reshape(n_live, k)
@@ -220,15 +232,59 @@ def _confusion(truth: Labeling, found: Labeling) -> np.ndarray:
     return conf
 
 
+def _max_assignment(conf: np.ndarray) -> int:
+    """Largest sum of k entries of the integer k x k matrix conf, one in each
+    row and each column.
+
+    Hungarian method with row and column potentials (Kuhn 1955; Munkres
+    1957), O(k^3) on Python integers, so the value is exact. It minimizes
+    the cost -conf, adding one row per outer step and growing a shortest
+    augmenting path over the columns. k is a cluster count, so scalar loops
+    cost less here than array operations.
+    """
+    cost = [[-x for x in row] for row in conf.tolist()]
+    k = len(cost)
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
+    row_of = [0] * (k + 1)  # row_of[j]: the row matched to column j, 0 for none
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [float("inf")] * (k + 1)
+        came_from = [0] * (k + 1)
+        used = [False] * (k + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = float("inf"), 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], came_from[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = came_from[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return sum(int(conf[row_of[j] - 1, j - 1]) for j in range(1, k + 1))
+
+
 def match_labels(truth: Labeling, found: Labeling) -> RecoveryResult:
     """Misclassification under the best label bijection and exactness flag."""
     if len(truth) != len(found):
         raise InvalidInputError("labelings have different lengths")
     if truth.k != found.k:
         raise InvalidInputError(f"group counts differ: {truth.k} vs {found.k}")
-    conf = _confusion(truth, found)
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    hits = int(conf[rows, cols].sum())
+    hits = _max_assignment(_confusion(truth, found))
     rate = float(len(truth) - hits) / float(len(truth))
     return RecoveryResult(misclassification=rate, exact=(rate == 0.0))
 
@@ -247,6 +303,6 @@ def embedding_gap(embedding, truth_embedding) -> float:
         raise InvalidInputError(
             f"truth embedding must be {emb.shape[0]} x {emb.shape[1]}, got {t.shape}"
         )
-    rot, _ = orthogonal_procrustes(t.T, emb.T)
-    diff = t.T @ rot - emb.T
+    u, _, vt = np.linalg.svd(t @ emb.T)
+    diff = t.T @ (u @ vt) - emb.T
     return row_mass(diff)

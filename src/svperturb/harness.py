@@ -1205,6 +1205,9 @@ def main(argv=None) -> int:
     except (NumericalFailureError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    unjudged = [row["theorem_id"] for row in summary.rows if not row["valid"]]
+    if unjudged:
+        print("note: no valid trial in rows: " + ", ".join(unjudged), file=sys.stderr)
     if summary.exceeded:
         print(
             "violation budget exceeded: " + ", ".join(summary.exceeded),

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsyrk
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 
@@ -218,10 +216,10 @@ def singular_values(a) -> np.ndarray:
 def gram_spectrum(a) -> np.ndarray:
     """Singular values of `a`, descending, from the smaller Gram matrix.
 
-    Forms a.T @ a or a @ a.T, whichever is min(N, n) square, with one BLAS
-    syrk on `a` in place, takes its eigenvalues from the upper triangle,
-    overwriting it, and returns their square roots, rounding negatives
-    clipped to 0.
+    Forms a.T @ a or a @ a.T, whichever is min(N, n) square, takes its
+    eigenvalues and returns their square roots, rounding negatives clipped
+    to 0. Raises NumericalFailureError when the eigensolver does not
+    converge.
 
     Precision: each eigenvalue is within about eps * ||a||^2 of sigma^2, so
     each value sigma is within about eps * ||a||^2 / sigma of the exact one,
@@ -233,11 +231,9 @@ def gram_spectrum(a) -> np.ndarray:
     1e-150) are outside its range.
     """
     a = as_matrix(a)
-    # the transpose of a C-ordered matrix is Fortran-ordered: syrk reads it
-    # without a copy, trans=1 forming a @ a.T and trans=0 a.T @ a
-    gram = dsyrk(1.0, a.T, trans=int(a.shape[0] <= a.shape[1]))
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
     try:
-        w = scipy.linalg.eigvalsh(gram, lower=False, overwrite_a=True, check_finite=False)
+        w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Gram eigenvalues did not converge: {exc}") from None
     return np.sqrt(np.maximum(w[::-1], 0.0))

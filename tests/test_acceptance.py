@@ -287,7 +287,7 @@ def heavy_stream():
 
 
 def test_gauss_sin_theta_operator(heavy_stream):
-    assert heavy_stream["p_top"].preconditions().all_ok
+    assert heavy_stream["p_top"].preconditions.all_ok
     valid, bad = _tally(heavy_stream["rows"]["sin_theta"])
     cap = _rate_cap(20.0, 1800, 1.0, valid)
     rate = bad / valid

@@ -214,18 +214,18 @@ class TestGaussianBoundParams:
 
     def test_r0_picks_largest_qualifying(self):
         p = strong_params(singulars=(2.0e5, 1.2e5))
-        assert p.r0() == 2
+        assert p.r0 == 2
         # second value too small to clear the noise floor: falls back to 1
         p2 = strong_params(singulars=(2.0e5, 1.0))
-        assert p2.r0() == 1
+        assert p2.r0 == 1
 
     def test_preconditions_strong_regime(self):
-        flags = strong_params().preconditions()
+        flags = strong_params().preconditions
         assert flags.dim_ok and flags.snr_ok and flags.gap_ok
 
     def test_preconditions_weak_regime(self):
         p = self.params()
-        flags = p.preconditions()
+        flags = p.preconditions
         assert not flags.snr_ok  # unit-noise floor far above these values
 
     def test_tail_probability_clipped(self):

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import orthogonal_procrustes
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from svperturb.clustering import (
     KMeansConfig,
     Labeling,
+    _confusion,
     _kpp_init,
     _lloyd,
+    _max_assignment,
+    _sq_distances,
     embedding_gap,
     kmeans,
     match_labels,
@@ -188,6 +194,22 @@ class TestBatchedKMeans:
 
     @given(
         st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 20),
+        st.integers(1, 12),
+        st.sampled_from(["C", "F"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_distances_equal_cdist_bit_for_bit(self, seed, n, m, d, order):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-3, 4, size=d)
+        pts = np.asarray(rng.standard_normal((n, d)) * scale, order=order)
+        centers = rng.standard_normal((m, d)) * scale
+        want = cdist(pts, centers, "sqeuclidean")
+        assert _same_bits(_sq_distances(pts, centers), want)
+
+    @given(
+        st.integers(0, 2**32 - 1),
         st.integers(1, 40),
         st.integers(1, 3),
         st.sampled_from(["cloud", "grid"]),
@@ -302,7 +324,35 @@ class TestMisclassification:
         assert misclassification(t, f) == 0.0
 
 
+@st.composite
+def confusion_matrix(draw):
+    """An integer k x k matrix, k in 1..12: small entries with many ties or
+    wide ones, some rows and columns zeroed, or the confusion of two
+    labelings (one a relabeled, partly scrambled copy of the other)."""
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["ties", "wide", "labelings"]))
+    if form == "labelings":
+        n = draw(st.integers(1, 300))
+        truth = rng.integers(1, k + 1, size=n)
+        found = rng.permutation(k)[truth - 1] + 1
+        scrambled = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        found[scrambled] = rng.integers(1, k + 1, size=int(scrambled.sum()))
+        return _confusion(Labeling(truth, k), Labeling(found, k))
+    conf = rng.integers(0, 3 if form == "ties" else 10**6, size=(k, k))
+    zeroed = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    conf[rng.random(k) < zeroed] = 0
+    conf[:, rng.random(k) < zeroed] = 0
+    return conf
+
+
 class TestMatchLabels:
+    @given(confusion_matrix())
+    @settings(max_examples=300, deadline=None)
+    def test_optimum_equals_linear_sum_assignment(self, conf):
+        rows, cols = linear_sum_assignment(conf, maximize=True)
+        assert _max_assignment(conf) == int(conf[rows, cols].sum())
+
     def test_exact_and_permutation(self):
         t = Labeling(np.array([1, 1, 2, 2, 3, 3]), 3)
         f = Labeling(np.array([3, 3, 1, 1, 2, 2]), 3)
@@ -356,6 +406,16 @@ class TestSpectral:
         labs = spectral_submatrix(sample.x, 2, KMeansConfig(k=3, restarts=10, seed=3))
         assert misclassification(sample.col_truth, labs.cols) == 0.0
         assert misclassification(sample.row_truth, labs.rows) == 0.0
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_embedding_gap_matches_procrustes_reference(self, k, seed):
+        rng = np.random.default_rng(seed)
+        truth = rng.standard_normal((k, 30))
+        emb = rng.standard_normal((k, k)) @ truth + 0.1 * rng.standard_normal((k, 30))
+        rot, _ = orthogonal_procrustes(truth.T, emb.T)
+        want = np.sqrt(((truth.T @ rot - emb.T) ** 2).sum(axis=1)).max()
+        assert embedding_gap(emb, truth) == pytest.approx(want, rel=1e-12)
 
     def test_embedding_gap_zero_noise(self):
         spec = GmmSpec(

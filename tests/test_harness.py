@@ -58,6 +58,14 @@ def wrong_kinds(value) -> list:
     return [value[0], [True]]
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    subprocesses that import svperturb."""
+    src = str(Path(harness.__file__).parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def config(**kw):
     base = dict(
         scenario="bounds",
@@ -529,20 +537,41 @@ class TestMain:
             harness._FACTORIES[scenario](replace(cfg, model=keys))
             assert keys.read >= set(model), scenario
 
-    def test_module_entry_point_runs(self, tmp_path):
-        src = str(Path(harness.__file__).parents[1])
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    @pytest.mark.parametrize("module", ["svperturb", "svperturb.harness"])
+    def test_module_entry_point_runs(self, tmp_path, module):
         proc = subprocess.run(
-            [sys.executable, "-m", "svperturb.harness", "selftest", "--trials", "1"],
+            [sys.executable, "-m", module, "selftest", "--trials", "1"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_src_env(),
             cwd=tmp_path,
             timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith(",".join(harness._CSV_COLUMNS) + "\n")
+        if module == "svperturb":
+            assert proc.stderr == ""
+
+    def test_runs_without_loading_scipy(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import svperturb\n"
+            "from svperturb.harness import main\n"
+            f"codes = [main([s, '--trials', '1', '--out', s + '.csv']) for s in {harness._SCENARIOS!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            cwd=tmp_path,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK] * len(harness._SCENARIOS)
+        assert scipy_modules == []
 
     def test_linalg_error_while_building_is_runtime(self, monkeypatch, capsys):
         def factory(cfg):
@@ -573,6 +602,20 @@ class TestMain:
         assert main(["bounds", "--config", str(p), "--out", str(out1)]) == EXIT_OK
         assert main(["bounds", "--config", str(p), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_rows_without_a_valid_trial_are_named_on_stderr(self, tmp_path, capsys):
+        # a unit signal under unit noise: no trial has the positive gap wedin needs
+        model = {"n_rows": 5, "n_cols": 4, "singulars": [1.0], "k_lo": 1, "k_hi": 1}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"model": model, "trials": 3, "base_seed": 2}))
+        assert main(["bounds", "--config", str(p)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "wedin:k1:frobenius,3,0,0,,,,\n" in out
+        assert "wedin:k1:operator,3,0,0,,,,\n" in out
+        assert err == "note: no valid trial in rows: wedin:k1:frobenius, wedin:k1:operator\n"
+        p.write_text(json.dumps({"model": model, "trials": 3, "theorems": ["mirsky:operator"]}))
+        assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_json_output_contains_config_echo(self, tmp_path, capsys):
         out = tmp_path / "r.json"
