@@ -48,7 +48,6 @@ from .models import (
     PerturbationInstance,
     SubmatrixSample,
     SubmatrixSpec,
-    gen_low_rank,
     haar_basis,
     low_rank_from_rng,
     perturb,

@@ -21,9 +21,9 @@ from .errors import (
     InvalidParameterError,
 )
 from .matcore import NormSpec, gauge, require_norm, singular_values
-from .models import PerturbationInstance
+from .models import PerturbationInstance, check_spectrum
 from .resolvent import margin_offsets, min_abs_z
-from .subspace import procrustes_align, row_mass, sin_theta_norm, two_inf_residual
+from .subspace import procrustes_align, row_mass, sin_theta_norm
 
 VIOLATION_SLACK = 1e-9
 
@@ -153,10 +153,18 @@ def check_tail(tail: float) -> float:
     return tail
 
 
-def tail_probability(count: float, n_rows: int, n_cols: int, tail: float) -> float:
-    """Failure budget count * (N+n)^-tail, floored into [0, 1]."""
-    val = count * float(n_rows + n_cols) ** (-tail)
-    return float(min(1.0, max(0.0, val)))
+def probability_floor(count: float, n_rows: int, n_cols: int, tail: float, holds: bool) -> float:
+    """1 - count (N+n)^-tail, the failure budget clipped into [0, 1], when
+    every precondition of the statement holds; 0 otherwise."""
+    if not holds:
+        return 0.0
+    budget = count * float(n_rows + n_cols) ** (-tail)
+    return 1.0 - float(min(1.0, max(0.0, budget)))
+
+
+def _over_gap(value: float, gap: float) -> float:
+    """value / gap; +inf at a zero gap (tied singular values), never NaN."""
+    return float(value) / gap if gap > 0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -178,18 +186,11 @@ class GaussianBoundParams:
     tail: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "singulars", tuple(float(v) for v in self.singulars))
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise InvalidParameterError("dimensions must be positive")
-        r = len(self.singulars)
-        if r < 1 or r > min(self.n_rows, self.n_cols):
-            raise InvalidParameterError(f"rank {r} out of range for the shape")
-        s = np.asarray(self.singulars)
-        if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) > 0):
-            raise InvalidParameterError("singulars must be positive and descending")
-        if not (1 <= self.k_lo <= self.k_hi <= r):
+        singulars = check_spectrum(self.n_rows, self.n_cols, self.singulars)
+        object.__setattr__(self, "singulars", singulars)
+        if not (1 <= self.k_lo <= self.k_hi <= self.rank):
             raise InvalidParameterError(
-                f"need 1 <= k_lo <= k_hi <= rank, got [{self.k_lo}, {self.k_hi}], r={r}"
+                f"need 1 <= k_lo <= k_hi <= rank, got [{self.k_lo}, {self.k_hi}], r={self.rank}"
             )
         if not self.margin >= 2.0:  # NaN fails too
             raise InvalidParameterError("margin must be at least 2")
@@ -293,8 +294,12 @@ class GaussianBoundParams:
         gap_ok = bool(self.min_gap >= 75.0 * self.chi * self.eta * self.rank)
         return PreconditionFlags(dim_ok=dim_ok, snr_ok=self.r0 is not None, gap_ok=gap_ok)
 
-    def tail_probability(self, count: float) -> float:
-        return tail_probability(count, self.n_rows, self.n_cols, self.tail)
+    def probability_floor(self, count: float, holds: bool = True) -> float:
+        """probability_floor on this model, holding when the preconditions
+        and the statement's own hypothesis `holds` do."""
+        return probability_floor(
+            count, self.n_rows, self.n_cols, self.tail, self.preconditions.all_ok and holds
+        )
 
 
 @dataclass(frozen=True)
@@ -323,19 +328,26 @@ def _checked_row_mass(u_2inf: float) -> float:
     return u_2inf
 
 
-def _window_cols(factors, k_lo: int, k_hi: int) -> slice:
-    c = factors.vector_count
-    if not (1 <= k_lo <= k_hi <= c):
-        raise InvalidParameterError(
-            f"window [{k_lo}, {k_hi}] out of range ({c} vector pairs held)"
-        )
+def _window_cols(inst: PerturbationInstance, k_lo: int, k_hi: int) -> slice:
+    """The columns of a window of signal vector pairs, which the observed
+    factors always hold too."""
+    r = inst.rank()
+    if not (1 <= k_lo <= k_hi <= r):
+        raise InvalidParameterError(f"window [{k_lo}, {k_hi}] out of range (rank {r})")
     return slice(k_lo - 1, k_hi)
 
 
-def _padded(values, m: int) -> np.ndarray:
-    out = np.zeros(m)
-    out[: values.shape[0]] = values
-    return out
+def _cross_spectra(inst: PerturbationInstance, k: int, w: slice):
+    """Singular values of the noise between the complement of the top-k
+    signal factors and the observed vector pairs w: those of
+    (I - U U.T) E Vt_w and of (I - V V.T) E.T Ut_w."""
+    u = inst.svd_signal.left[:, :k]
+    v = inst.svd_signal.right[:, :k]
+    b1 = inst.noise @ inst.svd_observed.right[:, w]
+    b1 -= u @ (u.T @ b1)
+    b2 = inst.noise.T @ inst.svd_observed.left[:, w]
+    b2 -= v @ (v.T @ b2)
+    return singular_values(b1), singular_values(b2)
 
 
 def mirsky_check(
@@ -349,7 +361,8 @@ def mirsky_check(
         e_singulars = singular_values(inst.noise)
     bound = gauge(e_singulars, spec)
     # thin signal factors hold only the r nonzero values
-    diff = _padded(inst.svd_signal.singulars, m) - _padded(inst.svd_observed.singulars, m)
+    sig = inst.svd_signal.singulars
+    diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.svd_observed.singulars
     empirical = gauge(diff, spec)
     return BoundReport.build(f"mirsky:{spec.label}", bound, 1.0, ALL_OK, empirical)
 
@@ -374,19 +387,10 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
         return BoundReport.build(
             theorem_id, np.inf, 0.0, flags, None, {"gap_hat": gap_hat}
         )
-    u_k = inst.svd_signal.left[:, :k]
-    v_k = inst.svd_signal.right[:, :k]
-    ut_k = inst.svd_observed.left[:, :k]
-    vt_k = inst.svd_observed.right[:, :k]
-    b1 = inst.noise @ vt_k
-    b1 -= u_k @ (u_k.T @ b1)
-    b2 = inst.noise.T @ ut_k
-    b2 -= v_k @ (v_k.T @ b2)
-    numerator = max(
-        gauge(singular_values(b1), spec), gauge(singular_values(b2), spec)
-    )
-    sin_left = sin_theta_norm(u_k, ut_k, spec)
-    sin_right = sin_theta_norm(v_k, vt_k, spec)
+    numerator = max(gauge(vals, spec) for vals in _cross_spectra(inst, k, slice(0, k)))
+    sig, obs = inst.svd_signal, inst.svd_observed
+    sin_left = sin_theta_norm(sig.left[:, :k], obs.left[:, :k], spec)
+    sin_right = sin_theta_norm(sig.right[:, :k], obs.right[:, :k], spec)
     return BoundReport.build(
         theorem_id,
         numerator / gap_hat,
@@ -397,13 +401,7 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
     )
 
 
-def cross_term_norm(
-    inst: PerturbationInstance,
-    k_lo: int,
-    k_hi: int,
-    spec: NormSpec,
-    rank: int | None = None,
-) -> float:
+def cross_term_norm(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: NormSpec) -> float:
     """Invariant norm of the direct sum of the two noise cross terms.
 
     Blocks are the noise compressed between the full signal complement and
@@ -411,18 +409,8 @@ def cross_term_norm(
     the concatenated singular values.
     """
     require_norm(spec, min(inst.shape))
-    r = inst.rank() if rank is None else rank
-    u = inst.svd_signal.left[:, :r]
-    v = inst.svd_signal.right[:, :r]
-    w = _window_cols(inst.svd_observed, k_lo, k_hi)
-    vt_w = inst.svd_observed.right[:, w]
-    ut_w = inst.svd_observed.left[:, w]
-    b1 = inst.noise @ vt_w
-    b1 -= u @ (u.T @ b1)
-    b2 = inst.noise.T @ ut_w
-    b2 -= v @ (v.T @ b2)
-    vals = np.concatenate([singular_values(b1), singular_values(b2)])
-    return gauge(vals, spec)
+    w = _window_cols(inst, k_lo, k_hi)
+    return gauge(np.concatenate(_cross_spectra(inst, inst.rank(), w)), spec)
 
 
 def _alt_factor(margin: float) -> float:
@@ -459,18 +447,17 @@ def gauss_subspace_bound(
     else:
         bfac = (b + 1.0) ** 2 / (b - 1.0) ** 2
         lead = 6.0 * _SQRT2 * bfac * np.sqrt(max(min(w, p.rank - w), 0))
-    first = lead * p.eta * np.sqrt(w) / p.min_gap
+    first = _over_gap(lead * p.eta * np.sqrt(w), p.min_gap)
     second = 2.0 * cross_norm / p.singulars[p.k_hi - 1]
-    flags = p.preconditions
-    prob = 1.0 - p.tail_probability(20.0) if flags.all_ok else 0.0
     detail = {
         "first_term": float(first),
         "cross_term": float(second),
         "r0": p.r0,
         "bound_alt_b2": float(first * _alt_factor(b) + second),
     }
+    prob = p.probability_floor(20.0)
     return BoundReport.build(
-        f"gauss_sin_theta:{spec.label}", first + second, prob, flags, None, detail
+        f"gauss_sin_theta:{spec.label}", first + second, prob, p.preconditions, None, detail
     )
 
 
@@ -482,7 +469,7 @@ def gauss_subspace_simplified(p: GaussianBoundParams, e_norm: float) -> BoundRep
     """
     kk = p.k_lo
     shape = (
-        np.sqrt(kk * p.k0) * np.sqrt(p.rank + p.dim_sum_log) / p.delta(kk)
+        _over_gap(np.sqrt(kk * p.k0) * np.sqrt(p.rank + p.dim_sum_log), p.delta(kk))
         + kk * e_norm / p.singulars[kk - 1]
     )
     return _shape_report("gauss_sin_theta_simplified", p, shape)
@@ -503,7 +490,7 @@ def gauss_sv_location_check(
         raise InvalidParameterError(f"j={j} outside the window [{p.k_lo}, {p.k_hi}]")
     observed = float(inst.svd_observed.singulars[j - 1])
     flags = p.preconditions
-    prob = 1.0 - p.tail_probability(10.0) if flags.all_ok else 0.0
+    prob = p.probability_floor(10.0)
     theorem_id = f"gauss_sv_location:j{j}"
     try:
         phi_val = float(phi_at(observed))
@@ -590,11 +577,11 @@ def general_subspace_bound(
     """
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..r={r}")
-    if delta_k <= 0 or sigma_k <= 0:
-        raise InvalidParameterError("delta_k and sigma_k must be positive")
+    if delta_k < 0 or sigma_k <= 0:
+        raise InvalidParameterError("delta_k must be nonnegative and sigma_k positive")
     gap_ok = bool(delta_k >= 2.0 * gp.core_bound)
     flags = PreconditionFlags(True, True, gap_ok)
-    core = gp.core_bound / delta_k + 2.0 * gp.op_bound**2 / (delta_k * sigma_k)
+    core = _over_gap(gp.core_bound, delta_k) + _over_gap(2.0 * gp.op_bound**2, delta_k * sigma_k)
     if spec.kind == "operator":
         first = 2.0 * np.sqrt(k) * core * (1.0 if k < r else 0.0)
         second = 2.0 * gp.op_bound / sigma_k
@@ -612,7 +599,8 @@ def _row_shape(p: GaussianBoundParams, u: float, scale: float, gap: float) -> fl
     the asymptotic row-wise shape of the leading window."""
     r, lnsum = p.rank, p.dim_sum_log
     sigma_k = p.singulars[p.k_lo - 1]
-    return scale * np.sqrt(r + lnsum) / gap * u + scale * np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
+    near = _over_gap(scale * np.sqrt(r + lnsum), gap) * u
+    return near + scale * np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
 
 
 def vector_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
@@ -642,8 +630,7 @@ def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     whose signal value exceeds (column count)^2 enter the wide-tail sum.
     u_2inf is the largest row length of the signal's left factor."""
     u = _checked_row_mass(u_2inf)
-    flags = p.preconditions
-    first = p.window_lead * u * p.eta * np.sqrt(p.window) / p.min_gap
+    first = _over_gap(p.window_lead * u * p.eta * np.sqrt(p.window), p.min_gap)
     col_cut = float(p.n_cols) ** 2
     acc = 0.0
     tail_acc = 0.0
@@ -654,13 +641,13 @@ def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
         else:
             tail_acc += 16.0 * p.n_cols / si**2
     second = p.tail_factor * (1.0 + u) * np.sqrt(acc + tail_acc)
-    prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
     detail = {
         "first_term": float(first),
         "tail_sum": float(tail_acc),
         "bound_alt_b2": float(first * _alt_factor(p.margin) + second),
     }
-    return BoundReport.build("gauss_2inf", first + second, prob, flags, None, detail)
+    prob = p.probability_floor(40.0)
+    return BoundReport.build("gauss_2inf", first + second, prob, p.preconditions, None, detail)
 
 
 def linear_bilinear_bound(
@@ -682,8 +669,8 @@ def linear_bilinear_bound(
         raise InvalidParameterError(f"y must have window length {w}, got {y.shape[0]}")
     hyp_ok = p.singulars[0] <= float(p.n_cols) ** 2
     flags = p.preconditions
-    prob = 1.0 - p.tail_probability(40.0) if (flags.all_ok and hyp_ok) else 0.0
-    lead = p.window_lead * x_signal_norm * p.eta / p.min_gap
+    prob = p.probability_floor(40.0, hyp_ok)
+    lead = _over_gap(p.window_lead * x_signal_norm * p.eta, p.min_gap)
     tail_coef = p.tail_factor * p.gamma * (1.0 + x_signal_norm)
     sig = np.asarray(p.singulars[p.k_lo - 1 : p.k_hi])
     linear_val = lead * np.sqrt(w) + tail_coef * np.sqrt(np.sum(1.0 / sig**2))
@@ -701,12 +688,11 @@ def weighted_window_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     """Row-wise bound on the observed-value weighted window [k_lo, k_hi]."""
     u = _checked_row_mass(u_2inf)
     w = p.window
-    flags = p.preconditions
-    first = p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w) / p.min_gap
+    first = _over_gap(p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w), p.min_gap)
     second = p.tail_factor * (1.0 + u) * np.sqrt(p.gamma**2 * w + 16.0)
-    prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
+    prob = p.probability_floor(40.0)
     detail = {"bound_alt_b2": float(first * _alt_factor(p.margin) + second)}
-    return BoundReport.build("gauss_weighted", first + second, prob, flags, None, detail)
+    return BoundReport.build("gauss_weighted", first + second, prob, p.preconditions, None, detail)
 
 
 def weighted_corollary_bound(
@@ -721,7 +707,7 @@ def weighted_corollary_bound(
     scale = 36.0 * b**4 / (b - 1.0) ** 4 * p.rank * np.sqrt((p.tail + 7.0) * p.dim_sum_log)
     first = scale * (1.0 + u)
     second = 2.0 * u * e_norm**2 / p.singulars[-1]
-    prob = 1.0 - p.tail_probability(40.0) if flags.all_ok else 0.0
+    prob = p.probability_floor(40.0)
     return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags, None, {})
 
 
@@ -735,26 +721,32 @@ def spectral_norm_report(e_norm: float | None, n_rows: int, n_cols: int) -> Boun
 # Measured left-hand sides on the window [k_lo, k_hi] of held vector pairs.
 
 
-def _left_window(inst: PerturbationInstance, k_lo: int, k_hi: int):
-    w = _window_cols(inst.svd_observed, k_lo, k_hi)
-    return inst.svd_signal.left[:, w], inst.svd_observed.left[:, w], w
-
-
 def window_sin_theta(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: NormSpec) -> float:
     """The larger of the left and right sin-theta norms of the window."""
-    u_w, ut_w, w = _left_window(inst, k_lo, k_hi)
-    v_w = inst.svd_signal.right[:, w]
-    vt_w = inst.svd_observed.right[:, w]
-    return max(sin_theta_norm(u_w, ut_w, spec), sin_theta_norm(v_w, vt_w, spec))
+    w = _window_cols(inst, k_lo, k_hi)
+    sig, obs = inst.svd_signal, inst.svd_observed
+    return max(
+        sin_theta_norm(sig.left[:, w], obs.left[:, w], spec),
+        sin_theta_norm(sig.right[:, w], obs.right[:, w], spec),
+    )
+
+
+def window_residual(
+    inst: PerturbationInstance, k_lo: int, k_hi: int, aligned: bool = False
+) -> np.ndarray:
+    """The observed left window ut_w minus its projection u_w (u_w.T ut_w) on
+    the signal left window (aligned: minus u_w O at the Procrustes-optimal O)."""
+    w = _window_cols(inst, k_lo, k_hi)
+    u_w, ut_w = inst.svd_signal.left[:, w], inst.svd_observed.left[:, w]
+    fit = procrustes_align(u_w, ut_w) if aligned else u_w.T @ ut_w
+    return ut_w - u_w @ fit
 
 
 def window_2inf_residual(
     inst: PerturbationInstance, k_lo: int, k_hi: int, aligned: bool = False
 ) -> float:
-    """Largest row length of the observed left window minus its projection on
-    the signal left window (aligned: minus its Procrustes fit)."""
-    u_w, ut_w, _ = _left_window(inst, k_lo, k_hi)
-    return two_inf_residual(u_w, ut_w, mode="aligned" if aligned else "projector")
+    """Largest row length of window_residual."""
+    return row_mass(window_residual(inst, k_lo, k_hi, aligned))
 
 
 def window_weighted_residual(
@@ -762,6 +754,5 @@ def window_weighted_residual(
 ) -> float:
     """window_2inf_residual with the residual's columns scaled by the observed
     window singular values."""
-    u_w, ut_w, w = _left_window(inst, k_lo, k_hi)
-    fit = procrustes_align(u_w, ut_w) if aligned else u_w.T @ ut_w
-    return row_mass((ut_w - u_w @ fit) * inst.svd_observed.singulars[w])
+    weights = inst.svd_observed.singulars[k_lo - 1 : k_hi]
+    return row_mass(window_residual(inst, k_lo, k_hi, aligned) * weights)

@@ -5,8 +5,9 @@ gmm (spectral mixture recovery), submatrix (planted block recovery),
 resolvent (linearization probes), selftest (deterministic invariants).
 
 Trial i draws everything from the generator seeded with
-derive_seed(base_seed, i), so runs are reproducible for a fixed config and
-aggregation is order-independent. Exit codes: 0 success, 1 invalid config,
+derive_seed(base_seed, i), which run_monte_carlo derives once and hands to
+the scenario's trial function, so runs are reproducible for a fixed config
+and aggregation is order-independent. Exit codes: 0 success, 1 invalid config,
 2 violation budget exceeded (or selftest failure), 3 runtime failure. Any
 exception inside a trial is a runtime failure, reported with the trial's
 index and seed.
@@ -45,14 +46,15 @@ from .bounds import (
     linear_bilinear_bound,
     matrix_2inf_bound,
     mirsky_check,
+    probability_floor,
     spectral_norm_report,
-    tail_probability,
     two_inf_bound,
     vector_inf_bound,
     wedin_check,
     weighted_corollary_bound,
     weighted_window_bound,
     window_2inf_residual,
+    window_residual,
     window_sin_theta,
     window_weighted_residual,
 )
@@ -333,19 +335,17 @@ class _BoundsTrial:
 
     @cached_property
     def u_2inf(self) -> float:
-        return row_mass(self.inst.svd_signal.left[:, : self.p.rank])
+        return row_mass(self.inst.svd_signal.left)
 
     @cached_property
     def general(self) -> tuple[GeneralNoiseParams, ...]:
         """Measured noise caps; entry k - 1 serves index k."""
-        r = self.inst.rank()
-        u = self.inst.svd_signal.left[:, :r]
-        v = self.inst.svd_signal.right[:, :r]
-        core = u.T @ self.inst.noise @ v
+        sig = self.inst.svd_signal
+        core = sig.left.T @ self.inst.noise @ sig.right
         core_bound = float(np.linalg.norm(core, 2))
         return tuple(
             GeneralNoiseParams(self.e_norm, core_bound, float(np.linalg.norm(core[:k, :k], 2)))
-            for k in range(1, r + 1)
+            for k in range(1, sig.vector_count + 1)
         )
 
     @_theorem(_norm)
@@ -362,7 +362,7 @@ class _BoundsTrial:
         if spec.kind == "operator":
             cross = self.e_norm
         else:
-            cross = cross_term_norm(self.inst, p.k_lo, p.k_hi, spec, rank=p.rank)
+            cross = cross_term_norm(self.inst, p.k_lo, p.k_hi, spec)
         rep = gauss_subspace_bound(p, spec, cross)
         return [rep.with_empirical(window_sin_theta(self.inst, p.k_lo, p.k_hi, spec))]
 
@@ -386,10 +386,9 @@ class _BoundsTrial:
 
     @_theorem()
     def gauss_vector_inf(self) -> list[BoundReport]:
-        u = self.inst.svd_signal.left[:, self.p.k_lo - 1]
-        ut = self.inst.svd_observed.left[:, self.p.k_lo - 1]
+        k = self.p.k_lo
         rep = vector_inf_bound(self.p, self.u_2inf)
-        return [rep.with_empirical(float(np.max(np.abs(ut - (ut @ u) * u))))]
+        return [rep.with_empirical(float(np.max(np.abs(window_residual(self.inst, k, k)))))]
 
     @_theorem()
     def gauss_matrix_2inf(self) -> list[BoundReport]:
@@ -408,11 +407,9 @@ class _BoundsTrial:
         p, inst = self.p, self.inst
         x = _unit_vector(self.rng, inst.shape[0])
         y = _unit_vector(self.rng, p.window)
-        xu = float(np.linalg.norm(x @ inst.svd_signal.left[:, : p.rank]))
+        xu = float(np.linalg.norm(x @ inst.svd_signal.left))
         lin, bil = linear_bilinear_bound(p, xu, y)
-        uw = inst.svd_signal.left[:, p.k_lo - 1 : p.k_hi]
-        utw = inst.svd_observed.left[:, p.k_lo - 1 : p.k_hi]
-        resid = utw - uw @ (uw.T @ utw)
+        resid = window_residual(inst, p.k_lo, p.k_hi)
         if bilinear:
             return [bil.with_empirical(float(abs(x @ resid @ y)))]
         return [lin.with_empirical(float(np.linalg.norm(x @ resid)))]
@@ -475,9 +472,8 @@ def _bounds_factory(cfg: ExperimentConfig):
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
 
-    def trial(i: int) -> list[BoundReport]:
-        tseed = derive_seed(cfg.base_seed, i)
-        rng = np.random.default_rng(tseed)
+    def trial(seed: int) -> list[BoundReport]:
+        rng = np.random.default_rng(seed)
         a, factors = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((lr.n_rows, lr.n_cols))
         if noise_scale != 1.0:
@@ -506,8 +502,7 @@ def _recovery_floor(
     need = 1800.0 * k * np.sqrt((tail + 7.0) * np.log(n_rows + n_cols))
     gap_ok = all(bool(gap >= max(40.0 * root / np.sqrt(n), need)) for gap, n in separations)
     flags = PreconditionFlags(dim_ok=dim_ok, snr_ok=snr_ok, gap_ok=gap_ok)
-    prob = 1.0 - tail_probability(40.0, n_rows, n_cols, tail) if flags.all_ok else 0.0
-    return flags, prob
+    return flags, probability_floor(40.0, n_rows, n_cols, tail, flags.all_ok)
 
 
 def _centers_from_model(model: _ModelKeys, k: int, p: int):
@@ -538,16 +533,15 @@ def _gmm_factory(cfg: ExperimentConfig):
     kmeans_cfg = KMeansConfig(k=k, restarts=model.take("restarts", int, 10))
     wanted = _fixed_rows(cfg, _GMM_ROWS)
 
-    def trial(i: int) -> list[BoundReport]:
-        tseed = derive_seed(cfg.base_seed, i)
-        sample = sample_gmm(spec, tseed)
+    def trial(seed: int) -> list[BoundReport]:
+        sample = sample_gmm(spec, seed)
         flags, prob = _recovery_floor(
             p, n, k, tail, sample.sigma_min, [(sample.center_gap, sample.min_cluster)]
         )
         emb = spectral_embedding(sample.x, k)
         reports = []
         if "gmm_recovery" in wanted:
-            found, _, _ = kmeans(emb.T, replace(kmeans_cfg, seed=derive_seed(tseed, 1)))
+            found, _, _ = kmeans(emb.T, replace(kmeans_cfg, seed=derive_seed(seed, 1)))
             res = match_labels(sample.truth, found)
             reports.append(
                 BoundReport.build("gmm_recovery", 0.0, prob, flags, res.misclassification)
@@ -592,9 +586,8 @@ def _submatrix_factory(cfg: ExperimentConfig):
     kmeans_cfg = KMeansConfig(k=k + 1, restarts=model.take("restarts", int, 10))
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
 
-    def trial(i: int) -> list[BoundReport]:
-        tseed = derive_seed(cfg.base_seed, i)
-        sample = plant_submatrices(spec, tseed)
+    def trial(seed: int) -> list[BoundReport]:
+        sample = plant_submatrices(spec, seed)
         flags, prob = _recovery_floor(
             spec.n_rows,
             spec.n_cols,
@@ -603,7 +596,7 @@ def _submatrix_factory(cfg: ExperimentConfig):
             sample.sigma_min,
             [(sample.row_gap, sample.min_rows), (sample.col_gap, sample.min_cols)],
         )
-        labs = spectral_submatrix(sample.x, k, replace(kmeans_cfg, seed=derive_seed(tseed, 1)))
+        labs = spectral_submatrix(sample.x, k, replace(kmeans_cfg, seed=derive_seed(seed, 1)))
         col_res = match_labels(sample.col_truth, labs.cols)
         row_res = match_labels(sample.row_truth, labs.rows)
         emp = max(col_res.misclassification, row_res.misclassification)
@@ -653,11 +646,11 @@ def _resolvent_factory(cfg: ExperimentConfig):
     ring, lip = margin_offsets(b)
     ring_lo, ring_hi, lip_lo, lip_hi = 1.0 - ring, 1.0 + ring, 1.0 - lip, 1.0 + lip
     law_dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
-    law_prob = 1.0 - 9.0 * float(n_rows + n_cols) ** (-(tail + 1.0)) if law_dim_ok else 0.0
+    law_prob = probability_floor(9.0, n_rows, n_cols, tail + 1.0, law_dim_ok)
 
-    def trial(i: int) -> list[BoundReport]:
+    def trial(seed: int) -> list[BoundReport]:
         # rows run in this order, and uphiu, local_law and dense_match draw from rng
-        rng = np.random.default_rng(derive_seed(cfg.base_seed, i))
+        rng = np.random.default_rng(seed)
         e = rng.standard_normal((n_rows, n_cols))
         noise = svd(e)
         eta, e_norm = noise.singulars, float(noise.singulars[0])
@@ -885,11 +878,7 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
 
 def _selftest_factory(cfg: ExperimentConfig):
     _fixed_rows(cfg, ())  # selftest takes no theorem tokens
-
-    def trial(i: int) -> list[BoundReport]:
-        return _selftest_reports(derive_seed(cfg.base_seed, i))
-
-    return trial
+    return _selftest_reports
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +910,11 @@ class TrialFailure(RuntimeError):
 def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
     """Run cfg.trials seeded trials and aggregate per-theorem rows.
 
-    A ValueError or TypeError while the scenario is built (a malformed model
-    value or theorem token) is re-raised as InvalidParameterError, and so is
-    a model key the scenario never reads. An exception inside trial i is
-    re-raised as TrialFailure, chained to it.
+    Each scenario factory returns its trial function, which takes the trial
+    seed. A ValueError or TypeError while the scenario is built (a malformed
+    model value or theorem token) is re-raised as InvalidParameterError, and
+    so is a model key the scenario never reads. An exception inside trial i
+    is re-raised as TrialFailure, chained to it.
     """
     start = time.perf_counter()
     model = _ModelKeys(cfg.model)
@@ -940,10 +930,11 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
         raise InvalidParameterError(f"model keys {cfg.scenario} never reads: {sorted(unread)}")
 
     def trial(i: int) -> list[BoundReport]:
+        seed = derive_seed(cfg.base_seed, i)
         try:
-            return run_trial(i)
+            return run_trial(seed)
         except Exception as exc:
-            raise TrialFailure(i, derive_seed(cfg.base_seed, i)) from exc
+            raise TrialFailure(i, seed) from exc
 
     indices = range(cfg.trials)
     if cfg.threads > 1:

@@ -150,8 +150,9 @@ class SvdFactors:
 
     singulars holds m nonnegative values, descending; left (N x c) and right
     (n x c) hold orthonormal singular vectors for the leading c <= m of them.
-    ``svd`` produces c = m = min(N, n). Generators produce the exact rank-r
-    form c = m = r. ``leading_svd`` produces c = k vector pairs, with either
+    ``svd`` produces c = m = min(N, n). The rank-r form c = m = r is a
+    signal's: generators produce it exactly, and ``perturb`` cuts a signal's
+    ``svd`` to it. ``leading_svd`` produces c = k vector pairs, with either
     k values or, with ``spectrum=True``, all min(N, n) of them. Only when
     c = m is ``left @ diag(singulars) @ right.T`` the whole matrix.
     """

@@ -15,6 +15,14 @@ from .errors import InvalidInputError, InvalidParameterError
 from .matcore import SvdFactors, as_matrix, effective_rank, leading_svd, svd
 
 
+def _signed_q(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of g, each column's sign flipped to make R's diagonal nonnegative."""
+    q, r = np.linalg.qr(g)
+    s = np.sign(np.diag(r))
+    s[s == 0] = 1.0
+    return q * s
+
+
 def haar_basis(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Haar-distributed n x d orthonormal basis.
 
@@ -23,11 +31,23 @@ def haar_basis(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """
     if d > n:
         raise InvalidParameterError(f"cannot fit {d} orthonormal columns in R^{n}")
-    g = rng.standard_normal((n, d))
-    q, r = np.linalg.qr(g)
-    s = np.sign(np.diag(r))
-    s[s == 0] = 1.0
-    return q * s
+    return _signed_q(rng.standard_normal((n, d)))
+
+
+def check_spectrum(n_rows: int, n_cols: int, singulars) -> tuple[float, ...]:
+    """The rule of a rank-r N x n spectrum: positive dimensions, 1 <= r <=
+    min(N, n), and finite, positive, descending values (ties allowed).
+    Returns the values as floats."""
+    values = tuple(float(v) for v in singulars)
+    if n_rows < 1 or n_cols < 1:
+        raise InvalidParameterError("matrix dimensions must be positive")
+    r = len(values)
+    if r < 1 or r > min(n_rows, n_cols):
+        raise InvalidParameterError(f"rank {r} out of range for the shape")
+    s = np.asarray(values)
+    if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) > 0):
+        raise InvalidParameterError("singulars must be positive and descending")
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,15 +67,8 @@ class LowRankSpec:
     coherent_row: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "singulars", tuple(float(v) for v in self.singulars))
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise InvalidParameterError("matrix dimensions must be positive")
-        r = len(self.singulars)
-        if r < 1 or r > min(self.n_rows, self.n_cols):
-            raise InvalidParameterError(f"rank {r} out of range for the shape")
-        s = np.asarray(self.singulars)
-        if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) > 0):
-            raise InvalidParameterError("singulars must be positive and descending")
+        singulars = check_spectrum(self.n_rows, self.n_cols, self.singulars)
+        object.__setattr__(self, "singulars", singulars)
         if self.factor_mode not in ("haar", "coherent"):
             raise InvalidParameterError(f"unknown factor_mode {self.factor_mode!r}")
         if not 0 <= self.coherent_row < self.n_rows:
@@ -67,17 +80,15 @@ class LowRankSpec:
 
 
 def low_rank_from_rng(spec: LowRankSpec, rng: np.random.Generator):
-    """Like gen_low_rank but drawing from a caller-owned generator stream."""
+    """Matrix with the exact requested spectrum, plus its thin rank-r factors,
+    drawn from a caller-owned generator stream."""
     r = spec.rank
     if spec.factor_mode == "coherent":
         g = rng.standard_normal((spec.n_rows, r))
         g[:, 0] = 0.0
         g[spec.coherent_row, :] = 0.0
         g[spec.coherent_row, 0] = 1.0
-        q, rr = np.linalg.qr(g)
-        sgn = np.sign(np.diag(rr))
-        sgn[sgn == 0] = 1.0
-        u = q * sgn
+        u = _signed_q(g)
     else:
         u = haar_basis(rng, spec.n_rows, r)
     v = haar_basis(rng, spec.n_cols, r)
@@ -86,23 +97,18 @@ def low_rank_from_rng(spec: LowRankSpec, rng: np.random.Generator):
     return a, SvdFactors(left=u, singulars=s, right=v)
 
 
-def gen_low_rank(spec: LowRankSpec, seed: int):
-    """Matrix with the exact requested spectrum, plus its thin rank-r factors."""
-    rng = np.random.default_rng(seed)
-    return low_rank_from_rng(spec, rng)
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbationInstance:
     """A signal/noise pair with the factorizations the bounds read.
 
-    observed = signal + noise. svd_observed always holds all min(N, n)
-    observed singular values; its vector pairs, under the deterministic sign
-    convention, are all min(N, n) of them or only the leading r ones (see
-    ``perturb``). In the second form the values past the r-th may come from
-    Gram eigenvalues, accurate to gauge and resolvent-sum precision rather
-    than to LAPACK's (see ``leading_svd``). svd_signal holds either the full
-    SVD of the signal or the signal's exact thin rank-r factors.
+    observed = signal + noise. svd_signal holds the signal's rank-r
+    factors: r vector pairs and r singular values, r being the rank. ``rank``
+    reads r there, so every bound sees one rank. svd_observed always holds
+    all min(N, n) observed singular values; its vector pairs, under the
+    deterministic sign convention, are all min(N, n) of them or only the
+    leading r ones (see ``perturb``). In the second form the values past the
+    r-th may come from Gram eigenvalues, accurate to gauge and resolvent-sum
+    precision rather than to LAPACK's (see ``leading_svd``).
     """
 
     signal: np.ndarray
@@ -115,16 +121,18 @@ class PerturbationInstance:
     def shape(self) -> tuple[int, int]:
         return (self.signal.shape[0], self.signal.shape[1])
 
-    def rank(self, tol: float = 1e-10) -> int:
-        return effective_rank(self.svd_signal, tol)
+    def rank(self) -> int:
+        return self.svd_signal.vector_count
 
 
 def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationInstance:
     """Form signal + noise and factorize both.
 
-    Without `factors` both matrices get a full min(N, n)-column SVD. With
-    the signal's exact thin factors (as ``gen_low_rank`` returns them, r
-    pairs) no signal SVD is taken: the observed matrix gets its leading r
+    Without `factors` both matrices get a full min(N, n)-column SVD, and
+    the signal's is cut to its numerical rank r: the values above 1e-10
+    times the largest, with their vector pairs. With the signal's exact thin
+    factors (as ``low_rank_from_rng`` returns them, r pairs) no signal SVD
+    is taken: the observed matrix gets its leading r
     vector pairs and its full spectrum from ``leading_svd(..., spectrum=True)``,
     started from the signal's right factor. When those pairs are certified,
     the spectrum is the r Ritz values followed by the Gram-eigenvalue
@@ -139,7 +147,11 @@ def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationIns
         )
     observed = signal + noise
     if factors is None:
-        svd_signal, svd_observed = svd(signal), svd(observed)
+        full, svd_observed = svd(signal), svd(observed)
+        r = effective_rank(full, 1e-10)
+        svd_signal = SvdFactors(
+            left=full.left[:, :r], singulars=full.singulars[:r], right=full.right[:, :r]
+        )
     else:
         if factors.shape != signal.shape or factors.vector_count != factors.singulars.size:
             raise InvalidInputError("factors must be the signal's thin factorization")

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from svperturb.bounds import (
     linear_bilinear_bound,
     matrix_2inf_bound,
     mirsky_check,
+    probability_floor,
     spectral_norm_report,
     two_inf_bound,
     vector_inf_bound,
@@ -29,6 +31,7 @@ from svperturb.bounds import (
     weighted_corollary_bound,
     weighted_window_bound,
     window_2inf_residual,
+    window_residual,
     window_sin_theta,
     window_weighted_residual,
 )
@@ -45,7 +48,6 @@ from svperturb.matcore import (
 from svperturb.models import (
     LowRankSpec,
     PerturbationInstance,
-    gen_low_rank,
     low_rank_from_rng,
     perturb,
 )
@@ -54,7 +56,8 @@ from svperturb.subspace import procrustes_align, row_mass, sin_theta_norm, two_i
 
 
 def make_instance(seed, n_rows=40, n_cols=30, singulars=(20.0, 12.0, 6.0), scale=1.0):
-    a, _ = gen_low_rank(LowRankSpec(n_rows, n_cols, singulars), seed=seed)
+    spec = LowRankSpec(n_rows, n_cols, singulars)
+    a, _ = low_rank_from_rng(spec, np.random.default_rng(seed))
     e = scale * np.random.default_rng(seed + 10_000).standard_normal((n_rows, n_cols))
     return perturb(a, e)
 
@@ -66,7 +69,7 @@ def strong_params(n=600, singulars=(2.0e5, 1.2e5)):
 
 
 def strong_instance(seed, n=600, singulars=(2.0e5, 1.2e5)):
-    a, _ = gen_low_rank(LowRankSpec(n, n, singulars), seed=seed)
+    a, _ = low_rank_from_rng(LowRankSpec(n, n, singulars), np.random.default_rng(seed))
     e = np.random.default_rng(seed + 77).standard_normal((n, n))
     return perturb(a, e)
 
@@ -228,10 +231,14 @@ class TestGaussianBoundParams:
         flags = p.preconditions
         assert not flags.snr_ok  # unit-noise floor far above these values
 
-    def test_tail_probability_clipped(self):
-        p = self.params()
-        assert p.tail_probability(1e9) == 1.0
-        assert p.tail_probability(18.0) == pytest.approx(18.0 / 180.0)
+    def test_probability_floor_clipped(self):
+        p = strong_params()  # every precondition holds; N + n = 1200
+        assert p.probability_floor(1e9) == 0.0
+        assert p.probability_floor(18.0) == pytest.approx(1.0 - 18.0 / 1200.0)
+        assert p.probability_floor(18.0, holds=False) == 0.0
+        assert self.params().probability_floor(18.0) == 0.0  # snr fails here
+        assert probability_floor(18.0, 100, 80, 1.0, True) == pytest.approx(1.0 - 18.0 / 180.0)
+        assert probability_floor(-1.0, 100, 80, 1.0, True) == 1.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -703,14 +710,25 @@ class TestEmpiricalQuantity:
         self.inst = make_instance(11, scale=0.3)
 
     def test_window_beyond_held_vectors_rejected(self):
-        a, fac = gen_low_rank(LowRankSpec(40, 30, (20.0, 12.0)), seed=8)
+        a, fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0)), np.random.default_rng(8))
         inst = perturb(a, 0.3 * np.random.default_rng(9).standard_normal((40, 30)), factors=fac)
         assert inst.svd_observed.vector_count == 2
         assert inst.svd_observed.singulars.shape == (30,)
         with pytest.raises(InvalidParameterError):
             window_sin_theta(inst, 1, 3, OPERATOR)
         with pytest.raises(InvalidParameterError):
-            cross_term_norm(inst, 2, 3, FROBENIUS, rank=2)
+            cross_term_norm(inst, 2, 3, FROBENIUS)
+        # without factors the signal SVD is cut to rank 2 as well
+        with pytest.raises(InvalidParameterError):
+            window_sin_theta(perturb(a, inst.noise), 1, 3, OPERATOR)
+
+    def test_window_residual_forms(self):
+        inst = self.inst
+        u_w = inst.svd_signal.left[:, 1:3]
+        ut_w = inst.svd_observed.left[:, 1:3]
+        assert np.array_equal(window_residual(inst, 2, 3), ut_w - u_w @ (u_w.T @ ut_w))
+        aligned = ut_w - u_w @ procrustes_align(u_w, ut_w)
+        assert np.array_equal(window_residual(inst, 2, 3, aligned=True), aligned)
 
     def test_sv_gap(self):
         s = self.inst.svd_signal.singulars[:3]
@@ -763,6 +781,32 @@ class TestEmpiricalQuantity:
         assert got == pytest.approx(expect, rel=1e-12)
 
 
+class TestZeroGap:
+    def test_tied_values_give_infinite_bounds_quietly(self):
+        # sigma_1 = sigma_2: every gap-divided bound is +inf, never NaN, with no warning
+        p = GaussianBoundParams(20, 20, (3.0, 3.0), 1, 1)
+        assert p.min_gap == 0.0 and not p.preconditions.gap_ok
+        gp = GeneralNoiseParams(op_bound=1.0, core_bound=0.5, corner_bound=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [
+                gauss_subspace_bound(p, OPERATOR, 1.0),
+                gauss_subspace_bound(p, FROBENIUS, 1.0),
+                gauss_subspace_simplified(p, 1.0),
+                vector_inf_bound(p, 0.5),
+                matrix_2inf_bound(p, 0.5),
+                aligned_2inf_bound(p, 0.5, 1.0, 0.5),
+                two_inf_bound(p, 0.5),
+                weighted_window_bound(p, 0.5),
+                *linear_bilinear_bound(p, 0.0, [1.0]),
+                general_subspace_bound(1, 2, p.delta(1), 3.0, gp, OPERATOR),
+            ]
+        for rep in reports:
+            assert rep.bound_value == np.inf, rep.theorem_id
+            assert not rep.preconditions.gap_ok, rep.theorem_id
+            assert rep.probability_floor == 0.0, rep.theorem_id
+
+
 class TestIncoherence:
     def test_from_instance(self):
         inst = make_instance(12)
@@ -771,9 +815,9 @@ class TestIncoherence:
         assert 0.0 < row_mass(u) <= 1.0 + 1e-9
 
     def test_coherent_factors_hit_one(self):
-        a, _ = gen_low_rank(
+        a, _ = low_rank_from_rng(
             LowRankSpec(20, 10, (5.0, 2.0), factor_mode="coherent", coherent_row=3),
-            seed=1,
+            np.random.default_rng(1),
         )
         e = 0.01 * np.random.default_rng(2).standard_normal((20, 10))
         inst = perturb(a, e)

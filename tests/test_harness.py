@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,6 +156,49 @@ class TestTokenValidation:
         parsed = [matcore.norm_spec_from_token(examples.get(k, k)).kind for k in listed]
         assert parsed == listed
         assert sorted(listed) == sorted(matcore._KINDS)
+
+
+# Accepted bounds models at the edges of the rank and gap rules: a leading
+# value 1e12 times the next (past a 1e-10 relative rank tolerance), tied
+# values (a zero gap), and a rank-1 model on a 5 x 4 matrix.
+EDGE_MODELS = {
+    "wide-spread": {"n_rows": 20, "n_cols": 20, "singulars": [1e12, 0.1]},
+    "tied": {"n_rows": 20, "n_cols": 20, "singulars": [3.0, 3.0]},
+    "rank-one": {"n_rows": 5, "n_cols": 4, "singulars": [1.0]},
+}
+
+
+def kind_tokens(kind: str, rank: int) -> list[str]:
+    """Every token of a bounds kind at window [1, 1]: each index in 1..rank,
+    the operator and the Frobenius norm."""
+    texts = {
+        harness._rank_index: [str(k) for k in range(1, rank + 1)],
+        harness._window_index: ["1"],
+        harness._norm: ["operator", "frobenius"],
+    }
+    validators = harness._BOUNDS_THEOREMS[kind][0]
+    return [":".join((kind, *args)) for args in itertools.product(*(texts[v] for v in validators))]
+
+
+class TestEdgeModels:
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_no_kind_fails_at_runtime(self, name, tmp_path, capsys):
+        # exit 1 only where a kind rejects the model before trial 0; a numpy
+        # warning raises here, so it would show as exit 3
+        model = EDGE_MODELS[name]
+        rank = len(model["singulars"])
+        p = tmp_path / "cfg.json"
+        argv = ["bounds", "--config", str(p), "--trials", "3", "--out", str(tmp_path / "r.csv")]
+        for kind in sorted(harness._BOUNDS_THEOREMS):
+            p.write_text(json.dumps({"theorems": kind_tokens(kind, rank), "model": model}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(argv)
+            err = capsys.readouterr().err
+            if kind == "gauss_weighted_corollary" and rank > 1:
+                assert rc == EXIT_CONFIG and "full window" in err, (kind, err)
+            else:
+                assert rc in (EXIT_OK, EXIT_VIOLATION), (kind, rc, err)
 
 
 class TestRun:
@@ -697,8 +742,8 @@ class TestMain:
 
     def test_trial_failure_under_threads(self, monkeypatch):
         def trial_factory(cfg):
-            def trial(i):
-                if i == 3:
+            def trial(seed):
+                if seed == derive_seed(11, 3):
                     raise ZeroDivisionError("boom")
                 return []
 

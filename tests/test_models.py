@@ -7,7 +7,6 @@ from svperturb.models import (
     GmmSpec,
     LowRankSpec,
     SubmatrixSpec,
-    gen_low_rank,
     haar_basis,
     low_rank_from_rng,
     perturb,
@@ -43,7 +42,7 @@ class TestHaar:
 class TestLowRank:
     def test_exact_singular_values(self):
         spec = LowRankSpec(30, 20, (9.0, 4.0, 1.0))
-        a, fac = gen_low_rank(spec, seed=3)
+        a, fac = low_rank_from_rng(spec, np.random.default_rng(3))
         assert np.allclose(fac.singulars[:3], [9.0, 4.0, 1.0])
         sv = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(sv[:3], [9.0, 4.0, 1.0], atol=1e-9)
@@ -51,13 +50,13 @@ class TestLowRank:
 
     def test_deterministic(self):
         spec = LowRankSpec(10, 10, (5.0, 2.0))
-        a1, _ = gen_low_rank(spec, seed=4)
-        a2, _ = gen_low_rank(spec, seed=4)
+        a1, _ = low_rank_from_rng(spec, np.random.default_rng(4))
+        a2, _ = low_rank_from_rng(spec, np.random.default_rng(4))
         assert np.array_equal(a1, a2)
 
     def test_ties_allowed(self):
         spec = LowRankSpec(8, 8, (3.0, 3.0, 1.0))
-        a, fac = gen_low_rank(spec, seed=5)
+        a, fac = low_rank_from_rng(spec, np.random.default_rng(5))
         assert fac.singulars[0] == fac.singulars[1]
 
     def test_increasing_rejected(self):
@@ -74,7 +73,7 @@ class TestLowRank:
 
     def test_coherent_mode_pins_row(self):
         spec = LowRankSpec(12, 9, (6.0, 3.0), factor_mode="coherent", coherent_row=4)
-        a, fac = gen_low_rank(spec, seed=6)
+        a, fac = low_rank_from_rng(spec, np.random.default_rng(6))
         lead = fac.left[:, 0]
         e4 = np.zeros(12)
         e4[4] = 1.0
@@ -87,21 +86,36 @@ class TestLowRank:
             LowRankSpec(5, 5, (1.0,), factor_mode="spiky")
 
     def test_rng_stream_variant_matches_seeded(self):
+        # draws continue the caller's stream, and reseeding replays them in order
         spec = LowRankSpec(7, 6, (2.0,))
-        a1, _ = gen_low_rank(spec, seed=9)
-        a2, _ = low_rank_from_rng(spec, np.random.default_rng(9))
-        assert np.array_equal(a1, a2)
+        rng = np.random.default_rng(9)
+        first, _ = low_rank_from_rng(spec, rng)
+        second, _ = low_rank_from_rng(spec, rng)
+        assert not np.array_equal(first, second)
+        replay = np.random.default_rng(9)
+        assert np.array_equal(low_rank_from_rng(spec, replay)[0], first)
+        assert np.array_equal(low_rank_from_rng(spec, replay)[0], second)
 
 
 class TestPerturb:
     def test_fields_and_sum(self):
         spec = LowRankSpec(9, 7, (4.0, 2.0))
-        a, _ = gen_low_rank(spec, seed=1)
+        a, _ = low_rank_from_rng(spec, np.random.default_rng(1))
         e = np.random.default_rng(2).standard_normal((9, 7))
         inst = perturb(a, e)
         assert np.array_equal(inst.observed, a + e)
         assert inst.shape == (9, 7)
         assert inst.rank() == 2
+
+    def test_signal_svd_is_cut_to_the_rank(self):
+        # a rank-r signal keeps r vector pairs and r values, so every bound reads one rank
+        a, _ = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
+        e = np.random.default_rng(2).standard_normal((9, 7))
+        inst = perturb(a, e)
+        sig = inst.svd_signal
+        assert inst.rank() == sig.vector_count == sig.singulars.size == 2
+        assert np.allclose((sig.left * sig.singulars) @ sig.right.T, a, atol=1e-12)
+        assert perturb(np.zeros((9, 7)), e).rank() == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -109,7 +123,7 @@ class TestPerturb:
 
     def test_svds_are_consistent(self):
         spec = LowRankSpec(9, 7, (4.0, 2.0))
-        a, _ = gen_low_rank(spec, seed=1)
+        a, _ = low_rank_from_rng(spec, np.random.default_rng(1))
         e = 0.01 * np.random.default_rng(2).standard_normal((9, 7))
         inst = perturb(a, e)
         assert np.allclose(
@@ -122,7 +136,7 @@ class TestPerturb:
 
     def test_exact_factors_replace_the_signal_svd(self):
         spec = LowRankSpec(60, 45, (900.0, 500.0))
-        a, fac = gen_low_rank(spec, seed=3)
+        a, fac = low_rank_from_rng(spec, np.random.default_rng(3))
         e = np.random.default_rng(4).standard_normal((60, 45))
         inst = perturb(a, e, factors=fac)
         assert inst.svd_signal is fac
@@ -136,7 +150,7 @@ class TestPerturb:
             assert abs(observed.right[:, i] @ full.right[:, i]) == pytest.approx(1.0, abs=1e-12)
 
     def test_factors_must_fit_the_signal(self):
-        a, fac = gen_low_rank(LowRankSpec(9, 7, (4.0, 2.0)), seed=1)
+        a, fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
         with pytest.raises(InvalidInputError):
             perturb(a.T, np.random.default_rng(2).standard_normal((7, 9)), factors=fac)
 
