@@ -362,7 +362,7 @@ def mirsky_check(
     bound = gauge(e_singulars, spec)
     # thin signal factors hold only the r nonzero values
     sig = inst.svd_signal.singulars
-    diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.svd_observed.singulars
+    diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
     empirical = gauge(diff, spec)
     return BoundReport.build(f"mirsky:{spec.label}", bound, 1.0, ALL_OK, empirical)
 
@@ -379,7 +379,10 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..rank={r}")
     sigma_k = inst.svd_signal.singulars[k - 1]
-    next_observed = inst.svd_observed.singulars[k] if k < m else 0.0
+    spectrum = inst.svd_observed.singulars
+    if k >= spectrum.size:  # past the held values (k = r): the trailing spectrum
+        spectrum = inst.observed_spectrum
+    next_observed = spectrum[k] if k < m else 0.0
     gap_hat = float(sigma_k - next_observed)
     theorem_id = f"wedin:k{k}:{spec.label}"
     if gap_hat <= 0.0:
@@ -416,6 +419,15 @@ def cross_term_norm(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: Norm
 def _alt_factor(margin: float) -> float:
     # statement constant uses (b+1)^2; the proof-derived variant uses (b+2)^2
     return (margin + 2.0) ** 2 / (margin + 1.0) ** 2
+
+
+def gauss_row_id(kind: str, arg: NormSpec | int | None = None) -> str:
+    """The row id of the Gaussian statement `kind` at its token argument: the
+    norm's label for gauss_sin_theta, j<index> for gauss_sv_location; a kind
+    without an argument is its own id."""
+    if arg is None:
+        return kind
+    return f"{kind}:{arg.label}" if isinstance(arg, NormSpec) else f"{kind}:j{arg}"
 
 
 def _shape_report(theorem_id: str, p: GaussianBoundParams, value: float) -> BoundReport:
@@ -457,7 +469,7 @@ def gauss_subspace_bound(
     }
     prob = p.probability_floor(20.0)
     return BoundReport.build(
-        f"gauss_sin_theta:{spec.label}", first + second, prob, p.preconditions, None, detail
+        gauss_row_id("gauss_sin_theta", spec), first + second, prob, p.preconditions, None, detail
     )
 
 
@@ -491,7 +503,7 @@ def gauss_sv_location_check(
     observed = float(inst.svd_observed.singulars[j - 1])
     flags = p.preconditions
     prob = p.probability_floor(10.0)
-    theorem_id = f"gauss_sv_location:j{j}"
+    theorem_id = gauss_row_id("gauss_sv_location", j)
     try:
         phi_val = float(phi_at(observed))
     except EvaluationDomainError:

@@ -38,6 +38,7 @@ from .bounds import (
     check_tail,
     cross_term_norm,
     dim_snr_flags,
+    gauss_row_id,
     gauss_subspace_bound,
     gauss_subspace_simplified,
     gauss_sv_location_check,
@@ -215,6 +216,7 @@ class SummaryReport:
     version: str
     wall_time_s: float = 0.0           # in-memory only, never serialized
     exceeded: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)  # in-memory only: what the model rules out
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +224,13 @@ class SummaryReport:
 
 
 class _ModelKeys(dict):
-    """A scenario's model; factories read it only through take, which records each key."""
+    """A scenario's model; factories read it only through take, which records
+    each key, and note there what the model rules out."""
 
     def __init__(self, model: dict):
         super().__init__(model)
         self.read: set = set()
+        self.notes: list[str] = []
 
     def take(self, key: str, kind, default=None, *, at_least=None, above=None):
         """key's value checked as kind (see _typed); if absent, default (unchecked) or an error.
@@ -450,6 +454,12 @@ class _BoundsTrial:
         return [spectral_norm_report(self.e_norm, *self.inst.shape)]
 
 
+def _not_met(evaluate, args, flags: PreconditionFlags):
+    """A Gaussian token under failed hypotheses: its constant not-met rows."""
+    rows = [BoundReport.build(gauss_row_id(evaluate.__name__, *args), np.inf, 0.0, flags)]
+    return (lambda trial: rows), ()
+
+
 def _bounds_factory(cfg: ExperimentConfig):
     model = cfg.model
     lr = LowRankSpec(
@@ -471,6 +481,15 @@ def _bounds_factory(cfg: ExperimentConfig):
     noise_scale = model.take("noise_scale", float, 1.0, above=0.0)
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
+    flags = params.preconditions
+    if not flags.all_ok and any(f.__name__.startswith("gauss_") for f, _ in bound):
+        # the Gaussian hypotheses read the model alone: no trial can count these rows
+        bound = [
+            _not_met(f, args, flags) if f.__name__.startswith("gauss_") else (f, args)
+            for f, args in bound
+        ]
+        failing = ", ".join(name for name, ok in asdict(flags).items() if not ok)
+        model.notes.append(f"the model fails {failing}: gauss_* rows were not evaluated")
 
     def trial(seed: int) -> list[BoundReport]:
         rng = np.random.default_rng(seed)
@@ -949,6 +968,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
         version=__version__,
         wall_time_s=time.perf_counter() - start,
         exceeded=exceeded,
+        notes=model.notes,
     )
 
 
@@ -1196,6 +1216,8 @@ def main(argv=None) -> int:
     except (NumericalFailureError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    for note in summary.notes:
+        print(f"note: {note}", file=sys.stderr)
     unjudged = [row["theorem_id"] for row in summary.rows if not row["valid"]]
     if unjudged:
         print("note: no valid trial in rows: " + ", ".join(unjudged), file=sys.stderr)

@@ -152,9 +152,10 @@ class SvdFactors:
     (n x c) hold orthonormal singular vectors for the leading c <= m of them.
     ``svd`` produces c = m = min(N, n). The rank-r form c = m = r is a
     signal's: generators produce it exactly, and ``perturb`` cuts a signal's
-    ``svd`` to it. ``leading_svd`` produces c = k vector pairs, with either
-    k values or, with ``spectrum=True``, all min(N, n) of them. Only when
-    c = m is ``left @ diag(singulars) @ right.T`` the whole matrix.
+    ``svd`` to it. ``leading_svd`` produces c = k vector pairs, with the k
+    Ritz values when certified and all min(N, n) LAPACK values after a
+    fallback. Only when c = m is ``left @ diag(singulars) @ right.T`` the
+    whole matrix.
     """
 
     left: np.ndarray
@@ -284,27 +285,17 @@ def _rayleigh_ritz(a: np.ndarray, block: np.ndarray) -> SvdFactors:
     return SvdFactors(left=u, singulars=s, right=v)
 
 
-def leading_svd(a, k: int, start=None, spectrum: bool = False) -> SvdFactors:
+def leading_svd(a, k: int, start=None) -> SvdFactors:
     """Leading k singular triplets of `a`, certified or computed by LAPACK.
 
     Runs LEADING_ITERATIONS rounds of block subspace iteration from the
     n x k block `start` (a fixed Gaussian block when None) and a
     Rayleigh-Ritz step (Halko, Martinsson and Tropp 2011, Alg. 4.4). The
-    Ritz triplets are returned, under the sign convention of ``svd``, only
-    when ``wedin_certificate`` holds; otherwise the result is ``svd(a)``
-    truncated to k vector pairs. Deterministic, and draws from no caller
-    generator.
-
-    With spectrum=True the result carries all min(N, n) singular values.
-    After a fallback the full SVD supplies them. After a certified run they
-    are the k Ritz values followed by the leading min(N, n) - k values of
-    ``gram_spectrum(a - U (U.T a))``. With eta the certificate's residual,
-    `a` lies within eta of the block-diagonal matrix with blocks
-    U diag(s) V.T and the deflated remainder (I - U U.T) a (I - V V.T), and
-    (I - U U.T) a lies within eta of that remainder, so by Weyl each
-    trailing value is within about 2 eta of the exact one, and each Ritz
-    value within eta. Gram rounding adds about eps * tau^2 / sigma, at the
-    scale tau = ||a - U diag(s) V.T||_F of the remainder, not at sigma_1.
+    Ritz triplets, k values with their vector pairs under the sign
+    convention of ``svd``, are returned only when ``wedin_certificate``
+    holds. Otherwise the result is ``svd(a)`` with its vector pairs
+    truncated to k and all min(N, n) of its values, which it already holds.
+    Deterministic, and draws from no caller generator.
     """
     a = as_matrix(a)
     if not 1 <= k <= min(a.shape):
@@ -320,13 +311,7 @@ def leading_svd(a, k: int, start=None, spectrum: bool = False) -> SvdFactors:
     ritz = _rayleigh_ritz(a, block)
     if wedin_certificate(a, ritz) is None:
         full = svd(a)
-        values = full.singulars if spectrum else full.singulars[:k]
-        return SvdFactors(left=full.left[:, :k], singulars=values, right=full.right[:, :k])
-    if spectrum:
-        u = ritz.left
-        trailing = gram_spectrum(a - u @ (u.T @ a))[: min(a.shape) - k]
-        values = np.concatenate((ritz.singulars, trailing))
-        return SvdFactors(left=u, singulars=values, right=ritz.right)
+        return SvdFactors(left=full.left[:, :k], singulars=full.singulars, right=full.right[:, :k])
     return ritz
 
 

@@ -7,12 +7,13 @@ numpy.random.default_rng. Row/column index sets are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .clustering import Labeling
 from .errors import InvalidInputError, InvalidParameterError
-from .matcore import SvdFactors, as_matrix, effective_rank, leading_svd, svd
+from .matcore import SvdFactors, as_matrix, effective_rank, gram_spectrum, leading_svd, svd
 
 
 def _signed_q(g: np.ndarray) -> np.ndarray:
@@ -103,12 +104,11 @@ class PerturbationInstance:
 
     observed = signal + noise. svd_signal holds the signal's rank-r
     factors: r vector pairs and r singular values, r being the rank. ``rank``
-    reads r there, so every bound sees one rank. svd_observed always holds
-    all min(N, n) observed singular values; its vector pairs, under the
-    deterministic sign convention, are all min(N, n) of them or only the
-    leading r ones (see ``perturb``). In the second form the values past the
-    r-th may come from Gram eigenvalues, accurate to gauge and resolvent-sum
-    precision rather than to LAPACK's (see ``leading_svd``).
+    reads r there, so every bound sees one rank. svd_observed holds the
+    leading r observed vector pairs, or all min(N, n) of them, under the
+    deterministic sign convention, and at least as many observed singular
+    values as pairs (see ``perturb``). ``observed_spectrum`` has all
+    min(N, n) observed values.
     """
 
     signal: np.ndarray
@@ -124,6 +124,30 @@ class PerturbationInstance:
     def rank(self) -> int:
         return self.svd_signal.vector_count
 
+    @cached_property
+    def observed_spectrum(self) -> np.ndarray:
+        """All min(N, n) observed singular values, descending, formed on first read.
+
+        When svd_observed holds them all, they are its values. Otherwise it
+        holds the c certified Ritz triplets (U, s, V) of ``leading_svd``, and
+        the values are s followed by the leading min(N, n) - c values of
+        ``gram_spectrum(observed - U (U.T observed))``. With eta the
+        certificate's residual, the observed matrix lies within eta of the
+        block-diagonal matrix with blocks U diag(s) V.T and the deflated
+        remainder (I - U U.T) observed (I - V V.T), and (I - U U.T) observed
+        lies within eta of that remainder, so by Weyl each trailing value is
+        within about 2 eta of the exact one, and each Ritz value within eta.
+        Gram rounding adds about eps * tau^2 / sigma, at the scale
+        tau = ||observed - U diag(s) V.T||_F of the remainder, not at sigma_1:
+        gauge and resolvent-sum precision rather than LAPACK's.
+        """
+        held = self.svd_observed.singulars
+        m = min(self.shape)
+        if held.size == m:
+            return held
+        u, a = self.svd_observed.left, self.observed
+        return np.concatenate((held, gram_spectrum(a - u @ (u.T @ a))[: m - held.size]))
+
 
 def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationInstance:
     """Form signal + noise and factorize both.
@@ -132,12 +156,12 @@ def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationIns
     the signal's is cut to its numerical rank r: the values above 1e-10
     times the largest, with their vector pairs. With the signal's exact thin
     factors (as ``low_rank_from_rng`` returns them, r pairs) no signal SVD
-    is taken: the observed matrix gets its leading r
-    vector pairs and its full spectrum from ``leading_svd(..., spectrum=True)``,
-    started from the signal's right factor. When those pairs are certified,
-    the spectrum is the r Ritz values followed by the Gram-eigenvalue
-    spectrum of the deflated observed matrix; after a fallback one full
-    LAPACK SVD supplies vectors and values.
+    is taken: the observed matrix gets its leading r vector pairs from
+    ``leading_svd``, started from the signal's right factor. When those
+    pairs are certified, svd_observed holds the r Ritz values only, and the
+    trailing observed values are left to ``observed_spectrum``, which only
+    the statements that read past the r-th value pay for; after a fallback
+    one full LAPACK SVD supplies the vectors and all the values.
     """
     signal = as_matrix(signal)
     noise = as_matrix(noise)
@@ -156,9 +180,7 @@ def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationIns
         if factors.shape != signal.shape or factors.vector_count != factors.singulars.size:
             raise InvalidInputError("factors must be the signal's thin factorization")
         svd_signal = factors
-        svd_observed = leading_svd(
-            observed, factors.vector_count, start=factors.right, spectrum=True
-        )
+        svd_observed = leading_svd(observed, factors.vector_count, start=factors.right)
     return PerturbationInstance(
         signal=signal,
         noise=noise,

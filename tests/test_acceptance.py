@@ -233,9 +233,10 @@ def heavy_stream():
     """200 draws at N = n = 900, rank 2, shared by the three Gaussian gates.
 
     Instances are built from the generator's exact factors: the observed
-    matrix gets its certified leading pairs and its spectrum from
-    ``perturb(..., factors=...)``, the noise its spectrum from
-    ``gram_spectrum``. Only the small report rows are kept.
+    matrix gets its certified leading pairs and their values from
+    ``perturb(..., factors=...)``, and no row here reads its trailing
+    spectrum; the noise gets its spectrum from ``gram_spectrum``. Only the
+    small report rows are kept.
     """
     lr = LowRankSpec(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA)
     p_top = GaussianBoundParams(
@@ -667,6 +668,41 @@ REPLAY_CONFIGS = {
             "singulars": [2.0e5, 1.2e5],
             "k_lo": 1,
             "k_hi": 1,
+        },
+        "format": "csv",
+    },
+    # the command-line model fails the Gaussian hypotheses (dim_ok needs about
+    # 550 x 550): pins every gauss_* row with valid 0, next to rows that read
+    # the observed trailing spectrum (mirsky) and the leading values
+    "bounds-small-gauss": {
+        "scenario": "bounds",
+        "trials": 6,
+        "base_seed": 20261019,
+        "theorems": [
+            "gauss_sin_theta:operator",
+            "gauss_sin_theta:frobenius",
+            "gauss_sin_theta_simplified",
+            "gauss_sv_location:1",
+            "gauss_sv_location:2",
+            "gauss_sv_location:3",
+            "gauss_2inf",
+            "gauss_vector_inf",
+            "gauss_matrix_2inf",
+            "gauss_2inf_aligned",
+            "gauss_linear",
+            "gauss_bilinear",
+            "gauss_weighted",
+            "gauss_weighted_corollary",
+            "mirsky:operator",
+            "wedin:1:operator",
+            "general_sv:1",
+        ],
+        "model": {
+            "n_rows": 80,
+            "n_cols": 60,
+            "singulars": [40.0, 30.0, 20.0],
+            "k_lo": 1,
+            "k_hi": 3,
         },
         "format": "csv",
     },

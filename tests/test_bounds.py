@@ -41,6 +41,7 @@ from svperturb.matcore import (
     NUCLEAR,
     OPERATOR,
     NormSpec,
+    gauge,
     kyfan,
     singular_values,
     svd,
@@ -331,6 +332,49 @@ class TestWedin:
         assert rep.empirical_value == pytest.approx(
             max(rep.detail["sin_left"], rep.detail["sin_right"]), rel=1e-12
         )
+
+
+class TestLazyTrailingSpectrum:
+    def test_heavy_reads_skip_it_and_mirsky_reads_the_eager_values(self, monkeypatch):
+        import svperturb.models
+
+        real = svperturb.models.gram_spectrum
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(svperturb.models, "gram_spectrum", counting)
+        n, sigma = 120, (2.0e5, 1.2e5)
+        p_top = strong_params(n, sigma)
+        p_full = GaussianBoundParams(n_rows=n, n_cols=n, singulars=sigma, k_lo=1, k_hi=2)
+        rng = np.random.default_rng(41)
+        a, fac = low_rank_from_rng(LowRankSpec(n, n, sigma), rng)
+        inst = perturb(a, rng.standard_normal((n, n)), factors=fac)
+        assert inst.svd_observed.singulars.size == 2  # certified
+        # what the heavy gate stream reads of each instance
+        esv = singular_values(inst.noise)
+        window_sin_theta(inst, 1, 1, OPERATOR)
+        gauss_sv_location_check(
+            inst, p_top, 1, lambda z: phi_values(esv, n, n, z).varphi.real
+        )
+        window_2inf_residual(inst, 1, 1)
+        window_residual(inst, 1, 1)
+        window_weighted_residual(inst, 1, 2, aligned=True)
+        weighted_corollary_bound(p_full, row_mass(fac.left), float(esv[0]))
+        wedin_check(inst, 1, OPERATOR)  # reads the second value, which is held
+        assert calls == []
+        rep = mirsky_check(inst, FROBENIUS)
+        assert calls == [(n, n)]
+        u, obs = inst.svd_observed.left, inst.observed
+        eager = np.concatenate((inst.svd_observed.singulars, real(obs - u @ (u.T @ obs))[: n - 2]))
+        assert inst.observed_spectrum.tobytes() == eager.tobytes()
+        diff = np.concatenate((fac.singulars, np.zeros(n - 2))) - eager
+        assert rep.empirical_value == gauge(diff, FROBENIUS)
+        mirsky_check(inst, OPERATOR)
+        wedin_check(inst, 2, OPERATOR)
+        assert len(calls) == 1  # formed once per instance
 
 
 class TestCrossTerm:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svperturb.bounds import ALL_OK, BoundReport, PreconditionFlags
+from svperturb.bounds import ALL_OK, BoundReport, GaussianBoundParams, PreconditionFlags
 from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 from svperturb import harness, matcore
 from svperturb.harness import (
@@ -29,6 +29,7 @@ from svperturb.harness import (
     main,
     run_monte_carlo,
 )
+from svperturb.models import LowRankSpec, low_rank_from_rng, perturb
 from svperturb.seeding import derive_seed
 
 BOUNDS_MODEL = {
@@ -168,6 +169,9 @@ EDGE_MODELS = {
 }
 
 
+GAUSS_KINDS = sorted(k for k in harness._BOUNDS_THEOREMS if k.startswith("gauss_"))
+
+
 def kind_tokens(kind: str, rank: int) -> list[str]:
     """Every token of a bounds kind at window [1, 1]: each index in 1..rank,
     the operator and the Frobenius norm."""
@@ -199,6 +203,89 @@ class TestEdgeModels:
                 assert rc == EXIT_CONFIG and "full window" in err, (kind, err)
             else:
                 assert rc in (EXIT_OK, EXIT_VIOLATION), (kind, rc, err)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_gaussian_evaluators_fail_closed(self, name):
+        # main binds these kinds to constant rows on the edge models, so call
+        # each evaluator directly, on the inner and on the full window
+        model = EDGE_MODELS[name]
+        rank = len(model["singulars"])
+        lr = LowRankSpec(model["n_rows"], model["n_cols"], tuple(model["singulars"]))
+        rng = np.random.default_rng(derive_seed(3, 0))
+        a, fac = low_rank_from_rng(lr, rng)
+        inst = perturb(a, rng.standard_normal(a.shape), factors=fac)
+        for k_hi in sorted({1, rank}):
+            params = GaussianBoundParams(lr.n_rows, lr.n_cols, lr.singulars, 1, k_hi)
+            trial = harness._BoundsTrial(inst, params, rng)
+            for kind in GAUSS_KINDS:
+                if kind == "gauss_weighted_corollary" and k_hi != rank:
+                    continue
+                for token in kind_tokens(kind, rank):
+                    evaluate, args = harness._bind_token(token, params)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        reports = evaluate(trial, *args)
+                    for rep in reports:
+                        values = [rep.bound_value, rep.empirical_value]
+                        if values[1] is not None and not np.isfinite(values[1]):
+                            assert rep.violated is True and rep.ratio == np.inf, token
+                        if not all(np.isfinite(v) for v in values if v is not None):
+                            # never counted as a pass
+                            assert not (rep.preconditions.all_ok and rep.violated is False), token
+
+    def test_bind_time_ids_are_the_evaluated_ids(self):
+        # a model that meets the Gaussian hypotheses, so every row is evaluated
+        lr = LowRankSpec(600, 560, (2.0e5, 1.2e5))
+        params = GaussianBoundParams(600, 560, lr.singulars, 1, 2)
+        assert params.preconditions.all_ok
+        rng = np.random.default_rng(7)
+        a, fac = low_rank_from_rng(lr, rng)
+        inst = perturb(a, rng.standard_normal(a.shape), factors=fac)
+        trial = harness._BoundsTrial(inst, params, rng)
+        extra = ["gauss_sin_theta:kyfan2", "gauss_sin_theta:schatten2.50", "gauss_sv_location:2"]
+        tokens = [t for kind in GAUSS_KINDS for t in kind_tokens(kind, 2)] + extra
+        for token in tokens:
+            evaluate, args = harness._bind_token(token, params)
+            constant, _ = harness._not_met(evaluate, args, params.preconditions)
+            assert [r.theorem_id for r in constant(trial)] == [
+                r.theorem_id for r in evaluate(trial, *args)
+            ], token
+
+
+class TestGaussianSkip:
+    def test_excluded_model_evaluates_no_gaussian_row(self, tmp_path, monkeypatch, capsys):
+        # the command-line model fails dim_ok, snr_ok and gap_ok: every gauss_*
+        # row is the same constant not-met row, so no trial evaluates it
+        tokens = [t for kind in GAUSS_KINDS for t in kind_tokens(kind, 3)]
+        p = tmp_path / "cfg.json"
+        model = dict(CLI_BOUNDS_MODEL, k_hi=3)
+        p.write_text(json.dumps({"theorems": tokens + ["mirsky:operator"], "model": model}))
+        argv = ["bounds", "--config", str(p), "--trials", "4", "--out", str(tmp_path / "a.csv")]
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (
+            "note: the model fails dim_ok, snr_ok, gap_ok: gauss_* rows were not evaluated"
+        )
+        assert err[1].startswith("note: no valid trial in rows: gauss_2inf, ")
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("a gauss_* row was evaluated")
+
+        for name in (
+            "window_residual",
+            "window_sin_theta",
+            "cross_term_norm",
+            "phi_values",
+            "row_mass",
+            "_unit_vector",
+            "linear_bilinear_bound",
+        ):
+            monkeypatch.setattr(harness, name, untouched)
+        argv[-1] = str(tmp_path / "b.csv")
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        rows = (tmp_path / "a.csv").read_text().splitlines()
+        assert sum(r.startswith("gauss_") and r.endswith(",4,0,0,,,,") for r in rows) == len(tokens)
 
 
 class TestRun:

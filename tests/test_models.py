@@ -142,12 +142,23 @@ class TestPerturb:
         assert inst.svd_signal is fac
         assert inst.rank() == 2
         observed = inst.svd_observed
-        assert observed.vector_count == 2
-        assert np.allclose(observed.singulars, svd(a + e).singulars, rtol=1e-12)
+        # certified: two pairs and their two Ritz values; the rest on first read
+        assert observed.vector_count == observed.singulars.size == 2
+        assert np.allclose(inst.observed_spectrum, svd(a + e).singulars, rtol=1e-12)
         full = perturb(a, e).svd_observed
         for i in range(2):
             assert abs(observed.left[:, i] @ full.left[:, i]) == pytest.approx(1.0, abs=1e-12)
             assert abs(observed.right[:, i] @ full.right[:, i]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fallback_holds_every_observed_value(self):
+        # the command-line model: no certificate, so LAPACK supplies all 60 values
+        spec = LowRankSpec(80, 60, (40.0, 30.0, 20.0))
+        a, fac = low_rank_from_rng(spec, np.random.default_rng(5))
+        e = np.random.default_rng(6).standard_normal((80, 60))
+        inst = perturb(a, e, factors=fac)
+        assert inst.svd_observed.vector_count == 3
+        assert np.array_equal(inst.svd_observed.singulars, svd(a + e).singulars)
+        assert inst.observed_spectrum is inst.svd_observed.singulars
 
     def test_factors_must_fit_the_signal(self):
         a, fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
