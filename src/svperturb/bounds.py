@@ -5,12 +5,12 @@ with a measured left-hand side. Preconditions are always computed, never
 assumed; when they fail the report says so and claims no probability.
 Singular-value positions (k, s, j) are 1-based, matching the usual math
 indexing. Asymptotic statements with unspecified constants are evaluated
-with constant 1 and flagged non-quantitative.
+with constant 1 and claim probability 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,8 +57,7 @@ class BoundReport:
     a bound <= 0 (or -inf) the ratio is +inf for a violation or a positive
     empirical value and 0 otherwise, so a violation never ranks below 1. A
     bound of +inf appears only on precondition-not-met rows, whose empirical
-    value is None. detail is in-memory only; serialized rows carry the
-    scalar fields.
+    value is None.
     """
 
     theorem_id: str
@@ -68,7 +67,6 @@ class BoundReport:
     empirical_value: float | None = None
     ratio: float | None = None
     violated: bool | None = None
-    detail: dict = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -78,7 +76,6 @@ class BoundReport:
         probability_floor: float,
         preconditions: PreconditionFlags,
         empirical_value: float | None = None,
-        detail: dict | None = None,
     ) -> "BoundReport":
         ratio = None
         violated = None
@@ -94,7 +91,6 @@ class BoundReport:
             empirical_value=empirical_value,
             ratio=ratio,
             violated=violated,
-            detail=detail if detail is not None else {},
         )
 
     def with_empirical(self, value: float) -> "BoundReport":
@@ -104,7 +100,6 @@ class BoundReport:
             self.probability_floor,
             self.preconditions,
             value,
-            self.detail,
         )
 
 
@@ -386,21 +381,10 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
     gap_hat = float(sigma_k - next_observed)
     theorem_id = f"wedin:k{k}:{spec.label}"
     if gap_hat <= 0.0:
-        flags = PreconditionFlags(True, True, False)
-        return BoundReport.build(
-            theorem_id, np.inf, 0.0, flags, None, {"gap_hat": gap_hat}
-        )
+        return BoundReport.build(theorem_id, np.inf, 0.0, PreconditionFlags(True, True, False))
     numerator = max(gauge(vals, spec) for vals in _cross_spectra(inst, k, slice(0, k)))
-    sig, obs = inst.svd_signal, inst.svd_observed
-    sin_left = sin_theta_norm(sig.left[:, :k], obs.left[:, :k], spec)
-    sin_right = sin_theta_norm(sig.right[:, :k], obs.right[:, :k], spec)
     return BoundReport.build(
-        theorem_id,
-        numerator / gap_hat,
-        1.0,
-        ALL_OK,
-        max(sin_left, sin_right),
-        {"gap_hat": gap_hat, "sin_left": sin_left, "sin_right": sin_right},
+        theorem_id, numerator / gap_hat, 1.0, ALL_OK, window_sin_theta(inst, 1, k, spec)
     )
 
 
@@ -416,11 +400,6 @@ def cross_term_norm(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: Norm
     return gauge(np.concatenate(_cross_spectra(inst, inst.rank(), w)), spec)
 
 
-def _alt_factor(margin: float) -> float:
-    # statement constant uses (b+1)^2; the proof-derived variant uses (b+2)^2
-    return (margin + 2.0) ** 2 / (margin + 1.0) ** 2
-
-
 def gauss_row_id(kind: str, arg: NormSpec | int | None = None) -> str:
     """The row id of the Gaussian statement `kind` at its token argument: the
     norm's label for gauss_sin_theta, j<index> for gauss_sv_location; a kind
@@ -432,9 +411,7 @@ def gauss_row_id(kind: str, arg: NormSpec | int | None = None) -> str:
 
 def _shape_report(theorem_id: str, p: GaussianBoundParams, value: float) -> BoundReport:
     """A constant-free asymptotic statement: constant 1, no probability."""
-    return BoundReport.build(
-        theorem_id, value, 0.0, p.preconditions, None, {"non_quantitative": True}
-    )
+    return BoundReport.build(theorem_id, value, 0.0, p.preconditions)
 
 
 def gauss_subspace_bound(
@@ -461,23 +438,17 @@ def gauss_subspace_bound(
         lead = 6.0 * _SQRT2 * bfac * np.sqrt(max(min(w, p.rank - w), 0))
     first = _over_gap(lead * p.eta * np.sqrt(w), p.min_gap)
     second = 2.0 * cross_norm / p.singulars[p.k_hi - 1]
-    detail = {
-        "first_term": float(first),
-        "cross_term": float(second),
-        "r0": p.r0,
-        "bound_alt_b2": float(first * _alt_factor(b) + second),
-    }
     prob = p.probability_floor(20.0)
     return BoundReport.build(
-        gauss_row_id("gauss_sin_theta", spec), first + second, prob, p.preconditions, None, detail
+        gauss_row_id("gauss_sin_theta", spec), first + second, prob, p.preconditions
     )
 
 
 def gauss_subspace_simplified(p: GaussianBoundParams, e_norm: float) -> BoundReport:
     """Asymptotic corollary shape for the top-k_lo window [1, k_lo].
 
-    Constant-free statement: evaluated with constant 1 and flagged
-    non-quantitative; never used as a pass/fail gate.
+    Constant-free statement: evaluated with constant 1, claiming probability
+    0; never used as a pass/fail gate.
     """
     kk = p.k_lo
     shape = (
@@ -507,9 +478,7 @@ def gauss_sv_location_check(
     try:
         phi_val = float(phi_at(observed))
     except EvaluationDomainError:
-        return BoundReport.build(
-            theorem_id, np.inf, 0.0, flags, None, {"phi_domain": False}
-        )
+        return BoundReport.build(theorem_id, np.inf, 0.0, flags)
     strip = 20.0 * p.chi * p.eta * p.rank
     candidates = range(p.k_lo, p.k_hi + 1)
     residuals = {j0: abs(phi_val - p.singulars[j0 - 1] ** 2) for j0 in candidates}
@@ -523,10 +492,9 @@ def gauss_sv_location_check(
     threshold = (
         20.0 * p.xi * p.chi * p.eta * p.rank * (observed + p.chi * p.singulars[j_star - 1])
     )
-    detail = {"j0": j_star, "membership": bool(admissible), "phi_value": phi_val}
     # an observed value in no strip fails closed, whatever its residual
     value = residuals[j_star] if admissible else np.inf
-    return BoundReport.build(theorem_id, threshold, prob, flags, value, detail)
+    return BoundReport.build(theorem_id, threshold, prob, flags, value)
 
 
 def general_sv_bounds(
@@ -553,12 +521,7 @@ def general_sv_bounds(
     )
     if observed_k <= 0.0:
         upper = BoundReport.build(
-            f"general_sv_upper:k{k}",
-            np.inf,
-            0.0,
-            PreconditionFlags(True, False, True),
-            None,
-            {"observed_k": observed_k},
+            f"general_sv_upper:k{k}", np.inf, 0.0, PreconditionFlags(True, False, True)
         )
         return lower, upper
     b_cap = gp.op_bound
@@ -653,13 +616,8 @@ def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
         else:
             tail_acc += 16.0 * p.n_cols / si**2
     second = p.tail_factor * (1.0 + u) * np.sqrt(acc + tail_acc)
-    detail = {
-        "first_term": float(first),
-        "tail_sum": float(tail_acc),
-        "bound_alt_b2": float(first * _alt_factor(p.margin) + second),
-    }
     prob = p.probability_floor(40.0)
-    return BoundReport.build("gauss_2inf", first + second, prob, p.preconditions, None, detail)
+    return BoundReport.build("gauss_2inf", first + second, prob, p.preconditions)
 
 
 def linear_bilinear_bound(
@@ -688,11 +646,8 @@ def linear_bilinear_bound(
     linear_val = lead * np.sqrt(w) + tail_coef * np.sqrt(np.sum(1.0 / sig**2))
     y_support = int(np.count_nonzero(y))
     bilinear_val = lead * np.sqrt(y_support) + tail_coef * float(np.sum(np.abs(y) / sig))
-    detail = {"hypothesis_sigma1": bool(hyp_ok)}
-    linear = BoundReport.build("gauss_linear", linear_val, prob, flags, None, dict(detail))
-    bilinear = BoundReport.build(
-        "gauss_bilinear", bilinear_val, prob, flags, None, dict(detail)
-    )
+    linear = BoundReport.build("gauss_linear", linear_val, prob, flags)
+    bilinear = BoundReport.build("gauss_bilinear", bilinear_val, prob, flags)
     return linear, bilinear
 
 
@@ -703,8 +658,7 @@ def weighted_window_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
     first = _over_gap(p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w), p.min_gap)
     second = p.tail_factor * (1.0 + u) * np.sqrt(p.gamma**2 * w + 16.0)
     prob = p.probability_floor(40.0)
-    detail = {"bound_alt_b2": float(first * _alt_factor(p.margin) + second)}
-    return BoundReport.build("gauss_weighted", first + second, prob, p.preconditions, None, detail)
+    return BoundReport.build("gauss_weighted", first + second, prob, p.preconditions)
 
 
 def weighted_corollary_bound(
@@ -720,7 +674,7 @@ def weighted_corollary_bound(
     first = scale * (1.0 + u)
     second = 2.0 * u * e_norm**2 / p.singulars[-1]
     prob = p.probability_floor(40.0)
-    return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags, None, {})
+    return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags)
 
 
 def spectral_norm_report(e_norm: float | None, n_rows: int, n_cols: int) -> BoundReport:

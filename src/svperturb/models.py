@@ -251,13 +251,11 @@ class GmmSample:
     center_gap: float          # smallest pairwise center distance
     min_cluster: int           # smallest cluster size, as a count
     sigma_min: float           # smallest singular value of the expected matrix
-    signal_left: np.ndarray    # n_features x k left factor of the expected matrix
     truth_embedding: np.ndarray  # k x n_samples projection of the expected matrix
-    noiseless: bool = False
 
 
-def sample_gmm(spec: GmmSpec, seed: int, noiseless: bool = False) -> GmmSample:
-    """Draw one mixture sample; noiseless=True returns the expected matrix.
+def sample_gmm(spec: GmmSpec, seed: int) -> GmmSample:
+    """Draw one mixture sample: the expected matrix plus unit Gaussian noise.
 
     The rank-k geometry of the expected matrix is computed through its
     scaled-center factorization, so sigma_min and the truth embedding are
@@ -266,11 +264,7 @@ def sample_gmm(spec: GmmSpec, seed: int, noiseless: bool = False) -> GmmSample:
     labels = spec.labels()
     theta = spec.centers.T                      # n_features x k
     expected = theta[:, labels - 1]
-    if noiseless:
-        x = expected.copy()
-    else:
-        rng = np.random.default_rng(seed)
-        x = expected + rng.standard_normal(expected.shape)
+    x = expected + np.random.default_rng(seed).standard_normal(expected.shape)
 
     k = spec.n_clusters
     sizes = np.bincount(labels, minlength=k + 1)[1:]
@@ -291,9 +285,7 @@ def sample_gmm(spec: GmmSpec, seed: int, noiseless: bool = False) -> GmmSample:
         center_gap=center_gap,
         min_cluster=int(sizes.min()),
         sigma_min=float(lam[-1]),
-        signal_left=u,
         truth_embedding=u.T @ expected,
-        noiseless=noiseless,
     )
 
 
@@ -357,19 +349,14 @@ class SubmatrixSample:
     sigma_min: float           # min |amplitude_i| sqrt(rows_i * cols_i)
     min_rows: int
     min_cols: int
-    noiseless: bool = False
 
 
-def plant_submatrices(spec: SubmatrixSpec, seed: int, noiseless: bool = False) -> SubmatrixSample:
-    """Plant the blocks and add unit Gaussian noise (unless noiseless)."""
+def plant_submatrices(spec: SubmatrixSpec, seed: int) -> SubmatrixSample:
+    """Plant the blocks and add unit Gaussian noise."""
     expected = np.zeros((spec.n_rows, spec.n_cols))
     for rset, cset, amp in zip(spec.row_sets, spec.col_sets, spec.amplitudes):
         expected[np.ix_(rset, cset)] = amp
-    if noiseless:
-        x = expected.copy()
-    else:
-        rng = np.random.default_rng(seed)
-        x = expected + rng.standard_normal(expected.shape)
+    x = expected + np.random.default_rng(seed).standard_normal(expected.shape)
 
     k = spec.n_blocks
     row_lab = np.full(spec.n_rows, k + 1, dtype=int)
@@ -390,5 +377,4 @@ def plant_submatrices(spec: SubmatrixSpec, seed: int, noiseless: bool = False) -
         sigma_min=float(np.min(amps * np.sqrt(rsizes * csizes))),
         min_rows=int(rsizes.min()),
         min_cols=int(csizes.min()),
-        noiseless=noiseless,
     )

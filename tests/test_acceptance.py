@@ -307,7 +307,8 @@ def test_gauss_sin_theta_operator(heavy_stream):
 def test_singular_value_location(heavy_stream):
     reports = heavy_stream["rows"]["location"]
     valid, bad = _tally(reports)
-    members = sum(1 for r in reports if r.detail.get("membership"))
+    # a value in no strip is measured as +inf, so a finite value is a membership
+    members = sum(1 for r in reports if r.violated is not None and np.isfinite(r.empirical_value))
     cap = _rate_cap(10.0, 1800, 1.0, valid)
     rate = bad / valid
     ok = valid == HEAVY_TRIALS and rate <= cap
@@ -505,7 +506,7 @@ def test_gmm_recovery():
     logsum = np.log(350.0)
     gap_floor = max(40.0 * root / np.sqrt(100.0), 1800.0 * 3.0 * np.sqrt(8.0 * logsum))
     snr_floor = 40.0 * root + 3.8e4 * 3.0 * np.sqrt(2.0 * np.log(9.0) * 3.0 + 8.0 * logsum)
-    probe = sample_gmm(spec, 0, noiseless=True)
+    probe = sample_gmm(spec, 0)  # the gap and sigma_min depend on the spec alone
     assert probe.center_gap >= gap_floor
     assert probe.sigma_min >= snr_floor
 
@@ -556,7 +557,7 @@ def test_submatrix_recovery():
     gap_floor = max(40.0 * root / np.sqrt(100.0), 1800.0 * 2.0 * np.sqrt(8.0 * logsum))
     snr_floor = 40.0 * root + 3.8e4 * 2.0 * np.sqrt(2.0 * np.log(9.0) * 2.0 + 8.0 * logsum)
     dim_ok = root**2 >= 32.0 * 8.0 * logsum + 64.0 * np.log(9.0) * 2.0
-    probe = plant_submatrices(spec, 0, noiseless=True)
+    probe = plant_submatrices(spec, 0)  # the gaps and sigma_min depend on the spec alone
     assert dim_ok
     assert min(probe.row_gap, probe.col_gap) >= gap_floor
     assert probe.sigma_min >= snr_floor

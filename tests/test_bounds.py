@@ -325,13 +325,11 @@ class TestWedin:
         assert rep.bound_value == np.inf
         assert rep.probability_floor == 0.0
 
-    def test_detail_reports_both_sides(self):
+    def test_measured_value_is_window_sin_theta(self):
         inst = make_instance(7, scale=0.2)
         rep = wedin_check(inst, 2, FROBENIUS)
-        assert rep.detail["gap_hat"] > 0
-        assert rep.empirical_value == pytest.approx(
-            max(rep.detail["sin_left"], rep.detail["sin_right"]), rel=1e-12
-        )
+        assert rep.preconditions.gap_ok
+        assert rep.empirical_value == window_sin_theta(inst, 1, 2, FROBENIUS)
 
 
 class TestLazyTrailingSpectrum:
@@ -428,8 +426,8 @@ class TestGaussSubspace:
             k_hi=2,
         )
         rep = gauss_subspace_bound(p, OPERATOR, 100.0)
-        assert rep.detail["first_term"] == 0.0
-        assert rep.bound_value == pytest.approx(2.0 * 100.0 / 1.2e5)
+        # the leading term is exactly 0, so the bound is the cross term alone
+        assert rep.bound_value == 2.0 * 100.0 / 1.2e5
 
     def test_monotone_in_signal_strength(self):
         base = (2.0e5, 1.2e5)
@@ -443,15 +441,10 @@ class TestGaussSubspace:
         wide = (2.0e5, 1.0e5)
         b1 = gauss_subspace_bound(strong_params(singulars=narrow), OPERATOR, 50.0)
         b2 = gauss_subspace_bound(strong_params(singulars=wide), OPERATOR, 50.0)
-        # wider gap shrinks the leading term; the cross term is fixed here
-        assert (
-            b2.detail["first_term"] < b1.detail["first_term"]
-        )
-
-    def test_alt_constant_is_larger(self):
-        p = strong_params()
-        rep = gauss_subspace_bound(p, OPERATOR, 50.0)
-        assert rep.detail["bound_alt_b2"] >= rep.bound_value
+        # wider gap shrinks the leading term; the cross term 2 * 50 / sigma_1
+        # is the same for both
+        cross = 2.0 * 50.0 / 2.0e5
+        assert 0 < b2.bound_value - cross < b1.bound_value - cross
 
     def test_weak_regime_has_zero_floor(self):
         p = GaussianBoundParams(
@@ -485,7 +478,10 @@ class TestSimplified:
         rep = gauss_subspace_simplified(p, e_norm=10.0)
         assert rep.bound_value == pytest.approx(expect, rel=1e-12)
         assert rep.probability_floor == 0.0
-        assert rep.detail["non_quantitative"] is True
+        # a shape row claims no probability even where every hypothesis holds
+        strong = strong_params()
+        assert strong.preconditions.all_ok
+        assert gauss_subspace_simplified(strong, e_norm=10.0).probability_floor == 0.0
 
 
 class TestSvLocation:
@@ -498,7 +494,8 @@ class TestSvLocation:
             return phi_values(eta, 600, 600, z).varphi.real
 
         rep = gauss_sv_location_check(inst, p, 1, phi_at)
-        assert rep.detail["membership"] is True
+        # a value inside some strip is measured, so it is finite
+        assert np.isfinite(rep.empirical_value)
         assert rep.violated is False
 
     def test_value_in_no_strip_fails_closed(self):
@@ -507,7 +504,7 @@ class TestSvLocation:
         p = strong_params(n=900)
         inst = SimpleNamespace(svd_observed=SimpleNamespace(singulars=np.array([3.0e5, 1.2e5])))
         rep = gauss_sv_location_check(inst, p, 1, lambda z: p.singulars[0] ** 2)
-        assert rep.detail["membership"] is False
+        assert rep.empirical_value == np.inf
         assert rep.violated is True
         assert rep.ratio == np.inf
 
@@ -521,7 +518,8 @@ class TestSvLocation:
         rep = gauss_sv_location_check(inst, p, 1, phi_at)
         assert rep.violated is None
         assert rep.probability_floor == 0.0
-        assert rep.detail["phi_domain"] is False
+        assert rep.bound_value == np.inf
+        assert rep.empirical_value is None
 
     def test_j_outside_window_rejected(self):
         p = strong_params()
@@ -606,7 +604,10 @@ class TestEntrywise:
             n_rows=30, n_cols=5, singulars=(30.0, 20.0), k_lo=1, k_hi=2
         )
         rep = two_inf_bound(p, 0.5)
-        assert rep.detail["tail_sum"] == pytest.approx(16.0 * 5 / 30.0**2)
+        # sigma_1 = 30 > 5^2 enters as 16 n / sigma_1^2, sigma_2 = 20 as gamma^2 / sigma_2^2
+        first = p.window_lead * 0.5 * p.eta * np.sqrt(2.0) / p.min_gap
+        second = p.tail_factor * 1.5 * np.sqrt(p.gamma**2 / 20.0**2 + 16.0 * 5 / 30.0**2)
+        assert rep.bound_value == pytest.approx(first + second, rel=1e-12)
 
     def test_vector_form_shape(self):
         p = GaussianBoundParams(
@@ -627,7 +628,9 @@ class TestEntrywise:
         assert aligned_2inf_bound(p, 0.1, 0.0, 0.3).bound_value == shape
         rep = aligned_2inf_bound(p, 0.1, 100.0, 0.3)
         assert rep.bound_value == pytest.approx(shape + 100.0**2 / 2.0e5**2 * 0.3, rel=1e-12)
-        assert rep.detail["non_quantitative"] is True
+        # a shape row claims no probability even where every hypothesis holds
+        assert rep.preconditions.all_ok
+        assert rep.probability_floor == 0.0
 
     @pytest.mark.parametrize("u_2inf", [-0.1, 1.1, float("nan")])
     @pytest.mark.parametrize(
@@ -660,7 +663,7 @@ class TestLinearBilinear:
         r = 2
         xu = float(np.linalg.norm(x @ inst.svd_signal.left[:, :r]))
         lin, bil = linear_bilinear_bound(p, xu, y)
-        assert lin.detail["hypothesis_sigma1"] is True
+        assert lin.probability_floor == bil.probability_floor == p.probability_floor(40.0) > 0
         u_w = inst.svd_signal.left[:, :1]
         ut_w = inst.svd_observed.left[:, :1]
         resid = ut_w - u_w @ (u_w.T @ ut_w)
@@ -670,15 +673,10 @@ class TestLinearBilinear:
         assert bil.with_empirical(bil_emp).violated is False
 
     def test_hypothesis_flag_blocks_probability(self):
-        p = GaussianBoundParams(
-            n_rows=600,
-            n_cols=20,  # 20^2 = 400 < top singular value
-            singulars=(2.0e5, 1.2e5),
-            k_lo=1,
-            k_hi=1,
-        )
+        # 600^2 < sigma_1 = 4e5 while every precondition holds
+        p = strong_params(singulars=(4.0e5, 2.8e5))
+        assert p.probability_floor(40.0) > 0
         lin, bil = linear_bilinear_bound(p, 0.5, np.array([1.0]))
-        assert lin.detail["hypothesis_sigma1"] is False
         assert lin.probability_floor == 0.0
         assert bil.probability_floor == 0.0
 

@@ -304,6 +304,16 @@ class TestRun:
         ids = [r["theorem_id"] for r in summary.rows]
         assert ids == ["general_sv_lower:k1", "general_sv_upper:k1"]
 
+    def test_sin_theta_below_sqrt_eps_is_measured(self):
+        # sin-theta is about 5e-12 here, which arccos reads as 0 or a multiple of
+        # 1.49e-8; the Wedin ratio sits within the 1e-9 slack of 1, so count
+        # violations rather than test ratio < 1
+        model = {"n_rows": 20, "n_cols": 20, "singulars": [1e12, 0.1]}
+        theorems = ("wedin:1:frobenius", "general_sin_theta:1:frobenius")
+        cfg = config(trials=3, base_seed=5, theorems=theorems, model=model)
+        rows = run_monte_carlo(cfg).rows
+        assert [(r["valid"], r["violations"]) for r in rows] == [(3, 0), (3, 0)]
+
     def test_threads_do_not_change_results(self):
         cfg1 = config(threads=1)
         cfg2 = config(threads=3)

@@ -188,10 +188,11 @@ class TestGmm:
             c = sample.truth.labels[i] - 1
             assert np.allclose(sample.expected[:, i], spec.centers[c])
 
-    def test_noiseless_sample(self):
+    def test_noise_is_the_seeded_unit_gaussian(self):
         spec = self.spec()
-        sample = sample_gmm(spec, seed=5, noiseless=True)
-        assert np.array_equal(sample.x, sample.expected)
+        sample = sample_gmm(spec, seed=5)
+        noise = np.random.default_rng(5).standard_normal(sample.expected.shape)
+        assert np.array_equal(sample.x, sample.expected + noise)
 
     def test_center_gap(self):
         spec = self.spec(scale=7.0)
@@ -200,15 +201,17 @@ class TestGmm:
 
     def test_geometry_against_dense_svd(self):
         spec = self.spec(k=2, p=5, n=20, scale=4.0)
-        sample = sample_gmm(spec, seed=7, noiseless=True)
+        sample = sample_gmm(spec, seed=7)
         sv = np.linalg.svd(sample.expected, compute_uv=False)
         assert sample.sigma_min == pytest.approx(sv[1], rel=1e-9)
 
     def test_truth_embedding_reconstructs_expected(self):
         spec = self.spec(k=3, p=8, n=24, scale=9.0)
         sample = sample_gmm(spec, seed=8)
-        recon = sample.signal_left @ sample.truth_embedding
-        assert np.allclose(recon, sample.expected, atol=1e-8)
+        # the embedding is the expected matrix in an orthonormal basis of its
+        # column space, so the two share their Gram matrix
+        emb = sample.truth_embedding
+        assert np.allclose(emb.T @ emb, sample.expected.T @ sample.expected, atol=1e-8)
 
     def test_custom_assignment(self):
         spec = GmmSpec(
@@ -255,10 +258,10 @@ class TestSubmatrix:
 
     def test_expected_blocks(self):
         spec = self.spec()
-        sample = plant_submatrices(spec, seed=1, noiseless=True)
-        assert np.allclose(sample.x[np.ix_([0, 1, 2], [0, 1])], 3.0)
-        assert np.allclose(sample.x[np.ix_([5, 6], [4, 5, 6])], -2.0)
-        assert sample.x[11, 9] == 0.0
+        sample = plant_submatrices(spec, seed=1)
+        assert np.all(sample.expected[np.ix_([0, 1, 2], [0, 1])] == 3.0)
+        assert np.all(sample.expected[np.ix_([5, 6], [4, 5, 6])] == -2.0)
+        assert sample.expected[11, 9] == 0.0
 
     def test_truth_labels_background(self):
         spec = self.spec()
@@ -282,7 +285,7 @@ class TestSubmatrix:
 
     def test_sigma_min_matches_dense(self):
         spec = self.spec()
-        sample = plant_submatrices(spec, seed=2, noiseless=True)
+        sample = plant_submatrices(spec, seed=2)
         sv = np.linalg.svd(sample.expected, compute_uv=False)
         pos = sv[sv > 1e-9]
         assert sample.sigma_min == pytest.approx(pos[-1], rel=1e-9)

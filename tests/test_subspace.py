@@ -115,6 +115,13 @@ class TestSinThetaNorm:
         top2 = np.sort(np.sin(ang))[::-1][:2].sum()
         assert sin_theta_norm(u, v, kyfan(2)) == pytest.approx(float(top2), abs=1e-9)
 
+    def test_small_angle_keeps_full_precision(self):
+        # arccos of cos(1e-10) == 1.0 would read this angle as 0
+        t = 1e-10
+        u = np.array([[1.0], [0.0], [0.0]])
+        v = np.array([[np.cos(t)], [np.sin(t)], [0.0]])
+        assert sin_theta_norm(u, v, OPERATOR) == pytest.approx(np.sin(t), rel=1e-12)
+
     def test_requires_invariant_norm(self):
         # l2,inf is not a norm kind, so sin_theta_norm never receives it
         u, v = pair(13)
