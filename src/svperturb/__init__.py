@@ -37,9 +37,9 @@ from .subspace import (
     aligned_distance,
     principal_angles,
     procrustes_align,
+    residual,
     row_mass,
     sin_theta_norm,
-    two_inf_residual,
 )
 from .models import (
     GmmSample,

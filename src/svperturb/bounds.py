@@ -23,7 +23,7 @@ from .errors import (
 from .matcore import NormSpec, gauge, require_norm, singular_values
 from .models import PerturbationInstance, check_spectrum
 from .resolvent import margin_offsets, min_abs_z
-from .subspace import procrustes_align, row_mass, sin_theta_norm
+from .subspace import residual, row_mass, sin_theta_norm
 
 VIOLATION_SLACK = 1e-9
 
@@ -700,12 +700,9 @@ def window_sin_theta(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: Nor
 def window_residual(
     inst: PerturbationInstance, k_lo: int, k_hi: int, aligned: bool = False
 ) -> np.ndarray:
-    """The observed left window ut_w minus its projection u_w (u_w.T ut_w) on
-    the signal left window (aligned: minus u_w O at the Procrustes-optimal O)."""
+    """subspace.residual of the observed left window on the signal left window."""
     w = _window_cols(inst, k_lo, k_hi)
-    u_w, ut_w = inst.svd_signal.left[:, w], inst.svd_observed.left[:, w]
-    fit = procrustes_align(u_w, ut_w) if aligned else u_w.T @ ut_w
-    return ut_w - u_w @ fit
+    return residual(inst.svd_signal.left[:, w], inst.svd_observed.left[:, w], aligned)
 
 
 def window_2inf_residual(

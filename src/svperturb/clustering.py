@@ -41,10 +41,6 @@ class Labeling:
     def __len__(self) -> int:
         return int(self.labels.size)
 
-    def groups(self) -> list[np.ndarray]:
-        """Member indices per label, index b holds label b+1. Empty groups stay."""
-        return [np.flatnonzero(self.labels == b + 1) for b in range(self.k)]
-
 
 @dataclass(frozen=True)
 class KMeansConfig:

@@ -115,9 +115,9 @@ from .subspace import (
     aligned_distance,
     principal_angles,
     procrustes_align,
+    residual,
     row_mass,
     sin_theta_norm,
-    two_inf_residual,
 )
 from .models import haar_basis
 
@@ -455,7 +455,7 @@ class _BoundsTrial:
 
 
 def _not_met(evaluate, args, flags: PreconditionFlags):
-    """A Gaussian token under failed hypotheses: its constant not-met rows."""
+    """A token under failed hypotheses: its constant rows, with no measured value."""
     rows = [BoundReport.build(gauss_row_id(evaluate.__name__, *args), np.inf, 0.0, flags)]
     return (lambda trial: rows), ()
 
@@ -482,14 +482,17 @@ def _bounds_factory(cfg: ExperimentConfig):
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
     flags = params.preconditions
-    if not flags.all_ok and any(f.__name__.startswith("gauss_") for f, _ in bound):
-        # the Gaussian hypotheses read the model alone: no trial can count these rows
+    failing = [name for name, ok in asdict(flags).items() if not ok]
+    skipped, rows = ("gauss_",), "gauss_*"
+    if noise_scale != 1.0:  # every Gaussian statement and the norm event assume unit noise
+        failing.append("unit noise")
+        skipped, rows = ("gauss_", "spectral_norm_event"), "gauss_* and spectral_norm_event"
+    if failing and any(f.__name__.startswith(skipped) for f, _ in bound):
+        # the hypotheses read the model alone: no trial can count these rows
         bound = [
-            _not_met(f, args, flags) if f.__name__.startswith("gauss_") else (f, args)
-            for f, args in bound
+            _not_met(f, a, flags) if f.__name__.startswith(skipped) else (f, a) for f, a in bound
         ]
-        failing = ", ".join(name for name, ok in asdict(flags).items() if not ok)
-        model.notes.append(f"the model fails {failing}: gauss_* rows were not evaluated")
+        model.notes.append(f"the model fails {', '.join(failing)}: {rows} rows were not evaluated")
 
     def trial(seed: int) -> list[BoundReport]:
         rng = np.random.default_rng(seed)
@@ -627,6 +630,8 @@ def _submatrix_factory(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # resolvent scenario
 
+# the rows that invert the dense linearization, run only when dense is true
+_DENSE_ROWS = ("dense_match", "g_norm", "g_approx1", "g_approx2")
 _RESOLVENT_ROWS = (
     "phi_identity",
     "phi_monotone",
@@ -635,10 +640,7 @@ _RESOLVENT_ROWS = (
     "phi_lipschitz",
     "uphiu",
     "local_law",
-    "dense_match",
-    "g_norm",
-    "g_approx1",
-    "g_approx2",
+    *_DENSE_ROWS,
     "zj_bracket",
 )
 
@@ -655,6 +657,9 @@ def _resolvent_factory(cfg: ExperimentConfig):
     if not 1 <= signal_rank <= min(n_rows, n_cols):
         raise InvalidParameterError("signal_rank out of range")
     wanted = _fixed_rows(cfg, _RESOLVENT_ROWS)
+    named_dense = [name for name in _DENSE_ROWS if name in cfg.theorems]
+    if named_dense and not dense:
+        raise InvalidParameterError(f"rows {', '.join(named_dense)} need dense: true")
     b = margin
     base = min_abs_z(n_rows, n_cols, margin)
     zs = [f * base for f in z_factors] + [complex(base, 0.5 * base)]
@@ -725,7 +730,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
                 row("zj_bracket", 0.0, None, 0.0, PreconditionFlags(True, False, True))
             else:
                 row("zj_bracket", 0.0, max(0.0, sigma_j - zj, zj - ring_hi * sigma_j), *event)
-        if dense and wanted & {"dense_match", "g_norm", "g_approx1", "g_approx2"}:
+        if dense and wanted.intersection(_DENSE_ROWS):
             lin = linearized_noise(e)
             dim, z, s = lin.shape[0], base, e_norm
             g = np.linalg.inv(z * np.eye(dim) - lin)
@@ -738,7 +743,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
             rems = [g, g - np.eye(dim) / z]
             rems.append(rems[1] - lin / z**2)
             bounds = (b / ((b - 1.0) * z), b / (b - 1.0) * s / z**2, b / (b - 1.0) * s**2 / z**3)
-            for name, rem, bound in zip(("g_norm", "g_approx1", "g_approx2"), rems, bounds):
+            for name, rem, bound in zip(_DENSE_ROWS[1:], rems, bounds):
                 if name in wanted:
                     row(name, bound, float(np.linalg.norm(rem, 2)), *event)
         return reports
@@ -811,8 +816,7 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
             float(np.max(np.abs(np.sort(sv_prod) - np.sort(np.cos(ang))))),
             1e-7,
         )
-        o = procrustes_align(u, v)
-        spect = singular_values(u @ o - v)
+        spect = singular_values(residual(u, v, aligned=True))
         expect = np.sort(2.0 * np.sin(ang / 2.0))[::-1]
         pad = np.zeros(len(spect))
         pad[: len(expect)] = expect
@@ -828,8 +832,8 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
             max(0.0, sin_f - ali_f, ali_f - np.sqrt(2.0) * sin_f),
             1e-7,
         )
-        proj_res = two_inf_residual(u, v, mode="projector")
-        ali_res = two_inf_residual(u, v, mode="aligned")
+        proj_res = row_mass(residual(u, v))
+        ali_res = row_mass(residual(u, v, aligned=True))
         u_mass = row_mass(u)
         sin_sq = float(np.sin(ang[-1]) ** 2)
         check(
@@ -844,7 +848,7 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
     q = haar_basis(rng, 3, 3)
     check(
         "selftest:procrustes_rotation",
-        float(np.linalg.norm(u @ procrustes_align(u, u @ q) - u @ q)),
+        float(np.linalg.norm(residual(u, u @ q, aligned=True))),
         1e-8,
     )
     vec = haar_basis(rng, 7, 1)

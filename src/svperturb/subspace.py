@@ -1,4 +1,4 @@
-"""Principal angles, sin-theta distances and orthogonal alignment.
+"""Principal angles, basis residuals, sin-theta distances and orthogonal alignment.
 
 All routines work on orthonormal bases (N x d arrays) and avoid forming
 N x N projectors: products go through the d-column factors, so the cost is
@@ -9,21 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError
 from .matcore import NormSpec, apply_norm, check_orthonormal, gauge, singular_values
 
 
 def _check_pair(u, v, equal_dim: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of one space with dim(u) = dim(v), or >= unless equal_dim."""
     u = check_orthonormal(u, what="first basis")
     v = check_orthonormal(v, what="second basis")
     if u.shape[0] != v.shape[0]:
         raise InvalidInputError(
             f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}"
         )
-    if equal_dim and u.shape[1] != v.shape[1]:
-        raise InvalidInputError(
-            f"subspace dimensions differ: {u.shape[1]} vs {v.shape[1]}"
-        )
+    if u.shape[1] < v.shape[1] or (equal_dim and u.shape[1] != v.shape[1]):
+        need = "=" if equal_dim else ">="
+        raise InvalidInputError(f"subspace dimensions {u.shape[1]} vs {v.shape[1]}, need {need}")
     return u, v
 
 
@@ -41,14 +41,19 @@ def principal_angles(u, v) -> np.ndarray:
 
 
 def sin_theta_norm(u, v, spec: NormSpec) -> float:
-    """Invariant norm of the sin-theta spectrum between span(u) and span(v).
+    """Invariant norm of the sin-theta spectrum of span(v) against span(u), dim(u) >= dim(v).
 
-    The sines are the singular values of v - u (u.T v), the part of v outside
+    The sines are the singular values of residual(u, v), the part of v outside
     span(u): accurate to about eps, where the sine of an arccos'd cosine reads
     every angle below sqrt(eps) as 0 or 1.49e-8 (Bjorck and Golub 1973).
     """
-    u, v = _check_pair(u, v)
-    return gauge(singular_values(v - u @ (u.T @ v)), spec)
+    return gauge(singular_values(residual(u, v)), spec)
+
+
+def _rotation(u, v) -> np.ndarray:
+    """procrustes_align of bases already checked."""
+    o1, _, o2t = np.linalg.svd(u.T @ v)
+    return o1 @ o2t
 
 
 def procrustes_align(u, v) -> np.ndarray:
@@ -56,40 +61,22 @@ def procrustes_align(u, v) -> np.ndarray:
 
     O = O1 @ O2.T from the SVD u.T @ v = O1 diag(cos) O2.T.
     """
-    u, v = _check_pair(u, v)
-    o1, _, o2t = np.linalg.svd(u.T @ v)
-    return o1 @ o2t
+    return _rotation(*_check_pair(u, v))
+
+
+def residual(u, w, aligned: bool = False) -> np.ndarray:
+    """The part of basis w that basis u does not fit: w - u (u.T w), the
+    projection (dim(u) >= dim(w)), or, when aligned, w - u O at the
+    Procrustes-optimal O (equal dimensions)."""
+    u, w = _check_pair(u, w, equal_dim=aligned)
+    return w - u @ (_rotation(u, w) if aligned else u.T @ w)
 
 
 def aligned_distance(u, v, spec: NormSpec) -> float:
     """Invariant norm of u @ O - v at the Procrustes-optimal O."""
-    u, v = _check_pair(u, v)
-    return apply_norm(u @ procrustes_align(u, v) - v, spec)
+    return apply_norm(residual(u, v, aligned=True), spec)
 
 
 def row_mass(m) -> float:
     """Largest row length of m; for an orthonormal basis it lies in [0, 1]."""
     return float(np.sqrt(np.max(np.sum(m * m, axis=1))))
-
-
-def two_inf_residual(u, w, mode: str = "projector") -> float:
-    """Largest row length of the part of w not explained by u.
-
-    mode 'projector' removes the orthogonal projection onto span(u)
-    (requires dim(u) >= dim(w)); mode 'aligned' subtracts u @ O at the
-    Procrustes-optimal O (requires equal dimensions).
-    """
-    if mode == "projector":
-        u, w = _check_pair(u, w, equal_dim=False)
-        if u.shape[1] < w.shape[1]:
-            raise InvalidInputError(
-                "projector mode needs dim(u) >= dim(w) "
-                f"({u.shape[1]} < {w.shape[1]})"
-            )
-        resid = w - u @ (u.T @ w)
-    elif mode == "aligned":
-        u, w = _check_pair(u, w)
-        resid = w - u @ procrustes_align(u, w)
-    else:
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    return row_mass(resid)

@@ -73,10 +73,9 @@ from svperturb.seeding import derive_seed
 from svperturb.subspace import (
     aligned_distance,
     principal_angles,
-    procrustes_align,
+    residual,
     row_mass,
     sin_theta_norm,
-    two_inf_residual,
 )
 
 SLACK = 1e-9
@@ -187,8 +186,8 @@ def test_subspace_identities():
             worst_cos, float(np.max(np.abs(np.sort(prod_sv) - np.sort(np.cos(ang)))))
         )
 
-        o = procrustes_align(u, v)
-        spect = singular_values(u @ o - v)
+        resid_o = residual(u, v, aligned=True)
+        spect = singular_values(resid_o)
         expect = np.sort(2.0 * np.sin(ang / 2.0))[::-1]
         worst_spect = max(worst_spect, float(np.max(np.abs(spect - expect))))
 
@@ -204,15 +203,11 @@ def test_subspace_identities():
         y /= np.linalg.norm(y)
         sin_sq = float(np.sin(ang[-1]) ** 2)
         xu = float(np.linalg.norm(x @ u))
-        resid_o = v - u @ o
-        resid_p = v - u @ (u.T @ v)
+        resid_p = residual(u, v)
         vec_ok = np.linalg.norm(x @ resid_o) <= np.linalg.norm(x @ resid_p) + xu * sin_sq + SLACK
         bil_ok = abs(x @ resid_o @ y) <= abs(x @ resid_p @ y) + xu * sin_sq + SLACK
         u_mass = row_mass(u)
-        row_ok = (
-            two_inf_residual(u, v, mode="aligned")
-            <= two_inf_residual(u, v, mode="projector") + u_mass * sin_sq + SLACK
-        )
+        row_ok = row_mass(resid_o) <= row_mass(resid_p) + u_mass * sin_sq + SLACK
         if not (vec_ok and bil_ok and row_ok):
             prop_bad += 1
     ok = worst_cos <= SLACK and worst_spect <= SLACK and sandwich_bad == 0 and prop_bad == 0
@@ -276,9 +271,7 @@ def heavy_stream():
         y /= np.linalg.norm(y)
         xu = float(np.linalg.norm(x @ fac.left))
         _, bil = linear_bilinear_bound(p_top, xu, y)
-        uw = fac.left[:, :1]
-        utw = inst.svd_observed.left[:, :1]
-        resid = utw - uw @ (uw.T @ utw)
+        resid = residual(fac.left[:, :1], inst.svd_observed.left[:, :1])
         rows["bilinear"].append(bil.with_empirical(float(abs(x @ resid @ y))))
 
         rep = weighted_corollary_bound(p_full, u_2inf, e_norm)
@@ -704,6 +697,29 @@ REPLAY_CONFIGS = {
             "singulars": [40.0, 30.0, 20.0],
             "k_lo": 1,
             "k_hi": 3,
+        },
+        "format": "csv",
+    },
+    # coherent factors and scaled noise: the only golden off the default model
+    "bounds-coherent-scaled": {
+        "scenario": "bounds",
+        "trials": 20,
+        "base_seed": 23,
+        "theorems": [
+            "mirsky:operator",
+            "mirsky:nuclear",
+            "wedin:1:frobenius",
+            "wedin:3:operator",
+            "general_sv:1",
+            "general_sin_theta:2:operator",
+        ],
+        "model": {
+            "n_rows": 40,
+            "n_cols": 30,
+            "singulars": [30.0, 20.0, 10.0],
+            "factor_mode": "coherent",
+            "coherent_row": 3,
+            "noise_scale": 0.5,
         },
         "format": "csv",
     },

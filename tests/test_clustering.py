@@ -46,11 +46,6 @@ class TestLabeling:
         with pytest.raises(InvalidInputError):
             Labeling(np.array([1, 3]), 2)
 
-    def test_groups(self):
-        lab = Labeling(np.array([1, 2, 1]), 2)
-        groups = lab.groups()
-        assert [list(g) for g in groups] == [[0, 2], [1]]
-
     def test_len(self):
         assert len(Labeling(np.array([1, 1, 1]), 1)) == 3
 

@@ -287,6 +287,35 @@ class TestGaussianSkip:
         rows = (tmp_path / "a.csv").read_text().splitlines()
         assert sum(r.startswith("gauss_") and r.endswith(",4,0,0,,,,") for r in rows) == len(tokens)
 
+    @pytest.mark.parametrize("scale", [40.0, 0.2])
+    def test_scaled_noise_evaluates_no_unit_noise_row(self, tmp_path, capsys, scale):
+        # the norm event and every gauss_* statement assume unit-variance noise:
+        # at scale 40 the event would fail every trial, at 0.2 pass vacuously
+        p = tmp_path / "cfg.json"
+        tokens = ["spectral_norm_event", "gauss_2inf", "mirsky:operator"]
+        model = dict(CLI_BOUNDS_MODEL, noise_scale=scale)
+        p.write_text(json.dumps({"theorems": tokens, "model": model}))
+        out = tmp_path / "r.csv"
+        assert main(["bounds", "--config", str(p), "--trials", "3", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "note: the model fails dim_ok, snr_ok, gap_ok, unit noise: "
+            "gauss_* and spectral_norm_event rows were not evaluated"
+        )
+        rows = out.read_text().splitlines()
+        assert "spectral_norm_event,3,0,0,,,," in rows and "gauss_2inf,3,0,0,,,," in rows
+        assert any(r.startswith("mirsky:operator,3,3,0,") for r in rows)
+
+    def test_scaled_noise_note_on_a_gaussian_model(self):
+        # a model that meets dim_ok, snr_ok and gap_ok fails only unit noise
+        model = harness._ModelKeys(
+            {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "noise_scale": 0.5}
+        )
+        cfg = ExperimentConfig("bounds", theorems=("gauss_2inf",), model=model)
+        harness._bounds_factory(cfg)
+        assert model.notes == [
+            "the model fails unit noise: gauss_* and spectral_norm_event rows were not evaluated"
+        ]
+
 
 class TestRun:
     def test_rows_sorted_and_counted(self):
@@ -386,6 +415,15 @@ class TestRun:
         ids = [r["theorem_id"] for r in summary.rows]
         assert ids == ["dense_match", "g_norm", "phi_identity"]
         assert all(row["violations"] == 0 for row in summary.rows)
+
+    @pytest.mark.parametrize("name", ["dense_match", "g_norm", "g_approx1", "g_approx2"])
+    def test_named_dense_row_needs_dense(self, tmp_path, capsys, name):
+        # n_rows + n_cols > 120, so dense defaults to false: the row would be dropped
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"theorems": [name], "model": {"n_rows": 100, "n_cols": 80}}))
+        assert main(["resolvent", "--config", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"rows {name} need dense: true" in captured.err and captured.out == ""
 
 
 class TestAggregate:

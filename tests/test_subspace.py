@@ -15,8 +15,9 @@ from svperturb.subspace import (
     aligned_distance,
     principal_angles,
     procrustes_align,
+    residual,
+    row_mass,
     sin_theta_norm,
-    two_inf_residual,
 )
 
 
@@ -192,18 +193,20 @@ class TestAlignedDistance:
 
 
 class TestTwoInfResidual:
+    """row_mass of residual: the l2,inf norm of the part of v that u does not fit."""
+
     def test_projector_mode_oracle(self):
         u, v = pair(30, n=13, d=3)
         resid = v - (u @ u.T) @ v
         expect = float(np.max(np.sqrt(np.sum(resid**2, axis=1))))
-        assert two_inf_residual(u, v, mode="projector") == pytest.approx(expect)
+        assert row_mass(residual(u, v)) == pytest.approx(expect)
 
     def test_aligned_mode_oracle(self):
         u, v = pair(31, n=13, d=3)
         o = procrustes_align(u, v)
         resid = v - u @ o
         expect = float(np.max(np.sqrt(np.sum(resid**2, axis=1))))
-        assert two_inf_residual(u, v, mode="aligned") == pytest.approx(expect)
+        assert row_mass(residual(u, v, aligned=True)) == pytest.approx(expect)
 
     def test_row_bound_decomposition(self):
         # aligned residual row is controlled by projector residual row plus
@@ -211,26 +214,43 @@ class TestTwoInfResidual:
         for seed in range(32, 40):
             u, v = pair(seed, n=22, d=4)
             ang = principal_angles(u, v)
-            ali = two_inf_residual(u, v, mode="aligned")
-            proj = two_inf_residual(u, v, mode="projector")
-            u_mass = float(np.max(np.sqrt(np.sum(u**2, axis=1))))
-            assert ali <= proj + u_mass * np.sin(ang[-1]) ** 2 + 1e-10
+            ali = row_mass(residual(u, v, aligned=True))
+            proj = row_mass(residual(u, v))
+            assert ali <= proj + row_mass(u) * np.sin(ang[-1]) ** 2 + 1e-10
 
     def test_projector_mode_allows_wider_u(self):
         rng = np.random.default_rng(41)
         u = haar_basis(rng, 15, 5)
         w = haar_basis(rng, 15, 2)
-        val = two_inf_residual(u, w, mode="projector")
-        assert val >= 0.0
+        assert row_mass(residual(u, w)) >= 0.0
+        # span(w) against the wider span(u): the same sines as the oracle's
+        direct = singular_values((np.eye(15) - u @ u.T) @ w)[:2]
+        assert sin_theta_norm(u, w, FROBENIUS) == pytest.approx(np.linalg.norm(direct))
+
+    def test_projector_mode_needs_wider_u(self):
+        rng = np.random.default_rng(44)
+        u = haar_basis(rng, 15, 2)
+        w = haar_basis(rng, 15, 5)
+        with pytest.raises(InvalidInputError, match="need >="):
+            residual(u, w)
+        with pytest.raises(InvalidInputError):
+            sin_theta_norm(u, w, FROBENIUS)
 
     def test_aligned_mode_needs_equal_dims(self):
         rng = np.random.default_rng(42)
         u = haar_basis(rng, 15, 5)
         w = haar_basis(rng, 15, 2)
         with pytest.raises(InvalidInputError):
-            two_inf_residual(u, w, mode="aligned")
+            residual(u, w, aligned=True)
 
-    def test_unknown_mode(self):
+    def test_bases_are_checked(self):
         u, v = pair(43)
-        with pytest.raises(InvalidParameterError):
-            two_inf_residual(u, v, mode="oblique")
+        short = haar_basis(np.random.default_rng(45), 19, 4)
+        for aligned in (False, True):
+            with pytest.raises(InvalidInputError, match="not orthonormal"):
+                residual(2.0 * u, v, aligned)
+            with pytest.raises(InvalidInputError, match="not orthonormal"):
+                residual(u, 2.0 * v, aligned)
+            with pytest.raises(InvalidInputError, match="ambient"):
+                residual(u, short, aligned)
+
