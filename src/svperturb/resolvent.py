@@ -2,10 +2,11 @@
 
 The linearization of an N x n noise matrix is the (N+n) square symmetric
 block matrix with the noise and its transpose off-diagonal. Its eigenvalues
-are +-eta_i, the noise singular values, plus |N - n| zeros. All probes go
-through the noise SVD (the SvdFactors of ``matcore.svd``), never through a
-dense inverse, so the cost per probe is O(min(N,n) * max(N,n)). Dense oracles
-are provided for small-size cross-checks only.
+are +-eta_i, the noise singular values, plus |N - n| zeros. The scalar probes
+(phi_values, solve_zj) read only the singular values, as ``gram_spectrum``
+returns them; bilinear forms of the resolvent take the noise matrix itself
+and cost one min(N, n) square solve plus mat-vecs, never a dense inverse or
+an SVD. Dense oracles are provided for small-size cross-checks only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .matcore import SvdFactors, as_matrix, check_orthonormal
+from .matcore import as_matrix, check_orthonormal
 
 _ZJ_MAX_ITER = 200
 _ZJ_REL_TOL = 1e-8
@@ -58,23 +59,40 @@ def _norm(eta: np.ndarray) -> float:
     return float(eta[0]) if eta.size else 0.0
 
 
-def phi_values(eta, n_rows: int, n_cols: int, z) -> ResolventProbe:
+def phi_values(eta, n_rows: int, n_cols: int, z) -> ResolventProbe | list[ResolventProbe]:
     """The two block traces of the resolvent at z, from the N x n noise's
     singular values eta (descending; vectors not needed).
 
-    Requires |z| > ||noise||. With zero noise phi1 = z - n/z and
+    A scalar z gives one ResolventProbe; a vector of z gives a list of them,
+    each bit-identical to the scalar call at that point. Requires
+    |z| > ||noise|| at every point. With zero noise phi1 = z - n/z and
     phi2 = z - N/z.
     """
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
     eta = np.asarray(eta, dtype=float).ravel()
     top = _norm(eta)
-    if abs(z) <= top:
+    nearest = float(np.min(np.abs(zs), initial=np.inf))
+    if nearest <= top:
         raise EvaluationDomainError(
-            f"|z| = {abs(z):.6g} inside the spectrum (norm {top:.6g})"
+            f"|z| = {nearest:.6g} inside the spectrum (norm {top:.6g})"
         )
-    pair_sum = 0.5 * np.sum(1.0 / (z - eta) + 1.0 / (z + eta))
-    phi1 = z - pair_sum - max(n_cols - n_rows, 0) / z
-    phi2 = z - pair_sum - max(n_rows - n_cols, 0) / z
+    # one row of pair terms per point; each row sums as the 1-d sum of a scalar call
+    terms = 1.0 / (zs[..., None] - eta) + 1.0 / (zs[..., None] + eta)
+    pair_sums = 0.5 * np.sum(terms, axis=-1)
+    if zs.ndim == 0:
+        return _probe(complex(zs), pair_sums[()], n_rows, n_cols)
+    return [
+        _probe(complex(zz), ps, n_rows, n_cols) for zz, ps in zip(zs.ravel(), pair_sums.ravel())
+    ]
+
+
+def _phis(z, pair_sum, n_rows: int, n_cols: int):
+    """phi1 and phi2 at z from pair_sum = sum(1/(z - eta) + 1/(z + eta)) / 2."""
+    return z - pair_sum - max(n_cols - n_rows, 0) / z, z - pair_sum - max(n_rows - n_cols, 0) / z
+
+
+def _probe(z: complex, pair_sum, n_rows: int, n_cols: int) -> ResolventProbe:
+    phi1, phi2 = _phis(z, pair_sum, n_rows, n_cols)
     alpha = 0.5 * (1.0 / phi1 + 1.0 / phi2)
     beta = 0.5 * (1.0 / phi1 - 1.0 / phi2)
     return ResolventProbe(z=z, phi1=phi1, phi2=phi2, varphi=phi1 * phi2, alpha=alpha, beta=beta)
@@ -87,39 +105,50 @@ def _split(n_rows: int, n_cols: int, x) -> tuple[np.ndarray, np.ndarray]:
     return x[:n_rows], x[n_rows:]
 
 
-def resolvent_bilinear(noise: SvdFactors, z, x, y) -> complex:
-    """x^T (zI - linearization)^{-1} y via the eigen-expansion of the noise SVD.
+def _outside_spectrum(gram: np.ndarray, z: complex) -> None:
+    """Raise unless |z| > ||noise||, given the noise's smaller Gram matrix."""
+    r2 = abs(z) ** 2
+    # ||noise||^2 <= ||gram||_F settles most probes; otherwise r2 I - gram must be definite
+    if np.linalg.norm(gram) < r2:
+        return
+    try:
+        np.linalg.cholesky(r2 * np.eye(gram.shape[0]) - gram)
+    except np.linalg.LinAlgError:
+        raise EvaluationDomainError(f"|z| = {abs(z):.6g} inside the spectrum") from None
 
-    With zero noise this reduces to (x . y) / z.
+
+def resolvent_bilinear(e, z, x, y) -> complex:
+    """x^T (zI - linearization)^{-1} y for the N x n noise e, by one solve.
+
+    For N <= n the block inverse gives, with A = z^2 I - e e^T (N x N),
+    x^T G y = ((z x1 + e x2)^T A^{-1} (z y1 + e y2) + x2 . y2) / z;
+    for N > n the blocks swap roles and A = z^2 I - e^T e. A real z solves
+    in real arithmetic. Raises EvaluationDomainError when |z| <= ||e||. With
+    zero noise this reduces to (x . y) / z.
     """
+    e = as_matrix(e)
     z = complex(z)
-    if abs(z) <= _norm(noise.singulars):
-        raise EvaluationDomainError(f"|z| = {abs(z):.6g} inside the spectrum")
-    n_rows, n_cols = noise.shape
+    n_rows, n_cols = e.shape
     x1, x2 = _split(n_rows, n_cols, x)
     y1, y2 = _split(n_rows, n_cols, y)
-    a = noise.left.T @ x1
-    b = noise.right.T @ x2
-    c = noise.left.T @ y1
-    d = noise.right.T @ y2
-    eta = noise.singulars
-    total = np.sum(
-        (a + b) * (c + d) / (2.0 * (z - eta)) + (a - b) * (c - d) / (2.0 * (z + eta))
-    )
     if n_rows > n_cols:
-        total += (x1 @ y1 - a @ c) / z
-    elif n_cols > n_rows:
-        total += (x2 @ y2 - b @ d) / z
-    return complex(total)
+        e, x1, x2, y1, y2 = e.T, x2, x1, y2, y1
+    gram = e @ e.T
+    _outside_spectrum(gram, z)
+    w = z.real if z.imag == 0.0 else z
+    shifted = w * w * np.eye(gram.shape[0]) - gram
+    s = np.linalg.solve(shifted, w * y1 + e @ y2)
+    return complex(((w * x1 + e @ x2) @ s + x2 @ y2) / w)
 
 
-def local_law_gap(noise: SvdFactors, probe: ResolventProbe, x, y) -> float:
-    """|x^T (G(z) - Phi(z)) y| at z = probe.z, where Phi applies 1/phi1 and
-    1/phi2 blockwise; probe is phi_values of the noise at z."""
-    x1, x2 = _split(*noise.shape, x)
-    y1, y2 = _split(*noise.shape, y)
+def local_law_gap(e, probe: ResolventProbe, x, y) -> float:
+    """|x^T (G(z) - Phi(z)) y| at z = probe.z for the noise e, where Phi
+    applies 1/phi1 and 1/phi2 blockwise; probe is phi_values of e at z."""
+    e = as_matrix(e)
+    x1, x2 = _split(*e.shape, x)
+    y1, y2 = _split(*e.shape, y)
     surrogate = (x1 @ y1) / probe.phi1 + (x2 @ y2) / probe.phi2
-    return float(abs(resolvent_bilinear(noise, probe.z, x, y) - surrogate))
+    return float(abs(resolvent_bilinear(e, probe.z, x, y) - surrogate))
 
 
 def local_law_bound(n_rows: int, n_cols: int, margin: float, tail: float, z) -> float:
@@ -167,8 +196,9 @@ def uphiu_deviation(probe: ResolventProbe, u_lin, n_rows: int, n_cols: int) -> f
     return float(np.max(np.abs(t - target)))
 
 
-def solve_zj(noise: SvdFactors, sigma_j: float, margin: float) -> float:
-    """Root of varphi(z) = sigma_j^2 on the real axis right of the spectrum.
+def solve_zj(eta, n_rows: int, n_cols: int, sigma_j: float, margin: float) -> float:
+    """Root of varphi(z) = sigma_j^2 on the real axis right of the spectrum,
+    from the N x n noise's singular values eta (descending).
 
     Bisection on [base radius, expanding upper bracket]; stops when the
     residual drops below 1e-8 relative to sigma_j^2. Raises on a missing
@@ -177,9 +207,9 @@ def solve_zj(noise: SvdFactors, sigma_j: float, margin: float) -> float:
     # NaN fails too
     if not sigma_j > 0 or not margin >= 2.0:
         raise InvalidInputError("need sigma_j > 0 and margin >= 2")
-    n_rows, n_cols = noise.shape
+    eta = np.asarray(eta, dtype=float).ravel()
     lo = min_abs_z(n_rows, n_cols, margin)
-    if _norm(noise.singulars) >= lo:
+    if _norm(eta) >= lo:
         raise NumericalFailureError(
             "noise norm reaches the probe domain, no valid bracket"
         )
@@ -187,7 +217,9 @@ def solve_zj(noise: SvdFactors, sigma_j: float, margin: float) -> float:
     tol = _ZJ_REL_TOL * target
 
     def f(zz: float) -> float:
-        return phi_values(noise.singulars, n_rows, n_cols, zz).varphi.real - target
+        # varphi in real arithmetic, with no ResolventProbe per step
+        phi1, phi2 = _phis(zz, 0.5 * np.sum(1.0 / (zz - eta) + 1.0 / (zz + eta)), n_rows, n_cols)
+        return float(phi1 * phi2) - target
 
     flo = f(lo)
     if abs(flo) <= tol:
@@ -222,6 +254,23 @@ def linearized_noise(e) -> np.ndarray:
     top = np.hstack([np.zeros((n_rows, n_rows)), e])
     bot = np.hstack([e.T, np.zeros((n_cols, n_cols))])
     return np.vstack([top, bot])
+
+
+def remainder_norms(g, z: float) -> tuple[float, float, float]:
+    """Operator norms of g, g - I/z and g - I/z - lin/z^2, the successive
+    Neumann remainders of the dense resolvent g = inv(zI - lin) at a real z
+    right of the spectrum, from one symmetric eigensolve of g.
+
+    lin = zI - inv(g), so with mu the eigenvalues of g the remainders have
+    eigenvalues mu, mu - 1/z and mu - 2/z + 1/(z^2 mu) = (z mu - 1)^2 / (z^2 mu).
+    """
+    mu = np.linalg.eigvalsh(as_matrix(g))
+    d = z * mu - 1.0
+    return (
+        float(np.max(np.abs(mu))),
+        float(np.max(np.abs(d)) / z),
+        float(np.max(d * d / np.abs(mu)) / z**2),
+    )
 
 
 def dense_resolvent_bilinear(e, z, x, y) -> complex:

@@ -316,6 +316,19 @@ class TestGaussianSkip:
             "the model fails unit noise: gauss_* and spectral_norm_event rows were not evaluated"
         ]
 
+    def test_scaled_noise_rows_never_read_all_ok(self):
+        # the model meets dim_ok, snr_ok and gap_ok, yet its rows are not met
+        model = harness._ModelKeys(
+            {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "noise_scale": 0.5}
+        )
+        tokens = ("gauss_2inf", "gauss_sin_theta:operator", "spectral_norm_event")
+        cfg = ExperimentConfig("bounds", theorems=tokens, model=model)
+        reports = harness._bounds_factory(cfg)(derive_seed(0, 0))
+        assert len(reports) == len(tokens)
+        for rep in reports:
+            assert not rep.preconditions.all_ok, rep.theorem_id
+            assert rep.violated is None and rep.empirical_value is None
+
 
 class TestRun:
     def test_rows_sorted_and_counted(self):
