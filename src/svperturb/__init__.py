@@ -22,7 +22,6 @@ from .matcore import (
     NormSpec,
     SvdFactors,
     apply_norm,
-    effective_rank,
     gauge,
     gram_spectrum,
     kyfan,

@@ -61,9 +61,11 @@ from .bounds import (
 )
 from .clustering import (
     KMeansConfig,
+    Labeling,
     embedding_gap,
     kmeans,
     match_labels,
+    misclassification,
     spectral_embedding,
     spectral_submatrix,
 )
@@ -92,6 +94,7 @@ from .models import (
     LowRankSpec,
     PerturbationInstance,
     SubmatrixSpec,
+    haar_basis,
     low_rank_from_rng,
     perturb,
     plant_submatrices,
@@ -120,7 +123,6 @@ from .subspace import (
     row_mass,
     sin_theta_norm,
 )
-from .models import haar_basis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -500,11 +502,11 @@ def _bounds_factory(cfg: ExperimentConfig):
 
     def trial(seed: int) -> list[BoundReport]:
         rng = np.random.default_rng(seed)
-        a, factors = low_rank_from_rng(lr, rng)
+        factors = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((lr.n_rows, lr.n_cols))
         if noise_scale != 1.0:
             e *= noise_scale
-        t = _BoundsTrial(perturb(a, e, factors=factors), params, rng)
+        t = _BoundsTrial(perturb(factors, e), params, rng)
         # config order: gauss_linear and gauss_bilinear draw from rng
         return [rep for evaluate, args in bound for rep in evaluate(t, *args)]
 
@@ -787,9 +789,9 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
     # mirsky and wedin on small seeded instances
     for idx, (nr, nc) in enumerate(((12, 8), (10, 10), (6, 14))):
         lr = LowRankSpec(nr, nc, (8.0, 5.0, 3.0))
-        a, _ = low_rank_from_rng(lr, rng)
+        factors = low_rank_from_rng(lr, rng)
         e = 0.05 * rng.standard_normal((nr, nc))
-        inst = perturb(a, e)
+        inst = perturb(factors, e)
         for spec in (OPERATOR, FROBENIUS, NUCLEAR, kyfan(2)):
             rep = mirsky_check(inst, spec)
             check(
@@ -891,8 +893,6 @@ def _selftest_reports(seed: int) -> list[BoundReport]:
     check("selftest:phi_zero_noise", dev)
 
     # label matching examples
-    from .clustering import Labeling, misclassification
-
     t = Labeling(np.array([1, 1, 2, 2]), 2)
     check(
         "selftest:misclass_swap",

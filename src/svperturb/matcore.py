@@ -150,9 +150,9 @@ class SvdFactors:
 
     singulars holds m nonnegative values, descending; left (N x c) and right
     (n x c) hold orthonormal singular vectors for the leading c <= m of them.
-    ``svd`` produces c = m = min(N, n). The rank-r form c = m = r is a
-    signal's: generators produce it exactly, and ``perturb`` cuts a signal's
-    ``svd`` to it. ``leading_svd`` produces c = k vector pairs, with the k
+    ``svd`` produces c = m = min(N, n). The thin rank-r form c = m = r is a
+    signal's: ``low_rank_from_rng`` draws it, and ``perturb`` forms the
+    signal from it. ``leading_svd`` produces c = k vector pairs, with the k
     Ritz values when certified and all min(N, n) LAPACK values after a
     fallback. Only when c = m is ``left @ diag(singulars) @ right.T`` the
     whole matrix.
@@ -321,12 +321,3 @@ def apply_norm(a, spec: NormSpec) -> float:
     require_norm(spec, min(a.shape))
     return gauge(singular_values(a), spec)
 
-
-def effective_rank(factors: SvdFactors, tol: float) -> int:
-    """Number of singular values above tol * (largest); 0 for the zero matrix."""
-    if tol < 0:
-        raise InvalidParameterError("tol must be nonnegative")
-    s = factors.singulars
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))

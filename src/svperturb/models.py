@@ -13,7 +13,7 @@ import numpy as np
 
 from .clustering import Labeling
 from .errors import InvalidInputError, InvalidParameterError
-from .matcore import SvdFactors, as_matrix, effective_rank, gram_spectrum, leading_svd, svd
+from .matcore import SvdFactors, as_matrix, gram_spectrum, leading_svd
 
 
 def _signed_q(g: np.ndarray) -> np.ndarray:
@@ -80,8 +80,8 @@ class LowRankSpec:
         return len(self.singulars)
 
 
-def low_rank_from_rng(spec: LowRankSpec, rng: np.random.Generator):
-    """Matrix with the exact requested spectrum, plus its thin rank-r factors,
+def low_rank_from_rng(spec: LowRankSpec, rng: np.random.Generator) -> SvdFactors:
+    """The thin rank-r factors of a signal with the exact requested spectrum,
     drawn from a caller-owned generator stream."""
     r = spec.rank
     if spec.factor_mode == "coherent":
@@ -93,22 +93,20 @@ def low_rank_from_rng(spec: LowRankSpec, rng: np.random.Generator):
     else:
         u = haar_basis(rng, spec.n_rows, r)
     v = haar_basis(rng, spec.n_cols, r)
-    s = np.asarray(spec.singulars)
-    a = (u * s) @ v.T
-    return a, SvdFactors(left=u, singulars=s, right=v)
+    return SvdFactors(left=u, singulars=np.asarray(spec.singulars), right=v)
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationInstance:
     """A signal/noise pair with the factorizations the bounds read.
 
-    observed = signal + noise. svd_signal holds the signal's rank-r
-    factors: r vector pairs and r singular values, r being the rank. ``rank``
-    reads r there, so every bound sees one rank. svd_observed holds the
-    leading r observed vector pairs, or all min(N, n) of them, under the
-    deterministic sign convention, and at least as many observed singular
-    values as pairs (see ``perturb``). ``observed_spectrum`` has all
-    min(N, n) observed values.
+    observed = signal + noise, as ``perturb`` forms it. svd_signal holds the
+    signal's thin rank-r factors, whose product the signal is: r vector pairs
+    and r singular values. ``rank`` reads r there, so every bound sees one
+    rank. svd_observed holds the leading r observed vector pairs under the
+    deterministic sign convention, with the r certified Ritz values or, after
+    a fallback, all min(N, n) LAPACK values, which ``observed_spectrum``
+    always has.
     """
 
     signal: np.ndarray
@@ -149,44 +147,30 @@ class PerturbationInstance:
         return np.concatenate((held, gram_spectrum(a - u @ (u.T @ a))[: m - held.size]))
 
 
-def perturb(signal, noise, factors: SvdFactors | None = None) -> PerturbationInstance:
-    """Form signal + noise and factorize both.
+def perturb(factors: SvdFactors, noise) -> PerturbationInstance:
+    """Form the signal from its thin rank-r factors, add the noise, and
+    factorize the sum.
 
-    Without `factors` both matrices get a full min(N, n)-column SVD, and
-    the signal's is cut to its numerical rank r: the values above 1e-10
-    times the largest, with their vector pairs. With the signal's exact thin
-    factors (as ``low_rank_from_rng`` returns them, r pairs) no signal SVD
-    is taken: the observed matrix gets its leading r vector pairs from
-    ``leading_svd``, started from the signal's right factor. When those
-    pairs are certified, svd_observed holds the r Ritz values only, and the
-    trailing observed values are left to ``observed_spectrum``, which only
-    the statements that read past the r-th value pay for; after a fallback
-    one full LAPACK SVD supplies the vectors and all the values.
+    The signal is ``(left * singulars) @ right.T``; its factors are
+    svd_signal as given, so no signal SVD is taken. The observed matrix gets
+    its leading r vector pairs from ``leading_svd``, started from the
+    signal's right factor. When those pairs are certified, svd_observed holds
+    the r Ritz values only, and the trailing observed values are left to
+    ``observed_spectrum``, which only the statements that read past the r-th
+    value pay for; after a fallback one full LAPACK SVD supplies the vectors
+    and all the values.
     """
-    signal = as_matrix(signal)
     noise = as_matrix(noise)
-    if signal.shape != noise.shape:
-        raise InvalidInputError(
-            f"signal and noise shapes differ: {signal.shape} vs {noise.shape}"
-        )
+    if factors.vector_count != factors.singulars.size or factors.shape != noise.shape:
+        raise InvalidInputError(f"factors must be thin, of the noise's shape {noise.shape}")
+    signal = (factors.left * factors.singulars) @ factors.right.T
     observed = signal + noise
-    if factors is None:
-        full, svd_observed = svd(signal), svd(observed)
-        r = effective_rank(full, 1e-10)
-        svd_signal = SvdFactors(
-            left=full.left[:, :r], singulars=full.singulars[:r], right=full.right[:, :r]
-        )
-    else:
-        if factors.shape != signal.shape or factors.vector_count != factors.singulars.size:
-            raise InvalidInputError("factors must be the signal's thin factorization")
-        svd_signal = factors
-        svd_observed = leading_svd(observed, factors.vector_count, start=factors.right)
     return PerturbationInstance(
         signal=signal,
         noise=noise,
         observed=observed,
-        svd_signal=svd_signal,
-        svd_observed=svd_observed,
+        svd_signal=factors,
+        svd_observed=leading_svd(observed, factors.vector_count, start=factors.right),
     )
 
 

@@ -118,12 +118,12 @@ def _rate_cap(count: float, dims: int, tail: float, trials: int) -> float:
 
 def _scaled_noise_instance(rng):
     """50 x 50 rank-5 draw with the noise norm uniform in [0.1 sigma_r, 2 sigma_1]."""
-    a, _ = low_rank_from_rng(SMALL_SPEC, rng)
+    fac = low_rank_from_rng(SMALL_SPEC, rng)
     e = rng.standard_normal((50, 50))
     esv = singular_values(e)
     target = rng.uniform(0.1 * SMALL_SIGMA[-1], 2.0 * SMALL_SIGMA[0])
     factor = target / esv[0]
-    return perturb(a, e * factor), esv * factor
+    return perturb(fac, e * factor), esv * factor
 
 
 def test_mirsky_displacement_bound():
@@ -229,7 +229,7 @@ def heavy_stream():
 
     Instances are built from the generator's exact factors: the observed
     matrix gets its certified leading pairs and their values from
-    ``perturb(..., factors=...)``, and no row here reads its trailing
+    ``perturb(factors, noise)``, and no row here reads its trailing
     spectrum; the noise gets its spectrum from ``gram_spectrum``. Only the
     small report rows are kept.
     """
@@ -245,9 +245,9 @@ def heavy_stream():
     for i in range(HEAVY_TRIALS):
         tseed = derive_seed(HEAVY_SEED, i)
         rng = np.random.default_rng(tseed)
-        a, fac = low_rank_from_rng(lr, rng)
+        fac = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((900, 900))
-        inst = perturb(a, e, factors=fac)
+        inst = perturb(fac, e)
         esv = gram_spectrum(e)
         e_norm = float(esv[0])
         u_2inf = row_mass(fac.left)
@@ -339,7 +339,8 @@ def test_general_noise_bounds():
     for i in range(500):
         tseed = derive_seed(GENERAL_SEED, i)
         rng = np.random.default_rng(tseed)
-        a, fac = low_rank_from_rng(lr, rng)
+        fac = low_rank_from_rng(lr, rng)
+        a = (fac.left * fac.singulars) @ fac.right.T
         e = rng.standard_normal((200, 200))
         inst = PerturbationInstance(
             signal=a,

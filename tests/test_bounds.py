@@ -41,6 +41,7 @@ from svperturb.matcore import (
     NUCLEAR,
     OPERATOR,
     NormSpec,
+    SvdFactors,
     gauge,
     kyfan,
     singular_values,
@@ -58,9 +59,9 @@ from svperturb.subspace import procrustes_align, row_mass, sin_theta_norm
 
 def make_instance(seed, n_rows=40, n_cols=30, singulars=(20.0, 12.0, 6.0), scale=1.0):
     spec = LowRankSpec(n_rows, n_cols, singulars)
-    a, _ = low_rank_from_rng(spec, np.random.default_rng(seed))
+    fac = low_rank_from_rng(spec, np.random.default_rng(seed))
     e = scale * np.random.default_rng(seed + 10_000).standard_normal((n_rows, n_cols))
-    return perturb(a, e)
+    return perturb(fac, e)
 
 
 def strong_params(n=600, singulars=(2.0e5, 1.2e5)):
@@ -70,9 +71,9 @@ def strong_params(n=600, singulars=(2.0e5, 1.2e5)):
 
 
 def strong_instance(seed, n=600, singulars=(2.0e5, 1.2e5)):
-    a, _ = low_rank_from_rng(LowRankSpec(n, n, singulars), np.random.default_rng(seed))
+    fac = low_rank_from_rng(LowRankSpec(n, n, singulars), np.random.default_rng(seed))
     e = np.random.default_rng(seed + 77).standard_normal((n, n))
-    return perturb(a, e)
+    return perturb(fac, e)
 
 
 class TestBoundReport:
@@ -269,9 +270,9 @@ class TestMirsky:
         rng = np.random.default_rng(0)
         q1 = np.linalg.qr(rng.standard_normal((8, 8)))[0]
         q2 = np.linalg.qr(rng.standard_normal((8, 8)))[0]
-        a = q1 @ np.diag([9.0, 7.0, 5.0, 3.0, 1.0, 0.5, 0.2, 0.1]) @ q2.T
+        fac = SvdFactors(q1, np.array([9.0, 7.0, 5.0, 3.0, 1.0, 0.5, 0.2, 0.1]), q2)
         e = q1 @ np.diag([0.9, 0.7, 0.5, 0.3, 0.1, 0.05, 0.02, 0.01]) @ q2.T
-        inst = perturb(a, e)
+        inst = perturb(fac, e)
         for spec in (OPERATOR, FROBENIUS, NUCLEAR):
             rep = mirsky_check(inst, spec)
             assert rep.ratio == pytest.approx(1.0, abs=1e-9)
@@ -288,12 +289,13 @@ class TestMirsky:
         assert mirsky_check(inst, kyfan(2)).theorem_id == "mirsky:kyfan2"
 
     def test_thin_signal_factors(self):
-        # generator factors have rank-r width; the signal spectrum is padded
+        # generator factors have rank-r width; the signal spectrum is padded,
+        # and the observed one formed on first read matches LAPACK's
         rng = np.random.default_rng(5)
-        a, fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0, 6.0)), rng)
-        e = 0.5 * rng.standard_normal((40, 30))
-        thin = PerturbationInstance(a, e, a + e, fac, svd(a + e))
-        full = perturb(a, e)
+        fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0, 6.0)), rng)
+        thin = perturb(fac, 0.5 * rng.standard_normal((40, 30)))
+        a, e = thin.signal, thin.noise
+        full = PerturbationInstance(a, e, a + e, fac, svd(a + e))
         for spec in (OPERATOR, FROBENIUS, NUCLEAR, kyfan(3)):
             got = mirsky_check(thin, spec)
             want = mirsky_check(full, spec)
@@ -313,12 +315,10 @@ class TestWedin:
 
     def test_degenerate_gap_reports_not_met(self):
         # noise pushes the next observed value past the k-th signal value
-        a = np.zeros((6, 6))
-        a[0, 0] = 5.0
-        a[1, 1] = 4.9999
+        fac = SvdFactors(np.eye(6)[:, :2], np.array([5.0, 4.9999]), np.eye(6)[:, :2])
         e = np.zeros((6, 6))
         e[2, 2] = 20.0
-        inst = perturb(a, e)
+        inst = perturb(fac, e)
         rep = wedin_check(inst, 1, OPERATOR)
         assert rep.violated is None
         assert rep.preconditions.gap_ok is False
@@ -348,8 +348,8 @@ class TestLazyTrailingSpectrum:
         p_top = strong_params(n, sigma)
         p_full = GaussianBoundParams(n_rows=n, n_cols=n, singulars=sigma, k_lo=1, k_hi=2)
         rng = np.random.default_rng(41)
-        a, fac = low_rank_from_rng(LowRankSpec(n, n, sigma), rng)
-        inst = perturb(a, rng.standard_normal((n, n)), factors=fac)
+        fac = low_rank_from_rng(LowRankSpec(n, n, sigma), rng)
+        inst = perturb(fac, rng.standard_normal((n, n)))
         assert inst.svd_observed.singulars.size == 2  # certified
         # what the heavy gate stream reads of each instance
         esv = singular_values(inst.noise)
@@ -752,17 +752,14 @@ class TestEmpiricalQuantity:
         self.inst = make_instance(11, scale=0.3)
 
     def test_window_beyond_held_vectors_rejected(self):
-        a, fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0)), np.random.default_rng(8))
-        inst = perturb(a, 0.3 * np.random.default_rng(9).standard_normal((40, 30)), factors=fac)
+        fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0)), np.random.default_rng(8))
+        inst = perturb(fac, 0.3 * np.random.default_rng(9).standard_normal((40, 30)))
         assert inst.svd_observed.vector_count == 2
         assert inst.svd_observed.singulars.shape == (30,)
         with pytest.raises(InvalidParameterError):
             window_sin_theta(inst, 1, 3, OPERATOR)
         with pytest.raises(InvalidParameterError):
             cross_term_norm(inst, 2, 3, FROBENIUS)
-        # without factors the signal SVD is cut to rank 2 as well
-        with pytest.raises(InvalidParameterError):
-            window_sin_theta(perturb(a, inst.noise), 1, 3, OPERATOR)
 
     def test_window_residual_forms(self):
         inst = self.inst
@@ -857,10 +854,10 @@ class TestIncoherence:
         assert 0.0 < row_mass(u) <= 1.0 + 1e-9
 
     def test_coherent_factors_hit_one(self):
-        a, _ = low_rank_from_rng(
+        fac = low_rank_from_rng(
             LowRankSpec(20, 10, (5.0, 2.0), factor_mode="coherent", coherent_row=3),
             np.random.default_rng(1),
         )
         e = 0.01 * np.random.default_rng(2).standard_normal((20, 10))
-        inst = perturb(a, e)
+        inst = perturb(fac, e)
         assert row_mass(inst.svd_signal.left[:, :2]) == pytest.approx(1.0)

@@ -212,8 +212,8 @@ class TestEdgeModels:
         rank = len(model["singulars"])
         lr = LowRankSpec(model["n_rows"], model["n_cols"], tuple(model["singulars"]))
         rng = np.random.default_rng(derive_seed(3, 0))
-        a, fac = low_rank_from_rng(lr, rng)
-        inst = perturb(a, rng.standard_normal(a.shape), factors=fac)
+        fac = low_rank_from_rng(lr, rng)
+        inst = perturb(fac, rng.standard_normal(fac.shape))
         for k_hi in sorted({1, rank}):
             params = GaussianBoundParams(lr.n_rows, lr.n_cols, lr.singulars, 1, k_hi)
             trial = harness._BoundsTrial(inst, params, rng)
@@ -239,8 +239,8 @@ class TestEdgeModels:
         params = GaussianBoundParams(600, 560, lr.singulars, 1, 2)
         assert params.preconditions.all_ok
         rng = np.random.default_rng(7)
-        a, fac = low_rank_from_rng(lr, rng)
-        inst = perturb(a, rng.standard_normal(a.shape), factors=fac)
+        fac = low_rank_from_rng(lr, rng)
+        inst = perturb(fac, rng.standard_normal(fac.shape))
         trial = harness._BoundsTrial(inst, params, rng)
         extra = ["gauss_sin_theta:kyfan2", "gauss_sin_theta:schatten2.50", "gauss_sv_location:2"]
         tokens = [t for kind in GAUSS_KINDS for t in kind_tokens(kind, 2)] + extra
@@ -869,10 +869,10 @@ class TestMain:
             seeds.append(derive_seed(base_seed, i))
             return seeds[-1]
 
-        def perturb(signal, noise, factors=None):
+        def perturb(factors, noise):
             if seeds[-1] == bad_seed:
                 raise InvalidInputError("singular values must be nonnegative and descending")
-            return real(signal, noise, factors=factors)
+            return real(factors, noise)
 
         monkeypatch.setattr(harness, "derive_seed", trial_seed)
         monkeypatch.setattr(harness, "perturb", perturb)

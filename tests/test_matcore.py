@@ -16,7 +16,6 @@ from svperturb.matcore import (
     apply_norm,
     as_matrix,
     check_orthonormal,
-    effective_rank,
     gauge,
     gram_spectrum,
     kyfan,
@@ -239,26 +238,6 @@ class TestSvd:
             SvdFactors(fac.left, fac.singulars[::-1].copy(), fac.right)
 
 
-class TestEffectiveRank:
-    def test_exact_rank(self):
-        u = np.linalg.qr(random_matrix(8, 3, 14))[0]
-        v = np.linalg.qr(random_matrix(6, 3, 15))[0]
-        a = u @ np.diag([5.0, 2.0, 1.0]) @ v.T
-        assert effective_rank(svd(a), 1e-10) == 3
-
-    def test_zero_matrix(self):
-        assert effective_rank(svd(np.zeros((4, 4))), 1e-10) == 0
-
-    def test_threshold_is_relative(self):
-        a = np.diag([1.0, 1e-12])
-        assert effective_rank(svd(a), 1e-10) == 1
-        assert effective_rank(svd(a), 1e-14) == 2
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            effective_rank(svd(np.eye(3)), -1.0)
-
-
 class TestOrthonormal:
     def test_projector(self):
         b = np.linalg.qr(random_matrix(9, 4, 16))[0]
@@ -391,8 +370,8 @@ class TestLeadingSvd:
     def test_weak_gap_returns_lapack_truncation(self, seed):
         # the command-line model: sigma_3 = 20 against a noise edge near 17
         rng = np.random.default_rng(seed)
-        a, fac = low_rank_from_rng(LowRankSpec(80, 60, (40.0, 30.0, 20.0)), rng)
-        observed = a + rng.standard_normal((80, 60))
+        fac = low_rank_from_rng(LowRankSpec(80, 60, (40.0, 30.0, 20.0)), rng)
+        observed = (fac.left * fac.singulars) @ fac.right.T + rng.standard_normal((80, 60))
         got = leading_svd(observed, 3, start=fac.right)
         left, _, right = _lapack_top(observed, 3)
         assert np.array_equal(got.left, left)

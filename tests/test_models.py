@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svperturb.errors import InvalidInputError, InvalidParameterError
-from svperturb.matcore import svd
+from svperturb.matcore import SvdFactors, svd
 from svperturb.models import (
     GmmSpec,
     LowRankSpec,
@@ -42,21 +42,21 @@ class TestHaar:
 class TestLowRank:
     def test_exact_singular_values(self):
         spec = LowRankSpec(30, 20, (9.0, 4.0, 1.0))
-        a, fac = low_rank_from_rng(spec, np.random.default_rng(3))
+        fac = low_rank_from_rng(spec, np.random.default_rng(3))
         assert np.allclose(fac.singulars[:3], [9.0, 4.0, 1.0])
-        sv = np.linalg.svd(a, compute_uv=False)
+        sv = np.linalg.svd((fac.left * fac.singulars) @ fac.right.T, compute_uv=False)
         assert np.allclose(sv[:3], [9.0, 4.0, 1.0], atol=1e-9)
         assert np.allclose(sv[3:], 0.0, atol=1e-9)
 
     def test_deterministic(self):
         spec = LowRankSpec(10, 10, (5.0, 2.0))
-        a1, _ = low_rank_from_rng(spec, np.random.default_rng(4))
-        a2, _ = low_rank_from_rng(spec, np.random.default_rng(4))
-        assert np.array_equal(a1, a2)
+        f1 = low_rank_from_rng(spec, np.random.default_rng(4))
+        f2 = low_rank_from_rng(spec, np.random.default_rng(4))
+        assert np.array_equal(f1.left, f2.left) and np.array_equal(f1.right, f2.right)
 
     def test_ties_allowed(self):
         spec = LowRankSpec(8, 8, (3.0, 3.0, 1.0))
-        a, fac = low_rank_from_rng(spec, np.random.default_rng(5))
+        fac = low_rank_from_rng(spec, np.random.default_rng(5))
         assert fac.singulars[0] == fac.singulars[1]
 
     def test_increasing_rejected(self):
@@ -73,7 +73,7 @@ class TestLowRank:
 
     def test_coherent_mode_pins_row(self):
         spec = LowRankSpec(12, 9, (6.0, 3.0), factor_mode="coherent", coherent_row=4)
-        a, fac = low_rank_from_rng(spec, np.random.default_rng(6))
+        fac = low_rank_from_rng(spec, np.random.default_rng(6))
         lead = fac.left[:, 0]
         e4 = np.zeros(12)
         e4[4] = 1.0
@@ -89,63 +89,69 @@ class TestLowRank:
         # draws continue the caller's stream, and reseeding replays them in order
         spec = LowRankSpec(7, 6, (2.0,))
         rng = np.random.default_rng(9)
-        first, _ = low_rank_from_rng(spec, rng)
-        second, _ = low_rank_from_rng(spec, rng)
+        first = low_rank_from_rng(spec, rng).left
+        second = low_rank_from_rng(spec, rng).left
         assert not np.array_equal(first, second)
         replay = np.random.default_rng(9)
-        assert np.array_equal(low_rank_from_rng(spec, replay)[0], first)
-        assert np.array_equal(low_rank_from_rng(spec, replay)[0], second)
+        assert np.array_equal(low_rank_from_rng(spec, replay).left, first)
+        assert np.array_equal(low_rank_from_rng(spec, replay).left, second)
 
 
 class TestPerturb:
     def test_fields_and_sum(self):
         spec = LowRankSpec(9, 7, (4.0, 2.0))
-        a, _ = low_rank_from_rng(spec, np.random.default_rng(1))
+        fac = low_rank_from_rng(spec, np.random.default_rng(1))
         e = np.random.default_rng(2).standard_normal((9, 7))
-        inst = perturb(a, e)
-        assert np.array_equal(inst.observed, a + e)
+        inst = perturb(fac, e)
+        assert np.array_equal(inst.observed, inst.signal + e)
         assert inst.shape == (9, 7)
         assert inst.rank() == 2
 
-    def test_signal_svd_is_cut_to_the_rank(self):
-        # a rank-r signal keeps r vector pairs and r values, so every bound reads one rank
-        a, _ = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
-        e = np.random.default_rng(2).standard_normal((9, 7))
-        inst = perturb(a, e)
-        sig = inst.svd_signal
-        assert inst.rank() == sig.vector_count == sig.singulars.size == 2
-        assert np.allclose((sig.left * sig.singulars) @ sig.right.T, a, atol=1e-12)
-        assert perturb(np.zeros((9, 7)), e).rank() == 0
+    def test_signal_is_the_factor_product(self):
+        # the signal is formed from the factors it is given, bit for bit
+        fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
+        inst = perturb(fac, np.random.default_rng(2).standard_normal((9, 7)))
+        assert inst.signal.tobytes() == ((fac.left * fac.singulars) @ fac.right.T).tobytes()
 
     def test_shape_mismatch_rejected(self):
+        fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
+        for shape in ((7, 9), (9, 8)):
+            with pytest.raises(InvalidInputError):
+                perturb(fac, np.random.default_rng(2).standard_normal(shape))
+
+    def test_factors_must_fit_the_signal(self):
+        # thin factors only: a cut svd holds more values than vector pairs
+        full = svd(np.random.default_rng(3).standard_normal((9, 7)))
+        cut = SvdFactors(full.left[:, :2], full.singulars, full.right[:, :2])
         with pytest.raises(InvalidInputError):
-            perturb(np.ones((3, 3)), np.ones((3, 4)))
+            perturb(cut, np.zeros((9, 7)))
 
     def test_svds_are_consistent(self):
         spec = LowRankSpec(9, 7, (4.0, 2.0))
-        a, _ = low_rank_from_rng(spec, np.random.default_rng(1))
+        fac = low_rank_from_rng(spec, np.random.default_rng(1))
         e = 0.01 * np.random.default_rng(2).standard_normal((9, 7))
-        inst = perturb(a, e)
+        inst = perturb(fac, e)
+        observed = inst.svd_observed
+        k = observed.vector_count
         assert np.allclose(
-            inst.svd_observed.left
-            @ np.diag(inst.svd_observed.singulars)
-            @ inst.svd_observed.right.T,
-            inst.observed,
+            observed.left.T @ inst.observed @ observed.right,
+            np.diag(observed.singulars[:k]),
             atol=1e-9,
         )
+        assert np.allclose(inst.observed_spectrum, svd(inst.observed).singulars, atol=1e-9)
 
     def test_exact_factors_replace_the_signal_svd(self):
         spec = LowRankSpec(60, 45, (900.0, 500.0))
-        a, fac = low_rank_from_rng(spec, np.random.default_rng(3))
+        fac = low_rank_from_rng(spec, np.random.default_rng(3))
         e = np.random.default_rng(4).standard_normal((60, 45))
-        inst = perturb(a, e, factors=fac)
+        inst = perturb(fac, e)
         assert inst.svd_signal is fac
         assert inst.rank() == 2
         observed = inst.svd_observed
         # certified: two pairs and their two Ritz values; the rest on first read
         assert observed.vector_count == observed.singulars.size == 2
-        assert np.allclose(inst.observed_spectrum, svd(a + e).singulars, rtol=1e-12)
-        full = perturb(a, e).svd_observed
+        full = svd(inst.observed)
+        assert np.allclose(inst.observed_spectrum, full.singulars, rtol=1e-12)
         for i in range(2):
             assert abs(observed.left[:, i] @ full.left[:, i]) == pytest.approx(1.0, abs=1e-12)
             assert abs(observed.right[:, i] @ full.right[:, i]) == pytest.approx(1.0, abs=1e-12)
@@ -153,17 +159,12 @@ class TestPerturb:
     def test_fallback_holds_every_observed_value(self):
         # the command-line model: no certificate, so LAPACK supplies all 60 values
         spec = LowRankSpec(80, 60, (40.0, 30.0, 20.0))
-        a, fac = low_rank_from_rng(spec, np.random.default_rng(5))
+        fac = low_rank_from_rng(spec, np.random.default_rng(5))
         e = np.random.default_rng(6).standard_normal((80, 60))
-        inst = perturb(a, e, factors=fac)
+        inst = perturb(fac, e)
         assert inst.svd_observed.vector_count == 3
-        assert np.array_equal(inst.svd_observed.singulars, svd(a + e).singulars)
+        assert np.array_equal(inst.svd_observed.singulars, svd(inst.observed).singulars)
         assert inst.observed_spectrum is inst.svd_observed.singulars
-
-    def test_factors_must_fit_the_signal(self):
-        a, fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
-        with pytest.raises(InvalidInputError):
-            perturb(a.T, np.random.default_rng(2).standard_normal((7, 9)), factors=fac)
 
 
 class TestGmm:
