@@ -19,11 +19,13 @@ from .matcore import (
     FROBENIUS,
     NUCLEAR,
     OPERATOR,
+    GramTop,
     NormSpec,
     SvdFactors,
     apply_norm,
     gauge,
     gram_spectrum,
+    gram_top,
     kyfan,
     leading_svd,
     norm_spec_from_token,
@@ -80,6 +82,7 @@ from .bounds import (
 )
 from .resolvent import (
     ResolventProbe,
+    far_field_phi,
     local_law_bound,
     local_law_gap,
     min_abs_z,

@@ -349,16 +349,25 @@ def mirsky_check(
     inst: PerturbationInstance, spec: NormSpec, e_singulars=None
 ) -> BoundReport:
     """Invariant norm of the singular-value displacement vs the same norm of
-    the noise. Deterministic; holds for every draw."""
+    the noise. Deterministic; holds for every draw.
+
+    The noise values are e_singulars when given, else the instance's. Under
+    the operator norm only the noise norm and the (r+1)-th observed value
+    are read, never the two whole spectra: each displacement past r is an
+    observed value, and the largest of those is the (r+1)-th.
+    """
     m = min(inst.shape)
     require_norm(spec, m)
-    if e_singulars is None:
-        e_singulars = singular_values(inst.noise)
-    bound = gauge(e_singulars, spec)
-    # thin signal factors hold only the r nonzero values
     sig = inst.svd_signal.singulars
-    diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
-    empirical = gauge(diff, spec)
+    if spec.kind == "operator":
+        bound = inst.noise_top.value if e_singulars is None else gauge(e_singulars, spec)
+        held = inst.svd_observed.singulars[: sig.size]
+        empirical = max(float(np.max(np.abs(sig - held))), inst.observed_next)
+    else:
+        bound = gauge(inst.noise_spectrum if e_singulars is None else e_singulars, spec)
+        # thin signal factors hold only the r nonzero values
+        diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
+        empirical = gauge(diff, spec)
     return BoundReport.build(f"mirsky:{spec.label}", bound, 1.0, ALL_OK, empirical)
 
 

@@ -102,6 +102,7 @@ from .models import (
 )
 from .resolvent import (
     dense_resolvent_bilinear,
+    far_field_phi,
     linearized_basis,
     linearized_noise,
     local_law_bound,
@@ -333,14 +334,6 @@ class _BoundsTrial:
     rng: np.random.Generator
 
     @cached_property
-    def noise_spectrum(self) -> np.ndarray:
-        return gram_spectrum(self.inst.noise)
-
-    @cached_property
-    def e_norm(self) -> float:
-        return float(self.noise_spectrum[0])
-
-    @cached_property
     def u_2inf(self) -> float:
         return row_mass(self.inst.svd_signal.left)
 
@@ -350,14 +343,15 @@ class _BoundsTrial:
         sig = self.inst.svd_signal
         core = sig.left.T @ self.inst.noise @ sig.right
         core_bound = float(np.linalg.norm(core, 2))
+        e_norm = self.inst.noise_top.value
         return tuple(
-            GeneralNoiseParams(self.e_norm, core_bound, float(np.linalg.norm(core[:k, :k], 2)))
+            GeneralNoiseParams(e_norm, core_bound, float(np.linalg.norm(core[:k, :k], 2)))
             for k in range(1, sig.vector_count + 1)
         )
 
     @_theorem(_norm)
     def mirsky(self, spec: NormSpec) -> list[BoundReport]:
-        return [mirsky_check(self.inst, spec, e_singulars=self.noise_spectrum)]
+        return [mirsky_check(self.inst, spec)]
 
     @_theorem(_rank_index, _norm)
     def wedin(self, k: int, spec: NormSpec) -> list[BoundReport]:
@@ -367,7 +361,7 @@ class _BoundsTrial:
     def gauss_sin_theta(self, spec: NormSpec) -> list[BoundReport]:
         p = self.p
         if spec.kind == "operator":
-            cross = self.e_norm
+            cross = self.inst.noise_top.value
         else:
             cross = cross_term_norm(self.inst, p.k_lo, p.k_hi, spec)
         rep = gauss_subspace_bound(p, spec, cross)
@@ -375,15 +369,19 @@ class _BoundsTrial:
 
     @_theorem()
     def gauss_sin_theta_simplified(self) -> list[BoundReport]:
-        rep = gauss_subspace_simplified(self.p, self.e_norm)
+        rep = gauss_subspace_simplified(self.p, self.inst.noise_top.value)
         return [rep.with_empirical(window_sin_theta(self.inst, 1, self.p.k_lo, OPERATOR))]
 
     @_theorem(_window_index)
     def gauss_sv_location(self, j: int) -> list[BoundReport]:
-        def phi_at(z):
-            return phi_values(self.noise_spectrum, *self.inst.shape, z).varphi.real
+        inst = self.inst
 
-        return [gauss_sv_location_check(self.inst, self.p, j, phi_at)]
+        def phi_at(z):
+            # the far-field series where it is certified, else the whole spectrum
+            probe = far_field_phi(inst.noise_top, *inst.shape, z)
+            return (probe or phi_values(inst.noise_spectrum, *inst.shape, z)).varphi.real
+
+        return [gauss_sv_location_check(inst, self.p, j, phi_at)]
 
     @_theorem()
     def gauss_2inf(self) -> list[BoundReport]:
@@ -406,7 +404,7 @@ class _BoundsTrial:
     def gauss_2inf_aligned(self) -> list[BoundReport]:
         k = self.p.k_lo
         window_u = row_mass(self.inst.svd_signal.left[:, :k])
-        rep = aligned_2inf_bound(self.p, self.u_2inf, self.e_norm, window_u)
+        rep = aligned_2inf_bound(self.p, self.u_2inf, self.inst.noise_top.value, window_u)
         return [rep.with_empirical(window_2inf_residual(self.inst, 1, k, aligned=True))]
 
     def _directional(self, bilinear: bool) -> list[BoundReport]:
@@ -437,7 +435,7 @@ class _BoundsTrial:
 
     @_theorem(check=GaussianBoundParams.require_full_window)
     def gauss_weighted_corollary(self) -> list[BoundReport]:
-        rep = weighted_corollary_bound(self.p, self.u_2inf, self.e_norm)
+        rep = weighted_corollary_bound(self.p, self.u_2inf, self.inst.noise_top.value)
         value = window_weighted_residual(self.inst, 1, self.p.rank, aligned=True)
         return [rep.with_empirical(value)]
 
@@ -454,7 +452,7 @@ class _BoundsTrial:
 
     @_theorem()
     def spectral_norm_event(self) -> list[BoundReport]:
-        return [spectral_norm_report(self.e_norm, *self.inst.shape)]
+        return [spectral_norm_report(self.inst.noise_top.value, *self.inst.shape)]
 
 
 def _not_met(evaluate, args, flags: PreconditionFlags):

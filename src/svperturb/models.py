@@ -13,7 +13,15 @@ import numpy as np
 
 from .clustering import Labeling
 from .errors import InvalidInputError, InvalidParameterError
-from .matcore import SvdFactors, as_matrix, gram_spectrum, leading_svd
+from .matcore import (
+    TOP_DENSE_MAX,
+    GramTop,
+    SvdFactors,
+    as_matrix,
+    gram_spectrum,
+    gram_top,
+    leading_svd,
+)
 
 
 def _signed_q(g: np.ndarray) -> np.ndarray:
@@ -106,7 +114,9 @@ class PerturbationInstance:
     rank. svd_observed holds the leading r observed vector pairs under the
     deterministic sign convention, with the r certified Ritz values or, after
     a fallback, all min(N, n) LAPACK values, which ``observed_spectrum``
-    always has.
+    always has. The noise facts the bounds read, ``noise_top`` and
+    ``noise_spectrum``, and the (r+1)-th observed value ``observed_next``
+    are formed on first read, each at most once.
     """
 
     signal: np.ndarray
@@ -145,6 +155,39 @@ class PerturbationInstance:
             return held
         u, a = self.svd_observed.left, self.observed
         return np.concatenate((held, gram_spectrum(a - u @ (u.T @ a))[: m - held.size]))
+
+    @cached_property
+    def observed_next(self) -> float:
+        """The (r+1)-th observed singular value, 0 when r = min(N, n).
+
+        A held value after a ``leading_svd`` fallback; when min(N, n) is at
+        most TOP_DENSE_MAX, entry r of ``observed_spectrum``, whose whole
+        trailing spectrum costs no more there; otherwise the certified top
+        (``gram_top``) of the deflated remainder that ``observed_spectrum``
+        reads, with the same precision.
+        """
+        held, r, m = self.svd_observed.singulars, self.rank(), min(self.shape)
+        if r == m:
+            return 0.0
+        if held.size == m or m <= TOP_DENSE_MAX:
+            return float(self.observed_spectrum[r])
+        return gram_top(self.observed, deflate=self.svd_observed.left).value
+
+    @cached_property
+    def noise_top(self) -> GramTop:
+        """The noise norm ||E|| with its proven bound, and tr G, ||G||_F^2 of
+        the noise's smaller Gram G, from one Gram that is not kept
+        (``gram_top``). When min(N, n) is at most TOP_DENSE_MAX it also holds
+        the whole noise spectrum, and ||E|| is its first entry."""
+        return gram_top(self.noise)
+
+    @cached_property
+    def noise_spectrum(self) -> np.ndarray:
+        """All min(N, n) noise singular values, descending, as
+        ``gram_spectrum`` returns them: the ones ``noise_top`` holds, or one
+        more Gram eigensolve for the statements that read them all."""
+        held = self.noise_top.spectrum
+        return gram_spectrum(self.noise) if held is None else held
 
 
 def perturb(factors: SvdFactors, noise) -> PerturbationInstance:

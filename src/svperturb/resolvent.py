@@ -4,9 +4,11 @@ The linearization of an N x n noise matrix is the (N+n) square symmetric
 block matrix with the noise and its transpose off-diagonal. Its eigenvalues
 are +-eta_i, the noise singular values, plus |N - n| zeros. The scalar probes
 (phi_values, solve_zj) read only the singular values, as ``gram_spectrum``
-returns them; bilinear forms of the resolvent take the noise matrix itself
-and cost one min(N, n) square solve plus mat-vecs, never a dense inverse or
-an SVD. Dense oracles are provided for small-size cross-checks only.
+returns them, and far from the spectrum ``far_field_phi`` reads only two
+traces of the noise's Gram matrix; bilinear forms of the resolvent take the
+noise matrix itself and cost one min(N, n) square solve plus mat-vecs, never
+a dense inverse or an SVD. Dense oracles are provided for small-size
+cross-checks only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .matcore import as_matrix, check_orthonormal
+from .matcore import GramTop, as_matrix, check_orthonormal
 
 _ZJ_MAX_ITER = 200
 _ZJ_REL_TOL = 1e-8
@@ -84,6 +86,31 @@ def phi_values(eta, n_rows: int, n_cols: int, z) -> ResolventProbe | list[Resolv
     return [
         _probe(complex(zz), ps, n_rows, n_cols) for zz, ps in zip(zs.ravel(), pair_sums.ravel())
     ]
+
+
+def far_field_phi(top: GramTop, n_rows: int, n_cols: int, z) -> ResolventProbe | None:
+    """phi_values at a real z far outside the noise spectrum, from the traces
+    of the noise's smaller Gram G instead of its singular values.
+
+    With m = min(N, n) and x = top.bound^2 / z^2, the pair sum
+    sum_i z / (z^2 - eta_i^2) is (m + tr G / z^2 + tr G^2 / z^4 + R) / z
+    with 0 <= R <= m x^3 / (1 - x). Returns the probe when that remainder is
+    below the sum's round-off, x^3 / (1 - x) <= eps, and None otherwise:
+    for a complex z, for z^2 not far above ||noise||^2, and when top holds
+    the whole spectrum, which ``phi_values`` reads exactly.
+    """
+    z = complex(z)
+    if top.spectrum is not None or z.imag != 0.0 or z.real == 0.0:
+        return None
+    # products, not powers: a float power raises where a product reads inf
+    w = 1.0 / z.real
+    x = (top.bound * w) * (top.bound * w)
+    if not (x < 1.0 and x * x * x / (1.0 - x) <= np.finfo(float).eps):
+        return None
+    pair_sum = (min(n_rows, n_cols) + top.trace * w * w + top.trace_sq * w * w * w * w) * w
+    if not np.isfinite(pair_sum):
+        return None
+    return _probe(z, pair_sum, n_rows, n_cols)
 
 
 def _phis(z, pair_sum, n_rows: int, n_cols: int):

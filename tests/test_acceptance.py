@@ -61,6 +61,7 @@ from svperturb.models import (
 )
 from svperturb.resolvent import (
     dense_resolvent_bilinear,
+    far_field_phi,
     linearized_basis,
     local_law_bound,
     local_law_gap,
@@ -230,7 +231,9 @@ def heavy_stream():
     Instances are built from the generator's exact factors: the observed
     matrix gets its certified leading pairs and their values from
     ``perturb(factors, noise)``, and no row here reads its trailing
-    spectrum; the noise gets its spectrum from ``gram_spectrum``. Only the
+    spectrum. The noise norm and phi come from the instance's noise record
+    ``noise_top``: phi at the observed value from its far-field series, or
+    from the noise spectrum where that series is not certified. Only the
     small report rows are kept.
     """
     lr = LowRankSpec(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA)
@@ -248,16 +251,16 @@ def heavy_stream():
         fac = low_rank_from_rng(lr, rng)
         e = rng.standard_normal((900, 900))
         inst = perturb(fac, e)
-        esv = gram_spectrum(e)
-        e_norm = float(esv[0])
+        e_norm = inst.noise_top.value
         u_2inf = row_mass(fac.left)
 
         rep = gauss_subspace_bound(p_top, OPERATOR, e_norm)
         emp = window_sin_theta(inst, 1, 1, OPERATOR)
         rows["sin_theta"].append(rep.with_empirical(emp))
 
-        def phi_at(zv, esv=esv):
-            return phi_values(esv, 900, 900, zv).varphi.real
+        def phi_at(zv, inst=inst):
+            probe = far_field_phi(inst.noise_top, 900, 900, zv)
+            return (probe or phi_values(inst.noise_spectrum, 900, 900, zv)).varphi.real
 
         rows["location"].append(gauss_sv_location_check(inst, p_top, 1, phi_at))
 
@@ -575,6 +578,22 @@ REPLAY_CONFIGS = {
         "trials": 2,
         "base_seed": 20260819,
         "theorems": ["gauss_sin_theta:operator", "gauss_sv_location:1", "gauss_2inf"],
+        "model": {
+            "n_rows": 900,
+            "n_cols": 900,
+            "singulars": [2.0e5, 1.2e5],
+            "k_lo": 1,
+            "k_hi": 1,
+        },
+        "format": "json",
+    },
+    # the rows that read the noise norm and the (r+1)-th observed value at
+    # gate size, where both come from the certified top eigenvalue
+    "bounds-heavy-mirsky": {
+        "scenario": "bounds",
+        "trials": 2,
+        "base_seed": 20261019,
+        "theorems": ["mirsky:operator", "spectral_norm_event", "gauss_sv_location:1"],
         "model": {
             "n_rows": 900,
             "n_cols": 900,

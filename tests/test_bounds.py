@@ -43,6 +43,7 @@ from svperturb.matcore import (
     NormSpec,
     SvdFactors,
     gauge,
+    gram_spectrum,
     kyfan,
     singular_values,
     svd,
@@ -287,6 +288,30 @@ class TestMirsky:
     def test_theorem_id(self):
         inst = make_instance(4)
         assert mirsky_check(inst, kyfan(2)).theorem_id == "mirsky:kyfan2"
+
+    @pytest.mark.parametrize(
+        "n, singulars, fallback",
+        [
+            (900, (2.0e5, 1.2e5), False),
+            (900, (500.0, 400.0), True),
+            (80, (40.0, 30.0, 20.0), True),
+        ],
+        ids=["certified", "leading-svd-fallback", "below-crossover"],
+    )
+    def test_operator_reads_two_values_as_the_full_gauge(self, n, singulars, fallback):
+        # the full path: the gauge of both whole spectra, as every other norm reads them
+        inst = make_instance(6, n_rows=n, n_cols=n - 20, singulars=singulars)
+        m, sig = n - 20, np.asarray(singulars)
+        assert (inst.svd_observed.singulars.size == m) == fallback
+        rep = mirsky_check(inst, OPERATOR)
+        bound = gauge(gram_spectrum(inst.noise), OPERATOR)
+        diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
+        empirical = gauge(diff, OPERATOR)
+        if n <= 400:  # below the crossover both are the same floats
+            assert (rep.bound_value, rep.empirical_value) == (bound, empirical)
+        assert rep.bound_value == pytest.approx(bound, rel=1e-12)
+        assert rep.empirical_value == pytest.approx(empirical, rel=1e-12)
+        assert rep.violated is False
 
     def test_thin_signal_factors(self):
         # generator factors have rank-r width; the signal spectrum is padded,

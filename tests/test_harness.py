@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svperturb.bounds import ALL_OK, BoundReport, GaussianBoundParams, PreconditionFlags
+from svperturb.bounds import (
+    ALL_OK,
+    BoundReport,
+    GaussianBoundParams,
+    PreconditionFlags,
+    gauss_sv_location_check,
+)
 from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 from svperturb import harness, matcore
 from svperturb.harness import (
@@ -30,6 +36,7 @@ from svperturb.harness import (
     run_monte_carlo,
 )
 from svperturb.models import LowRankSpec, low_rank_from_rng, perturb
+from svperturb.resolvent import phi_values
 from svperturb.seeding import derive_seed
 
 BOUNDS_MODEL = {
@@ -328,6 +335,57 @@ class TestGaussianSkip:
         for rep in reports:
             assert not rep.preconditions.all_ok, rep.theorem_id
             assert rep.violated is None and rep.empirical_value is None
+
+
+# the eight theorem tokens of the release gate's 900 x 900 bounds job
+GATE_TOKENS = (
+    "gauss_sin_theta:operator",
+    "gauss_sv_location:1",
+    "gauss_2inf",
+    "gauss_bilinear",
+    "gauss_weighted",
+    "mirsky:operator",
+    "wedin:1:operator",
+    "spectral_norm_event",
+)
+
+
+class TestNoiseFacts:
+    def test_gate_trial_runs_no_eigvalsh(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        model = harness._ModelKeys(
+            {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "k_lo": 1, "k_hi": 1}
+        )
+        cfg = ExperimentConfig("bounds", theorems=GATE_TOKENS, model=model)
+        reports = harness._bounds_factory(cfg)(derive_seed(0, 0))
+        assert len(reports) == len(GATE_TOKENS)
+        assert all(rep.violated is False for rep in reports)
+        assert calls == []
+
+    def test_small_location_reads_the_gram_spectrum(self):
+        # below the crossover the location row is phi_values on the noise's
+        # Gram spectrum, bit for bit
+        shape, singulars = (80, 60), (40.0, 30.0, 20.0)
+        rng = np.random.default_rng(derive_seed(5, 0))
+        factors = low_rank_from_rng(LowRankSpec(*shape, singulars), rng)
+        inst = perturb(factors, rng.standard_normal(shape))
+        p = GaussianBoundParams(*shape, singulars, k_lo=1, k_hi=3, margin=2.0, tail=1.0)
+        eta = matcore.gram_spectrum(inst.noise)
+        trial = harness._BoundsTrial(inst, p, rng)
+        for j in (1, 2, 3):
+            (got,) = trial.gauss_sv_location(j)
+            want = gauss_sv_location_check(
+                inst, p, j, lambda z: phi_values(eta, *shape, z).varphi.real
+            )
+            assert got.bound_value == want.bound_value
+            assert got.empirical_value == want.empirical_value
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
+from svperturb import matcore
 from svperturb.matcore import (
     FROBENIUS,
     NUCLEAR,
     OPERATOR,
+    TOP_DENSE_MAX,
     NormSpec,
     SvdFactors,
     apply_norm,
@@ -18,6 +21,7 @@ from svperturb.matcore import (
     check_orthonormal,
     gauge,
     gram_spectrum,
+    gram_top,
     kyfan,
     leading_svd,
     norm_spec_from_token,
@@ -497,6 +501,113 @@ class TestGramSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericalFailureError):
             gram_spectrum(random_matrix(5, 4, 42))
+
+
+def _eigvalsh_top(a) -> float:
+    g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
+
+
+def _with_values(values, n_rows, n_cols, seed):
+    """An N x n matrix with the given singular values and Haar factors."""
+    rng = np.random.default_rng(seed)
+    u = haar_basis(rng, n_rows, len(values))
+    return (u * np.asarray(values)) @ haar_basis(rng, n_cols, len(values)).T
+
+
+class TestGramTop:
+    above = TOP_DENSE_MAX + 20
+
+    @pytest.mark.parametrize(
+        "shape", [(420, 560), (560, 420), (450, 450)], ids=["wide", "tall", "square"]
+    )
+    def test_certified_top_matches_eigvalsh(self, shape):
+        a = random_matrix(*shape, sum(shape))
+        top = gram_top(a)
+        assert top.spectrum is None  # the certified path, not the dense fallback
+        want = _eigvalsh_top(a)
+        assert top.value == pytest.approx(want, rel=1e-13)
+        assert top.value <= top.bound <= top.value * (1.0 + 1e-9)
+        g = a @ a.T if shape[0] <= shape[1] else a.T @ a
+        assert top.trace == pytest.approx(np.trace(g), rel=1e-13)
+        assert top.trace_sq == pytest.approx(np.sum(g * g), rel=1e-13)
+
+    def test_tied_top_values(self):
+        values = np.concatenate(([10.0, 10.0, 10.0], np.linspace(5.0, 0.1, self.above - 3)))
+        a = _with_values(values, self.above, self.above + 30, 71)
+        top = gram_top(a)
+        assert top.spectrum is None
+        assert top.value == pytest.approx(10.0, rel=1e-13)
+        assert top.value == pytest.approx(_eigvalsh_top(a), rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (TOP_DENSE_MAX + 1, TOP_DENSE_MAX + 9)])
+    def test_zero_matrix(self, shape):
+        top = gram_top(np.zeros(shape))
+        assert (top.value, top.bound, top.trace, top.trace_sq) == (0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(top.spectrum, np.zeros(min(shape)))
+
+    def test_leaves_the_matrix_unmodified(self):
+        a = random_matrix(self.above, self.above + 10, 72)
+        u = haar_basis(np.random.default_rng(73), self.above, 2)
+        a0, u0 = a.copy(), u.copy()
+        gram_top(a)
+        gram_top(a, deflate=u)
+        gram_top(a.T)
+        assert np.array_equal(a, a0) and np.array_equal(u, u0)
+
+    def test_deflated_matches_the_deflated_matrix(self):
+        a = random_matrix(self.above + 10, self.above, 74)
+        u = haar_basis(np.random.default_rng(75), self.above + 10, 3)
+        got = gram_top(a, deflate=u)
+        assert got.value == pytest.approx(_eigvalsh_top(a - u @ (u.T @ a)), rel=1e-13)
+
+    def test_start_vector_in_an_invariant_subspace(self):
+        # the fixed start vector is a left singular vector of a, for its
+        # smallest value: its Krylov space is invariant up to rounding, which
+        # must never yield that value as the top
+        m = self.above
+        start = np.random.default_rng(matcore._START_SEED).standard_normal(m)
+        values = np.concatenate(([3.0], np.linspace(2.0, 1.5, m - 2), [1.0]))
+        u = np.linalg.qr(np.column_stack((start, random_matrix(m, m - 1, 76))))[0]
+        a = (u[:, np.r_[1:m, 0]] * values) @ haar_basis(np.random.default_rng(77), m, m).T
+        top = gram_top(a)
+        assert top.value == pytest.approx(3.0, rel=1e-13)
+        assert top.value == pytest.approx(_eigvalsh_top(a), rel=1e-13)
+        assert top.bound >= top.value
+
+    def test_rejected_ritz_value_falls_back(self, monkeypatch):
+        a = random_matrix(self.above, self.above, 78)
+        true_top = _eigvalsh_top(a)
+        monkeypatch.setattr(matcore, "_lanczos_top", lambda g: 0.5 * true_top**2)
+        top = gram_top(a)
+        assert top.spectrum is not None
+        assert top.spectrum.tobytes() == gram_spectrum(a).tobytes()
+        assert top.value == top.bound == float(top.spectrum[0])
+
+    def test_unconverged_lanczos_falls_back(self, monkeypatch):
+        a = random_matrix(self.above, self.above, 79)
+        monkeypatch.setattr(matcore, "TOP_STEPS", 4)
+        top = gram_top(a)
+        assert top.spectrum is not None
+        assert top.value == float(gram_spectrum(a)[0])
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_far_scales_fall_back_without_warnings(self, scale):
+        # the Gram's squares leave the float range: the dense path serves
+        a = scale * random_matrix(self.above, self.above + 10, 82)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = gram_top(a)
+        assert top.spectrum is not None
+        assert top.value == float(gram_spectrum(a)[0])
+
+    @pytest.mark.parametrize("shape", [(80, 60), (60, 80), (TOP_DENSE_MAX, TOP_DENSE_MAX)])
+    def test_below_the_crossover_is_gram_spectrum(self, shape):
+        e = random_matrix(*shape, 80)
+        top = gram_top(e)
+        want = gram_spectrum(e)
+        assert top.spectrum.tobytes() == want.tobytes()
+        assert top.value == float(want[0]) and top.bound == top.value
 
 
 @st.composite

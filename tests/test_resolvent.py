@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,11 @@ from svperturb.errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from svperturb.matcore import gram_spectrum, svd
+from svperturb.matcore import gram_spectrum, gram_top, svd
 from svperturb.models import haar_basis
 from svperturb.resolvent import (
     dense_resolvent_bilinear,
+    far_field_phi,
     linearized_basis,
     linearized_noise,
     local_law_bound,
@@ -138,6 +141,45 @@ class TestPhi:
         e = noise(7)
         with pytest.raises(EvaluationDomainError):
             probe(e, 0.5 * gram_spectrum(e)[0])
+
+
+class TestFarField:
+    @pytest.mark.parametrize("shape", [(900, 900), (1000, 450)], ids=["square", "tall"])
+    def test_matches_phi_values_at_gate_size(self, shape):
+        e = noise(91, *shape)
+        top = gram_top(e)
+        assert top.spectrum is None
+        eta = gram_spectrum(e)
+        # from the strip's edge at sigma = 2e5, 1.2e5 down to z where x^3 / (1 - x) nears eps
+        for z in (2.0e5, 1.2e5, 3.0e4):
+            got = far_field_phi(top, *shape, z)
+            want = phi_values(eta, *shape, z)
+            assert got is not None
+            for field in ("phi1", "phi2", "varphi", "alpha", "beta"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+            # the resolvent part z - phi1 is the pair sum plus the null block's
+            # term, read back up to the rounding of phi1 at the scale of z
+            tol = 4.0 * np.finfo(float).eps * z
+            assert z - got.phi1 == pytest.approx(z - want.phi1, rel=1e-9, abs=tol)
+
+    def test_falls_back_near_the_spectrum(self):
+        e = noise(92, 80, 60)
+        top = gram_top(e)
+        # the whole spectrum is held below the crossover, and z^2 = 1600 is
+        # not far above ||E||_F^2 = 4800: both make the caller read phi_values
+        assert far_field_phi(top, 80, 60, 40.0) is None
+        assert far_field_phi(replace(top, spectrum=None), 80, 60, 40.0) is None
+        with pytest.raises(EvaluationDomainError):
+            phi_values(gram_spectrum(e), 80, 60, 0.5 * top.value)
+        assert far_field_phi(replace(top, spectrum=None), 80, 60, 0.5 * top.value) is None
+
+    def test_only_real_nonzero_z(self):
+        top = replace(gram_top(noise(93, 12, 8)), spectrum=None)
+        assert far_field_phi(top, 12, 8, 1.0e6) is not None
+        assert far_field_phi(top, 12, 8, 1.0e6 + 1.0j) is None
+        assert far_field_phi(top, 12, 8, 0.0) is None
+        # z^4 is past the float range, so the terms are formed as products
+        assert far_field_phi(top, 12, 8, 1.0e80).varphi == pytest.approx(1.0e160, rel=1e-12)
 
 
 class TestBilinear:
