@@ -191,9 +191,7 @@ def kmeans(points, cfg: KMeansConfig):
 def spectral_embedding(x, k: int) -> np.ndarray:
     """The k x n embedding U_k^T x of the columns of x on its top-k left
     singular subspace."""
-    x = as_matrix(x)
-    if k < 1 or k > min(x.shape):
-        raise InvalidParameterError(f"k={k} out of range for shape {x.shape}")
+    x = np.asarray(x, dtype=float)  # leading_svd checks x and k
     return leading_svd(x, k).left.T @ x
 
 
@@ -210,11 +208,9 @@ def spectral_submatrix(x, k: int, cfg: KMeansConfig | None = None) -> SubmatrixL
     top-k right subspace. The extra group absorbs indices outside every
     planted set and may come back empty.
     """
-    x = as_matrix(x)
-    if k < 1 or k > min(x.shape):
-        raise InvalidParameterError(f"k={k} out of range for shape {x.shape}")
+    x = np.asarray(x, dtype=float)
+    f = leading_svd(x, k)  # checks x and k
     cfg = KMeansConfig(k=k + 1) if cfg is None else replace(cfg, k=k + 1)
-    f = leading_svd(x, k)
     col_emb = (f.left.T @ x).T
     row_emb = x @ f.right
     col_labeling, _, _ = kmeans(col_emb, cfg)

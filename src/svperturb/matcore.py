@@ -270,7 +270,7 @@ class GramTop:
     spectrum is None, and equal to value when the dense eigensolver supplied
     it, in which case spectrum holds all min(N, n) values as
     ``gram_spectrum`` returns them. trace = tr G = ||a||_F^2 and trace_sq =
-    tr G^2 = ||G||_F^2.
+    tr G^2 = ||G||_F^2. vector is the unit Ritz vector when certified.
     """
 
     value: float
@@ -278,17 +278,19 @@ class GramTop:
     trace: float
     trace_sq: float
     spectrum: np.ndarray | None
+    vector: np.ndarray | None = None
 
 
-def _lanczos_top(gram: np.ndarray) -> float | None:
-    """Largest Ritz value of the symmetric `gram` by Lanczos with full
-    reorthogonalization from the fixed start vector, once its residual is
-    at most TOP_RESIDUAL_TOL times it; None when TOP_STEPS steps do not get
-    there. A Ritz value never exceeds the top eigenvalue, and its error is
-    at most the squared residual over the gap to the next eigenvalue."""
+def _lanczos_top(gram: np.ndarray, start: np.ndarray | None) -> tuple[float, np.ndarray] | None:
+    """Largest Ritz value of the symmetric `gram` and its unit Ritz vector, by
+    Lanczos with full reorthogonalization from `start` (None: the fixed start
+    vector), once its residual is at most TOP_RESIDUAL_TOL times it; None when
+    TOP_STEPS steps do not get there. A Ritz value never exceeds the top
+    eigenvalue, and errs by at most the squared residual over the next gap."""
     m = gram.shape[0]
+    if start is None:
+        start = np.random.default_rng(_START_SEED).standard_normal(m)
     basis = np.empty((TOP_STEPS + 1, m))
-    start = np.random.default_rng(_START_SEED).standard_normal(m)
     basis[0] = start / np.linalg.norm(start)
     alpha, beta = np.zeros(TOP_STEPS), np.zeros(TOP_STEPS)
     for j in range(TOP_STEPS):
@@ -302,7 +304,7 @@ def _lanczos_top(gram: np.ndarray) -> float | None:
             theta, y = np.linalg.eigh(t)
             # beta_j times the last entry of the Ritz vector is its residual norm
             if beta[j] * abs(y[-1, -1]) <= TOP_RESIDUAL_TOL * theta[-1]:
-                return float(theta[-1])
+                return float(theta[-1]), y[:, -1] @ basis[: j + 1]
             if not beta[j] > 0.0:
                 return None
         basis[j + 1] = w / beta[j]
@@ -321,51 +323,47 @@ def _below(gram: np.ndarray, level: float) -> bool:
     return True
 
 
-def _deflated_gram(a: np.ndarray, deflate: np.ndarray | None) -> np.ndarray:
-    """The smaller Gram matrix of (I - U U.T) a for U = deflate, or of a."""
-    if deflate is not None:
-        a = a - deflate @ (deflate.T @ a)
-    return _gram(a)
+def top_of_gram(form, start=None) -> GramTop:
+    """Top singular value from a Gram matrix G, certified or read from a
+    dense eigensolve. form() returns G as a new array, which this overwrites;
+    it is called again only after a failed certificate.
 
-
-def gram_top(a, deflate=None) -> GramTop:
-    """Top singular value of `a`, certified or read from a dense eigensolve.
-
-    When min(N, n) > TOP_DENSE_MAX, Lanczos gives the top Ritz value theta
-    of the smaller Gram matrix G (``_lanczos_top``), and a Cholesky factor
+    When the order m exceeds TOP_DENSE_MAX, Lanczos from `start` (None: the
+    fixed start vector) gives the top Ritz value theta, and a Cholesky factor
     of theta (1 + TOP_CERT_SHIFT) I - G proves that no eigenvalue lies above
     that level, up to Cholesky's backward error of at most m (m + 1) eps
     times it (Higham 2002, sec. 10.1), which the bound includes. As theta is
     a Rayleigh quotient, sqrt(theta) is then sigma_1 to round-off. When
-    Lanczos does not converge, the Cholesky fails, or min(N, n) is at most
-    TOP_DENSE_MAX, the result is the top of ``gram_spectrum`` with that
-    whole spectrum.
-
-    With deflate = U, N x c with orthonormal columns, the matrix is
-    (I - U U.T) a; it is freed once its Gram is formed. G is formed once,
-    overwritten by the certificate and not kept; `a` is not modified.
+    Lanczos does not converge, the Cholesky fails, or m is at most
+    TOP_DENSE_MAX, it is the top of G's spectrum as ``gram_spectrum`` takes it.
     """
-    a = as_matrix(a)
-    gram = _deflated_gram(a, deflate)
+    gram = form()
     m = gram.shape[0]
     # past about ||a||_F = 1e77 tr G^2 reads inf and Lanczos overflows into
     # the dense fallback, which covers gram_spectrum's whole range
     with np.errstate(over="ignore", invalid="ignore"):
         trace, trace_sq = float(np.trace(gram)), float(np.vdot(gram, gram))
-        theta = None
+        ritz = None
         if m > TOP_DENSE_MAX:
             try:
-                theta = _lanczos_top(gram)
+                ritz = _lanczos_top(gram, start)
             except np.linalg.LinAlgError:
                 pass
-    if theta is not None:
+    if ritz is not None:
+        theta, vector = ritz
         level = theta * (1.0 + TOP_CERT_SHIFT)
         if _below(gram, level):
             bound = np.sqrt(level * (1.0 + m * (m + 1) * np.finfo(float).eps))
-            return GramTop(float(np.sqrt(theta)), float(bound), trace, trace_sq, None)
-        gram = _deflated_gram(a, deflate)
+            return GramTop(float(np.sqrt(theta)), float(bound), trace, trace_sq, None, vector)
+        gram = form()
     spectrum = _gram_values(gram)
     return GramTop(float(spectrum[0]), float(spectrum[0]), trace, trace_sq, spectrum)
+
+
+def gram_top(a) -> GramTop:
+    """``top_of_gram`` of the smaller Gram matrix of `a`, which is not kept."""
+    a = as_matrix(a)
+    return top_of_gram(lambda: _gram(a))
 
 
 def wedin_certificate(a, factors: SvdFactors) -> np.ndarray | None:
@@ -382,12 +380,18 @@ def wedin_certificate(a, factors: SvdFactors) -> np.ndarray | None:
     those c bounds when every g_i is positive and eta <= LEADING_CERT_TOL *
     g_i for every i, and None otherwise.
     """
-    a = as_matrix(a)
+    return _wedin(as_matrix(a), factors)
+
+
+def _wedin(a: np.ndarray, factors: SvdFactors) -> np.ndarray | None:
+    """``wedin_certificate`` of a matrix already validated."""
     u, s, v = factors.left, factors.singulars[: factors.vector_count], factors.right
     r = a @ v - u * s
     t = a.T @ u - v * s
     eta = float(np.linalg.norm(r) + np.linalg.norm(t))
-    tau = float(np.linalg.norm(a - (u * s) @ v.T))
+    us = u * s  # tau over blocks of 64 rows, so no N x n residual is formed
+    blocks = range(0, a.shape[0], 64)
+    tau = np.linalg.norm([np.linalg.norm(a[i : i + 64] - us[i : i + 64] @ v.T) for i in blocks])
     above = np.concatenate(([np.inf], s[:-1])) - s
     below = s - np.concatenate((s[1:], [tau]))
     gaps = np.minimum(above, below)
@@ -436,7 +440,7 @@ def leading_svd(a, k: int, start=None) -> SvdFactors:
                 f"start block must be {a.shape[1]} x {k}, got {block.shape}"
             )
     ritz = _rayleigh_ritz(a, block)
-    if wedin_certificate(a, ritz) is None:
+    if _wedin(a, ritz) is None:
         full = svd(a)
         return SvdFactors(left=full.left[:, :k], singulars=full.singulars, right=full.right[:, :k])
     return ritz

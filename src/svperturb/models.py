@@ -17,10 +17,11 @@ from .matcore import (
     TOP_DENSE_MAX,
     GramTop,
     SvdFactors,
-    as_matrix,
+    _gram,
+    _gram_values,
     gram_spectrum,
-    gram_top,
     leading_svd,
+    top_of_gram,
 )
 
 
@@ -114,12 +115,10 @@ class PerturbationInstance:
     rank. svd_observed holds the leading r observed vector pairs under the
     deterministic sign convention, with the r certified Ritz values or, after
     a fallback, all min(N, n) LAPACK values, which ``observed_spectrum``
-    always has. The noise facts the bounds read, ``noise_top`` and
-    ``noise_spectrum``, and the (r+1)-th observed value ``observed_next``
-    are formed on first read, each at most once.
+    always has. The signal, the noise Gram, the noise facts the bounds read
+    and the (r+1)-th observed value are formed on first read, at most once.
     """
 
-    signal: np.ndarray
     noise: np.ndarray
     observed: np.ndarray
     svd_signal: SvdFactors
@@ -127,10 +126,15 @@ class PerturbationInstance:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.signal.shape[0], self.signal.shape[1])
+        return self.noise.shape
 
     def rank(self) -> int:
         return self.svd_signal.vector_count
+
+    @cached_property
+    def signal(self) -> np.ndarray:
+        """The signal, the product ``(left * singulars) @ right.T`` of its factors."""
+        return (self.svd_signal.left * self.svd_signal.singulars) @ self.svd_signal.right.T
 
     @cached_property
     def observed_spectrum(self) -> np.ndarray:
@@ -156,60 +160,89 @@ class PerturbationInstance:
         u, a = self.svd_observed.left, self.observed
         return np.concatenate((held, gram_spectrum(a - u @ (u.T @ a))[: m - held.size]))
 
+    def remainder_gram(self) -> np.ndarray:
+        """The smaller Gram of the deflated remainder (I - U U.T) observed, U
+        the held left vectors, as a new array, in O(min(N, n)^2 r) from the
+        noise Gram G. With E the noise, U0 S V0.T the signal and
+        B = (I - U U.T) U0 S, the remainder is (I - U U.T) E + B V0.T, so its
+        Gram is G + L R.T + R L.T with, when N <= n,
+        L = [U, B], R = [U (U.T G U) / 2 - G U, (I - U U.T) E V0 + B / 2],
+        and otherwise L = [E.T U, V0], R = [-E.T U / 2, E.T B + V0 B.T B / 2].
+        """
+        u, f, e, g = self.svd_observed.left, self.svd_signal, self.noise, self.noise_gram
+        b = (f.left - u @ (u.T @ f.left)) * f.singulars
+        if e.shape[0] <= e.shape[1]:
+            gu, c = g @ u, e @ f.right
+            left, right = (u, b), (u @ (0.5 * (u.T @ gu)) - gu, c - u @ (u.T @ c) + 0.5 * b)
+        else:
+            eu = e.T @ u
+            left, right = (eu, f.right), (-0.5 * eu, e.T @ b + f.right @ (0.5 * (b.T @ b)))
+        gram = np.hstack(left + right) @ np.hstack(right + left).T
+        gram += g
+        return gram
+
     @cached_property
     def observed_next(self) -> float:
         """The (r+1)-th observed singular value, 0 when r = min(N, n).
 
         A held value after a ``leading_svd`` fallback; when min(N, n) is at
         most TOP_DENSE_MAX, entry r of ``observed_spectrum``, whose whole
-        trailing spectrum costs no more there; otherwise the certified top
-        (``gram_top``) of the deflated remainder that ``observed_spectrum``
-        reads, with the same precision.
+        trailing spectrum costs no more there; otherwise the top of
+        ``remainder_gram``, with Lanczos started from the Ritz vector of
+        ``noise_top``, the held vectors on the Gram's side projected out.
         """
         held, r, m = self.svd_observed.singulars, self.rank(), min(self.shape)
         if r == m:
             return 0.0
         if held.size == m or m <= TOP_DENSE_MAX:
             return float(self.observed_spectrum[r])
-        return gram_top(self.observed, deflate=self.svd_observed.left).value
+        obs, x = self.svd_observed, self.noise_top.vector
+        side = obs.left if self.shape[0] <= self.shape[1] else obs.right
+        start = None if x is None else x - side @ (side.T @ x)
+        return top_of_gram(self.remainder_gram, start).value
+
+    @cached_property
+    def noise_gram(self) -> np.ndarray:
+        """The noise's smaller Gram matrix, E E.T when N <= n, else E.T E,
+        formed once and kept for the noise facts and ``remainder_gram``."""
+        return _gram(self.noise)
 
     @cached_property
     def noise_top(self) -> GramTop:
-        """The noise norm ||E|| with its proven bound, and tr G, ||G||_F^2 of
-        the noise's smaller Gram G, from one Gram that is not kept
-        (``gram_top``). When min(N, n) is at most TOP_DENSE_MAX it also holds
-        the whole noise spectrum, and ||E|| is its first entry."""
-        return gram_top(self.noise)
+        """||E|| with its proven bound, tr G and ||G||_F^2, certified on a copy
+        of the noise Gram G (``top_of_gram``). When min(N, n) is at most
+        TOP_DENSE_MAX it also holds the whole noise spectrum."""
+        return top_of_gram(self.noise_gram.copy)
 
     @cached_property
     def noise_spectrum(self) -> np.ndarray:
-        """All min(N, n) noise singular values, descending, as
-        ``gram_spectrum`` returns them: the ones ``noise_top`` holds, or one
-        more Gram eigensolve for the statements that read them all."""
-        held = self.noise_top.spectrum
-        return gram_spectrum(self.noise) if held is None else held
+        """All min(N, n) noise singular values, descending, as ``gram_spectrum``
+        returns them: held by ``noise_top`` at or below TOP_DENSE_MAX, else one
+        eigensolve of ``noise_gram`` with no certificate."""
+        small = min(self.shape) <= TOP_DENSE_MAX
+        return self.noise_top.spectrum if small else _gram_values(self.noise_gram)
 
 
 def perturb(factors: SvdFactors, noise) -> PerturbationInstance:
-    """Form the signal from its thin rank-r factors, add the noise, and
+    """Add the noise to the signal that thin rank-r factors form, and
     factorize the sum.
 
-    The signal is ``(left * singulars) @ right.T``; its factors are
-    svd_signal as given, so no signal SVD is taken. The observed matrix gets
-    its leading r vector pairs from ``leading_svd``, started from the
-    signal's right factor. When those pairs are certified, svd_observed holds
-    the r Ritz values only, and the trailing observed values are left to
+    The observed matrix is ``(left * singulars) @ right.T`` plus the noise,
+    added in place; the signal is formed only when read, and no signal SVD is
+    taken. The observed matrix gets its leading r vector pairs from
+    ``leading_svd``, which validates it, started from the signal's right
+    factor. When those pairs are certified, svd_observed holds the r Ritz
+    values only, and the trailing observed values are left to
     ``observed_spectrum``, which only the statements that read past the r-th
     value pay for; after a fallback one full LAPACK SVD supplies the vectors
     and all the values.
     """
-    noise = as_matrix(noise)
+    noise = np.asarray(noise, dtype=float)
     if factors.vector_count != factors.singulars.size or factors.shape != noise.shape:
         raise InvalidInputError(f"factors must be thin, of the noise's shape {noise.shape}")
-    signal = (factors.left * factors.singulars) @ factors.right.T
-    observed = signal + noise
+    observed = (factors.left * factors.singulars) @ factors.right.T
+    observed += noise
     return PerturbationInstance(
-        signal=signal,
         noise=noise,
         observed=observed,
         svd_signal=factors,
@@ -367,8 +400,8 @@ class SubmatrixSpec:
 
 @dataclass(frozen=True, eq=False)
 class SubmatrixSample:
+    amplitudes: tuple[float, ...]
     x: np.ndarray
-    expected: np.ndarray
     row_truth: Labeling        # block index + 1 per row, n_blocks + 1 for background
     col_truth: Labeling
     row_gap: float             # min |amplitude_i| sqrt(block row count)
@@ -377,26 +410,30 @@ class SubmatrixSample:
     min_rows: int
     min_cols: int
 
+    @cached_property
+    def expected(self) -> np.ndarray:
+        """The noise-free matrix, formed on first read from the truth labels."""
+        rows, cols = self.row_truth.labels, self.col_truth.labels
+        amps = np.append(self.amplitudes, 0.0)  # the background label reads 0
+        return np.where(rows[:, None] == cols, amps[rows - 1][:, None], 0.0)
+
 
 def plant_submatrices(spec: SubmatrixSpec, seed: int) -> SubmatrixSample:
-    """Plant the blocks and add unit Gaussian noise."""
-    expected = np.zeros((spec.n_rows, spec.n_cols))
-    for rset, cset, amp in zip(spec.row_sets, spec.col_sets, spec.amplitudes):
-        expected[np.ix_(rset, cset)] = amp
-    x = expected + np.random.default_rng(seed).standard_normal(expected.shape)
-
+    """Add the blocks to a unit Gaussian noise draw, in place."""
+    x = np.random.default_rng(seed).standard_normal((spec.n_rows, spec.n_cols))
     k = spec.n_blocks
     row_lab = np.full(spec.n_rows, k + 1, dtype=int)
     col_lab = np.full(spec.n_cols, k + 1, dtype=int)
-    for i, (rset, cset) in enumerate(zip(spec.row_sets, spec.col_sets)):
+    for i, (rset, cset, amp) in enumerate(zip(spec.row_sets, spec.col_sets, spec.amplitudes)):
+        x[np.ix_(rset, cset)] += amp
         row_lab[list(rset)] = i + 1
         col_lab[list(cset)] = i + 1
     rsizes = np.array([len(s) for s in spec.row_sets], dtype=float)
     csizes = np.array([len(s) for s in spec.col_sets], dtype=float)
     amps = np.abs(np.asarray(spec.amplitudes))
     return SubmatrixSample(
+        amplitudes=spec.amplitudes,
         x=x,
-        expected=expected,
         row_truth=Labeling(row_lab, k + 1),
         col_truth=Labeling(col_lab, k + 1),
         row_gap=float(np.min(amps * np.sqrt(rsizes))),

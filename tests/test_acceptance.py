@@ -346,7 +346,6 @@ def test_general_noise_bounds():
         a = (fac.left * fac.singulars) @ fac.right.T
         e = rng.standard_normal((200, 200))
         inst = PerturbationInstance(
-            signal=a,
             noise=e,
             observed=a + e,
             svd_signal=fac,
@@ -597,6 +596,22 @@ REPLAY_CONFIGS = {
         "model": {
             "n_rows": 900,
             "n_cols": 900,
+            "singulars": [2.0e5, 1.2e5],
+            "k_lo": 1,
+            "k_hi": 1,
+        },
+        "format": "json",
+    },
+    # the same rows on a tall model, where the Gram of the noise and of the
+    # deflated remainder is the column Gram (N > n)
+    "bounds-tall-mirsky": {
+        "scenario": "bounds",
+        "trials": 2,
+        "base_seed": 20261020,
+        "theorems": ["mirsky:operator", "spectral_norm_event"],
+        "model": {
+            "n_rows": 1000,
+            "n_cols": 450,
             "singulars": [2.0e5, 1.2e5],
             "k_lo": 1,
             "k_hi": 1,

@@ -369,6 +369,56 @@ class TestNoiseFacts:
         assert all(rep.violated is False for rep in reports)
         assert calls == []
 
+    def test_gate_trial_forms_one_gram(self, monkeypatch):
+        import svperturb.models
+
+        shapes = []
+        real = matcore._gram
+
+        def counted(a):
+            shapes.append(min(a.shape))
+            return real(a)
+
+        monkeypatch.setattr(matcore, "_gram", counted)
+        monkeypatch.setattr(svperturb.models, "_gram", counted)
+        model = harness._ModelKeys(
+            {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "k_lo": 1, "k_hi": 1}
+        )
+        cfg = ExperimentConfig("bounds", theorems=GATE_TOKENS, model=model)
+        reports = harness._bounds_factory(cfg)(derive_seed(0, 0))
+        assert len(reports) == len(GATE_TOKENS)
+        assert shapes == [900]
+
+    def test_spectrum_only_run_skips_the_certificate(self, monkeypatch):
+        # above the crossover, rows that read the whole noise spectrum but
+        # never the noise norm take one eigensolve of the kept Gram
+        calls = {"lanczos": 0, "cholesky": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(matcore, "_lanczos_top", counted("lanczos", matcore._lanczos_top))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        shape, singulars = (340, 320), (2.0e4, 1.2e4)
+        rng = np.random.default_rng(derive_seed(6, 0))
+        factors = low_rank_from_rng(LowRankSpec(*shape, singulars), rng)
+        inst = perturb(factors, rng.standard_normal(shape))
+        assert inst.svd_observed.singulars.size == 2  # certified
+        spectrum = inst.noise_spectrum
+        assert calls == {"lanczos": 0, "cholesky": 0, "eigvalsh": 1}
+        assert spectrum.tobytes() == matcore.gram_spectrum(inst.noise).tobytes()
+        calls["eigvalsh"] = 0
+        model = harness._ModelKeys({"n_rows": 340, "n_cols": 320, "singulars": list(singulars)})
+        cfg = ExperimentConfig("bounds", theorems=("mirsky:frobenius",), model=model)
+        harness._bounds_factory(cfg)(derive_seed(6, 1))
+        # the noise spectrum and the trailing observed spectrum, nothing more
+        assert calls == {"lanczos": 0, "cholesky": 0, "eigvalsh": 2}
+
     def test_small_location_reads_the_gram_spectrum(self):
         # below the crossover the location row is phi_values on the noise's
         # Gram spectrum, bit for bit

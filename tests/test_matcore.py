@@ -305,7 +305,7 @@ def _observed(a, k):
     it, with `a` as the observed matrix."""
     got = leading_svd(a, k)
     empty = SvdFactors(np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((a.shape[1], 0)))
-    inst = PerturbationInstance(np.zeros_like(a), a, a, empty, got)
+    inst = PerturbationInstance(a, a, empty, got)
     return got, inst.observed_spectrum
 
 
@@ -548,18 +548,23 @@ class TestGramTop:
 
     def test_leaves_the_matrix_unmodified(self):
         a = random_matrix(self.above, self.above + 10, 72)
-        u = haar_basis(np.random.default_rng(73), self.above, 2)
-        a0, u0 = a.copy(), u.copy()
+        a0 = a.copy()
         gram_top(a)
-        gram_top(a, deflate=u)
         gram_top(a.T)
-        assert np.array_equal(a, a0) and np.array_equal(u, u0)
+        assert np.array_equal(a, a0)
 
-    def test_deflated_matches_the_deflated_matrix(self):
-        a = random_matrix(self.above + 10, self.above, 74)
-        u = haar_basis(np.random.default_rng(75), self.above + 10, 3)
-        got = gram_top(a, deflate=u)
-        assert got.value == pytest.approx(_eigvalsh_top(a - u @ (u.T @ a)), rel=1e-13)
+    def test_ritz_vector_and_warm_start(self):
+        a = random_matrix(self.above, self.above + 10, 74)
+        top = gram_top(a)
+        g = a @ a.T
+        assert np.linalg.norm(top.vector) == pytest.approx(1.0, rel=1e-12)
+        residual = np.linalg.norm(g @ top.vector - top.value**2 * top.vector)
+        assert residual <= 1e-8 * top.value**2
+        # from a start near the top vector the same value is certified
+        warm = matcore.top_of_gram(lambda: a @ a.T, top.vector + 1e-3 * a[:, 0])
+        assert warm.spectrum is None
+        assert warm.value == pytest.approx(top.value, rel=1e-14)
+        assert gram_top(np.eye(4)).vector is None  # the dense path holds no vector
 
     def test_start_vector_in_an_invariant_subspace(self):
         # the fixed start vector is a left singular vector of a, for its
@@ -578,7 +583,8 @@ class TestGramTop:
     def test_rejected_ritz_value_falls_back(self, monkeypatch):
         a = random_matrix(self.above, self.above, 78)
         true_top = _eigvalsh_top(a)
-        monkeypatch.setattr(matcore, "_lanczos_top", lambda g: 0.5 * true_top**2)
+        ritz = (0.5 * true_top**2, np.ones(self.above) / np.sqrt(self.above))
+        monkeypatch.setattr(matcore, "_lanczos_top", lambda g, start: ritz)
         top = gram_top(a)
         assert top.spectrum is not None
         assert top.spectrum.tobytes() == gram_spectrum(a).tobytes()
@@ -664,3 +670,62 @@ class TestLeadingSpectrum:
         a[3, 2] = np.nan
         with pytest.raises(InvalidInputError):
             leading_svd(a, 2)
+
+
+def _public_entries():
+    """Each public function that takes a matrix, called with `a` (12 x 9) in
+    that place; bases are its first two columns."""
+    from svperturb import (
+        KMeansConfig,
+        aligned_distance,
+        embedding_gap,
+        kmeans,
+        local_law_gap,
+        perturb,
+        phi_values,
+        principal_angles,
+        procrustes_align,
+        residual,
+        resolvent_bilinear,
+        sin_theta_norm,
+        spectral_embedding,
+        spectral_submatrix,
+    )
+
+    q = haar_basis(np.random.default_rng(90), 12, 2)
+    factors = low_rank_from_rng(LowRankSpec(12, 9, (3.0,)), np.random.default_rng(91))
+    probe = phi_values(np.ones(9), 12, 9, 20.0)
+    ones = np.ones(21) / np.sqrt(21.0)
+    return {
+        "svd": svd,
+        "singular_values": singular_values,
+        "gram_spectrum": gram_spectrum,
+        "gram_top": gram_top,
+        "leading_svd": lambda a: leading_svd(a, 2),
+        "wedin_certificate": lambda a: wedin_certificate(a, svd(random_matrix(12, 9, 92))),
+        "apply_norm": lambda a: apply_norm(a, FROBENIUS),
+        "perturb": lambda a: perturb(factors, a),
+        "principal_angles": lambda a: principal_angles(a[:, :2], q),
+        "procrustes_align": lambda a: procrustes_align(q, a[:, :2]),
+        "residual": lambda a: residual(q, a[:, :2]),
+        "sin_theta_norm": lambda a: sin_theta_norm(a[:, :2], q, OPERATOR),
+        "aligned_distance": lambda a: aligned_distance(q, a[:, :2], OPERATOR),
+        "resolvent_bilinear": lambda a: resolvent_bilinear(a, 20.0, ones, ones),
+        "local_law_gap": lambda a: local_law_gap(a, probe, ones, ones),
+        "kmeans": lambda a: kmeans(a, KMeansConfig(k=2)),
+        "spectral_embedding": lambda a: spectral_embedding(a, 2),
+        "spectral_submatrix": lambda a: spectral_submatrix(a, 1),
+        "embedding_gap": lambda a: embedding_gap(a[2:4], np.ones((2, 9))),
+    }
+
+
+class TestPublicEntriesValidate:
+    # internal calls skip re-validating the program's own arrays; every public
+    # entry point still rejects a non-finite matrix
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", sorted(_public_entries()))
+    def test_rejects_nonfinite(self, name, bad):
+        a = random_matrix(12, 9, 93)
+        a[3, 1] = bad
+        with pytest.raises(InvalidInputError):
+            _public_entries()[name](a)

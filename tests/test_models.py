@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from svperturb import matcore
 from svperturb.errors import InvalidInputError, InvalidParameterError
-from svperturb.matcore import SvdFactors, svd
+from svperturb.matcore import SvdFactors, gram_spectrum, gram_top, svd
 from svperturb.models import (
     GmmSpec,
     LowRankSpec,
@@ -165,6 +166,58 @@ class TestPerturb:
         assert inst.svd_observed.vector_count == 3
         assert np.array_equal(inst.svd_observed.singulars, svd(inst.observed).singulars)
         assert inst.observed_spectrum is inst.svd_observed.singulars
+
+    def test_rank_out_of_range_rejected(self):
+        empty = SvdFactors(np.zeros((9, 0)), np.zeros(0), np.zeros((7, 0)))
+        with pytest.raises(InvalidParameterError):
+            perturb(empty, np.zeros((9, 7)))
+
+
+def _gate_size_instance(shape, variant, seed):
+    """A certified rank-2 instance above the dense crossover: Haar factors,
+    coherent factors, or Haar factors with noise at scale 0.5."""
+    mode, scale = {"haar": ("haar", 1.0), "coherent": ("coherent", 1.0)}.get(
+        variant, ("haar", 0.5)
+    )
+    rng = np.random.default_rng(seed)
+    fac = low_rank_from_rng(LowRankSpec(*shape, (2.0e5, 1.2e5), factor_mode=mode), rng)
+    inst = perturb(fac, scale * rng.standard_normal(shape))
+    assert inst.svd_observed.singulars.size == 2  # certified
+    return inst
+
+
+class TestRemainderGram:
+    shapes = pytest.mark.parametrize(
+        "shape", [(700, 1000), (1000, 450), (900, 900)], ids=["wide", "tall", "square"]
+    )
+    variants = pytest.mark.parametrize("variant", ["haar", "coherent", "scaled"])
+
+    @shapes
+    @variants
+    def test_update_matches_the_deflated_gram(self, shape, variant):
+        inst = _gate_size_instance(shape, variant, sum(shape))
+        u, a = inst.svd_observed.left, inst.observed
+        direct = matcore._gram(a - u @ (u.T @ a))
+        got = inst.remainder_gram()
+        assert got.shape == direct.shape == (min(shape),) * 2
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @shapes
+    @variants
+    def test_observed_next_matches_the_direct_path(self, shape, variant):
+        inst = _gate_size_instance(shape, variant, sum(shape) + 1)
+        u, a = inst.svd_observed.left, inst.observed
+        direct = gram_top(a - u @ (u.T @ a))
+        assert direct.spectrum is None  # both paths certified
+        assert inst.observed_next == pytest.approx(direct.value, rel=1e-13)
+
+    def test_noise_facts_share_one_gram(self):
+        inst = _gate_size_instance((900, 900), "haar", 3)
+        gram = inst.noise_gram.copy()
+        assert inst.noise_top.value == gram_top(inst.noise).value
+        inst.observed_next
+        assert inst.noise_spectrum.tobytes() == gram_spectrum(inst.noise).tobytes()
+        assert np.array_equal(inst.noise_gram, gram)  # the kept Gram is never overwritten
 
 
 class TestGmm:
