@@ -312,21 +312,25 @@ def _lanczos_top(gram: np.ndarray, start: np.ndarray | None) -> tuple[float, np.
 
 
 def _below(gram: np.ndarray, level: float) -> bool:
-    """Whether level * I - gram has a Cholesky factor. Overwrites gram with
-    that matrix, so no second Gram-sized array is made."""
+    """Whether level * I - gram has a Cholesky factor, formed in gram's place
+    and undone bit for bit (negation is exact, the diagonal is saved)."""
+    diag = gram.diagonal().copy()
     np.negative(gram, out=gram)
     gram.flat[:: gram.shape[0] + 1] += level
     try:
         np.linalg.cholesky(gram)
+        return True
     except np.linalg.LinAlgError:
         return False
-    return True
+    finally:
+        np.negative(gram, out=gram)
+        gram.flat[:: gram.shape[0] + 1] = diag
 
 
-def top_of_gram(form, start=None) -> GramTop:
+def top_of_gram(gram: np.ndarray, start=None) -> GramTop:
     """Top singular value from a Gram matrix G, certified or read from a
-    dense eigensolve. form() returns G as a new array, which this overwrites;
-    it is called again only after a failed certificate.
+    dense eigensolve. The certificate works in G's array and leaves it as
+    found, so the fallback reads it again.
 
     When the order m exceeds TOP_DENSE_MAX, Lanczos from `start` (None: the
     fixed start vector) gives the top Ritz value theta, and a Cholesky factor
@@ -337,7 +341,6 @@ def top_of_gram(form, start=None) -> GramTop:
     Lanczos does not converge, the Cholesky fails, or m is at most
     TOP_DENSE_MAX, it is the top of G's spectrum as ``gram_spectrum`` takes it.
     """
-    gram = form()
     m = gram.shape[0]
     # past about ||a||_F = 1e77 tr G^2 reads inf and Lanczos overflows into
     # the dense fallback, which covers gram_spectrum's whole range
@@ -349,21 +352,17 @@ def top_of_gram(form, start=None) -> GramTop:
                 ritz = _lanczos_top(gram, start)
             except np.linalg.LinAlgError:
                 pass
-    if ritz is not None:
-        theta, vector = ritz
-        level = theta * (1.0 + TOP_CERT_SHIFT)
-        if _below(gram, level):
-            bound = np.sqrt(level * (1.0 + m * (m + 1) * np.finfo(float).eps))
-            return GramTop(float(np.sqrt(theta)), float(bound), trace, trace_sq, None, vector)
-        gram = form()
+    level = None if ritz is None else ritz[0] * (1.0 + TOP_CERT_SHIFT)
+    if level is not None and _below(gram, level):
+        bound = np.sqrt(level * (1.0 + m * (m + 1) * np.finfo(float).eps))
+        return GramTop(float(np.sqrt(ritz[0])), float(bound), trace, trace_sq, None, ritz[1])
     spectrum = _gram_values(gram)
     return GramTop(float(spectrum[0]), float(spectrum[0]), trace, trace_sq, spectrum)
 
 
 def gram_top(a) -> GramTop:
     """``top_of_gram`` of the smaller Gram matrix of `a`, which is not kept."""
-    a = as_matrix(a)
-    return top_of_gram(lambda: _gram(a))
+    return top_of_gram(_gram(as_matrix(a)))
 
 
 def wedin_certificate(a, factors: SvdFactors) -> np.ndarray | None:

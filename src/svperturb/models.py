@@ -107,20 +107,18 @@ def low_rank_from_rng(spec: LowRankSpec, rng: np.random.Generator) -> SvdFactors
 
 @dataclass(frozen=True, eq=False)
 class PerturbationInstance:
-    """A signal/noise pair with the factorizations the bounds read.
+    """A signal/noise pair with the factorizations the bounds read; every
+    matrix and fact beyond these three fields is formed on first read.
 
-    observed = signal + noise, as ``perturb`` forms it. svd_signal holds the
-    signal's thin rank-r factors, whose product the signal is: r vector pairs
-    and r singular values. ``rank`` reads r there, so every bound sees one
-    rank. svd_observed holds the leading r observed vector pairs under the
-    deterministic sign convention, with the r certified Ritz values or, after
-    a fallback, all min(N, n) LAPACK values, which ``observed_spectrum``
-    always has. The signal, the noise Gram, the noise facts the bounds read
-    and the (r+1)-th observed value are formed on first read, at most once.
+    svd_signal holds the signal's thin rank-r factors, whose product the
+    signal is: r vector pairs and r singular values. ``rank`` reads r there,
+    so every bound sees one rank. svd_observed holds the leading r observed
+    vector pairs under the deterministic sign convention, with the r
+    certified Ritz values or, after a fallback, all min(N, n) LAPACK values,
+    which ``observed_spectrum`` always has.
     """
 
     noise: np.ndarray
-    observed: np.ndarray
     svd_signal: SvdFactors
     svd_observed: SvdFactors
 
@@ -135,6 +133,11 @@ class PerturbationInstance:
     def signal(self) -> np.ndarray:
         """The signal, the product ``(left * singulars) @ right.T`` of its factors."""
         return (self.svd_signal.left * self.svd_signal.singulars) @ self.svd_signal.right.T
+
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """signal + noise, formed on first read as ``perturb`` formed it."""
+        return _observed(self.svd_signal, self.noise)
 
     @cached_property
     def observed_spectrum(self) -> np.ndarray:
@@ -153,8 +156,7 @@ class PerturbationInstance:
         tau = ||observed - U diag(s) V.T||_F of the remainder, not at sigma_1:
         gauge and resolvent-sum precision rather than LAPACK's.
         """
-        held = self.svd_observed.singulars
-        m = min(self.shape)
+        held, m = self.svd_observed.singulars, min(self.shape)
         if held.size == m:
             return held
         u, a = self.svd_observed.left, self.observed
@@ -162,11 +164,11 @@ class PerturbationInstance:
 
     def remainder_gram(self) -> np.ndarray:
         """The smaller Gram of the deflated remainder (I - U U.T) observed, U
-        the held left vectors, as a new array, in O(min(N, n)^2 r) from the
-        noise Gram G. With E the noise, U0 S V0.T the signal and
-        B = (I - U U.T) U0 S, the remainder is (I - U U.T) E + B V0.T, so its
-        Gram is G + L R.T + R L.T with, when N <= n,
-        L = [U, B], R = [U (U.T G U) / 2 - G U, (I - U U.T) E V0 + B / 2],
+        the held left vectors, in O(min(N, n)^2 r) in the array of the noise
+        Gram G, which the instance then forgets. With E the noise, U0 S V0.T
+        the signal and B = (I - U U.T) U0 S, the remainder is (I - U U.T) E +
+        B V0.T, so its Gram is G + L R.T + R L.T with, when N <= n, L = [U, B],
+        R = [U (U.T G U) / 2 - G U, (I - U U.T) E V0 + B / 2],
         and otherwise L = [E.T U, V0], R = [-E.T U / 2, E.T B + V0 B.T B / 2].
         """
         u, f, e, g = self.svd_observed.left, self.svd_signal, self.noise, self.noise_gram
@@ -177,9 +179,9 @@ class PerturbationInstance:
         else:
             eu = e.T @ u
             left, right = (eu, f.right), (-0.5 * eu, e.T @ b + f.right @ (0.5 * (b.T @ b)))
-        gram = np.hstack(left + right) @ np.hstack(right + left).T
-        gram += g
-        return gram
+        g += np.hstack(left + right) @ np.hstack(right + left).T
+        del vars(self)["noise_gram"]
+        return g
 
     @cached_property
     def observed_next(self) -> float:
@@ -199,20 +201,20 @@ class PerturbationInstance:
         obs, x = self.svd_observed, self.noise_top.vector
         side = obs.left if self.shape[0] <= self.shape[1] else obs.right
         start = None if x is None else x - side @ (side.T @ x)
-        return top_of_gram(self.remainder_gram, start).value
+        return top_of_gram(self.remainder_gram(), start).value
 
     @cached_property
     def noise_gram(self) -> np.ndarray:
         """The noise's smaller Gram matrix, E E.T when N <= n, else E.T E,
-        formed once and kept for the noise facts and ``remainder_gram``."""
+        kept for the noise facts until ``remainder_gram`` takes its array."""
         return _gram(self.noise)
 
     @cached_property
     def noise_top(self) -> GramTop:
-        """||E|| with its proven bound, tr G and ||G||_F^2, certified on a copy
-        of the noise Gram G (``top_of_gram``). When min(N, n) is at most
+        """||E|| with its proven bound, tr G and ||G||_F^2, certified in place
+        on the noise Gram G (``top_of_gram``). When min(N, n) is at most
         TOP_DENSE_MAX it also holds the whole noise spectrum."""
-        return top_of_gram(self.noise_gram.copy)
+        return top_of_gram(self.noise_gram)
 
     @cached_property
     def noise_spectrum(self) -> np.ndarray:
@@ -223,31 +225,30 @@ class PerturbationInstance:
         return self.noise_top.spectrum if small else _gram_values(self.noise_gram)
 
 
+def _observed(factors: SvdFactors, noise: np.ndarray) -> np.ndarray:
+    """The factors' product ``(left * singulars) @ right.T`` plus the noise."""
+    observed = (factors.left * factors.singulars) @ factors.right.T
+    observed += noise
+    return observed
+
+
 def perturb(factors: SvdFactors, noise) -> PerturbationInstance:
     """Add the noise to the signal that thin rank-r factors form, and
     factorize the sum.
 
-    The observed matrix is ``(left * singulars) @ right.T`` plus the noise,
-    added in place; the signal is formed only when read, and no signal SVD is
-    taken. The observed matrix gets its leading r vector pairs from
-    ``leading_svd``, which validates it, started from the signal's right
-    factor. When those pairs are certified, svd_observed holds the r Ritz
-    values only, and the trailing observed values are left to
-    ``observed_spectrum``, which only the statements that read past the r-th
-    value pay for; after a fallback one full LAPACK SVD supplies the vectors
-    and all the values.
+    The observed matrix, the factors' product plus the noise, is formed only
+    for ``leading_svd``, which validates it and, started from the signal's
+    right factor, gives its leading r vector pairs; it is not kept, and no
+    signal SVD is taken. When those pairs are certified, svd_observed holds
+    the r Ritz values only, and ``observed_spectrum`` forms the trailing
+    values for the statements that read them; after a fallback one full
+    LAPACK SVD supplies the vectors and all the values.
     """
     noise = np.asarray(noise, dtype=float)
     if factors.vector_count != factors.singulars.size or factors.shape != noise.shape:
         raise InvalidInputError(f"factors must be thin, of the noise's shape {noise.shape}")
-    observed = (factors.left * factors.singulars) @ factors.right.T
-    observed += noise
-    return PerturbationInstance(
-        noise=noise,
-        observed=observed,
-        svd_signal=factors,
-        svd_observed=leading_svd(observed, factors.vector_count, start=factors.right),
-    )
+    held = leading_svd(_observed(factors, noise), factors.vector_count, start=factors.right)
+    return PerturbationInstance(noise=noise, svd_signal=factors, svd_observed=held)
 
 
 @dataclass(frozen=True, eq=False)

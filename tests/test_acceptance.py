@@ -345,12 +345,7 @@ def test_general_noise_bounds():
         fac = low_rank_from_rng(lr, rng)
         a = (fac.left * fac.singulars) @ fac.right.T
         e = rng.standard_normal((200, 200))
-        inst = PerturbationInstance(
-            noise=e,
-            observed=a + e,
-            svd_signal=fac,
-            svd_observed=svd(a + e),
-        )
+        inst = PerturbationInstance(noise=e, svd_signal=fac, svd_observed=svd(a + e))
         esv = singular_values(e)
         core = fac.left.T @ e @ fac.right
         for k in range(1, 5):

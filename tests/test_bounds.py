@@ -320,7 +320,7 @@ class TestMirsky:
         fac = low_rank_from_rng(LowRankSpec(40, 30, (20.0, 12.0, 6.0)), rng)
         thin = perturb(fac, 0.5 * rng.standard_normal((40, 30)))
         a, e = thin.signal, thin.noise
-        full = PerturbationInstance(e, a + e, fac, svd(a + e))
+        full = PerturbationInstance(e, fac, svd(a + e))
         for spec in (OPERATOR, FROBENIUS, NUCLEAR, kyfan(3)):
             got = mirsky_check(thin, spec)
             want = mirsky_check(full, spec)

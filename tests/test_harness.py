@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -388,6 +389,39 @@ class TestNoiseFacts:
         reports = harness._bounds_factory(cfg)(derive_seed(0, 0))
         assert len(reports) == len(GATE_TOKENS)
         assert shapes == [900]
+
+    def test_gate_trial_working_set(self, monkeypatch):
+        # after perturb, a 900 x 900 trial adds at most two traced 900 x 900
+        # arrays to its inputs: the noise Gram (or the remainder's Gram in its
+        # array) and the Cholesky factor numpy returns; afterwards the
+        # instance holds no such array besides the noise
+        size, mark, insts = 8 * 900 * 900, [], []
+        real = harness.perturb
+
+        def traced(factors, noise):
+            mark.append(tracemalloc.get_traced_memory()[0])
+            insts.append(real(factors, noise))
+            tracemalloc.reset_peak()
+            return insts[-1]
+
+        monkeypatch.setattr(harness, "perturb", traced)
+        model = harness._ModelKeys(
+            {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "k_lo": 1, "k_hi": 1}
+        )
+        cfg = ExperimentConfig("bounds", theorems=GATE_TOKENS, model=model)
+        trial = harness._bounds_factory(cfg)
+        tracemalloc.start()
+        try:
+            reports = trial(derive_seed(0, 0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == len(GATE_TOKENS)
+        (inst,) = insts
+        assert (peak - mark[0]) / size <= 2.1
+        assert (held - mark[0]) / size <= 0.1
+        big = [k for k, v in vars(inst).items() if isinstance(v, np.ndarray) and v.size >= 900**2]
+        assert big == ["noise"]
 
     def test_spectrum_only_run_skips_the_certificate(self, monkeypatch):
         # above the crossover, rows that read the whole noise spectrum but

@@ -305,7 +305,7 @@ def _observed(a, k):
     it, with `a` as the observed matrix."""
     got = leading_svd(a, k)
     empty = SvdFactors(np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((a.shape[1], 0)))
-    inst = PerturbationInstance(a, a, empty, got)
+    inst = PerturbationInstance(a, empty, got)
     return got, inst.observed_spectrum
 
 
@@ -553,6 +553,23 @@ class TestGramTop:
         gram_top(a.T)
         assert np.array_equal(a, a0)
 
+    @pytest.mark.parametrize("path", ["certified", "rejected", "dense"])
+    def test_gram_comes_back_as_found(self, path, monkeypatch):
+        # the certificate works in the caller's array and restores it bit for
+        # bit, also when the Cholesky fails and the dense fallback reads it
+        m = TOP_DENSE_MAX if path == "dense" else self.above
+        a = random_matrix(m, m + 10, 84)
+        g = a @ a.T
+        before = g.tobytes()
+        if path == "rejected":
+            ritz = (0.5 * _eigvalsh_top(a) ** 2, np.ones(m) / np.sqrt(m))
+            monkeypatch.setattr(matcore, "_lanczos_top", lambda g, start: ritz)
+        top = matcore.top_of_gram(g)
+        assert (top.spectrum is None) == (path == "certified")
+        assert g.tobytes() == before
+        if path != "certified":
+            assert top.spectrum.tobytes() == gram_spectrum(a).tobytes()
+
     def test_ritz_vector_and_warm_start(self):
         a = random_matrix(self.above, self.above + 10, 74)
         top = gram_top(a)
@@ -561,7 +578,7 @@ class TestGramTop:
         residual = np.linalg.norm(g @ top.vector - top.value**2 * top.vector)
         assert residual <= 1e-8 * top.value**2
         # from a start near the top vector the same value is certified
-        warm = matcore.top_of_gram(lambda: a @ a.T, top.vector + 1e-3 * a[:, 0])
+        warm = matcore.top_of_gram(a @ a.T, top.vector + 1e-3 * a[:, 0])
         assert warm.spectrum is None
         assert warm.value == pytest.approx(top.value, rel=1e-14)
         assert gram_top(np.eye(4)).vector is None  # the dense path holds no vector

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svperturb import matcore
+from svperturb import matcore, models
 from svperturb.errors import InvalidInputError, InvalidParameterError
 from svperturb.matcore import SvdFactors, gram_spectrum, gram_top, svd
 from svperturb.models import (
@@ -167,6 +167,24 @@ class TestPerturb:
         assert np.array_equal(inst.svd_observed.singulars, svd(inst.observed).singulars)
         assert inst.observed_spectrum is inst.svd_observed.singulars
 
+    @pytest.mark.parametrize("shape", [(9, 7), (60, 45), (700, 1000)])
+    def test_observed_is_the_matrix_leading_svd_read(self, shape, monkeypatch):
+        # perturb does not keep the observed matrix; read later, it is formed
+        # again by the same arithmetic, bit for bit
+        seen = []
+        real = models.leading_svd
+
+        def spy(a, k, start=None):
+            seen.append(a.copy())
+            return real(a, k, start=start)
+
+        monkeypatch.setattr(models, "leading_svd", spy)
+        rng = np.random.default_rng(sum(shape))
+        fac = low_rank_from_rng(LowRankSpec(*shape, (900.0, 500.0)), rng)
+        inst = perturb(fac, rng.standard_normal(shape))
+        assert "observed" not in vars(inst)
+        assert inst.observed.tobytes() == seen[0].tobytes()
+
     def test_rank_out_of_range_rejected(self):
         empty = SvdFactors(np.zeros((9, 0)), np.zeros(0), np.zeros((7, 0)))
         with pytest.raises(InvalidParameterError):
@@ -213,11 +231,19 @@ class TestRemainderGram:
 
     def test_noise_facts_share_one_gram(self):
         inst = _gate_size_instance((900, 900), "haar", 3)
-        gram = inst.noise_gram.copy()
         assert inst.noise_top.value == gram_top(inst.noise).value
         inst.observed_next
         assert inst.noise_spectrum.tobytes() == gram_spectrum(inst.noise).tobytes()
-        assert np.array_equal(inst.noise_gram, gram)  # the kept Gram is never overwritten
+
+    @pytest.mark.parametrize("shape", [(900, 900), (1000, 450)], ids=["square", "tall"])
+    def test_noise_gram_is_formed_again_after_the_remainder(self, shape):
+        # the remainder's Gram takes the noise Gram's array; a later read of
+        # the noise spectrum forms the noise Gram again, bit for bit
+        inst = _gate_size_instance(shape, "haar", sum(shape) + 2)
+        inst.noise_top
+        inst.observed_next
+        assert "noise_gram" not in vars(inst)
+        assert inst.noise_spectrum.tobytes() == gram_spectrum(inst.noise).tobytes()
 
 
 class TestGmm:
