@@ -164,7 +164,7 @@ class SvdFactors:
     (n x c) hold orthonormal singular vectors for the leading c <= m of them.
     ``svd`` produces c = m = min(N, n). The thin rank-r form c = m = r is a
     signal's: ``low_rank_from_rng`` draws it, and ``perturb`` forms the
-    signal from it. ``leading_svd`` produces c = k vector pairs, with the k
+    observed matrix from it. ``leading_svd`` produces c = k vector pairs, with the k
     Ritz values when certified and all min(N, n) LAPACK values after a
     fallback. Only when c = m is ``left @ diag(singulars) @ right.T`` the
     whole matrix.

@@ -19,7 +19,6 @@ from .matcore import (
     SvdFactors,
     _gram,
     _gram_values,
-    gram_spectrum,
     leading_svd,
     top_of_gram,
 )
@@ -130,37 +129,25 @@ class PerturbationInstance:
         return self.svd_signal.vector_count
 
     @cached_property
-    def signal(self) -> np.ndarray:
-        """The signal, the product ``(left * singulars) @ right.T`` of its factors."""
-        return (self.svd_signal.left * self.svd_signal.singulars) @ self.svd_signal.right.T
-
-    @cached_property
-    def observed(self) -> np.ndarray:
-        """signal + noise, formed on first read as ``perturb`` formed it."""
-        return _observed(self.svd_signal, self.noise)
-
-    @cached_property
     def observed_spectrum(self) -> np.ndarray:
         """All min(N, n) observed singular values, descending, formed on first read.
 
         When svd_observed holds them all, they are its values. Otherwise it
         holds the c certified Ritz triplets (U, s, V) of ``leading_svd``, and
-        the values are s followed by the leading min(N, n) - c values of
-        ``gram_spectrum(observed - U (U.T observed))``. With eta the
+        the values are s followed by the square roots of the leading
+        min(N, n) - c eigenvalues of ``remainder_gram``. With eta the
         certificate's residual, the observed matrix lies within eta of the
         block-diagonal matrix with blocks U diag(s) V.T and the deflated
         remainder (I - U U.T) observed (I - V V.T), and (I - U U.T) observed
         lies within eta of that remainder, so by Weyl each trailing value is
         within about 2 eta of the exact one, and each Ritz value within eta.
-        Gram rounding adds about eps * tau^2 / sigma, at the scale
-        tau = ||observed - U diag(s) V.T||_F of the remainder, not at sigma_1:
-        gauge and resolvent-sum precision rather than LAPACK's.
+        The update rounds at the noise Gram's scale, about eps ||E||^2 / sigma
+        in each value, not at sigma_1: gauge and resolvent-sum precision.
         """
         held, m = self.svd_observed.singulars, min(self.shape)
         if held.size == m:
             return held
-        u, a = self.svd_observed.left, self.observed
-        return np.concatenate((held, gram_spectrum(a - u @ (u.T @ a))[: m - held.size]))
+        return np.concatenate((held, _gram_values(self.remainder_gram())[: m - held.size]))
 
     def remainder_gram(self) -> np.ndarray:
         """The smaller Gram of the deflated remainder (I - U U.T) observed, U
@@ -187,17 +174,14 @@ class PerturbationInstance:
     def observed_next(self) -> float:
         """The (r+1)-th observed singular value, 0 when r = min(N, n).
 
-        A held value after a ``leading_svd`` fallback; when min(N, n) is at
-        most TOP_DENSE_MAX, entry r of ``observed_spectrum``, whose whole
-        trailing spectrum costs no more there; otherwise the top of
+        A held value after a ``leading_svd`` fallback, otherwise the top of
         ``remainder_gram``, with Lanczos started from the Ritz vector of
-        ``noise_top``, the held vectors on the Gram's side projected out.
+        ``noise_top``, the held vectors on the Gram's side projected out; at
+        min(N, n) <= TOP_DENSE_MAX, entry r of ``observed_spectrum``.
         """
         held, r, m = self.svd_observed.singulars, self.rank(), min(self.shape)
-        if r == m:
-            return 0.0
-        if held.size == m or m <= TOP_DENSE_MAX:
-            return float(self.observed_spectrum[r])
+        if held.size == m:  # after a fallback, and whenever r = m
+            return float(held[r]) if r < m else 0.0
         obs, x = self.svd_observed, self.noise_top.vector
         side = obs.left if self.shape[0] <= self.shape[1] else obs.right
         start = None if x is None else x - side @ (side.T @ x)
@@ -225,13 +209,6 @@ class PerturbationInstance:
         return self.noise_top.spectrum if small else _gram_values(self.noise_gram)
 
 
-def _observed(factors: SvdFactors, noise: np.ndarray) -> np.ndarray:
-    """The factors' product ``(left * singulars) @ right.T`` plus the noise."""
-    observed = (factors.left * factors.singulars) @ factors.right.T
-    observed += noise
-    return observed
-
-
 def perturb(factors: SvdFactors, noise) -> PerturbationInstance:
     """Add the noise to the signal that thin rank-r factors form, and
     factorize the sum.
@@ -247,7 +224,9 @@ def perturb(factors: SvdFactors, noise) -> PerturbationInstance:
     noise = np.asarray(noise, dtype=float)
     if factors.vector_count != factors.singulars.size or factors.shape != noise.shape:
         raise InvalidInputError(f"factors must be thin, of the noise's shape {noise.shape}")
-    held = leading_svd(_observed(factors, noise), factors.vector_count, start=factors.right)
+    observed = (factors.left * factors.singulars) @ factors.right.T
+    observed += noise
+    held = leading_svd(observed, factors.vector_count, start=factors.right)
     return PerturbationInstance(noise=noise, svd_signal=factors, svd_observed=held)
 
 

@@ -7,8 +7,8 @@ are +-eta_i, the noise singular values, plus |N - n| zeros. The scalar probes
 returns them, and far from the spectrum ``far_field_phi`` reads only two
 traces of the noise's Gram matrix; bilinear forms of the resolvent take the
 noise matrix itself and cost one min(N, n) square solve plus mat-vecs, never
-a dense inverse or an SVD. Dense oracles are provided for small-size
-cross-checks only.
+a dense inverse or an SVD. The dense linearization, O((N+n)^2) in memory,
+serves the resolvent scenario's dense rows and the selftest's reference.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .matcore import GramTop, as_matrix, check_orthonormal
+from .matcore import GramTop, _below, _gram, as_matrix, check_orthonormal
 
 _ZJ_MAX_ITER = 200
 _ZJ_REL_TOL = 1e-8
@@ -132,18 +132,6 @@ def _split(n_rows: int, n_cols: int, x) -> tuple[np.ndarray, np.ndarray]:
     return x[:n_rows], x[n_rows:]
 
 
-def _outside_spectrum(gram: np.ndarray, z: complex) -> None:
-    """Raise unless |z| > ||noise||, given the noise's smaller Gram matrix."""
-    r2 = abs(z) ** 2
-    # ||noise||^2 <= ||gram||_F settles most probes; otherwise r2 I - gram must be definite
-    if np.linalg.norm(gram) < r2:
-        return
-    try:
-        np.linalg.cholesky(r2 * np.eye(gram.shape[0]) - gram)
-    except np.linalg.LinAlgError:
-        raise EvaluationDomainError(f"|z| = {abs(z):.6g} inside the spectrum") from None
-
-
 def resolvent_bilinear(e, z, x, y) -> complex:
     """x^T (zI - linearization)^{-1} y for the N x n noise e, by one solve.
 
@@ -160,8 +148,10 @@ def resolvent_bilinear(e, z, x, y) -> complex:
     y1, y2 = _split(n_rows, n_cols, y)
     if n_rows > n_cols:
         e, x1, x2, y1, y2 = e.T, x2, x1, y2, y1
-    gram = e @ e.T
-    _outside_spectrum(gram, z)
+    gram, r2 = _gram(e), abs(z) ** 2
+    # ||e||^2 <= ||gram||_F settles most probes; otherwise r2 I - gram must be definite
+    if not (np.linalg.norm(gram) < r2 or _below(gram, r2)):
+        raise EvaluationDomainError(f"|z| = {abs(z):.6g} inside the spectrum")
     w = z.real if z.imag == 0.0 else z
     shifted = w * w * np.eye(gram.shape[0]) - gram
     s = np.linalg.solve(shifted, w * y1 + e @ y2)
@@ -275,7 +265,7 @@ def solve_zj(eta, n_rows: int, n_cols: int, sigma_j: float, margin: float) -> fl
 
 
 def linearized_noise(e) -> np.ndarray:
-    """Dense (N+n) square linearization; test oracle, O((N+n)^2) memory."""
+    """Dense (N+n) square linearization, O((N+n)^2) memory, for the dense rows."""
     e = as_matrix(e)
     n_rows, n_cols = e.shape
     top = np.hstack([np.zeros((n_rows, n_rows)), e])

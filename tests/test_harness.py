@@ -20,6 +20,8 @@ from svperturb.bounds import (
     GaussianBoundParams,
     PreconditionFlags,
     gauss_sv_location_check,
+    mirsky_check,
+    wedin_check,
 )
 from svperturb.errors import InvalidInputError, InvalidParameterError, NumericalFailureError
 from svperturb import harness, matcore
@@ -420,6 +422,30 @@ class TestNoiseFacts:
         (inst,) = insts
         assert (peak - mark[0]) / size <= 2.1
         assert (held - mark[0]) / size <= 0.1
+        big = [k for k, v in vars(inst).items() if isinstance(v, np.ndarray) and v.size >= 900**2]
+        assert big == ["noise"]
+
+    def test_trailing_reads_keep_no_observed_matrix(self):
+        # mirsky:operator, then the whole trailing spectrum: each reads the
+        # remainder's Gram, built in the noise Gram's array, so at most that
+        # Gram and one product or eigensolver array are alive at a time, and
+        # the instance ends holding the noise as its only 900 x 900 array
+        size, shape = 8 * 900 * 900, (900, 900)
+        rng = np.random.default_rng(derive_seed(0, 0))
+        factors = low_rank_from_rng(LowRankSpec(*shape, (2.0e5, 1.2e5)), rng)
+        tracemalloc.start()
+        try:
+            inst = perturb(factors, rng.standard_normal(shape))
+            mark = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mirsky_check(inst, matcore.OPERATOR)
+            mirsky_check(inst, matcore.FROBENIUS)
+            wedin_check(inst, 2, matcore.FROBENIUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.svd_observed.singulars.size == 2  # certified
+        assert (peak - mark) / size <= 2.1
         big = [k for k, v in vars(inst).items() if isinstance(v, np.ndarray) and v.size >= 900**2]
         assert big == ["noise"]
 

@@ -30,7 +30,7 @@ from svperturb.matcore import (
     svd,
     wedin_certificate,
 )
-from svperturb.models import LowRankSpec, PerturbationInstance, haar_basis, low_rank_from_rng
+from svperturb.models import LowRankSpec, haar_basis, low_rank_from_rng, perturb
 
 RNG = np.random.default_rng(20240814)
 DATA = Path(__file__).parent / "data"
@@ -256,15 +256,27 @@ class TestOrthonormal:
             check_orthonormal(b)
 
 
-def _planted(draw, n_rows, n_cols):
-    """A leading spectrum (ties allowed) and a noise level for the shape."""
+def _planted_factors(draw, n_rows, n_cols):
+    """Thin factors of a leading spectrum (ties allowed), and a noise draw at
+    a drawn level for the shape."""
     k = draw(st.integers(1, min(n_rows, n_cols)))
     lead = draw(st.lists(st.floats(1.0, 1e6), min_size=k, max_size=k))
     noise = draw(st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 10.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = np.sort(lead)[::-1]
-    a = (haar_basis(rng, n_rows, k) * s) @ haar_basis(rng, n_cols, k).T
-    return a + noise * rng.standard_normal(a.shape), k
+    factors = SvdFactors(haar_basis(rng, n_rows, k), s, haar_basis(rng, n_cols, k))
+    return factors, noise * rng.standard_normal((n_rows, n_cols))
+
+
+def _product(factors, noise):
+    """The factors' product plus the noise: the observed matrix of an instance."""
+    return (factors.left * factors.singulars) @ factors.right.T + noise
+
+
+def _planted(draw, n_rows, n_cols):
+    """A planted low-rank matrix plus noise, and its rank."""
+    factors, noise = _planted_factors(draw, n_rows, n_cols)
+    return _product(factors, noise), factors.vector_count
 
 
 @st.composite
@@ -300,13 +312,11 @@ def _lapack_vector_error(a, values):
     return err
 
 
-def _observed(a, k):
-    """leading_svd(a, k) and the observed spectrum of an instance that holds
-    it, with `a` as the observed matrix."""
-    got = leading_svd(a, k)
-    empty = SvdFactors(np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((a.shape[1], 0)))
-    inst = PerturbationInstance(a, empty, got)
-    return got, inst.observed_spectrum
+def _observed(factors, noise):
+    """The observed matrix of ``perturb(factors, noise)``, the leading pairs
+    the instance holds and its observed spectrum."""
+    inst = perturb(factors, noise)
+    return _product(factors, noise), inst.svd_observed, inst.observed_spectrum
 
 
 def _mp_svd(a, digits=50):
@@ -418,9 +428,8 @@ class TestLeadingSvd:
 
     def test_spectrum_keeps_every_value(self):
         rng = np.random.default_rng(33)
-        a = (haar_basis(rng, 50, 2) * np.array([1e4, 5e3])) @ haar_basis(rng, 40, 2).T
-        a = a + rng.standard_normal(a.shape)
-        got, spectrum = _observed(a, 2)
+        factors = SvdFactors(haar_basis(rng, 50, 2), np.array([1e4, 5e3]), haar_basis(rng, 40, 2))
+        a, got, spectrum = _observed(factors, rng.standard_normal((50, 40)))
         assert got.vector_count == got.singulars.size == 2
         assert np.allclose(spectrum, singular_values(a), rtol=1e-12)
         assert wedin_certificate(a, got) is not None
@@ -635,19 +644,20 @@ class TestGramTop:
 
 @st.composite
 def shaped_low_rank_plus_noise(draw):
-    """low_rank_plus_noise, with the shape drawn tall, wide or square."""
+    """The factors and noise of low_rank_plus_noise, with the shape drawn
+    tall, wide or square."""
     form = draw(st.sampled_from(["tall", "wide", "square"]))
     small = draw(st.integers(2, 30))
     large = small if form == "square" else draw(st.integers(small + 1, 45))
-    return _planted(draw, *((large, small) if form == "tall" else (small, large)))
+    return _planted_factors(draw, *((large, small) if form == "tall" else (small, large)))
 
 
 class TestLeadingSpectrum:
     @given(shaped_low_rank_plus_noise())
     @settings(max_examples=100, deadline=None)
     def test_merged_values_lie_within_two_eta_of_lapack(self, case):
-        a, k = case
-        got, spectrum = _observed(a, k)
+        a, got, spectrum = _observed(*case)
+        k = got.vector_count
         ref = singular_values(a)
         assert spectrum.shape == ref.shape
         assert np.all(np.diff(spectrum) <= 0)
@@ -657,8 +667,8 @@ class TestLeadingSpectrum:
         u, s, v = got.left, got.singulars[:k], got.right
         eta = np.linalg.norm(a @ v - u * s) + np.linalg.norm(a.T @ u - v * s)
         tau = np.linalg.norm(a - (u * s) @ v.T)
-        # forming the deflated matrix and LAPACK's own values each round at
-        # eps * sigma_1; the Gram step rounds at the remainder's scale tau
+        # forming the observed matrix and LAPACK's own values each round at
+        # eps * sigma_1; the remainder's Gram rounds at the scale tau
         rounding = 8.0 * max(a.shape) * EPS * ref[0]
         gram = np.concatenate((np.zeros(k), _gram_error(ref[k:], tau, a.shape)))
         assert np.all(np.abs(spectrum - ref) <= 2.0 * eta + rounding + gram)
@@ -666,21 +676,18 @@ class TestLeadingSpectrum:
     @given(shaped_low_rank_plus_noise())
     @settings(max_examples=40, deadline=None)
     def test_ritz_values_come_first_unchanged(self, case):
-        a, k = case
-        got, spectrum = _observed(a, k)
-        held = got.singulars.size
+        a, got, spectrum = _observed(*case)
+        k, held = got.vector_count, got.singulars.size
         assert held in (k, min(a.shape))
         assert spectrum[:held].tobytes() == got.singulars.tobytes()
-        if held == k:  # certified: the trailing values come from the deflated matrix
-            u = got.left
-            trailing = gram_spectrum(a - u @ (u.T @ a))[: min(a.shape) - k]
-            assert spectrum[k:].tobytes() == trailing.tobytes()
+        if held == k:  # certified: the trailing values come from the remainder's Gram
+            gram = perturb(*case).remainder_gram()
+            assert spectrum[k:].tobytes() == matcore._gram_values(gram)[: min(a.shape) - k].tobytes()
 
     @given(shaped_low_rank_plus_noise())
     @settings(max_examples=30, deadline=None)
     def test_repeat_calls_are_byte_identical(self, case):
-        a, k = case
-        assert _observed(a, k)[1].tobytes() == _observed(a, k)[1].tobytes()
+        assert _observed(*case)[2].tobytes() == _observed(*case)[2].tobytes()
 
     def test_rejects_nonfinite(self):
         a = random_matrix(8, 6, 43)

@@ -17,6 +17,12 @@ from svperturb.models import (
 from svperturb.seeding import derive_seed
 
 
+def _observed(inst):
+    """The instance's observed matrix, the signal factors' product plus the noise."""
+    f = inst.svd_signal
+    return (f.left * f.singulars) @ f.right.T + inst.noise
+
+
 class TestSeeding:
     def test_deterministic(self):
         assert derive_seed(5, 7) == derive_seed(5, 7)
@@ -104,15 +110,12 @@ class TestPerturb:
         fac = low_rank_from_rng(spec, np.random.default_rng(1))
         e = np.random.default_rng(2).standard_normal((9, 7))
         inst = perturb(fac, e)
-        assert np.array_equal(inst.observed, inst.signal + e)
+        assert inst.svd_signal is fac
+        assert inst.noise.tobytes() == e.tobytes()
         assert inst.shape == (9, 7)
         assert inst.rank() == 2
-
-    def test_signal_is_the_factor_product(self):
-        # the signal is formed from the factors it is given, bit for bit
-        fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
-        inst = perturb(fac, np.random.default_rng(2).standard_normal((9, 7)))
-        assert inst.signal.tobytes() == ((fac.left * fac.singulars) @ fac.right.T).tobytes()
+        # neither the signal nor the observed matrix is kept or formed on read
+        assert not hasattr(inst, "signal") and not hasattr(inst, "observed")
 
     def test_shape_mismatch_rejected(self):
         fac = low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1))
@@ -135,11 +138,11 @@ class TestPerturb:
         observed = inst.svd_observed
         k = observed.vector_count
         assert np.allclose(
-            observed.left.T @ inst.observed @ observed.right,
+            observed.left.T @ _observed(inst) @ observed.right,
             np.diag(observed.singulars[:k]),
             atol=1e-9,
         )
-        assert np.allclose(inst.observed_spectrum, svd(inst.observed).singulars, atol=1e-9)
+        assert np.allclose(inst.observed_spectrum, svd(_observed(inst)).singulars, atol=1e-9)
 
     def test_exact_factors_replace_the_signal_svd(self):
         spec = LowRankSpec(60, 45, (900.0, 500.0))
@@ -151,7 +154,7 @@ class TestPerturb:
         observed = inst.svd_observed
         # certified: two pairs and their two Ritz values; the rest on first read
         assert observed.vector_count == observed.singulars.size == 2
-        full = svd(inst.observed)
+        full = svd(_observed(inst))
         assert np.allclose(inst.observed_spectrum, full.singulars, rtol=1e-12)
         for i in range(2):
             assert abs(observed.left[:, i] @ full.left[:, i]) == pytest.approx(1.0, abs=1e-12)
@@ -164,13 +167,13 @@ class TestPerturb:
         e = np.random.default_rng(6).standard_normal((80, 60))
         inst = perturb(fac, e)
         assert inst.svd_observed.vector_count == 3
-        assert np.array_equal(inst.svd_observed.singulars, svd(inst.observed).singulars)
+        assert np.array_equal(inst.svd_observed.singulars, svd(_observed(inst)).singulars)
         assert inst.observed_spectrum is inst.svd_observed.singulars
 
     @pytest.mark.parametrize("shape", [(9, 7), (60, 45), (700, 1000)])
     def test_observed_is_the_matrix_leading_svd_read(self, shape, monkeypatch):
-        # perturb does not keep the observed matrix; read later, it is formed
-        # again by the same arithmetic, bit for bit
+        # leading_svd reads the factors' product plus the noise, bit for bit,
+        # and perturb does not keep it
         seen = []
         real = models.leading_svd
 
@@ -182,8 +185,18 @@ class TestPerturb:
         rng = np.random.default_rng(sum(shape))
         fac = low_rank_from_rng(LowRankSpec(*shape, (900.0, 500.0)), rng)
         inst = perturb(fac, rng.standard_normal(shape))
-        assert "observed" not in vars(inst)
-        assert inst.observed.tobytes() == seen[0].tobytes()
+        kept = [k for k, v in vars(inst).items() if isinstance(v, np.ndarray) and v.shape == shape]
+        assert kept == ["noise"]
+        assert _observed(inst).tobytes() == seen[0].tobytes()
+
+    @pytest.mark.parametrize("noise_scale", [1e-3, 30.0], ids=["small-noise", "large-noise"])
+    def test_observed_next_is_zero_at_full_rank(self, noise_scale):
+        rng = np.random.default_rng(7)
+        fac = low_rank_from_rng(LowRankSpec(9, 3, (40.0, 30.0, 20.0)), rng)
+        inst = perturb(fac, noise_scale * rng.standard_normal((9, 3)))
+        assert inst.svd_observed.singulars.size == 3
+        assert inst.observed_next == 0.0
+        assert inst.observed_spectrum is inst.svd_observed.singulars
 
     def test_rank_out_of_range_rejected(self):
         empty = SvdFactors(np.zeros((9, 0)), np.zeros(0), np.zeros((7, 0)))
@@ -214,7 +227,7 @@ class TestRemainderGram:
     @variants
     def test_update_matches_the_deflated_gram(self, shape, variant):
         inst = _gate_size_instance(shape, variant, sum(shape))
-        u, a = inst.svd_observed.left, inst.observed
+        u, a = inst.svd_observed.left, _observed(inst)
         direct = matcore._gram(a - u @ (u.T @ a))
         got = inst.remainder_gram()
         assert got.shape == direct.shape == (min(shape),) * 2
@@ -224,10 +237,23 @@ class TestRemainderGram:
     @variants
     def test_observed_next_matches_the_direct_path(self, shape, variant):
         inst = _gate_size_instance(shape, variant, sum(shape) + 1)
-        u, a = inst.svd_observed.left, inst.observed
+        u, a = inst.svd_observed.left, _observed(inst)
         direct = gram_top(a - u @ (u.T @ a))
         assert direct.spectrum is None  # both paths certified
         assert inst.observed_next == pytest.approx(direct.value, rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
+    def test_observed_next_below_the_crossover_is_spectrum_entry_r(self, shape):
+        # at or below TOP_DENSE_MAX both read the dense eigensolve of the
+        # remainder's Gram, each formed from a fresh noise Gram
+        rng = np.random.default_rng(sum(shape))
+        fac = low_rank_from_rng(LowRankSpec(*shape, (2.0e5, 1.2e5)), rng)
+        inst = perturb(fac, rng.standard_normal(shape))
+        assert inst.svd_observed.singulars.size == 2  # certified
+        assert inst.observed_next == inst.observed_spectrum[2]
+        u, a = inst.svd_observed.left, _observed(inst)
+        direct = gram_spectrum(a - u @ (u.T @ a))[: min(shape) - 2]
+        assert np.allclose(inst.observed_spectrum[2:], direct, rtol=1e-12)
 
     def test_noise_facts_share_one_gram(self):
         inst = _gate_size_instance((900, 900), "haar", 3)

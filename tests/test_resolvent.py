@@ -256,6 +256,29 @@ class TestBilinear:
         with pytest.raises(EvaluationDomainError):
             resolvent_bilinear(e, z, x, x)
 
+    # between ||e||^2 and ||e e^T||_F the Frobenius shortcut cannot decide, so
+    # the Cholesky of |z|^2 I minus the smaller Gram does
+    @pytest.mark.parametrize("n_rows, n_cols", [(5, 9), (7, 7), (11, 4)])
+    def test_definiteness_decides_near_the_spectrum(self, n_rows, n_cols, monkeypatch):
+        e = noise(12, n_rows=n_rows, n_cols=n_cols)
+        top = np.linalg.norm(e, 2)
+        x, y = unit(13, n_rows + n_cols), unit(14, n_rows + n_cols)
+        outside, inside = top * (1.0 + 1e-6), top * (1.0 - 1e-6)
+        assert outside**2 <= np.linalg.norm(svd(e).singulars ** 2)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        got = resolvent_bilinear(e, outside, x, y)
+        assert got == pytest.approx(dense_resolvent_bilinear(e, outside, x, y), rel=1e-6)
+        with pytest.raises(EvaluationDomainError):
+            resolvent_bilinear(e, inside, x, y)
+        assert calls == [(min(n_rows, n_cols),) * 2] * 2
+
     def test_zero_noise_rejects_only_zero(self):
         x = unit(8, 10)
         with pytest.raises(EvaluationDomainError):
