@@ -162,12 +162,12 @@ class SvdFactors:
 
     singulars holds m nonnegative values, descending; left (N x c) and right
     (n x c) hold orthonormal singular vectors for the leading c <= m of them.
-    ``svd`` produces c = m = min(N, n). The thin rank-r form c = m = r is a
-    signal's: ``low_rank_from_rng`` draws it, and ``perturb`` forms the
-    observed matrix from it. ``leading_svd`` produces c = k vector pairs, with the k
-    Ritz values when certified and all min(N, n) LAPACK values after a
-    fallback. Only when c = m is ``left @ diag(singulars) @ right.T`` the
-    whole matrix.
+    ``svd`` produces c = m = min(N, n). A signal's thin factors, from which
+    ``perturb`` forms the observed matrix, have c = m = r. ``leading_svd``
+    produces c = k pairs, with the k Ritz values when certified (an
+    instance's ``remainder_gram`` deflates the pairs' vectors on its Gram's
+    side for the rest) and all min(N, n) LAPACK values after a fallback.
+    Only when c = m is ``left @ diag(singulars) @ right.T`` the whole matrix.
     """
 
     left: np.ndarray

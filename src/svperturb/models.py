@@ -135,11 +135,11 @@ class PerturbationInstance:
         When svd_observed holds them all, they are its values. Otherwise it
         holds the c certified Ritz triplets (U, s, V) of ``leading_svd``, and
         the values are s followed by the square roots of the leading
-        min(N, n) - c eigenvalues of ``remainder_gram``. With eta the
-        certificate's residual, the observed matrix lies within eta of the
-        block-diagonal matrix with blocks U diag(s) V.T and the deflated
-        remainder (I - U U.T) observed (I - V V.T), and (I - U U.T) observed
-        lies within eta of that remainder, so by Weyl each trailing value is
+        min(N, n) - c eigenvalues of ``remainder_gram``, one deflation on the
+        Gram's side. With eta the certificate's residual, the observed matrix
+        lies within eta of the block-diagonal matrix with blocks U diag(s) V.T
+        and (I - U U.T) observed (I - V V.T), and each one-sided deflation
+        lies within eta of that block, so by Weyl each trailing value is
         within about 2 eta of the exact one, and each Ritz value within eta.
         The update rounds at the noise Gram's scale, about eps ||E||^2 / sigma
         in each value, not at sigma_1: gauge and resolvent-sum precision.
@@ -150,22 +150,21 @@ class PerturbationInstance:
         return np.concatenate((held, _gram_values(self.remainder_gram())[: m - held.size]))
 
     def remainder_gram(self) -> np.ndarray:
-        """The smaller Gram of the deflated remainder (I - U U.T) observed, U
-        the held left vectors, in O(min(N, n)^2 r) in the array of the noise
-        Gram G, which the instance then forgets. With E the noise, U0 S V0.T
-        the signal and B = (I - U U.T) U0 S, the remainder is (I - U U.T) E +
-        B V0.T, so its Gram is G + L R.T + R L.T with, when N <= n, L = [U, B],
-        R = [U (U.T G U) / 2 - G U, (I - U U.T) E V0 + B / 2],
-        and otherwise L = [E.T U, V0], R = [-E.T U / 2, E.T B + V0 B.T B / 2].
+        """The smaller Gram of the deflated remainder, in O(min(N, n)^2 r) in
+        the array of the noise Gram G, which the instance then forgets. With
+        E the noise, U0 S V0.T the signal and U the held left vectors (when
+        N > n: E.T, the transpose V0 S U0.T and the held right vectors),
+        the remainder is (I - U U.T)(E + U0 S V0.T) = (I - U U.T) E + B V0.T
+        with B = (I - U U.T) U0 S, so its Gram is G + L R.T + R L.T with
+        L = [U, B], R = [U (U.T G U) / 2 - G U, (I - U U.T) E V0 + B / 2].
         """
-        u, f, e, g = self.svd_observed.left, self.svd_signal, self.noise, self.noise_gram
-        b = (f.left - u @ (u.T @ f.left)) * f.singulars
-        if e.shape[0] <= e.shape[1]:
-            gu, c = g @ u, e @ f.right
-            left, right = (u, b), (u @ (0.5 * (u.T @ gu)) - gu, c - u @ (u.T @ c) + 0.5 * b)
-        else:
-            eu = e.T @ u
-            left, right = (eu, f.right), (-0.5 * eu, e.T @ b + f.right @ (0.5 * (b.T @ b)))
+        obs, f, g = self.svd_observed, self.svd_signal, self.noise_gram
+        u, u0, v0, e = obs.left, f.left, f.right, self.noise
+        if e.shape[0] > e.shape[1]:  # deflate the transpose
+            u, u0, v0, e = obs.right, f.right, f.left, e.T
+        b = (u0 - u @ (u.T @ u0)) * f.singulars
+        gu, c = g @ u, e @ v0
+        left, right = (u, b), (u @ (0.5 * (u.T @ gu)) - gu, c - u @ (u.T @ c) + 0.5 * b)
         g += np.hstack(left + right) @ np.hstack(right + left).T
         del vars(self)["noise_gram"]
         return g
@@ -174,14 +173,15 @@ class PerturbationInstance:
     def observed_next(self) -> float:
         """The (r+1)-th observed singular value, 0 when r = min(N, n).
 
-        A held value after a ``leading_svd`` fallback, otherwise the top of
-        ``remainder_gram``, with Lanczos started from the Ritz vector of
-        ``noise_top``, the held vectors on the Gram's side projected out; at
-        min(N, n) <= TOP_DENSE_MAX, entry r of ``observed_spectrum``.
+        Entry r of ``observed_spectrum`` when that is held (after a fallback)
+        or dense (min(N, n) <= TOP_DENSE_MAX): one noise Gram, update and
+        eigensolve serve both. Above, no m^2 array is kept between reads, so
+        it forms ``remainder_gram`` anew and certifies its top by Lanczos from
+        ``noise_top``'s Ritz vector, the Gram side's held vectors projected out.
         """
         held, r, m = self.svd_observed.singulars, self.rank(), min(self.shape)
-        if held.size == m:  # after a fallback, and whenever r = m
-            return float(held[r]) if r < m else 0.0
+        if held.size == m or m <= TOP_DENSE_MAX:
+            return float(self.observed_spectrum[r]) if r < m else 0.0
         obs, x = self.svd_observed, self.noise_top.vector
         side = obs.left if self.shape[0] <= self.shape[1] else obs.right
         start = None if x is None else x - side @ (side.T @ x)

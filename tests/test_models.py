@@ -204,6 +204,15 @@ class TestPerturb:
             perturb(empty, np.zeros((9, 7)))
 
 
+def _deflated(inst):
+    """The observed matrix with the held vectors on its Gram's side projected
+    out: a - U U.T a when N <= n, else a - a V V.T, the transpose's deflation."""
+    obs, a = inst.svd_observed, _observed(inst)
+    if a.shape[0] <= a.shape[1]:
+        return a - obs.left @ (obs.left.T @ a)
+    return a - (a @ obs.right) @ obs.right.T
+
+
 def _gate_size_instance(shape, variant, seed):
     """A certified rank-2 instance above the dense crossover: Haar factors,
     coherent factors, or Haar factors with noise at scale 0.5."""
@@ -227,8 +236,7 @@ class TestRemainderGram:
     @variants
     def test_update_matches_the_deflated_gram(self, shape, variant):
         inst = _gate_size_instance(shape, variant, sum(shape))
-        u, a = inst.svd_observed.left, _observed(inst)
-        direct = matcore._gram(a - u @ (u.T @ a))
+        direct = matcore._gram(_deflated(inst))
         got = inst.remainder_gram()
         assert got.shape == direct.shape == (min(shape),) * 2
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -237,15 +245,14 @@ class TestRemainderGram:
     @variants
     def test_observed_next_matches_the_direct_path(self, shape, variant):
         inst = _gate_size_instance(shape, variant, sum(shape) + 1)
-        u, a = inst.svd_observed.left, _observed(inst)
-        direct = gram_top(a - u @ (u.T @ a))
+        direct = gram_top(_deflated(inst))
         assert direct.spectrum is None  # both paths certified
         assert inst.observed_next == pytest.approx(direct.value, rel=1e-13)
 
     @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
     def test_observed_next_below_the_crossover_is_spectrum_entry_r(self, shape):
-        # at or below TOP_DENSE_MAX both read the dense eigensolve of the
-        # remainder's Gram, each formed from a fresh noise Gram
+        # at or below TOP_DENSE_MAX observed_next is read from the spectrum,
+        # the dense eigensolve of the one remainder Gram both facts share
         rng = np.random.default_rng(sum(shape))
         fac = low_rank_from_rng(LowRankSpec(*shape, (2.0e5, 1.2e5)), rng)
         inst = perturb(fac, rng.standard_normal(shape))
@@ -254,6 +261,51 @@ class TestRemainderGram:
         u, a = inst.svd_observed.left, _observed(inst)
         direct = gram_spectrum(a - u @ (u.T @ a))[: min(shape) - 2]
         assert np.allclose(inst.observed_spectrum[2:], direct, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(200, 150), (150, 200), (300, 300)], ids=["tall", "wide", "square"]
+    )
+    @pytest.mark.parametrize("spectrum_first", [False, True], ids=["next-first", "spectrum-first"])
+    def test_trailing_reads_share_one_update_below_the_crossover(
+        self, shape, spectrum_first, monkeypatch
+    ):
+        # after ||E||, as mirsky_check reads it, sigma~_{r+1} and the trailing
+        # spectrum take one noise Gram, one update and one eigensolve of it,
+        # in either read order
+        rng = np.random.default_rng(sum(shape))
+        fac = low_rank_from_rng(LowRankSpec(*shape, (2.0e4, 1.2e4)), rng)
+        inst = perturb(fac, rng.standard_normal(shape))
+        assert inst.svd_observed.singulars.size == 2  # certified
+        calls = {"gram": 0, "update": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        cls = models.PerturbationInstance
+        monkeypatch.setattr(models, "_gram", counted("gram", models._gram))
+        monkeypatch.setattr(cls, "remainder_gram", counted("update", cls.remainder_gram))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        inst.noise_top
+        if spectrum_first:
+            inst.observed_spectrum
+        assert inst.observed_next == inst.observed_spectrum[2]
+        assert calls == {"gram": 1, "update": 1, "eigvalsh": 2}
+
+    @pytest.mark.parametrize(
+        "shape, sigma", [((1000, 450), (2.0e5, 1.2e5)), ((200, 150), (2.0e4, 1.2e4))]
+    )
+    def test_tall_trailing_spectrum_matches_lapack(self, shape, sigma):
+        # the tall remainder deflates the transpose by the held right vectors
+        rng = np.random.default_rng(sum(shape) + 3)
+        fac = low_rank_from_rng(LowRankSpec(*shape, sigma), rng)
+        inst = perturb(fac, rng.standard_normal(shape))
+        assert inst.svd_observed.singulars.size == 2  # certified
+        ref = np.linalg.svd(_observed(inst), compute_uv=False)[2:]
+        assert np.all(np.abs(inst.observed_spectrum[2:] - ref) <= 1e-12 * ref)
 
     def test_noise_facts_share_one_gram(self):
         inst = _gate_size_instance((900, 900), "haar", 3)
