@@ -345,26 +345,23 @@ def _cross_spectra(inst: PerturbationInstance, k: int, w: slice):
     return singular_values(b1), singular_values(b2)
 
 
-def mirsky_check(
-    inst: PerturbationInstance, spec: NormSpec, e_singulars=None
-) -> BoundReport:
+def mirsky_check(inst: PerturbationInstance, spec: NormSpec) -> BoundReport:
     """Invariant norm of the singular-value displacement vs the same norm of
     the noise. Deterministic; holds for every draw.
 
-    The noise values are e_singulars when given, else the instance's. Under
-    the operator norm only the noise norm and the (r+1)-th observed value
-    are read, never the two whole spectra: each displacement past r is an
-    observed value, and the largest of those is the (r+1)-th.
+    Under the operator norm only the noise norm and the (r+1)-th observed
+    value are read, never the two whole spectra: each displacement past r is
+    an observed value, and the largest of those is the (r+1)-th.
     """
     m = min(inst.shape)
     require_norm(spec, m)
     sig = inst.svd_signal.singulars
     if spec.kind == "operator":
-        bound = inst.noise_top.value if e_singulars is None else gauge(e_singulars, spec)
+        bound = inst.noise_top.value
         held = inst.svd_observed.singulars[: sig.size]
         empirical = max(float(np.max(np.abs(sig - held))), inst.observed_next)
     else:
-        bound = gauge(inst.noise_spectrum if e_singulars is None else e_singulars, spec)
+        bound = gauge(inst.noise_spectrum, spec)
         # thin signal factors hold only the r nonzero values
         diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
         empirical = gauge(diff, spec)
@@ -375,18 +372,15 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
     """Classical sin-theta bound with the observed-gap denominator.
 
     Requires the observed gap sigma_k(signal) - sigma_{k+1}(observed) > 0;
-    otherwise reports precondition-not-met.
+    otherwise reports precondition-not-met. At k = r the next observed value
+    is the instance's observed_next, the one mirsky_check reads.
     """
-    m = min(inst.shape)
-    require_norm(spec, m)
+    require_norm(spec, min(inst.shape))
     r = inst.rank()
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..rank={r}")
     sigma_k = inst.svd_signal.singulars[k - 1]
-    spectrum = inst.svd_observed.singulars
-    if k >= spectrum.size:  # past the held values (k = r): the trailing spectrum
-        spectrum = inst.observed_spectrum
-    next_observed = spectrum[k] if k < m else 0.0
+    next_observed = inst.svd_observed.singulars[k] if k < r else inst.observed_next
     gap_hat = float(sigma_k - next_observed)
     theorem_id = f"wedin:k{k}:{spec.label}"
     if gap_hat <= 0.0:
@@ -514,19 +508,22 @@ def general_sv_bounds(
     Lower: the signal value drops by at most the corner cap. Upper: the
     observed value exceeds the signal value by at most the second-order
     correction plus the core cap.
+
+    The lower bound adds min(N, n) eps sigma~_1, the error bound of a
+    computed singular value (a backward-stable SVD, then Weyl): sigma_k -
+    sigma~_k cancels to a few ulps of sigma_1, 1.2e-4 each at sigma_1 = 1e12,
+    which the relative slack on a corner cap near 1 does not cover.
     """
     r = inst.rank()
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..rank={r}")
     sigma_k = float(inst.svd_signal.singulars[k - 1])
-    observed_k = float(inst.svd_observed.singulars[k - 1])
+    held = inst.svd_observed.singulars
+    observed_k = float(held[k - 1])
+    rounding = min(inst.shape) * np.finfo(float).eps * float(held[0])
     prob = 1.0
     lower = BoundReport.build(
-        f"general_sv_lower:k{k}",
-        gp.corner_bound,
-        prob,
-        ALL_OK,
-        sigma_k - observed_k,
+        f"general_sv_lower:k{k}", gp.corner_bound + rounding, prob, ALL_OK, sigma_k - observed_k
     )
     if observed_k <= 0.0:
         upper = BoundReport.build(

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError
 from .matcore import as_matrix, leading_svd
 from .seeding import derive_seed
-from .subspace import row_mass
+from .subspace import _rotation, row_mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,6 +295,5 @@ def embedding_gap(embedding, truth_embedding) -> float:
         raise InvalidInputError(
             f"truth embedding must be {emb.shape[0]} x {emb.shape[1]}, got {t.shape}"
         )
-    u, _, vt = np.linalg.svd(t @ emb.T)
-    diff = t.T @ (u @ vt) - emb.T
+    diff = t.T @ _rotation(t.T, emb.T) - emb.T
     return row_mass(diff)

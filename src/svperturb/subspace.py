@@ -51,7 +51,8 @@ def sin_theta_norm(u, v, spec: NormSpec) -> float:
 
 
 def _rotation(u, v) -> np.ndarray:
-    """procrustes_align of bases already checked."""
+    """procrustes_align without the basis checks, for bases already checked
+    and for clustering.embedding_gap's embeddings."""
     o1, _, o2t = np.linalg.svd(u.T @ v)
     return o1 @ o2t
 

@@ -46,12 +46,10 @@ from svperturb.matcore import (
     gram_spectrum,
     kyfan,
     singular_values,
-    svd,
 )
 from svperturb.models import (
     GmmSpec,
     LowRankSpec,
-    PerturbationInstance,
     SubmatrixSpec,
     haar_basis,
     low_rank_from_rng,
@@ -121,10 +119,8 @@ def _scaled_noise_instance(rng):
     """50 x 50 rank-5 draw with the noise norm uniform in [0.1 sigma_r, 2 sigma_1]."""
     fac = low_rank_from_rng(SMALL_SPEC, rng)
     e = rng.standard_normal((50, 50))
-    esv = singular_values(e)
     target = rng.uniform(0.1 * SMALL_SIGMA[-1], 2.0 * SMALL_SIGMA[0])
-    factor = target / esv[0]
-    return perturb(fac, e * factor), esv * factor
+    return perturb(fac, e * (target / singular_values(e)[0]))
 
 
 def test_mirsky_displacement_bound():
@@ -133,9 +129,9 @@ def test_mirsky_displacement_bound():
     worst = 0.0
     for i in range(1000):
         rng = np.random.default_rng(derive_seed(MIRSKY_SEED, i))
-        inst, esv = _scaled_noise_instance(rng)
+        inst = _scaled_noise_instance(rng)
         for spec in INVARIANT_NORMS:
-            rep = mirsky_check(inst, spec, e_singulars=esv)
+            rep = mirsky_check(inst, spec)
             valid += 1
             bad += bool(rep.violated)
             worst = max(worst, rep.ratio)
@@ -154,7 +150,7 @@ def test_wedin_sin_theta_bound():
     valid = bad = skipped = 0
     for i in range(1000):
         rng = np.random.default_rng(derive_seed(WEDIN_SEED, i))
-        inst, _ = _scaled_noise_instance(rng)
+        inst = _scaled_noise_instance(rng)
         for k in range(1, 6):
             for spec in INVARIANT_NORMS:
                 rep = wedin_check(inst, k, spec)
@@ -343,14 +339,12 @@ def test_general_noise_bounds():
         tseed = derive_seed(GENERAL_SEED, i)
         rng = np.random.default_rng(tseed)
         fac = low_rank_from_rng(lr, rng)
-        a = (fac.left * fac.singulars) @ fac.right.T
         e = rng.standard_normal((200, 200))
-        inst = PerturbationInstance(noise=e, svd_signal=fac, svd_observed=svd(a + e))
-        esv = singular_values(e)
+        inst = perturb(fac, e)
         core = fac.left.T @ e @ fac.right
         for k in range(1, 5):
             gp = GeneralNoiseParams(
-                op_bound=float(esv[0]),
+                op_bound=inst.noise_top.value,
                 core_bound=float(np.linalg.norm(core, 2)),
                 corner_bound=float(np.linalg.norm(core[:k, :k], 2)),
             )

@@ -278,13 +278,6 @@ class TestMirsky:
             rep = mirsky_check(inst, spec)
             assert rep.ratio == pytest.approx(1.0, abs=1e-9)
 
-    def test_precomputed_singulars_match(self):
-        inst = make_instance(3)
-        esv = singular_values(inst.noise)
-        r1 = mirsky_check(inst, FROBENIUS)
-        r2 = mirsky_check(inst, FROBENIUS, e_singulars=esv)
-        assert r1.bound_value == pytest.approx(r2.bound_value, rel=1e-13)
-
     def test_theorem_id(self):
         inst = make_instance(4)
         assert mirsky_check(inst, kyfan(2)).theorem_id == "mirsky:kyfan2"
@@ -355,6 +348,39 @@ class TestWedin:
         rep = wedin_check(inst, 2, FROBENIUS)
         assert rep.preconditions.gap_ok
         assert rep.empirical_value == window_sin_theta(inst, 1, 2, FROBENIUS)
+
+    @pytest.mark.parametrize(
+        "shape, singulars, fallback",
+        [
+            ((900, 900), (2.0e5, 1.2e5), False),
+            ((200, 150), (2.0e4, 1.2e4), False),
+            ((150, 200), (2.0e4, 1.2e4), False),
+            ((200, 150), (40.0, 30.0), True),
+            ((9, 3), (40.0, 30.0, 20.0), False),
+        ],
+        ids=["certified", "tall-dense", "wide-dense", "leading-svd-fallback", "full-rank"],
+    )
+    def test_rank_r_divides_by_the_next_value_mirsky_reads(self, shape, singulars, fallback):
+        # at k = r the gap is sigma_r - observed_next, the sigma~_{r+1} that
+        # mirsky:operator reads; observed_next is 0 when r = min(N, n)
+        inst = make_instance(8, *shape, singulars=singulars, scale=0.5)
+        r, m = len(singulars), min(shape)
+        assert (inst.svd_observed.singulars.size == m) == (fallback or r == m)
+        rep = wedin_check(inst, r, OPERATOR)
+        assert "observed_next" in vars(inst)
+        nxt = inst.observed_next
+        gap = singulars[-1] - nxt
+        assert rep.bound_value == cross_term_norm(inst, 1, r, OPERATOR) / gap
+        mirsky = mirsky_check(inst, OPERATOR)
+        held = inst.svd_observed.singulars[:r]
+        assert mirsky.empirical_value == max(float(np.max(np.abs(np.asarray(singulars) - held))), nxt)
+
+    def test_rank_r_at_gate_size_forms_no_trailing_spectrum(self):
+        inst = strong_instance(3, n=900)
+        assert inst.svd_observed.singulars.size == 2  # certified
+        for spec in (OPERATOR, FROBENIUS, NUCLEAR):
+            wedin_check(inst, 2, spec)
+        assert "observed_spectrum" not in vars(inst)
 
 
 class TestLazyTrailingSpectrum:
@@ -582,7 +608,9 @@ class TestGeneralNoise:
             inst.svd_signal.singulars[0] - inst.svd_observed.singulars[0]
         )
         assert lower.empirical_value == pytest.approx(expect)
-        assert lower.bound_value == pytest.approx(gp.corner_bound)
+        # the corner cap plus the error bound of a computed singular value
+        rounding = 30 * np.finfo(float).eps * inst.svd_observed.singulars[0]
+        assert lower.bound_value == gp.corner_bound + rounding
 
     def test_subspace_bound_holds_measured(self):
         p = GaussianBoundParams(60, 50, (60.0, 40.0, 20.0), 1, 1)

@@ -524,6 +524,16 @@ class TestRun:
         rows = run_monte_carlo(cfg).rows
         assert [(r["valid"], r["violations"]) for r in rows] == [(3, 0), (3, 0)]
 
+    def test_sv_displacement_at_sigma_1_rounding_is_not_a_violation(self):
+        # sigma_1 - sigma~_1 cancels to a few ulps of 1e12 (1.2e-4 each), past
+        # the 1e-9 slack on a corner cap near 1: the lower row's bound must
+        # carry the error bound of a computed singular value
+        model = {"n_rows": 20, "n_cols": 20, "singulars": [1e12, 0.1]}
+        theorems = ("general_sv:1", "general_sv:2")
+        cfg = config(trials=40, base_seed=0, theorems=theorems, model=model)
+        rows = run_monte_carlo(cfg).rows
+        assert [(r["valid"], r["violations"]) for r in rows] == [(40, 0)] * 4
+
     def test_threads_do_not_change_results(self):
         cfg1 = config(threads=1)
         cfg2 = config(threads=3)
