@@ -4,8 +4,15 @@ ships is exercised here at full strength, one test per guarantee.
 Each test prints one "[gate] name: PASS/FAIL" line with the measured
 frequencies. Probabilistic gates compare the violation rate against the
 stated failure budget plus three binomial standard errors; deterministic
-gates demand zero violations at 1e-9 slack. The 900-dimensional stream is
-built once and shared by the three Gaussian-bound gates.
+gates demand zero violations at 1e-9 slack.
+
+The gates on the bounds scenario's statements evaluate the shipped theorem
+table: a token bound by ``harness._bind_token`` and run on the
+``harness._BoundsTrial`` of each instance, so a slip in a shipped row fails
+here. The 900-dimensional stream is built once and shared by the four
+Gaussian-bound gates; the general-noise gate runs its own 200-dimensional
+stream. A new gate on that stream is one more token, capped from its row's
+probability floor.
 """
 
 import json
@@ -16,20 +23,9 @@ import pytest
 
 from svperturb.bounds import (
     GaussianBoundParams,
-    GeneralNoiseParams,
-    gauss_subspace_bound,
-    gauss_sv_location_check,
-    general_subspace_bound,
-    general_sv_bounds,
-    linear_bilinear_bound,
     mirsky_check,
     spectral_norm_report,
-    two_inf_bound,
     wedin_check,
-    weighted_corollary_bound,
-    window_2inf_residual,
-    window_sin_theta,
-    window_weighted_residual,
 )
 from svperturb.clustering import (
     KMeansConfig,
@@ -38,6 +34,7 @@ from svperturb.clustering import (
     spectral_embedding,
     spectral_submatrix,
 )
+from svperturb.harness import _bind_token, _BoundsTrial
 from svperturb.harness import main as harness_main
 from svperturb.matcore import (
     FROBENIUS,
@@ -59,7 +56,6 @@ from svperturb.models import (
 )
 from svperturb.resolvent import (
     dense_resolvent_bilinear,
-    far_field_phi,
     linearized_basis,
     local_law_bound,
     local_law_gap,
@@ -105,14 +101,19 @@ def _line(tag: str, ok: bool, info: str) -> None:
 
 
 def _tally(reports):
-    valid = sum(1 for r in reports if r.violated is not None)
-    bad = sum(1 for r in reports if r.violated)
-    return valid, bad
+    """(valid, violations) by the report's rule: a row counts when its
+    preconditions hold and it carries a verdict."""
+    valid = [r for r in reports if r.preconditions.all_ok and r.violated is not None]
+    return len(valid), sum(1 for r in valid if r.violated)
+
+
+def _budget_cap(budget: float, trials: int) -> float:
+    """The failure budget plus three binomial standard errors."""
+    return budget + 3.0 * float(np.sqrt(budget * (1.0 - budget) / trials))
 
 
 def _rate_cap(count: float, dims: int, tail: float, trials: int) -> float:
-    budget = min(1.0, count * float(dims) ** (-tail))
-    return budget + 3.0 * float(np.sqrt(budget * (1.0 - budget) / trials))
+    return _budget_cap(min(1.0, count * float(dims) ** (-tail)), trials)
 
 
 def _scaled_noise_instance(rng):
@@ -220,68 +221,65 @@ def test_subspace_identities():
     assert prop_bad == 0
 
 
+# The heavy stream's rows: the shipped bounds table's tokens, each group on
+# one _BoundsTrial per instance at window [1, k_hi]. Rows run in this order,
+# so gauss_bilinear draws x, then y, from the trial generator before
+# gauss_linear does.
+HEAVY_ROWS = (
+    (
+        1,
+        (
+            "gauss_sin_theta:operator",
+            "gauss_sv_location:1",
+            "gauss_2inf",
+            "gauss_bilinear",
+            "gauss_sin_theta:frobenius",
+            "gauss_sin_theta:nuclear",
+            "gauss_linear",
+        ),
+    ),
+    # the corollary's token demands the full window [1, rank]
+    (2, ("gauss_weighted_corollary",)),
+)
+ROWWISE = (
+    ("two_inf", "gauss_2inf"),
+    ("bilinear", "gauss_bilinear"),
+    ("weighted", "gauss_weighted_corollary"),
+)
+# explicit-constant statements capped from their own probability floors; at
+# window [1, 1] the cross spectra hold two values, so kyfan2 would repeat nuclear
+FLOOR_GATED = ("gauss_sin_theta:frobenius", "gauss_sin_theta:nuclear", "gauss_linear")
+
+
 @pytest.fixture(scope="module")
 def heavy_stream():
-    """200 draws at N = n = 900, rank 2, shared by the three Gaussian gates.
+    """200 draws at N = n = 900, rank 2, shared by the Gaussian gates.
 
-    Instances are built from the generator's exact factors: the observed
-    matrix gets its certified leading pairs and their values from
-    ``perturb(factors, noise)``, and no row here reads its trailing
-    spectrum. The noise norm and phi come from the instance's noise record
-    ``noise_top``: phi at the observed value from its far-field series, or
-    from the noise spectrum where that series is not certified. Only the
-    small report rows are kept.
+    Each trial builds its instance as a bounds trial does, ``perturb`` on the
+    generator's exact factors and noise, and evaluates the tokens of
+    HEAVY_ROWS, bound once by ``_bind_token``, on ``_BoundsTrial``: every row
+    is the shipped theorem table's. Only the report rows are kept.
     """
     lr = LowRankSpec(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA)
-    p_top = GaussianBoundParams(
-        n_rows=900, n_cols=900, singulars=HEAVY_SIGMA, k_lo=1, k_hi=1
-    )
-    p_full = GaussianBoundParams(
-        n_rows=900, n_cols=900, singulars=HEAVY_SIGMA, k_lo=1, k_hi=2
-    )
-    rows = {"sin_theta": [], "location": [], "two_inf": [], "bilinear": [], "weighted": []}
+    windows = []
+    for k_hi, tokens in HEAVY_ROWS:
+        p = GaussianBoundParams(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA, k_lo=1, k_hi=k_hi)
+        windows.append((p, {tok: _bind_token(tok, p) for tok in tokens}))
+    rows = {tok: [] for _, bound in windows for tok in bound}
     t0 = time.perf_counter()
     for i in range(HEAVY_TRIALS):
-        tseed = derive_seed(HEAVY_SEED, i)
-        rng = np.random.default_rng(tseed)
-        fac = low_rank_from_rng(lr, rng)
-        e = rng.standard_normal((900, 900))
-        inst = perturb(fac, e)
-        e_norm = inst.noise_top.value
-        u_2inf = row_mass(fac.left)
-
-        rep = gauss_subspace_bound(p_top, OPERATOR, e_norm)
-        emp = window_sin_theta(inst, 1, 1, OPERATOR)
-        rows["sin_theta"].append(rep.with_empirical(emp))
-
-        def phi_at(zv, inst=inst):
-            probe = far_field_phi(inst.noise_top, 900, 900, zv)
-            return (probe or phi_values(inst.noise_spectrum, 900, 900, zv)).varphi.real
-
-        rows["location"].append(gauss_sv_location_check(inst, p_top, 1, phi_at))
-
-        rep = two_inf_bound(p_top, u_2inf)
-        emp = window_2inf_residual(inst, 1, 1)
-        rows["two_inf"].append(rep.with_empirical(emp))
-
-        x = rng.standard_normal(900)
-        x /= np.linalg.norm(x)
-        y = rng.standard_normal(1)
-        y /= np.linalg.norm(y)
-        xu = float(np.linalg.norm(x @ fac.left))
-        _, bil = linear_bilinear_bound(p_top, xu, y)
-        resid = residual(fac.left[:, :1], inst.svd_observed.left[:, :1])
-        rows["bilinear"].append(bil.with_empirical(float(abs(x @ resid @ y))))
-
-        rep = weighted_corollary_bound(p_full, u_2inf, e_norm)
-        emp = window_weighted_residual(inst, 1, 2, aligned=True)
-        rows["weighted"].append(rep.with_empirical(emp))
-    return {"rows": rows, "wall_s": time.perf_counter() - t0, "p_top": p_top, "p_full": p_full}
+        rng = np.random.default_rng(derive_seed(HEAVY_SEED, i))
+        inst = perturb(low_rank_from_rng(lr, rng), rng.standard_normal((900, 900)))
+        for p, bound in windows:
+            trial = _BoundsTrial(inst, p, rng)
+            for tok, (evaluate, args) in bound.items():
+                rows[tok].extend(evaluate(trial, *args))
+    return {"rows": rows, "wall_s": time.perf_counter() - t0, "p_top": windows[0][0]}
 
 
 def test_gauss_sin_theta_operator(heavy_stream):
     assert heavy_stream["p_top"].preconditions.all_ok
-    valid, bad = _tally(heavy_stream["rows"]["sin_theta"])
+    valid, bad = _tally(heavy_stream["rows"]["gauss_sin_theta:operator"])
     cap = _rate_cap(20.0, 1800, 1.0, valid)
     rate = bad / valid
     wall = heavy_stream["wall_s"]
@@ -297,7 +295,7 @@ def test_gauss_sin_theta_operator(heavy_stream):
 
 
 def test_singular_value_location(heavy_stream):
-    reports = heavy_stream["rows"]["location"]
+    reports = heavy_stream["rows"]["gauss_sv_location:1"]
     valid, bad = _tally(reports)
     # a value in no strip is measured as +inf, so a finite value is a membership
     members = sum(1 for r in reports if r.violated is not None and np.isfinite(r.empirical_value))
@@ -316,52 +314,62 @@ def test_singular_value_location(heavy_stream):
 def test_rowwise_bilinear_weighted(heavy_stream):
     parts = []
     all_ok = True
-    for name in ("two_inf", "bilinear", "weighted"):
-        valid, bad = _tally(heavy_stream["rows"][name])
+    for name, tok in ROWWISE:
+        valid, bad = _tally(heavy_stream["rows"][tok])
         cap = _rate_cap(40.0, 1800, 1.0, valid)
         rate = bad / valid
         part_ok = valid == HEAVY_TRIALS and rate <= cap
         all_ok = all_ok and part_ok
         parts.append(f"{name} {bad}/{valid} (cap {cap:.4f})")
     _line("rowwise-bilinear-weighted", all_ok, ", ".join(parts))
-    for name in ("two_inf", "bilinear", "weighted"):
-        valid, bad = _tally(heavy_stream["rows"][name])
+    for _, tok in ROWWISE:
+        valid, bad = _tally(heavy_stream["rows"][tok])
         assert valid == HEAVY_TRIALS
         assert bad / valid <= _rate_cap(40.0, 1800, 1.0, valid)
 
 
+def test_explicit_constant_rows(heavy_stream):
+    results = []
+    for tok in FLOOR_GATED:
+        reports = heavy_stream["rows"][tok]
+        valid, bad = _tally(reports)
+        budget = max(1.0 - r.probability_floor for r in reports)
+        worst = max(r.ratio for r in reports)
+        results.append((tok, valid, bad, _budget_cap(budget, valid), worst))
+    ok = all(valid == HEAVY_TRIALS and bad / valid <= cap for _, valid, bad, cap, _ in results)
+    _line(
+        "explicit-constant",
+        ok,
+        ", ".join(
+            f"{tok} {bad}/{valid} (cap {cap:.4f}, worst ratio {worst:.1e})"
+            for tok, valid, bad, cap, worst in results
+        ),
+    )
+    for _, valid, bad, cap, _ in results:
+        assert valid == HEAVY_TRIALS
+        assert bad / valid <= cap
+
+
 def test_general_noise_bounds():
     lr = LowRankSpec(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA)
-    gaps = GaussianBoundParams(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA, k_lo=1, k_hi=1)
-    valid = bad = 0
-    gap_fail = 0
+    p = GaussianBoundParams(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA, k_lo=1, k_hi=1)
+    bound = [
+        _bind_token(tok, p)
+        for k in range(1, 5)
+        for tok in (
+            f"general_sv:{k}",
+            f"general_sin_theta:{k}:operator",
+            f"general_sin_theta:{k}:frobenius",
+        )
+    ]
+    reports = []
     for i in range(500):
-        tseed = derive_seed(GENERAL_SEED, i)
-        rng = np.random.default_rng(tseed)
-        fac = low_rank_from_rng(lr, rng)
-        e = rng.standard_normal((200, 200))
-        inst = perturb(fac, e)
-        core = fac.left.T @ e @ fac.right
-        for k in range(1, 5):
-            gp = GeneralNoiseParams(
-                op_bound=inst.noise_top.value,
-                core_bound=float(np.linalg.norm(core, 2)),
-                corner_bound=float(np.linalg.norm(core[:k, :k], 2)),
-            )
-            lower, upper = general_sv_bounds(inst, k, gp)
-            reps = [lower, upper]
-            delta_k = gaps.delta(k)
-            sigma_k = float(fac.singulars[k - 1])
-            for spec in (OPERATOR, FROBENIUS):
-                rep = general_subspace_bound(k, 4, delta_k, sigma_k, gp, spec)
-                emp = window_sin_theta(inst, 1, k, spec)
-                rep = rep.with_empirical(emp)
-                gap_fail += not rep.preconditions.gap_ok
-                reps.append(rep)
-            for rep in reps:
-                if rep.violated is not None:
-                    valid += 1
-                    bad += bool(rep.violated)
+        rng = np.random.default_rng(derive_seed(GENERAL_SEED, i))
+        inst = perturb(low_rank_from_rng(lr, rng), rng.standard_normal((200, 200)))
+        trial = _BoundsTrial(inst, p, rng)
+        reports.extend(rep for evaluate, args in bound for rep in evaluate(trial, *args))
+    valid, bad = _tally(reports)
+    gap_fail = sum(1 for rep in reports if not rep.preconditions.gap_ok)
     ok = bad == 0 and gap_fail == 0 and valid == 500 * 4 * 4
     _line("general-noise", ok, f"{valid} checks, {bad} violations, {gap_fail} gap failures")
     assert gap_fail == 0
@@ -785,6 +793,22 @@ REPLAY_CONFIGS = {
         },
         "format": "json",
     },
+    # 600 x 600 meets the recovery preconditions (150 x 150 does not), so
+    # every trial counts and the row pins spectral_submatrix's labels
+    "submatrix-recovery": {
+        "scenario": "submatrix",
+        "trials": 4,
+        "base_seed": 20261026,
+        "model": {
+            "n_rows": 600,
+            "n_cols": 600,
+            "amplitudes": [6500.0, -6500.0],
+            "block_rows": 100,
+            "block_cols": 100,
+            "restarts": 10,
+        },
+        "format": "json",
+    },
     "resolvent-small": {
         "scenario": "resolvent",
         "trials": 4,
@@ -815,6 +839,16 @@ REPLAY_CONFIGS = {
             "z_factors": [1.5, 3.0],
             "dense": True,
         },
+        "format": "csv",
+    },
+    # 100 x 100 meets the local law's dimension hypothesis (36 x 30 does
+    # not), so its row counts every trial
+    "resolvent-local-law": {
+        "scenario": "resolvent",
+        "trials": 2,
+        "base_seed": 20261027,
+        "theorems": ["local_law", "uphiu"],
+        "model": {"n_rows": 100, "n_cols": 100},
         "format": "csv",
     },
     "selftest": {"scenario": "selftest", "trials": 3, "base_seed": 19, "format": "json"},

@@ -1,11 +1,11 @@
 """Golden reports: the behaviour oracle for changes that move arithmetic.
 
 tests/golden/ holds the report of every REPLAY_CONFIGS entry of the release
-gate, as written by the code before singular vectors came from certified
-subspace iteration. A change that alters arithmetic on purpose must keep
-counts (trials, valid, violations) exactly and every rate and ratio quantile
-within RTOL relative plus ATOL absolute. Regenerating a golden is a logged
-change.
+gate, as written by the code when the entry was added; the first ones predate
+singular vectors from certified subspace iteration. A change that alters
+arithmetic on purpose must keep counts (trials, valid, violations) exactly
+and every rate and ratio quantile within RTOL relative plus ATOL absolute.
+Regenerating a golden is a logged change.
 """
 
 import csv
@@ -39,28 +39,39 @@ def _rows(text: str, fmt: str) -> list[dict]:
     return rows
 
 
-def _close(a, b) -> bool:
+def _close(a, b, rtol: float, atol: float) -> bool:
     # None is an empty cell; JSON reports spell non-finite values as text
     if a is None or b is None or isinstance(a, str) or isinstance(b, str):
         return a == b
     if not (math.isfinite(a) and math.isfinite(b)):
         return str(a) == str(b)
-    return abs(a - b) <= RTOL * max(abs(a), abs(b)) + ATOL
+    return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
+
+
+def replay(name: str, path: Path) -> list[dict]:
+    """The rows of REPLAY_CONFIGS[name]'s report, run in process under `path`."""
+    cfg = REPLAY_CONFIGS[name]
+    fmt = cfg["format"]
+    cfg_path = path / f"{name}.config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = path / f"{name}.{fmt}"
+    assert harness_main([cfg["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 0
+    return _rows(out.read_text(), fmt)
+
+
+def assert_rows_match(got: list[dict], want: list[dict], rtol: float, atol: float) -> None:
+    """Counts exactly, every rate and ratio quantile within rtol relative plus atol."""
+    assert [r["theorem_id"] for r in got] == [r["theorem_id"] for r in want]
+    for row, ref in zip(got, want):
+        tid = row["theorem_id"]
+        for key in COUNTS:
+            assert row[key] == ref[key], (tid, key)
+        for key in VALUES:
+            assert _close(row[key], ref[key], rtol, atol), (tid, key, row[key], ref[key])
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
 def test_report_matches_golden(name, tmp_path):
-    cfg = REPLAY_CONFIGS[name]
-    fmt = cfg["format"]
-    cfg_path = tmp_path / f"{name}.config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / f"{name}.{fmt}"
-    assert harness_main([cfg["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 0
-    got = _rows(out.read_text(), fmt)
+    fmt = REPLAY_CONFIGS[name]["format"]
     want = _rows((GOLDEN / f"{name}.{fmt}").read_text(), fmt)
-    assert [r["theorem_id"] for r in got] == [r["theorem_id"] for r in want]
-    for row, ref in zip(got, want):
-        for key in COUNTS:
-            assert row[key] == ref[key], (row["theorem_id"], key)
-        for key in VALUES:
-            assert _close(row[key], ref[key]), (row["theorem_id"], key, row[key], ref[key])
+    assert_rows_match(replay(name, tmp_path), want, RTOL, ATOL)
