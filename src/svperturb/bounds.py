@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .matcore import NormSpec, gauge, require_norm, singular_values
+from .matcore import NormSpec, gauge, require_norm
 from .models import PerturbationInstance, check_spectrum
 from .resolvent import margin_offsets, min_abs_z
 from .subspace import residual, row_mass, sin_theta_norm
@@ -332,19 +332,6 @@ def _window_cols(inst: PerturbationInstance, k_lo: int, k_hi: int) -> slice:
     return slice(k_lo - 1, k_hi)
 
 
-def _cross_spectra(inst: PerturbationInstance, k: int, w: slice):
-    """Singular values of the noise between the complement of the top-k
-    signal factors and the observed vector pairs w: those of
-    (I - U U.T) E Vt_w and of (I - V V.T) E.T Ut_w."""
-    u = inst.svd_signal.left[:, :k]
-    v = inst.svd_signal.right[:, :k]
-    b1 = inst.noise @ inst.svd_observed.right[:, w]
-    b1 -= u @ (u.T @ b1)
-    b2 = inst.noise.T @ inst.svd_observed.left[:, w]
-    b2 -= v @ (v.T @ b2)
-    return singular_values(b1), singular_values(b2)
-
-
 def mirsky_check(inst: PerturbationInstance, spec: NormSpec) -> BoundReport:
     """Invariant norm of the singular-value displacement vs the same norm of
     the noise. Deterministic; holds for every draw.
@@ -385,7 +372,7 @@ def wedin_check(inst: PerturbationInstance, k: int, spec: NormSpec) -> BoundRepo
     theorem_id = f"wedin:k{k}:{spec.label}"
     if gap_hat <= 0.0:
         return BoundReport.build(theorem_id, np.inf, 0.0, PreconditionFlags(True, True, False))
-    numerator = max(gauge(vals, spec) for vals in _cross_spectra(inst, k, slice(0, k)))
+    numerator = max(gauge(vals, spec) for vals in inst.cross_spectra(k, 1, k))
     return BoundReport.build(
         theorem_id, numerator / gap_hat, 1.0, ALL_OK, window_sin_theta(inst, 1, k, spec)
     )
@@ -396,11 +383,11 @@ def cross_term_norm(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: Norm
 
     Blocks are the noise compressed between the full signal complement and
     the observed window on each side; the direct-sum norm is the gauge of
-    the concatenated singular values.
+    the concatenated singular values (``PerturbationInstance.cross_spectra``).
     """
     require_norm(spec, min(inst.shape))
-    w = _window_cols(inst, k_lo, k_hi)
-    return gauge(np.concatenate(_cross_spectra(inst, inst.rank(), w)), spec)
+    _window_cols(inst, k_lo, k_hi)
+    return gauge(np.concatenate(inst.cross_spectra(inst.rank(), k_lo, k_hi)), spec)
 
 
 def gauss_row_id(kind: str, arg: NormSpec | int | None = None) -> str:

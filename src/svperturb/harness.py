@@ -281,14 +281,13 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 # The bounds theorem table. A token is KIND[:ARG[:ARG]], and each kind is the
 # _BoundsTrial method of that name, registered by @_theorem with one validator
-# (text, params) -> value per argument and, where the kind needs one, a check
-# of the model. Validators and checks run when the scenario is built.
+# (text, params) -> value per argument. Validators run when the scenario is built.
 _BOUNDS_THEOREMS: dict[str, tuple] = {}
 
 
-def _theorem(*validators, check=None):
+def _theorem(*validators):
     def register(evaluate):
-        _BOUNDS_THEOREMS[evaluate.__name__] = (validators, check, evaluate)
+        _BOUNDS_THEOREMS[evaluate.__name__] = (validators, evaluate)
         return evaluate
 
     return register
@@ -300,9 +299,7 @@ def _bind_token(token: str, params: GaussianBoundParams):
     entry = _BOUNDS_THEOREMS.get(kind)
     if entry is None or len(texts) != len(entry[0]):
         raise InvalidParameterError(f"unknown theorem token {token!r}")
-    validators, check, evaluate = entry
-    if check is not None:
-        check(params)
+    validators, evaluate = entry
     return evaluate, [parse(text, params) for parse, text in zip(validators, texts)]
 
 
@@ -433,11 +430,11 @@ class _BoundsTrial:
         rep = weighted_window_bound(p, self.u_2inf)
         return [rep.with_empirical(window_weighted_residual(self.inst, p.k_lo, p.k_hi))]
 
-    @_theorem(check=GaussianBoundParams.require_full_window)
+    @_theorem()
     def gauss_weighted_corollary(self) -> list[BoundReport]:
-        rep = weighted_corollary_bound(self.p, self.u_2inf, self.inst.noise_top.value)
-        value = window_weighted_residual(self.inst, 1, self.p.rank, aligned=True)
-        return [rep.with_empirical(value)]
+        p = replace(self.p, k_lo=1, k_hi=self.p.rank)  # the full window, whatever is configured
+        rep = weighted_corollary_bound(p, self.u_2inf, self.inst.noise_top.value)
+        return [rep.with_empirical(window_weighted_residual(self.inst, 1, p.rank, aligned=True))]
 
     @_theorem(_rank_index)
     def general_sv(self, k: int) -> list[BoundReport]:

@@ -20,6 +20,7 @@ from .matcore import (
     _gram,
     _gram_values,
     leading_svd,
+    singular_values,
     top_of_gram,
 )
 
@@ -186,6 +187,21 @@ class PerturbationInstance:
         side = obs.left if self.shape[0] <= self.shape[1] else obs.right
         start = None if x is None else x - side @ (side.T @ x)
         return top_of_gram(self.remainder_gram(), start).value
+
+    def cross_spectra(self, k: int, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values of (I - U U.T) E V~_w and (I - V V.T) E.T U~_w, the noise
+        between the complement of the top-k signal factors U, V and the observed
+        pairs w = k_lo..k_hi; formed once per (k, window) and kept."""
+        held, key = vars(self).setdefault("_cross_spectra", {}), (k, k_lo, k_hi)
+        if key not in held:
+            u, v = self.svd_signal.left[:, :k], self.svd_signal.right[:, :k]
+            w = slice(k_lo - 1, k_hi)
+            b1 = self.noise @ self.svd_observed.right[:, w]
+            b1 -= u @ (u.T @ b1)
+            b2 = self.noise.T @ self.svd_observed.left[:, w]
+            b2 -= v @ (v.T @ b2)
+            held[key] = singular_values(b1), singular_values(b2)
+        return held[key]
 
     @cached_property
     def noise_gram(self) -> np.ndarray:

@@ -6,23 +6,23 @@ frequencies. Probabilistic gates compare the violation rate against the
 stated failure budget plus three binomial standard errors; deterministic
 gates demand zero violations at 1e-9 slack.
 
-The gates on the bounds scenario's statements evaluate the shipped theorem
-table: a token bound by ``harness._bind_token`` and run on the
-``harness._BoundsTrial`` of each instance, so a slip in a shipped row fails
-here. The 900-dimensional stream is built once and shared by the four
-Gaussian-bound gates; the general-noise gate runs its own 200-dimensional
-stream. A new gate on that stream is one more token, capped from its row's
-probability floor.
+The gates on the bounds and submatrix scenarios are ``run_monte_carlo``
+configs, the driver an ``svperturb`` run executes: they read the report's
+rows (trials, valid, violations, ratio_p99) by theorem id, so a slip in a
+shipped row or in the driver fails here. The 900-dimensional stream is one
+run shared by the four Gaussian-bound gates; the general-noise, submatrix
+and coherent-factor gates are one run each. A new gate is one config plus
+caps taken from its rows' probability floors.
 """
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from svperturb.bounds import (
-    GaussianBoundParams,
     mirsky_check,
     spectral_norm_report,
     wedin_check,
@@ -32,9 +32,8 @@ from svperturb.clustering import (
     kmeans,
     match_labels,
     spectral_embedding,
-    spectral_submatrix,
 )
-from svperturb.harness import _bind_token, _BoundsTrial
+from svperturb.harness import ExperimentConfig, run_monte_carlo
 from svperturb.harness import main as harness_main
 from svperturb.matcore import (
     FROBENIUS,
@@ -94,17 +93,18 @@ LAW_SEED = 0x5EED_0018
 SPECTRAL_SEED = 0x5EED_0009
 GMM_SEED = 0x5EED_0010
 SUBMATRIX_SEED = 0x5EED_0011
+COHERENT_SEED = 777
 
 
 def _line(tag: str, ok: bool, info: str) -> None:
     print(f"[gate] {tag}: {'PASS' if ok else 'FAIL'} ({info})", flush=True)
 
 
-def _tally(reports):
-    """(valid, violations) by the report's rule: a row counts when its
-    preconditions hold and it carries a verdict."""
-    valid = [r for r in reports if r.preconditions.all_ok and r.violated is not None]
-    return len(valid), sum(1 for r in valid if r.violated)
+def _run(scenario: str, trials: int, base_seed: int, model: dict, theorems=()):
+    """One run_monte_carlo config: the summary and its rows by theorem id."""
+    cfg = ExperimentConfig(scenario, trials, base_seed, tuple(theorems), model)
+    summary = run_monte_carlo(cfg)
+    return summary, {row["theorem_id"]: row for row in summary.rows}
 
 
 def _budget_cap(budget: float, trials: int) -> float:
@@ -221,68 +221,51 @@ def test_subspace_identities():
     assert prop_bad == 0
 
 
-# The heavy stream's rows: the shipped bounds table's tokens, each group on
-# one _BoundsTrial per instance at window [1, k_hi]. Rows run in this order,
-# so gauss_bilinear draws x, then y, from the trial generator before
-# gauss_linear does.
-HEAVY_ROWS = (
-    (
-        1,
-        (
-            "gauss_sin_theta:operator",
-            "gauss_sv_location:1",
-            "gauss_2inf",
-            "gauss_bilinear",
-            "gauss_sin_theta:frobenius",
-            "gauss_sin_theta:nuclear",
-            "gauss_linear",
-        ),
-    ),
-    # the corollary's token demands the full window [1, rank]
-    (2, ("gauss_weighted_corollary",)),
+# The heavy stream's tokens, in the order its rows run, so gauss_bilinear
+# draws x, then y, from the trial generator before gauss_linear does;
+# gauss_weighted_corollary is evaluated on the full window [1, rank].
+HEAVY_TOKENS = (
+    "gauss_sin_theta:operator",
+    "gauss_sv_location:1",
+    "gauss_2inf",
+    "gauss_bilinear",
+    "gauss_sin_theta:frobenius",
+    "gauss_sin_theta:nuclear",
+    "gauss_linear",
+    "gauss_weighted_corollary",
 )
 ROWWISE = (
     ("two_inf", "gauss_2inf"),
     ("bilinear", "gauss_bilinear"),
     ("weighted", "gauss_weighted_corollary"),
 )
-# explicit-constant statements capped from their own probability floors; at
-# window [1, 1] the cross spectra hold two values, so kyfan2 would repeat nuclear
-FLOOR_GATED = ("gauss_sin_theta:frobenius", "gauss_sin_theta:nuclear", "gauss_linear")
+# explicit-constant statements, each with the count c of its probability floor
+# 1 - c (N+n)^-tail; at window [1, 1] the cross spectra hold two values, so
+# kyfan2 would repeat nuclear
+FLOOR_GATED = (
+    ("gauss_sin_theta:frobenius", 20.0),
+    ("gauss_sin_theta:nuclear", 20.0),
+    ("gauss_linear", 40.0),
+)
 
 
 @pytest.fixture(scope="module")
 def heavy_stream():
-    """200 draws at N = n = 900, rank 2, shared by the Gaussian gates.
-
-    Each trial builds its instance as a bounds trial does, ``perturb`` on the
-    generator's exact factors and noise, and evaluates the tokens of
-    HEAVY_ROWS, bound once by ``_bind_token``, on ``_BoundsTrial``: every row
-    is the shipped theorem table's. Only the report rows are kept.
-    """
-    lr = LowRankSpec(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA)
-    windows = []
-    for k_hi, tokens in HEAVY_ROWS:
-        p = GaussianBoundParams(n_rows=900, n_cols=900, singulars=HEAVY_SIGMA, k_lo=1, k_hi=k_hi)
-        windows.append((p, {tok: _bind_token(tok, p) for tok in tokens}))
-    rows = {tok: [] for _, bound in windows for tok in bound}
-    t0 = time.perf_counter()
-    for i in range(HEAVY_TRIALS):
-        rng = np.random.default_rng(derive_seed(HEAVY_SEED, i))
-        inst = perturb(low_rank_from_rng(lr, rng), rng.standard_normal((900, 900)))
-        for p, bound in windows:
-            trial = _BoundsTrial(inst, p, rng)
-            for tok, (evaluate, args) in bound.items():
-                rows[tok].extend(evaluate(trial, *args))
-    return {"rows": rows, "wall_s": time.perf_counter() - t0, "p_top": windows[0][0]}
+    """200 draws at N = n = 900, rank 2, window [1, 1], shared by the Gaussian
+    gates: one bounds run of HEAVY_TOKENS, whose summary holds the rows and
+    the wall time."""
+    model = {"n_rows": 900, "n_cols": 900, "singulars": list(HEAVY_SIGMA), "k_lo": 1, "k_hi": 1}
+    return _run("bounds", HEAVY_TRIALS, HEAVY_SEED, model, HEAVY_TOKENS)
 
 
 def test_gauss_sin_theta_operator(heavy_stream):
-    assert heavy_stream["p_top"].preconditions.all_ok
-    valid, bad = _tally(heavy_stream["rows"]["gauss_sin_theta:operator"])
+    summary, rows = heavy_stream
+    assert not summary.notes  # the model meets the Gaussian hypotheses
+    row = rows["gauss_sin_theta:operator"]
+    valid, bad = row["valid"], row["violations"]
     cap = _rate_cap(20.0, 1800, 1.0, valid)
     rate = bad / valid
-    wall = heavy_stream["wall_s"]
+    wall = summary.wall_time_s
     ok = valid == HEAVY_TRIALS and rate <= cap and wall < 600.0
     _line(
         "gauss-sin-theta",
@@ -295,66 +278,116 @@ def test_gauss_sin_theta_operator(heavy_stream):
 
 
 def test_singular_value_location(heavy_stream):
-    reports = heavy_stream["rows"]["gauss_sv_location:1"]
-    valid, bad = _tally(reports)
-    # a value in no strip is measured as +inf, so a finite value is a membership
-    members = sum(1 for r in reports if r.violated is not None and np.isfinite(r.empirical_value))
+    row = heavy_stream[1]["gauss_sv_location:j1"]
+    valid, bad = row["valid"], row["violations"]
     cap = _rate_cap(10.0, 1800, 1.0, valid)
     rate = bad / valid
     ok = valid == HEAVY_TRIALS and rate <= cap
+    # a value in no strip is measured as +inf, a violation, so every trial
+    # without a violation is a strip membership
     _line(
         "sv-location",
         ok,
-        f"{bad}/{valid} violations, {members} strip memberships, rate {rate:.4f} <= {cap:.4f}",
+        f"{bad}/{valid} violations, at least {valid - bad} strip memberships, "
+        f"rate {rate:.4f} <= {cap:.4f}",
     )
     assert valid == HEAVY_TRIALS
     assert rate <= cap
 
 
 def test_rowwise_bilinear_weighted(heavy_stream):
+    rows = heavy_stream[1]
     parts = []
     all_ok = True
     for name, tok in ROWWISE:
-        valid, bad = _tally(heavy_stream["rows"][tok])
+        valid, bad = rows[tok]["valid"], rows[tok]["violations"]
         cap = _rate_cap(40.0, 1800, 1.0, valid)
-        rate = bad / valid
-        part_ok = valid == HEAVY_TRIALS and rate <= cap
+        part_ok = valid == HEAVY_TRIALS and bad / valid <= cap
         all_ok = all_ok and part_ok
         parts.append(f"{name} {bad}/{valid} (cap {cap:.4f})")
     _line("rowwise-bilinear-weighted", all_ok, ", ".join(parts))
     for _, tok in ROWWISE:
-        valid, bad = _tally(heavy_stream["rows"][tok])
+        valid, bad = rows[tok]["valid"], rows[tok]["violations"]
         assert valid == HEAVY_TRIALS
         assert bad / valid <= _rate_cap(40.0, 1800, 1.0, valid)
 
 
-def test_explicit_constant_rows(heavy_stream):
+def _floor_gate(tag: str, rows: dict, gated, trials: int, note: str = "") -> None:
+    """Gate each (token, count) row of `gated` on its statement's floor
+    1 - count (N+n)^-tail: valid on every trial, and a violation rate within
+    the budget plus three binomial standard errors. One [gate] line with
+    each row's count, cap and p99 ratio, then `note`."""
     results = []
-    for tok in FLOOR_GATED:
-        reports = heavy_stream["rows"][tok]
-        valid, bad = _tally(reports)
-        budget = max(1.0 - r.probability_floor for r in reports)
-        worst = max(r.ratio for r in reports)
-        results.append((tok, valid, bad, _budget_cap(budget, valid), worst))
-    ok = all(valid == HEAVY_TRIALS and bad / valid <= cap for _, valid, bad, cap, _ in results)
-    _line(
-        "explicit-constant",
-        ok,
-        ", ".join(
-            f"{tok} {bad}/{valid} (cap {cap:.4f}, worst ratio {worst:.1e})"
-            for tok, valid, bad, cap, worst in results
-        ),
+    for tok, count in gated:
+        row = rows[_row_id(tok)]
+        valid, bad = row["valid"], row["violations"]
+        results.append((tok, valid, bad, _rate_cap(count, 1800, 1.0, valid), row["ratio_p99"]))
+    ok = all(valid == trials and bad / valid <= cap for _, valid, bad, cap, _ in results)
+    info = ", ".join(
+        f"{tok} {bad}/{valid} (cap {cap:.4f}, ratio p99 {p99:.1e})"
+        for tok, valid, bad, cap, p99 in results
     )
+    _line(tag, ok, info + note)
     for _, valid, bad, cap, _ in results:
-        assert valid == HEAVY_TRIALS
+        assert valid == trials
         assert bad / valid <= cap
 
 
+def _row_id(token: str) -> str:
+    """The report row of a gauss_* token: a location index J reads jJ."""
+    return token.replace("gauss_sv_location:", "gauss_sv_location:j")
+
+
+def test_explicit_constant_rows(heavy_stream):
+    _floor_gate("explicit-constant", heavy_stream[1], FLOOR_GATED, HEAVY_TRIALS)
+
+
+# Coherent factors (the signal's first left vector is a coordinate axis) at
+# gate size on the full window [1, 2]: every explicit-constant statement with
+# the count of its floor, and the constant-free shape rows, ungated.
+COHERENT_TRIALS = 20
+COHERENT_GATED = (
+    ("gauss_sin_theta:operator", 20.0),
+    ("gauss_sin_theta:frobenius", 20.0),
+    ("gauss_sin_theta:nuclear", 20.0),
+    ("gauss_sin_theta:kyfan2", 20.0),
+    ("gauss_sv_location:1", 10.0),
+    ("gauss_sv_location:2", 10.0),
+    ("gauss_2inf", 40.0),
+    ("gauss_linear", 40.0),
+    ("gauss_bilinear", 40.0),
+    ("gauss_weighted", 40.0),
+    ("gauss_weighted_corollary", 40.0),
+)
+COHERENT_SHAPES = (
+    "gauss_sin_theta_simplified",
+    "gauss_vector_inf",
+    "gauss_matrix_2inf",
+    "gauss_2inf_aligned",
+)
+
+
+def test_coherent_full_window():
+    model = {
+        "n_rows": 900,
+        "n_cols": 900,
+        "singulars": list(HEAVY_SIGMA),
+        "factor_mode": "coherent",
+        "k_lo": 1,
+        "k_hi": 2,
+    }
+    tokens = [tok for tok, _ in COHERENT_GATED] + list(COHERENT_SHAPES)
+    summary, rows = _run("bounds", COHERENT_TRIALS, COHERENT_SEED, model, tokens)
+    assert not summary.notes  # the model meets the Gaussian hypotheses
+    shapes = ", ".join(f"{tok} {rows[tok]['ratio_p99']:.1e}" for tok in COHERENT_SHAPES)
+    note = f"; ungated shape rows, ratio p99: {shapes}"
+    _floor_gate("coherent-full-window", rows, COHERENT_GATED, COHERENT_TRIALS, note)
+
+
 def test_general_noise_bounds():
-    lr = LowRankSpec(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA)
-    p = GaussianBoundParams(n_rows=200, n_cols=200, singulars=GENERAL_SIGMA, k_lo=1, k_hi=1)
-    bound = [
-        _bind_token(tok, p)
+    model = {"n_rows": 200, "n_cols": 200, "singulars": list(GENERAL_SIGMA), "k_lo": 1, "k_hi": 1}
+    tokens = [
+        tok
         for k in range(1, 5)
         for tok in (
             f"general_sv:{k}",
@@ -362,18 +395,19 @@ def test_general_noise_bounds():
             f"general_sin_theta:{k}:frobenius",
         )
     ]
-    reports = []
-    for i in range(500):
-        rng = np.random.default_rng(derive_seed(GENERAL_SEED, i))
-        inst = perturb(low_rank_from_rng(lr, rng), rng.standard_normal((200, 200)))
-        trial = _BoundsTrial(inst, p, rng)
-        reports.extend(rep for evaluate, args in bound for rep in evaluate(trial, *args))
-    valid, bad = _tally(reports)
-    gap_fail = sum(1 for rep in reports if not rep.preconditions.gap_ok)
-    ok = bad == 0 and gap_fail == 0 and valid == 500 * 4 * 4
+    _, rows = _run("bounds", 500, GENERAL_SEED, model, tokens)
+    valid = sum(row["valid"] for row in rows.values())
+    bad = sum(row["violations"] for row in rows.values())
+    # a general_sin_theta row excludes a trial only when its gap hypothesis fails
+    gap_fail = sum(
+        row["trials"] - row["valid"]
+        for tid, row in rows.items()
+        if tid.startswith("general_sin_theta")
+    )
+    every_valid = len(rows) == 16 and all(row["valid"] == 500 for row in rows.values())
+    ok = bad == 0 and every_valid
     _line("general-noise", ok, f"{valid} checks, {bad} violations, {gap_fail} gap failures")
-    assert gap_fail == 0
-    assert valid == 500 * 4 * 4
+    assert every_valid
     assert bad == 0
 
 
@@ -553,16 +587,18 @@ def test_submatrix_recovery():
     assert min(probe.row_gap, probe.col_gap) >= gap_floor
     assert probe.sigma_min >= snr_floor
 
-    exact = 0
-    for i in range(100):
-        tseed = derive_seed(SUBMATRIX_SEED, i)
-        sample = plant_submatrices(spec, tseed)
-        labs = spectral_submatrix(
-            sample.x, 2, KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
-        )
-        row_res = match_labels(sample.row_truth, labs.rows)
-        col_res = match_labels(sample.col_truth, labs.cols)
-        exact += row_res.exact and col_res.exact
+    model = {
+        "n_rows": 600,
+        "n_cols": 600,
+        "amplitudes": [amp, -amp],
+        "block_rows": 100,
+        "block_cols": 100,
+        "restarts": 10,
+    }
+    _, rows = _run("submatrix", 100, SUBMATRIX_SEED, model)
+    # a trial not exact on both axes violates the row's bound 0
+    row = rows["submatrix_recovery"]
+    exact = row["valid"] - row["violations"]
     ok = exact >= 99
     _line("submatrix-recovery", ok, f"{exact}/100 exact on both axes")
     assert exact >= 99
@@ -855,21 +891,25 @@ REPLAY_CONFIGS = {
 }
 
 
-def test_reproducibility_byte_identical(tmp_path):
-    mismatched = []
-    for name, cfg in REPLAY_CONFIGS.items():
-        cfg_path = tmp_path / f"{name}.config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        blobs = []
-        out = tmp_path / f"{name}.report.{cfg['format']}"
-        for run in (1, 2):
-            rc = harness_main(
-                [cfg["scenario"], "--config", str(cfg_path), "--out", str(out)]
-            )
-            assert rc == 0, f"{name} run {run} exited {rc}"
-            blobs.append(out.read_bytes())
-        if blobs[0] != blobs[1]:
-            mismatched.append(name)
+def replay_report(name: str, root: Path) -> bytes:
+    """The report of REPLAY_CONFIGS[name], run in process through the command
+    line with its config and --out path under root."""
+    cfg = REPLAY_CONFIGS[name]
+    cfg_path = root / f"{name}.config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = root / f"{name}.report.{cfg['format']}"
+    rc = harness_main([cfg["scenario"], "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0, f"{name} exited {rc}"
+    return out.read_bytes()
+
+
+def test_reproducibility_byte_identical(shipped_reports):
+    # the session's shipped pass, which the goldens also read, against one rerun
+    mismatched = [
+        name
+        for name in REPLAY_CONFIGS
+        if shipped_reports[name] != replay_report(name, shipped_reports.root)
+    ]
     ok = not mismatched
     _line(
         "reproducibility",

@@ -54,6 +54,7 @@ from svperturb.models import (
     low_rank_from_rng,
     perturb,
 )
+from svperturb import models
 from svperturb.resolvent import phi_values
 from svperturb.subspace import procrustes_align, row_mass, sin_theta_norm
 
@@ -445,6 +446,23 @@ class TestCrossTerm:
         assert cross_term_norm(inst, k_lo, k_hi, OPERATOR) == pytest.approx(
             expect_op, rel=1e-9
         )
+
+    def test_spectra_are_formed_once_per_window(self, monkeypatch):
+        # the norms of one (k, window) read one pair of spectra, bit for bit a
+        # fresh instance's; another (k, window) forms its own pair
+        shape = dict(n_rows=18, n_cols=14, singulars=(8.0, 5.0, 2.0), scale=0.4)
+        inst, fresh = make_instance(9, **shape), make_instance(9, **shape)
+        specs = (FROBENIUS, NUCLEAR, kyfan(2))
+        want = [cross_term_norm(fresh, 1, 2, spec) for spec in specs]
+        calls = []
+        monkeypatch.setattr(
+            models, "singular_values", lambda b: calls.append(b.shape) or singular_values(b)
+        )
+        assert [cross_term_norm(inst, 1, 2, spec) for spec in specs] == want
+        assert len(calls) == 2
+        cross_term_norm(inst, 2, 2, FROBENIUS)
+        assert wedin_check(inst, 1, FROBENIUS).violated is not None  # k = 1 on [1, 1]
+        assert len(calls) == 6
 
 
 class TestGaussSubspace:

@@ -1,11 +1,13 @@
 """Golden reports: the behaviour oracle for changes that move arithmetic.
 
 tests/golden/ holds the report of every REPLAY_CONFIGS entry of the release
-gate, as written by the code when the entry was added; the first ones predate
-singular vectors from certified subspace iteration. A change that alters
-arithmetic on purpose must keep counts (trials, valid, violations) exactly
-and every rate and ratio quantile within RTOL relative plus ATOL absolute.
-Regenerating a golden is a logged change.
+gate, as written by the code when the entry was added, and each is compared
+with the session's shipped pass of its entry (``shipped_reports`` in
+conftest.py). The first goldens predate singular vectors from certified
+subspace iteration. A change that alters arithmetic on purpose must keep
+counts (trials, valid, violations) exactly and every rate and ratio quantile
+within RTOL relative plus ATOL absolute. Regenerating a golden is a logged
+change.
 """
 
 import csv
@@ -16,8 +18,6 @@ from pathlib import Path
 
 import pytest
 from test_acceptance import REPLAY_CONFIGS
-
-from svperturb.harness import main as harness_main
 
 GOLDEN = Path(__file__).parent / "golden"
 COUNTS = ("trials", "valid", "violations")
@@ -48,15 +48,9 @@ def _close(a, b, rtol: float, atol: float) -> bool:
     return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
 
 
-def replay(name: str, path: Path) -> list[dict]:
-    """The rows of REPLAY_CONFIGS[name]'s report, run in process under `path`."""
-    cfg = REPLAY_CONFIGS[name]
-    fmt = cfg["format"]
-    cfg_path = path / f"{name}.config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = path / f"{name}.{fmt}"
-    assert harness_main([cfg["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 0
-    return _rows(out.read_text(), fmt)
+def report_rows(name: str, report: bytes) -> list[dict]:
+    """The rows of a report of REPLAY_CONFIGS[name]."""
+    return _rows(report.decode(), REPLAY_CONFIGS[name]["format"])
 
 
 def assert_rows_match(got: list[dict], want: list[dict], rtol: float, atol: float) -> None:
@@ -71,7 +65,7 @@ def assert_rows_match(got: list[dict], want: list[dict], rtol: float, atol: floa
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
-def test_report_matches_golden(name, tmp_path):
+def test_report_matches_golden(name, shipped_reports):
     fmt = REPLAY_CONFIGS[name]["format"]
     want = _rows((GOLDEN / f"{name}.{fmt}").read_text(), fmt)
-    assert_rows_match(replay(name, tmp_path), want, RTOL, ATOL)
+    assert_rows_match(report_rows(name, shipped_reports[name]), want, RTOL, ATOL)

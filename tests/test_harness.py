@@ -129,10 +129,20 @@ class TestTokenValidation:
         with pytest.raises(InvalidParameterError):
             run_monte_carlo(cfg)
 
-    def test_weighted_corollary_needs_full_window(self):
-        cfg = config(theorems=("gauss_weighted_corollary",))
-        with pytest.raises(InvalidParameterError):
-            run_monte_carlo(cfg)
+    def test_weighted_corollary_reads_the_full_window(self):
+        # a statement on [1, rank]: an inner configured window binds the token,
+        # and its row is the full window's, bit for bit
+        lr = LowRankSpec(600, 560, (2.0e5, 1.2e5))
+        rng = np.random.default_rng(7)
+        fac = low_rank_from_rng(lr, rng)
+        inst = perturb(fac, rng.standard_normal(fac.shape))
+        rows = []
+        for k_hi in (1, 2):
+            params = GaussianBoundParams(600, 560, lr.singulars, 1, k_hi)
+            evaluate, args = harness._bind_token("gauss_weighted_corollary", params)
+            rows.append(evaluate(harness._BoundsTrial(inst, params, rng), *args))
+        assert rows[0] == rows[1]
+        assert rows[0][0].preconditions.all_ok and rows[0][0].violated is not None
 
     def test_bad_norm_token(self):
         cfg = config(theorems=("mirsky:euclid",))
@@ -197,8 +207,8 @@ def kind_tokens(kind: str, rank: int) -> list[str]:
 class TestEdgeModels:
     @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
     def test_no_kind_fails_at_runtime(self, name, tmp_path, capsys):
-        # exit 1 only where a kind rejects the model before trial 0; a numpy
-        # warning raises here, so it would show as exit 3
+        # every kind binds on every edge model; a numpy warning raises here, so
+        # it would show as exit 3
         model = EDGE_MODELS[name]
         rank = len(model["singulars"])
         p = tmp_path / "cfg.json"
@@ -209,10 +219,7 @@ class TestEdgeModels:
                 warnings.simplefilter("error")
                 rc = main(argv)
             err = capsys.readouterr().err
-            if kind == "gauss_weighted_corollary" and rank > 1:
-                assert rc == EXIT_CONFIG and "full window" in err, (kind, err)
-            else:
-                assert rc in (EXIT_OK, EXIT_VIOLATION), (kind, rc, err)
+            assert rc in (EXIT_OK, EXIT_VIOLATION), (kind, rc, err)
 
     @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
     def test_gaussian_evaluators_fail_closed(self, name):
@@ -228,8 +235,6 @@ class TestEdgeModels:
             params = GaussianBoundParams(lr.n_rows, lr.n_cols, lr.singulars, 1, k_hi)
             trial = harness._BoundsTrial(inst, params, rng)
             for kind in GAUSS_KINDS:
-                if kind == "gauss_weighted_corollary" and k_hi != rank:
-                    continue
                 for token in kind_tokens(kind, rank):
                     evaluate, args = harness._bind_token(token, params)
                     with warnings.catch_warnings():
