@@ -43,11 +43,9 @@ from .subspace import (
     sin_theta_norm,
 )
 from .models import (
-    GmmSample,
     GmmSpec,
     LowRankSpec,
     PerturbationInstance,
-    SubmatrixSample,
     SubmatrixSpec,
     haar_basis,
     low_rank_from_rng,

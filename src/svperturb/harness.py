@@ -209,6 +209,7 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         d = asdict(self)
+        del d["output"], d["threads"]  # run settings: a report's bytes never depend on them
         d["theorems"] = list(self.theorems)
         return d
 
@@ -555,26 +556,22 @@ def _gmm_factory(cfg: ExperimentConfig):
     tail = check_tail(model.take("tail", float, 1.0))
     kmeans_cfg = KMeansConfig(k=k, restarts=model.take("restarts", int, 10))
     wanted = _fixed_rows(cfg, _GMM_ROWS)
+    separations = [(spec.center_gap, spec.min_cluster)]
+    flags, prob = _recovery_floor(p, n, k, tail, spec.sigma_min, separations)
 
     def trial(seed: int) -> list[BoundReport]:
-        sample = sample_gmm(spec, seed)
-        flags, prob = _recovery_floor(
-            p, n, k, tail, sample.sigma_min, [(sample.center_gap, sample.min_cluster)]
-        )
-        emb = spectral_embedding(sample.x, k)
+        emb = spectral_embedding(sample_gmm(spec, seed), k)
         reports = []
         if "gmm_recovery" in wanted:
             found, _, _ = kmeans(emb.T, replace(kmeans_cfg, seed=derive_seed(seed, 1)))
-            res = match_labels(sample.truth, found)
+            res = match_labels(spec.truth, found)
             reports.append(
                 BoundReport.build("gmm_recovery", 0.0, prob, flags, res.misclassification)
             )
         if "gmm_embedding_gap" in wanted:
-            gap = embedding_gap(emb, sample.truth_embedding)
+            gap = embedding_gap(emb, spec.truth_embedding)
             reports.append(
-                BoundReport.build(
-                    "gmm_embedding_gap", sample.center_gap / 5.0, prob, flags, gap
-                )
+                BoundReport.build("gmm_embedding_gap", spec.center_gap / 5.0, prob, flags, gap)
             )
         return reports
 
@@ -608,20 +605,14 @@ def _submatrix_factory(cfg: ExperimentConfig):
     tail = check_tail(model.take("tail", float, 1.0))
     kmeans_cfg = KMeansConfig(k=k + 1, restarts=model.take("restarts", int, 10))
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
+    separations = [(spec.row_gap, spec.min_rows), (spec.col_gap, spec.min_cols)]
+    flags, prob = _recovery_floor(spec.n_rows, spec.n_cols, k, tail, spec.sigma_min, separations)
 
     def trial(seed: int) -> list[BoundReport]:
-        sample = plant_submatrices(spec, seed)
-        flags, prob = _recovery_floor(
-            spec.n_rows,
-            spec.n_cols,
-            k,
-            tail,
-            sample.sigma_min,
-            [(sample.row_gap, sample.min_rows), (sample.col_gap, sample.min_cols)],
-        )
-        labs = spectral_submatrix(sample.x, k, replace(kmeans_cfg, seed=derive_seed(seed, 1)))
-        col_res = match_labels(sample.col_truth, labs.cols)
-        row_res = match_labels(sample.row_truth, labs.rows)
+        x = plant_submatrices(spec, seed)
+        labs = spectral_submatrix(x, k, replace(kmeans_cfg, seed=derive_seed(seed, 1)))
+        col_res = match_labels(spec.col_truth, labs.cols)
+        row_res = match_labels(spec.row_truth, labs.rows)
         emp = max(col_res.misclassification, row_res.misclassification)
         return [BoundReport.build("submatrix_recovery", 0.0, prob, flags, emp)]
 
@@ -672,6 +663,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
     ring_lo, ring_hi, lip_lo, lip_hi = 1.0 - ring, 1.0 + ring, 1.0 - lip, 1.0 + lip
     law_dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
     law_prob = probability_floor(9.0, n_rows, n_cols, tail + 1.0, law_dim_ok)
+    law_bound = local_law_bound(n_rows, n_cols, margin, tail, base)
 
     def trial(seed: int) -> list[BoundReport]:
         # rows run in this order, and uphiu, local_law and dense_match draw from rng
@@ -722,8 +714,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
         if "local_law" in wanted:
             x, y = _unit_vector(rng, n_rows + n_cols), _unit_vector(rng, n_rows + n_cols)
             gap = local_law_gap(e, phi_values(eta, n_rows, n_cols, base), x, y)
-            bound = local_law_bound(n_rows, n_cols, margin, tail, base)
-            row("local_law", bound, gap, law_prob, PreconditionFlags(law_dim_ok, True, True))
+            row("local_law", law_bound, gap, law_prob, PreconditionFlags(law_dim_ok, True, True))
         if "zj_bracket" in wanted:
             try:
                 zj = solve_zj(eta, n_rows, n_cols, sigma_j, margin)

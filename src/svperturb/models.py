@@ -252,7 +252,8 @@ class GmmSpec:
 
     centers is n_clusters x n_features. assignment 'balanced' splits
     n_samples as evenly as possible in label order; an explicit tuple gives
-    the label of every sample (values 1..k, each cluster nonempty).
+    the label of every sample (values 1..k, each cluster nonempty). The
+    truth and geometry depend on the spec alone: each is formed on first read.
     """
 
     n_features: int
@@ -298,51 +299,49 @@ class GmmSpec:
         sizes = [base + (1 if i < extra else 0) for i in range(self.n_clusters)]
         return np.repeat(np.arange(1, self.n_clusters + 1), sizes)
 
+    @cached_property
+    def truth(self) -> Labeling:
+        return Labeling(self.labels(), self.n_clusters)
 
-@dataclass(frozen=True, eq=False)
-class GmmSample:
-    x: np.ndarray
-    truth: Labeling
-    expected: np.ndarray
-    center_gap: float          # smallest pairwise center distance
-    min_cluster: int           # smallest cluster size, as a count
-    sigma_min: float           # smallest singular value of the expected matrix
-    truth_embedding: np.ndarray  # k x n_samples projection of the expected matrix
+    @cached_property
+    def expected(self) -> np.ndarray:
+        """The noise-free p x n matrix, read-only: column j is sample j's center."""
+        expected = self.centers.T[:, self.truth.labels - 1]
+        expected.setflags(write=False)
+        return expected
+
+    @cached_property
+    def center_gap(self) -> float:
+        """The smallest pairwise center distance, inf for one cluster."""
+        c, k = self.centers, self.n_clusters
+        diffs = [float(np.linalg.norm(c[i] - c[j])) for i in range(k) for j in range(i + 1, k)]
+        return min(diffs) if diffs else np.inf
+
+    @cached_property
+    def min_cluster(self) -> int:
+        return int(np.bincount(self.truth.labels)[1:].min())
+
+    @cached_property
+    def _scaled_svd(self):
+        """SVD of the centers scaled by root cluster sizes, which shares its
+        nonzero spectrum and left vectors with the expected matrix."""
+        sizes = np.bincount(self.truth.labels)[1:]
+        return np.linalg.svd(self.centers.T * np.sqrt(sizes), full_matrices=False)
+
+    @cached_property
+    def sigma_min(self) -> float:
+        """The smallest singular value of the expected matrix, up to one k x k SVD."""
+        return float(self._scaled_svd[1][-1])
+
+    @cached_property
+    def truth_embedding(self) -> np.ndarray:
+        """The k x n_samples expected matrix in its top-k left singular basis."""
+        return self._scaled_svd[0].T @ self.expected
 
 
-def sample_gmm(spec: GmmSpec, seed: int) -> GmmSample:
-    """Draw one mixture sample: the expected matrix plus unit Gaussian noise.
-
-    The rank-k geometry of the expected matrix is computed through its
-    scaled-center factorization, so sigma_min and the truth embedding are
-    exact up to one small SVD.
-    """
-    labels = spec.labels()
-    theta = spec.centers.T                      # n_features x k
-    expected = theta[:, labels - 1]
-    x = expected + np.random.default_rng(seed).standard_normal(expected.shape)
-
-    k = spec.n_clusters
-    sizes = np.bincount(labels, minlength=k + 1)[1:]
-    # SVD of centers scaled by sqrt cluster size shares nonzero spectrum
-    # with the expected matrix
-    scaled = theta * np.sqrt(sizes)
-    u, lam, _ = np.linalg.svd(scaled, full_matrices=False)
-    diffs = [
-        float(np.linalg.norm(spec.centers[i] - spec.centers[j]))
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    center_gap = min(diffs) if diffs else np.inf
-    return GmmSample(
-        x=x,
-        truth=Labeling(labels, k),
-        expected=expected,
-        center_gap=center_gap,
-        min_cluster=int(sizes.min()),
-        sigma_min=float(lam[-1]),
-        truth_embedding=u.T @ expected,
-    )
+def sample_gmm(spec: GmmSpec, seed: int) -> np.ndarray:
+    """One mixture draw: the spec's expected matrix plus unit Gaussian noise."""
+    return spec.expected + np.random.default_rng(seed).standard_normal(spec.expected.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +350,7 @@ class SubmatrixSpec:
 
     Block i adds amplitude amplitudes[i] on row_sets[i] x col_sets[i]. Sets
     are 0-based index tuples, pairwise disjoint per axis and nonempty;
-    amplitudes are nonzero.
+    amplitudes are nonzero. The truth and geometry are formed on first read.
     """
 
     n_rows: int
@@ -393,48 +392,57 @@ class SubmatrixSpec:
     def n_blocks(self) -> int:
         return len(self.amplitudes)
 
+    def _truth(self, sets, size: int) -> Labeling:
+        """Block index + 1 per index of one axis, n_blocks + 1 for background."""
+        lab = np.full(size, self.n_blocks + 1, dtype=int)
+        for i, s in enumerate(sets):
+            lab[list(s)] = i + 1
+        return Labeling(lab, self.n_blocks + 1)
 
-@dataclass(frozen=True, eq=False)
-class SubmatrixSample:
-    amplitudes: tuple[float, ...]
-    x: np.ndarray
-    row_truth: Labeling        # block index + 1 per row, n_blocks + 1 for background
-    col_truth: Labeling
-    row_gap: float             # min |amplitude_i| sqrt(block row count)
-    col_gap: float
-    sigma_min: float           # min |amplitude_i| sqrt(rows_i * cols_i)
-    min_rows: int
-    min_cols: int
+    @cached_property
+    def row_truth(self) -> Labeling:
+        return self._truth(self.row_sets, self.n_rows)
+
+    @cached_property
+    def col_truth(self) -> Labeling:
+        return self._truth(self.col_sets, self.n_cols)
 
     @cached_property
     def expected(self) -> np.ndarray:
-        """The noise-free matrix, formed on first read from the truth labels."""
+        """The noise-free matrix, read-only, formed on first read from the truth labels."""
         rows, cols = self.row_truth.labels, self.col_truth.labels
         amps = np.append(self.amplitudes, 0.0)  # the background label reads 0
-        return np.where(rows[:, None] == cols, amps[rows - 1][:, None], 0.0)
+        expected = np.where(rows[:, None] == cols, amps[rows - 1][:, None], 0.0)
+        expected.setflags(write=False)
+        return expected
+
+    @cached_property
+    def row_gap(self) -> float:
+        """min |amplitude_i| sqrt(block row count)"""
+        return float(np.min(np.abs(self.amplitudes) * np.sqrt([len(s) for s in self.row_sets])))
+
+    @cached_property
+    def col_gap(self) -> float:
+        return float(np.min(np.abs(self.amplitudes) * np.sqrt([len(s) for s in self.col_sets])))
+
+    @cached_property
+    def sigma_min(self) -> float:
+        """min |amplitude_i| sqrt(rows_i * cols_i)"""
+        area = [len(r) * len(c) for r, c in zip(self.row_sets, self.col_sets)]
+        return float(np.min(np.abs(self.amplitudes) * np.sqrt(area)))
+
+    @cached_property
+    def min_rows(self) -> int:
+        return min(len(s) for s in self.row_sets)
+
+    @cached_property
+    def min_cols(self) -> int:
+        return min(len(s) for s in self.col_sets)
 
 
-def plant_submatrices(spec: SubmatrixSpec, seed: int) -> SubmatrixSample:
+def plant_submatrices(spec: SubmatrixSpec, seed: int) -> np.ndarray:
     """Add the blocks to a unit Gaussian noise draw, in place."""
     x = np.random.default_rng(seed).standard_normal((spec.n_rows, spec.n_cols))
-    k = spec.n_blocks
-    row_lab = np.full(spec.n_rows, k + 1, dtype=int)
-    col_lab = np.full(spec.n_cols, k + 1, dtype=int)
-    for i, (rset, cset, amp) in enumerate(zip(spec.row_sets, spec.col_sets, spec.amplitudes)):
+    for rset, cset, amp in zip(spec.row_sets, spec.col_sets, spec.amplitudes):
         x[np.ix_(rset, cset)] += amp
-        row_lab[list(rset)] = i + 1
-        col_lab[list(cset)] = i + 1
-    rsizes = np.array([len(s) for s in spec.row_sets], dtype=float)
-    csizes = np.array([len(s) for s in spec.col_sets], dtype=float)
-    amps = np.abs(np.asarray(spec.amplitudes))
-    return SubmatrixSample(
-        amplitudes=spec.amplitudes,
-        x=x,
-        row_truth=Labeling(row_lab, k + 1),
-        col_truth=Labeling(col_lab, k + 1),
-        row_gap=float(np.min(amps * np.sqrt(rsizes))),
-        col_gap=float(np.min(amps * np.sqrt(csizes))),
-        sigma_min=float(np.min(amps * np.sqrt(rsizes * csizes))),
-        min_rows=int(rsizes.min()),
-        min_cols=int(csizes.min()),
-    )
+    return x

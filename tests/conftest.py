@@ -5,9 +5,8 @@ from test_acceptance import replay_report
 
 
 class ShippedReports(dict):
-    """Report bytes by REPLAY_CONFIGS name, each run as shipped on first read
-    and kept. Every report runs under root, so a rerun that compares bytes
-    writes the same --out path, which a json report echoes."""
+    """Report bytes by REPLAY_CONFIGS name, each run as shipped under root on
+    first read and kept."""
 
     def __init__(self, root):
         super().__init__()

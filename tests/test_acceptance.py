@@ -50,7 +50,6 @@ from svperturb.models import (
     haar_basis,
     low_rank_from_rng,
     perturb,
-    plant_submatrices,
     sample_gmm,
 )
 from svperturb.resolvent import (
@@ -531,17 +530,15 @@ def test_gmm_recovery():
     logsum = np.log(350.0)
     gap_floor = max(40.0 * root / np.sqrt(100.0), 1800.0 * 3.0 * np.sqrt(8.0 * logsum))
     snr_floor = 40.0 * root + 3.8e4 * 3.0 * np.sqrt(2.0 * np.log(9.0) * 3.0 + 8.0 * logsum)
-    probe = sample_gmm(spec, 0)  # the gap and sigma_min depend on the spec alone
-    assert probe.center_gap >= gap_floor
-    assert probe.sigma_min >= snr_floor
+    assert spec.center_gap >= gap_floor
+    assert spec.sigma_min >= snr_floor
 
     exact = 0
     for i in range(100):
         tseed = derive_seed(GMM_SEED, i)
-        sample = sample_gmm(spec, tseed)
         cfg = KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
-        found, _, _ = kmeans(spectral_embedding(sample.x, 3).T, cfg)
-        exact += match_labels(sample.truth, found).exact
+        found, _, _ = kmeans(spectral_embedding(sample_gmm(spec, tseed), 3).T, cfg)
+        exact += match_labels(spec.truth, found).exact
 
     # practical separation, reported but not gated
     delta = 8.0 * np.sqrt(np.log(300.0))
@@ -551,10 +548,9 @@ def test_gmm_recovery():
     rates = []
     for i in range(100):
         tseed = derive_seed(GMM_SEED + 1, i)
-        sample = sample_gmm(spec2, tseed)
         cfg = KMeansConfig(k=3, restarts=10, seed=derive_seed(tseed, 1))
-        found, _, _ = kmeans(spectral_embedding(sample.x, 3).T, cfg)
-        rates.append(match_labels(sample.truth, found).misclassification)
+        found, _, _ = kmeans(spectral_embedding(sample_gmm(spec2, tseed), 3).T, cfg)
+        rates.append(match_labels(spec2.truth, found).misclassification)
     median_rate = float(np.median(rates))
     wall = time.perf_counter() - t0
     ok = exact >= 99 and wall < 120.0
@@ -582,10 +578,9 @@ def test_submatrix_recovery():
     gap_floor = max(40.0 * root / np.sqrt(100.0), 1800.0 * 2.0 * np.sqrt(8.0 * logsum))
     snr_floor = 40.0 * root + 3.8e4 * 2.0 * np.sqrt(2.0 * np.log(9.0) * 2.0 + 8.0 * logsum)
     dim_ok = root**2 >= 32.0 * 8.0 * logsum + 64.0 * np.log(9.0) * 2.0
-    probe = plant_submatrices(spec, 0)  # the gaps and sigma_min depend on the spec alone
     assert dim_ok
-    assert min(probe.row_gap, probe.col_gap) >= gap_floor
-    assert probe.sigma_min >= snr_floor
+    assert min(spec.row_gap, spec.col_gap) >= gap_floor
+    assert spec.sigma_min >= snr_floor
 
     model = {
         "n_rows": 600,
@@ -903,12 +898,11 @@ def replay_report(name: str, root: Path) -> bytes:
     return out.read_bytes()
 
 
-def test_reproducibility_byte_identical(shipped_reports):
-    # the session's shipped pass, which the goldens also read, against one rerun
+def test_reproducibility_byte_identical(shipped_reports, tmp_path):
+    # the session's shipped pass, which the goldens also read, against one
+    # rerun under another root: a report's bytes do not depend on its path
     mismatched = [
-        name
-        for name in REPLAY_CONFIGS
-        if shipped_reports[name] != replay_report(name, shipped_reports.root)
+        name for name in REPLAY_CONFIGS if shipped_reports[name] != replay_report(name, tmp_path)
     ]
     ok = not mismatched
     _line(

@@ -371,9 +371,9 @@ class TestSpectral:
             n_clusters=3,
             centers=25.0 * np.eye(3, 20),
         )
-        sample = sample_gmm(spec, seed=11)
-        found, _, _ = kmeans(spectral_embedding(sample.x, 3).T, KMeansConfig(k=3, seed=1))
-        assert misclassification(sample.truth, found) == 0.0
+        x = sample_gmm(spec, seed=11)
+        found, _, _ = kmeans(spectral_embedding(x, 3).T, KMeansConfig(k=3, seed=1))
+        assert misclassification(spec.truth, found) == 0.0
 
     def test_gmm_partition_invariant_under_left_rotation(self):
         spec = GmmSpec(
@@ -382,11 +382,11 @@ class TestSpectral:
             n_clusters=2,
             centers=30.0 * np.eye(2, 10),
         )
-        sample = sample_gmm(spec, seed=12)
+        x = sample_gmm(spec, seed=12)
         q = np.linalg.qr(np.random.default_rng(13).standard_normal((10, 10)))[0]
         cfg = KMeansConfig(k=2, restarts=8, seed=2)
-        f1, _, _ = kmeans(spectral_embedding(sample.x, 2).T, cfg)
-        f2, _, _ = kmeans(spectral_embedding(q @ sample.x, 2).T, cfg)
+        f1, _, _ = kmeans(spectral_embedding(x, 2).T, cfg)
+        f2, _, _ = kmeans(spectral_embedding(q @ x, 2).T, cfg)
         assert misclassification(f1, f2) == 0.0
 
     def test_submatrix_recovery(self):
@@ -397,10 +397,10 @@ class TestSpectral:
             col_sets=(tuple(range(0, 20)), tuple(range(20, 40))),
             amplitudes=(30.0, -30.0),
         )
-        sample = plant_submatrices(spec, seed=14)
-        labs = spectral_submatrix(sample.x, 2, KMeansConfig(k=3, restarts=10, seed=3))
-        assert misclassification(sample.col_truth, labs.cols) == 0.0
-        assert misclassification(sample.row_truth, labs.rows) == 0.0
+        x = plant_submatrices(spec, seed=14)
+        labs = spectral_submatrix(x, 2, KMeansConfig(k=3, restarts=10, seed=3))
+        assert misclassification(spec.col_truth, labs.cols) == 0.0
+        assert misclassification(spec.row_truth, labs.rows) == 0.0
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -419,7 +419,6 @@ class TestSpectral:
             n_clusters=2,
             centers=5.0 * np.eye(2, 8),
         )
-        sample = sample_gmm(spec, seed=15)
-        gap = embedding_gap(spectral_embedding(sample.expected, 2), sample.truth_embedding)
+        gap = embedding_gap(spectral_embedding(spec.expected, 2), spec.truth_embedding)
         assert gap == pytest.approx(0.0, abs=1e-8)
 

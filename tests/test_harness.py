@@ -110,12 +110,14 @@ class TestConfig:
             )
 
     def test_echo_roundtrip(self):
-        cfg = config()
+        cfg = config(output="r.csv", threads=3)
         echo = cfg.echo()
         assert echo["scenario"] == "bounds"
         assert echo["theorems"] == ["mirsky:frobenius", "wedin:1:operator"]
+        # the run settings output and threads are not echoed
+        assert "output" not in echo and "threads" not in echo
         rebuilt = ExperimentConfig.from_dict(echo)
-        assert rebuilt == cfg
+        assert rebuilt == replace(cfg, output=None, threads=1)
 
 
 class TestTokenValidation:
@@ -591,6 +593,30 @@ class TestRun:
         run_monte_carlo(cfg)
         assert calls == [(12, 40)] * 3
 
+    @pytest.mark.parametrize(
+        "scenario, model",
+        [
+            ("gmm", {"n_features": 12, "n_samples": 40, "n_clusters": 2, "center_scale": 25.0}),
+            ("submatrix", dict(n_rows=30, n_cols=24, amplitudes=[20.0], block_rows=8, block_cols=6)),
+        ],
+    )
+    def test_recovery_floor_once_per_run(self, monkeypatch, scenario, model):
+        # the hypotheses and floor read the spec alone, so they are computed before trial 0
+        calls = []
+        real = harness._recovery_floor
+        monkeypatch.setattr(harness, "_recovery_floor", lambda *a: calls.append(a) or real(*a))
+        summary = run_monte_carlo(ExperimentConfig(scenario, 4, 1, (), model))
+        assert len(calls) == 1
+        assert all(row["trials"] == 4 for row in summary.rows)
+
+    def test_local_law_bound_once_per_run(self, monkeypatch):
+        calls = []
+        real = harness.local_law_bound
+        monkeypatch.setattr(harness, "local_law_bound", lambda *a: calls.append(a) or real(*a))
+        model = {"n_rows": 10, "n_cols": 8}
+        summary = run_monte_carlo(ExperimentConfig("resolvent", 3, 5, ("local_law",), model))
+        assert len(calls) == 1 and summary.rows[0]["trials"] == 3
+
     def test_selftest_all_pass(self):
         cfg = ExperimentConfig(
             scenario="selftest", trials=1, base_seed=0, theorems=(), model={}
@@ -1002,6 +1028,17 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["config"]["base_seed"] == 4
         assert doc["config"]["scenario"] == "selftest"
+
+    def test_json_bytes_do_not_depend_on_out_or_threads(self, tmp_path):
+        # one config written as json to two paths at two thread counts
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"trials": 4, "format": "json", "model": BOUNDS_MODEL}))
+        reports = []
+        for name, threads in (("one.json", "1"), ("three.json", "3")):
+            out = tmp_path / name
+            assert main(["bounds", "--config", str(p), "--out", str(out), "--threads", threads]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

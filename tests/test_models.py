@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -341,35 +343,45 @@ class TestGmm:
 
     def test_expected_matrix_matches_labels(self):
         spec = self.spec()
-        sample = sample_gmm(spec, seed=5)
         for i in range(spec.n_samples):
-            c = sample.truth.labels[i] - 1
-            assert np.allclose(sample.expected[:, i], spec.centers[c])
+            c = spec.truth.labels[i] - 1
+            assert np.allclose(spec.expected[:, i], spec.centers[c])
 
     def test_noise_is_the_seeded_unit_gaussian(self):
         spec = self.spec()
-        sample = sample_gmm(spec, seed=5)
-        noise = np.random.default_rng(5).standard_normal(sample.expected.shape)
-        assert np.array_equal(sample.x, sample.expected + noise)
+        x = sample_gmm(spec, seed=5)
+        noise = np.random.default_rng(5).standard_normal(spec.expected.shape)
+        assert np.array_equal(x, spec.expected + noise)
+
+    def test_draw_is_pinned_bit_for_bit(self):
+        # the sha256 of the draw's bytes when it was a sample's .x
+        x = sample_gmm(self.spec(), seed=5)
+        assert isinstance(x, np.ndarray) and x.flags.writeable
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "145da51cab8071cc2ca598dcb7f2e54d4cc66a2c82b54caf878598cb0da00e2a"
+        )
+
+    def test_geometry_is_formed_once_and_read_only(self):
+        spec = self.spec()
+        assert spec.expected is spec.expected and spec.truth is spec.truth
+        assert not spec.expected.flags.writeable
+        assert sample_gmm(spec, seed=1) is not spec.expected
 
     def test_center_gap(self):
         spec = self.spec(scale=7.0)
-        sample = sample_gmm(spec, seed=6)
-        assert sample.center_gap == pytest.approx(7.0 * np.sqrt(2.0))
+        assert spec.center_gap == pytest.approx(7.0 * np.sqrt(2.0))
 
     def test_geometry_against_dense_svd(self):
         spec = self.spec(k=2, p=5, n=20, scale=4.0)
-        sample = sample_gmm(spec, seed=7)
-        sv = np.linalg.svd(sample.expected, compute_uv=False)
-        assert sample.sigma_min == pytest.approx(sv[1], rel=1e-9)
+        sv = np.linalg.svd(spec.expected, compute_uv=False)
+        assert spec.sigma_min == pytest.approx(sv[1], rel=1e-9)
 
     def test_truth_embedding_reconstructs_expected(self):
         spec = self.spec(k=3, p=8, n=24, scale=9.0)
-        sample = sample_gmm(spec, seed=8)
         # the embedding is the expected matrix in an orthonormal basis of its
         # column space, so the two share their Gram matrix
-        emb = sample.truth_embedding
-        assert np.allclose(emb.T @ emb, sample.expected.T @ sample.expected, atol=1e-8)
+        emb = spec.truth_embedding
+        assert np.allclose(emb.T @ emb, spec.expected.T @ spec.expected, atol=1e-8)
 
     def test_custom_assignment(self):
         spec = GmmSpec(
@@ -399,9 +411,7 @@ class TestGmm:
 
     def test_determinism(self):
         spec = self.spec()
-        s1 = sample_gmm(spec, seed=9)
-        s2 = sample_gmm(spec, seed=9)
-        assert np.array_equal(s1.x, s2.x)
+        assert np.array_equal(sample_gmm(spec, seed=9), sample_gmm(spec, seed=9))
 
 
 class TestSubmatrix:
@@ -416,37 +426,47 @@ class TestSubmatrix:
 
     def test_expected_blocks(self):
         spec = self.spec()
-        sample = plant_submatrices(spec, seed=1)
-        assert np.all(sample.expected[np.ix_([0, 1, 2], [0, 1])] == 3.0)
-        assert np.all(sample.expected[np.ix_([5, 6], [4, 5, 6])] == -2.0)
-        assert sample.expected[11, 9] == 0.0
+        assert np.all(spec.expected[np.ix_([0, 1, 2], [0, 1])] == 3.0)
+        assert np.all(spec.expected[np.ix_([5, 6], [4, 5, 6])] == -2.0)
+        assert spec.expected[11, 9] == 0.0
+
+    def test_draw_is_the_noise_plus_the_blocks(self):
+        spec = self.spec()
+        x = plant_submatrices(spec, seed=1)
+        noise = np.random.default_rng(1).standard_normal((12, 10))
+        assert np.array_equal(x, noise + spec.expected)
+        assert not spec.expected.flags.writeable and x.flags.writeable
+
+    def test_draw_is_pinned_bit_for_bit(self):
+        # the sha256 of the draw's bytes when it was a sample's .x
+        x = plant_submatrices(self.spec(), seed=1)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "1dab56faf90255a00b852796c00f3a9a7a89811c86cdbc81c28b386aa67b31cc"
+        )
 
     def test_truth_labels_background(self):
         spec = self.spec()
-        sample = plant_submatrices(spec, seed=1)
-        assert sample.row_truth.k == 3
-        assert sample.row_truth.labels[0] == 1
-        assert sample.row_truth.labels[5] == 2
-        assert sample.row_truth.labels[11] == 3
-        assert sample.col_truth.labels[4] == 2
-        assert sample.col_truth.labels[9] == 3
+        assert spec.row_truth.k == 3
+        assert spec.row_truth.labels[0] == 1
+        assert spec.row_truth.labels[5] == 2
+        assert spec.row_truth.labels[11] == 3
+        assert spec.col_truth.labels[4] == 2
+        assert spec.col_truth.labels[9] == 3
 
     def test_gaps_and_minima(self):
         spec = self.spec()
-        sample = plant_submatrices(spec, seed=1)
-        assert sample.min_rows == 2
-        assert sample.min_cols == 2
+        assert spec.min_rows == 2
+        assert spec.min_cols == 2
         # distinct row profiles: (3,0), (0,-2), (0,0); the smallest pair
         # distance in l2 over the column-block coordinates
-        assert sample.row_gap > 0
-        assert sample.col_gap > 0
+        assert spec.row_gap > 0
+        assert spec.col_gap > 0
 
     def test_sigma_min_matches_dense(self):
         spec = self.spec()
-        sample = plant_submatrices(spec, seed=2)
-        sv = np.linalg.svd(sample.expected, compute_uv=False)
+        sv = np.linalg.svd(spec.expected, compute_uv=False)
         pos = sv[sv > 1e-9]
-        assert sample.sigma_min == pytest.approx(pos[-1], rel=1e-9)
+        assert spec.sigma_min == pytest.approx(pos[-1], rel=1e-9)
 
     def test_overlapping_rows_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -480,6 +500,4 @@ class TestSubmatrix:
 
     def test_determinism(self):
         spec = self.spec()
-        s1 = plant_submatrices(spec, seed=3)
-        s2 = plant_submatrices(spec, seed=3)
-        assert np.array_equal(s1.x, s2.x)
+        assert np.array_equal(plant_submatrices(spec, seed=3), plant_submatrices(spec, seed=3))
