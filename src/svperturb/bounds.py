@@ -1,8 +1,9 @@
 """Perturbation-bound evaluators and their empirical counterparts.
 
 Each evaluator returns a BoundReport pairing the theorem's right-hand side
-with a measured left-hand side. Preconditions are always computed, never
-assumed; when they fail the report says so and claims no probability.
+with a measured left-hand side, read from the instance or passed as
+empirical. Preconditions are always computed, never assumed; when they fail
+the report says so and claims no probability.
 Singular-value positions (k, s, j) are 1-based, matching the usual math
 indexing. Asymptotic statements with unspecified constants are evaluated
 with constant 1 and claim probability 0.
@@ -10,7 +11,7 @@ with constant 1 and claim probability 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +49,7 @@ ALL_OK = PreconditionFlags(True, True, True)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound.
+    """One evaluated bound; ratio and violated derive from the values.
 
     violated compares empirical against bound with a 1e-9 relative slack and
     stays None when no empirical value is attached. It fails closed: a NaN
@@ -65,42 +66,22 @@ class BoundReport:
     probability_floor: float
     preconditions: PreconditionFlags
     empirical_value: float | None = None
-    ratio: float | None = None
-    violated: bool | None = None
+    ratio: float | None = field(init=False)
+    violated: bool | None = field(init=False)
+
+    def __post_init__(self):
+        put = object.__setattr__  # the dataclass is frozen
+        b = float(self.bound_value)
+        e = None if self.empirical_value is None else float(self.empirical_value)
+        put(self, "bound_value", b)
+        put(self, "probability_floor", float(self.probability_floor))
+        put(self, "empirical_value", e)
+        put(self, "ratio", None if e is None else _ratio(e, b))
+        put(self, "violated", None if e is None else _violates(e, b))
 
     @classmethod
-    def build(
-        cls,
-        theorem_id: str,
-        bound_value: float,
-        probability_floor: float,
-        preconditions: PreconditionFlags,
-        empirical_value: float | None = None,
-    ) -> "BoundReport":
-        ratio = None
-        violated = None
-        if empirical_value is not None:
-            empirical_value = float(empirical_value)
-            ratio = _ratio(empirical_value, bound_value)
-            violated = _violates(empirical_value, float(bound_value))
-        return cls(
-            theorem_id=theorem_id,
-            bound_value=float(bound_value),
-            probability_floor=float(probability_floor),
-            preconditions=preconditions,
-            empirical_value=empirical_value,
-            ratio=ratio,
-            violated=violated,
-        )
-
-    def with_empirical(self, value: float) -> "BoundReport":
-        return self.build(
-            self.theorem_id,
-            self.bound_value,
-            self.probability_floor,
-            self.preconditions,
-            value,
-        )
+    def build(cls, *args, **kwargs) -> "BoundReport":
+        return cls(*args, **kwargs)
 
 
 def _fails_closed(empirical: float, bound: float) -> bool:
@@ -399,13 +380,13 @@ def gauss_row_id(kind: str, arg: NormSpec | int | None = None) -> str:
     return f"{kind}:{arg.label}" if isinstance(arg, NormSpec) else f"{kind}:j{arg}"
 
 
-def _shape_report(theorem_id: str, p: GaussianBoundParams, value: float) -> BoundReport:
+def _shape_report(theorem_id: str, p: GaussianBoundParams, value: float, empirical) -> BoundReport:
     """A constant-free asymptotic statement: constant 1, no probability."""
-    return BoundReport.build(theorem_id, value, 0.0, p.preconditions)
+    return BoundReport.build(theorem_id, value, 0.0, p.preconditions, empirical)
 
 
 def gauss_subspace_bound(
-    p: GaussianBoundParams, spec: NormSpec, cross_norm: float
+    p: GaussianBoundParams, spec: NormSpec, cross_norm: float, empirical=None
 ) -> BoundReport:
     """Quantitative Gaussian sin-theta bound for the window [k_lo, k_hi].
 
@@ -414,7 +395,7 @@ def gauss_subspace_bound(
     with constant 6 sqrt(2) and the sqrt(min(window, rank - window)) factor.
     cross_norm is the measured noise cross term: the operator norm of the
     noise for the operator form, the direct-sum window norm otherwise.
-    The caller attaches the empirical sin-theta via with_empirical.
+    empirical is the measured window sin-theta.
     """
     require_norm(spec, min(p.n_rows, p.n_cols))
     if cross_norm is None or cross_norm < 0:
@@ -430,11 +411,11 @@ def gauss_subspace_bound(
     second = 2.0 * cross_norm / p.singulars[p.k_hi - 1]
     prob = p.probability_floor(20.0)
     return BoundReport.build(
-        gauss_row_id("gauss_sin_theta", spec), first + second, prob, p.preconditions
+        gauss_row_id("gauss_sin_theta", spec), first + second, prob, p.preconditions, empirical
     )
 
 
-def gauss_subspace_simplified(p: GaussianBoundParams, e_norm: float) -> BoundReport:
+def gauss_subspace_simplified(p: GaussianBoundParams, e_norm: float, empirical=None) -> BoundReport:
     """Asymptotic corollary shape for the top-k_lo window [1, k_lo].
 
     Constant-free statement: evaluated with constant 1, claiming probability
@@ -445,7 +426,7 @@ def gauss_subspace_simplified(p: GaussianBoundParams, e_norm: float) -> BoundRep
         _over_gap(np.sqrt(kk * p.k0) * np.sqrt(p.rank + p.dim_sum_log), p.delta(kk))
         + kk * e_norm / p.singulars[kk - 1]
     )
-    return _shape_report("gauss_sin_theta_simplified", p, shape)
+    return _shape_report("gauss_sin_theta_simplified", p, shape, empirical)
 
 
 def gauss_sv_location_check(
@@ -537,11 +518,12 @@ def general_subspace_bound(
     sigma_k: float,
     gp: GeneralNoiseParams,
     spec: NormSpec,
+    empirical=None,
 ) -> BoundReport:
     """Distribution-free sin-theta bound for the top-k window.
 
     Requires the gap to dominate twice the core cap; otherwise the report
-    says precondition-not-met. The caller attaches the empirical value.
+    says precondition-not-met. empirical is the measured top-k sin-theta.
     """
     if not 1 <= k <= r:
         raise InvalidParameterError(f"k={k} outside 1..r={r}")
@@ -558,7 +540,7 @@ def general_subspace_bound(
         second = 2.0 * k * gp.op_bound / sigma_k
     prob = 1.0 if gap_ok else 0.0
     return BoundReport.build(
-        f"general_sin_theta:k{k}:{spec.label}", first + second, prob, flags
+        f"general_sin_theta:k{k}:{spec.label}", first + second, prob, flags, empirical
     )
 
 
@@ -571,29 +553,30 @@ def _row_shape(p: GaussianBoundParams, u: float, scale: float, gap: float) -> fl
     return near + scale * np.sqrt(r * lnsum) / sigma_k * (1.0 + u)
 
 
-def vector_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
+def vector_inf_bound(p: GaussianBoundParams, u_2inf: float, empirical=None) -> BoundReport:
     """Asymptotic l-inf shape for the k_lo-th left singular vector."""
     gap = min(p.delta(p.k_lo - 1), p.delta(p.k_lo))
-    return _shape_report("gauss_vector_inf", p, _row_shape(p, _checked_row_mass(u_2inf), 1.0, gap))
+    shape = _row_shape(p, _checked_row_mass(u_2inf), 1.0, gap)
+    return _shape_report("gauss_vector_inf", p, shape, empirical)
 
 
-def matrix_2inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
+def matrix_2inf_bound(p: GaussianBoundParams, u_2inf: float, empirical=None) -> BoundReport:
     """Asymptotic l2,inf shape for the window [1, k_lo]."""
     shape = _row_shape(p, _checked_row_mass(u_2inf), np.sqrt(p.k_lo), p.delta(p.k_lo))
-    return _shape_report("gauss_matrix_2inf", p, shape)
+    return _shape_report("gauss_matrix_2inf", p, shape, empirical)
 
 
 def aligned_2inf_bound(
-    p: GaussianBoundParams, u_2inf: float, e_norm: float, window_u_2inf: float
+    p: GaussianBoundParams, u_2inf: float, e_norm: float, window_u_2inf: float, empirical=None
 ) -> BoundReport:
     """matrix_2inf_bound plus the alignment remainder e_norm^2 / sigma_{k_lo}^2
     times the row mass window_u_2inf of the signal window [1, k_lo]."""
     shape = _row_shape(p, _checked_row_mass(u_2inf), np.sqrt(p.k_lo), p.delta(p.k_lo))
     remainder = e_norm**2 / p.singulars[p.k_lo - 1] ** 2 * _checked_row_mass(window_u_2inf)
-    return _shape_report("gauss_2inf_aligned", p, shape + remainder)
+    return _shape_report("gauss_2inf_aligned", p, shape + remainder, empirical)
 
 
-def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
+def two_inf_bound(p: GaussianBoundParams, u_2inf: float, empirical=None) -> BoundReport:
     """Explicit-constant l2,inf bound for the window [k_lo, k_hi]. Indices
     whose signal value exceeds (column count)^2 enter the wide-tail sum.
     u_2inf is the largest row length of the signal's left factor."""
@@ -610,11 +593,11 @@ def two_inf_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
             tail_acc += 16.0 * p.n_cols / si**2
     second = p.tail_factor * (1.0 + u) * np.sqrt(acc + tail_acc)
     prob = p.probability_floor(40.0)
-    return BoundReport.build("gauss_2inf", first + second, prob, p.preconditions)
+    return BoundReport.build("gauss_2inf", first + second, prob, p.preconditions, empirical)
 
 
 def linear_bilinear_bound(
-    p: GaussianBoundParams, x_signal_norm: float, y
+    p: GaussianBoundParams, x_signal_norm: float, y, empirical=None
 ) -> tuple[BoundReport, BoundReport]:
     """Directional residual bounds for the window [k_lo, k_hi].
 
@@ -622,7 +605,7 @@ def linear_bilinear_bound(
     on the full signal left factor. y is the window-side unit direction of
     the bilinear form (length = window). Both statements require the top
     signal value to stay below (column count)^2; otherwise the reports
-    claim no probability.
+    claim no probability. empirical is the measured (linear, bilinear) pair.
     """
     if x_signal_norm < 0:
         raise InvalidParameterError("x_signal_norm must be nonnegative")
@@ -639,23 +622,24 @@ def linear_bilinear_bound(
     linear_val = lead * np.sqrt(w) + tail_coef * np.sqrt(np.sum(1.0 / sig**2))
     y_support = int(np.count_nonzero(y))
     bilinear_val = lead * np.sqrt(y_support) + tail_coef * float(np.sum(np.abs(y) / sig))
-    linear = BoundReport.build("gauss_linear", linear_val, prob, flags)
-    bilinear = BoundReport.build("gauss_bilinear", bilinear_val, prob, flags)
+    lin_emp, bil_emp = empirical or (None, None)
+    linear = BoundReport.build("gauss_linear", linear_val, prob, flags, lin_emp)
+    bilinear = BoundReport.build("gauss_bilinear", bilinear_val, prob, flags, bil_emp)
     return linear, bilinear
 
 
-def weighted_window_bound(p: GaussianBoundParams, u_2inf: float) -> BoundReport:
+def weighted_window_bound(p: GaussianBoundParams, u_2inf: float, empirical=None) -> BoundReport:
     """Row-wise bound on the observed-value weighted window [k_lo, k_hi]."""
     u = _checked_row_mass(u_2inf)
     w = p.window
     first = _over_gap(p.window_lead * u * p.eta * p.singulars[p.k_lo - 1] * np.sqrt(w), p.min_gap)
     second = p.tail_factor * (1.0 + u) * np.sqrt(p.gamma**2 * w + 16.0)
     prob = p.probability_floor(40.0)
-    return BoundReport.build("gauss_weighted", first + second, prob, p.preconditions)
+    return BoundReport.build("gauss_weighted", first + second, prob, p.preconditions, empirical)
 
 
 def weighted_corollary_bound(
-    p: GaussianBoundParams, u_2inf: float, e_norm: float
+    p: GaussianBoundParams, u_2inf: float, e_norm: float, empirical=None
 ) -> BoundReport:
     """Aligned corollary of the weighted bound on the full window [1, rank],
     with the measured noise operator norm e_norm."""
@@ -667,7 +651,7 @@ def weighted_corollary_bound(
     first = scale * (1.0 + u)
     second = 2.0 * u * e_norm**2 / p.singulars[-1]
     prob = p.probability_floor(40.0)
-    return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags)
+    return BoundReport.build("gauss_weighted_corollary", first + second, prob, flags, empirical)
 
 
 def spectral_norm_report(e_norm: float | None, n_rows: int, n_cols: int) -> BoundReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -176,7 +177,8 @@ def _typed(name: str, value, kind, at_least=None, above=None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run; each field's default here is the only one."""
+    """One run. Library calls get these defaults; the CLI starts from
+    _DEFAULT_TRIALS, _DEFAULT_THEOREMS and _DEFAULT_MODELS."""
 
     scenario: str
     trials: int = 1
@@ -362,13 +364,13 @@ class _BoundsTrial:
             cross = self.inst.noise_top.value
         else:
             cross = cross_term_norm(self.inst, p.k_lo, p.k_hi, spec)
-        rep = gauss_subspace_bound(p, spec, cross)
-        return [rep.with_empirical(window_sin_theta(self.inst, p.k_lo, p.k_hi, spec))]
+        emp = window_sin_theta(self.inst, p.k_lo, p.k_hi, spec)
+        return [gauss_subspace_bound(p, spec, cross, emp)]
 
     @_theorem()
     def gauss_sin_theta_simplified(self) -> list[BoundReport]:
-        rep = gauss_subspace_simplified(self.p, self.inst.noise_top.value)
-        return [rep.with_empirical(window_sin_theta(self.inst, 1, self.p.k_lo, OPERATOR))]
+        emp = window_sin_theta(self.inst, 1, self.p.k_lo, OPERATOR)
+        return [gauss_subspace_simplified(self.p, self.inst.noise_top.value, emp)]
 
     @_theorem(_window_index)
     def gauss_sv_location(self, j: int) -> list[BoundReport]:
@@ -384,26 +386,25 @@ class _BoundsTrial:
     @_theorem()
     def gauss_2inf(self) -> list[BoundReport]:
         p = self.p
-        rep = two_inf_bound(p, self.u_2inf)
-        return [rep.with_empirical(window_2inf_residual(self.inst, p.k_lo, p.k_hi))]
+        return [two_inf_bound(p, self.u_2inf, window_2inf_residual(self.inst, p.k_lo, p.k_hi))]
 
     @_theorem()
     def gauss_vector_inf(self) -> list[BoundReport]:
         k = self.p.k_lo
-        rep = vector_inf_bound(self.p, self.u_2inf)
-        return [rep.with_empirical(float(np.max(np.abs(window_residual(self.inst, k, k)))))]
+        emp = float(np.max(np.abs(window_residual(self.inst, k, k))))
+        return [vector_inf_bound(self.p, self.u_2inf, emp)]
 
     @_theorem()
     def gauss_matrix_2inf(self) -> list[BoundReport]:
-        rep = matrix_2inf_bound(self.p, self.u_2inf)
-        return [rep.with_empirical(window_2inf_residual(self.inst, 1, self.p.k_lo))]
+        emp = window_2inf_residual(self.inst, 1, self.p.k_lo)
+        return [matrix_2inf_bound(self.p, self.u_2inf, emp)]
 
     @_theorem()
     def gauss_2inf_aligned(self) -> list[BoundReport]:
         k = self.p.k_lo
         window_u = row_mass(self.inst.svd_signal.left[:, :k])
-        rep = aligned_2inf_bound(self.p, self.u_2inf, self.inst.noise_top.value, window_u)
-        return [rep.with_empirical(window_2inf_residual(self.inst, 1, k, aligned=True))]
+        emp = window_2inf_residual(self.inst, 1, k, aligned=True)
+        return [aligned_2inf_bound(self.p, self.u_2inf, self.inst.noise_top.value, window_u, emp)]
 
     def _directional(self, bilinear: bool) -> list[BoundReport]:
         # each token draws x, then y, from the trial generator
@@ -411,11 +412,9 @@ class _BoundsTrial:
         x = _unit_vector(self.rng, inst.shape[0])
         y = _unit_vector(self.rng, p.window)
         xu = float(np.linalg.norm(x @ inst.svd_signal.left))
-        lin, bil = linear_bilinear_bound(p, xu, y)
-        resid = window_residual(inst, p.k_lo, p.k_hi)
-        if bilinear:
-            return [bil.with_empirical(float(abs(x @ resid @ y)))]
-        return [lin.with_empirical(float(np.linalg.norm(x @ resid)))]
+        xr = x @ window_residual(inst, p.k_lo, p.k_hi)
+        lin, bil = linear_bilinear_bound(p, xu, y, (float(np.linalg.norm(xr)), float(abs(xr @ y))))
+        return [bil if bilinear else lin]
 
     @_theorem()
     def gauss_linear(self) -> list[BoundReport]:
@@ -428,14 +427,14 @@ class _BoundsTrial:
     @_theorem()
     def gauss_weighted(self) -> list[BoundReport]:
         p = self.p
-        rep = weighted_window_bound(p, self.u_2inf)
-        return [rep.with_empirical(window_weighted_residual(self.inst, p.k_lo, p.k_hi))]
+        emp = window_weighted_residual(self.inst, p.k_lo, p.k_hi)
+        return [weighted_window_bound(p, self.u_2inf, emp)]
 
     @_theorem()
     def gauss_weighted_corollary(self) -> list[BoundReport]:
         p = replace(self.p, k_lo=1, k_hi=self.p.rank)  # the full window, whatever is configured
-        rep = weighted_corollary_bound(p, self.u_2inf, self.inst.noise_top.value)
-        return [rep.with_empirical(window_weighted_residual(self.inst, 1, p.rank, aligned=True))]
+        emp = window_weighted_residual(self.inst, 1, p.rank, aligned=True)
+        return [weighted_corollary_bound(p, self.u_2inf, self.inst.noise_top.value, emp)]
 
     @_theorem(_rank_index)
     def general_sv(self, k: int) -> list[BoundReport]:
@@ -443,10 +442,10 @@ class _BoundsTrial:
 
     @_theorem(_rank_index, _norm)
     def general_sin_theta(self, k: int, spec: NormSpec) -> list[BoundReport]:
-        sigma_k = float(self.inst.svd_signal.singulars[k - 1])
-        gp = self.general[k - 1]
-        rep = general_subspace_bound(k, self.inst.rank(), self.p.delta(k), sigma_k, gp, spec)
-        return [rep.with_empirical(window_sin_theta(self.inst, 1, k, spec))]
+        inst, gp = self.inst, self.general[k - 1]
+        sigma_k = float(inst.svd_signal.singulars[k - 1])
+        emp = window_sin_theta(inst, 1, k, spec)
+        return [general_subspace_bound(k, inst.rank(), self.p.delta(k), sigma_k, gp, spec, emp)]
 
     @_theorem()
     def spectral_norm_event(self) -> list[BoundReport]:
@@ -478,6 +477,8 @@ def _bounds_factory(cfg: ExperimentConfig):
         tail=model.take("tail", float, 1.0),
     )
     noise_scale = model.take("noise_scale", float, 1.0, above=0.0)
+    if not cfg.theorems:
+        raise InvalidParameterError("bounds needs at least one theorem token")
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
     flags = params.preconditions
@@ -929,7 +930,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
     seed. A ValueError or TypeError while the scenario is built (a malformed
     model value or theorem token) is re-raised as InvalidParameterError, and
     so is a model key the scenario never reads. An exception inside trial i
-    is re-raised as TrialFailure, chained to it.
+    is re-raised as TrialFailure, chained to it. Trials run on
+    min(threads, trials, CPU count) threads; one runs them in order.
     """
     start = time.perf_counter()
     model = _ModelKeys(cfg.model)
@@ -952,8 +954,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
             raise TrialFailure(i, seed) from exc
 
     indices = range(cfg.trials)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(trial, indices))
     else:
         per_trial = [trial(i) for i in indices]

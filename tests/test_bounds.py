@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -80,45 +81,54 @@ def strong_instance(seed, n=600, singulars=(2.0e5, 1.2e5)):
 
 class TestBoundReport:
     def test_violated_uses_relative_slack(self):
-        rep = BoundReport.build("x", 1.0, 0.9, ALL_OK, 1.0 + 5e-10)
+        rep = BoundReport("x", 1.0, 0.9, ALL_OK, 1.0 + 5e-10)
         assert rep.violated is False
-        rep = BoundReport.build("x", 1.0, 0.9, ALL_OK, 1.0 + 1e-6)
+        rep = BoundReport("x", 1.0, 0.9, ALL_OK, 1.0 + 1e-6)
         assert rep.violated is True
 
     def test_none_empirical_gives_none_violated(self):
-        rep = BoundReport.build("x", 1.0, 0.9, ALL_OK, None)
+        rep = BoundReport("x", 1.0, 0.9, ALL_OK, None)
         assert rep.violated is None
         assert rep.ratio is None
 
     def test_ratio_conventions(self):
-        assert BoundReport.build("x", 2.0, 1.0, ALL_OK, 1.0).ratio == pytest.approx(0.5)
-        assert BoundReport.build("x", np.inf, 1.0, ALL_OK, 3.0).ratio == 0.0
-        assert BoundReport.build("x", 0.0, 1.0, ALL_OK, 0.0).ratio == 0.0
-        assert BoundReport.build("x", 0.0, 1.0, ALL_OK, 1.0).ratio == np.inf
+        assert BoundReport("x", 2.0, 1.0, ALL_OK, 1.0).ratio == pytest.approx(0.5)
+        assert BoundReport("x", np.inf, 1.0, ALL_OK, 3.0).ratio == 0.0
+        assert BoundReport("x", 0.0, 1.0, ALL_OK, 0.0).ratio == 0.0
+        assert BoundReport("x", 0.0, 1.0, ALL_OK, 1.0).ratio == np.inf
 
-    def test_with_empirical_recomputes(self):
-        rep = BoundReport.build("x", 1.0, 0.9, ALL_OK, None)
-        done = rep.with_empirical(2.0)
+    def test_replace_recomputes(self):
+        rep = BoundReport("x", 1.0, 0.9, ALL_OK, None)
+        done = dataclasses.replace(rep, empirical_value=2.0)
         assert done.violated is True
         assert done.ratio == pytest.approx(2.0)
+
+    def test_verdict_is_never_passed(self):
+        # a passing row with ratio 0 and an infinite measured value cannot be built
+        with pytest.raises(TypeError):
+            BoundReport("x", 1.0, 0.9, ALL_OK, np.inf, 0.0, False)
+        with pytest.raises(TypeError):
+            BoundReport("x", 1.0, 0.9, ALL_OK, np.inf, ratio=0.0, violated=False)
+        with pytest.raises(ValueError):
+            dataclasses.replace(BoundReport("x", 1.0, 0.9, ALL_OK, np.inf), violated=False)
 
     def test_non_finite_values_fail_closed(self):
         cases = ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (np.inf, np.inf), (0.5, np.nan))
         for emp, bound in cases:
-            rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+            rep = BoundReport("x", bound, 0.9, ALL_OK, emp)
             assert rep.violated is True, (emp, bound)
             assert rep.ratio == np.inf, (emp, bound)
 
     def test_violation_of_a_non_positive_bound_ranks_worst(self):
         for bound, emp in ((-np.inf, 1.0), (-np.inf, -1e300), (-2.0, -1.0), (-2.0, 0.0)):
-            rep = BoundReport.build("x", bound, 0.5, ALL_OK, emp)
+            rep = BoundReport("x", bound, 0.5, ALL_OK, emp)
             assert rep.violated is True, (bound, emp)
             assert rep.ratio == np.inf, (bound, emp)
-        assert BoundReport.build("x", -2.0, 0.5, ALL_OK, -3.0).ratio == 0.0
+        assert BoundReport("x", -2.0, 0.5, ALL_OK, -3.0).ratio == 0.0
 
     def test_infinite_bound_without_empirical_stays_unjudged(self):
         flags = PreconditionFlags(True, True, False)
-        assert BoundReport.build("x", np.inf, 0.0, flags, None).violated is None
+        assert BoundReport("x", np.inf, 0.0, flags, None).violated is None
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
@@ -129,7 +139,7 @@ class TestBoundReportProperties:
     @given(any_float, any_float)
     @settings(max_examples=200, deadline=None)
     def test_non_finite_never_passes(self, bound, emp):
-        rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        rep = BoundReport("x", bound, 0.9, ALL_OK, emp)
         if not np.isfinite(emp) or np.isnan(bound):
             assert rep.violated is True
             assert rep.ratio == np.inf
@@ -137,28 +147,26 @@ class TestBoundReportProperties:
     @given(any_float, any_float)
     @settings(max_examples=200, deadline=None)
     def test_ratio_is_never_nan(self, bound, emp):
-        assert not np.isnan(BoundReport.build("x", bound, 0.9, ALL_OK, emp).ratio)
+        assert not np.isnan(BoundReport("x", bound, 0.9, ALL_OK, emp).ratio)
 
     @given(finite_float, finite_float)
     @settings(max_examples=200, deadline=None)
     def test_finite_values_use_relative_slack(self, bound, emp):
-        rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        rep = BoundReport("x", bound, 0.9, ALL_OK, emp)
         assert rep.violated == (emp > bound + VIOLATION_SLACK * max(1.0, bound))
 
     @given(st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, -1.0]), any_float), any_float)
     @settings(max_examples=400, deadline=None)
     def test_a_violation_never_ranks_below_one(self, bound, emp):
-        rep = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
+        rep = BoundReport("x", bound, 0.9, ALL_OK, emp)
         assert not rep.violated or rep.ratio >= 1.0
 
     @given(any_float, any_float)
     @settings(max_examples=200, deadline=None)
-    def test_with_empirical_agrees_with_build(self, bound, emp):
-        built = BoundReport.build("x", bound, 0.9, ALL_OK, emp)
-        attached = BoundReport.build("x", bound, 0.9, ALL_OK, None).with_empirical(emp)
-        assert attached.violated == built.violated
-        assert attached.ratio == built.ratio or (
-            np.isnan(attached.ratio) and np.isnan(built.ratio)
+    def test_replace_agrees_with_the_constructor(self, bound, emp):
+        row = BoundReport("x", bound, 0.9, ALL_OK, None)
+        assert dataclasses.replace(row, empirical_value=emp) == BoundReport(
+            "x", bound, 0.9, ALL_OK, emp
         )
 
 
@@ -470,11 +478,10 @@ class TestGaussSubspace:
         p = strong_params()
         inst = strong_instance(1)
         esv = singular_values(inst.noise)
-        rep = gauss_subspace_bound(p, OPERATOR, float(esv[0]))
-        assert rep.preconditions.all_ok
-        assert rep.probability_floor == pytest.approx(1.0 - 20.0 / 1200.0)
         emp = window_sin_theta(inst, 1, 1, OPERATOR)
-        done = rep.with_empirical(emp)
+        done = gauss_subspace_bound(p, OPERATOR, float(esv[0]), emp)
+        assert done.preconditions.all_ok
+        assert done.probability_floor == pytest.approx(1.0 - 20.0 / 1200.0)
         assert done.violated is False
         assert done.ratio < 0.1  # far from tight in this regime
 
@@ -482,9 +489,8 @@ class TestGaussSubspace:
         p = strong_params()
         inst = strong_instance(2)
         cross = cross_term_norm(inst, 1, 1, FROBENIUS)
-        rep = gauss_subspace_bound(p, FROBENIUS, cross)
         emp = window_sin_theta(inst, 1, 1, FROBENIUS)
-        assert rep.with_empirical(emp).violated is False
+        assert gauss_subspace_bound(p, FROBENIUS, cross, emp).violated is False
 
     def test_operator_indicator_vanishes_on_full_window(self):
         p = GaussianBoundParams(
@@ -640,11 +646,11 @@ class TestGeneralNoise:
                 delta_k = p.delta(k)
                 sigma_k = float(inst.svd_signal.singulars[k - 1])
                 for spec in (OPERATOR, FROBENIUS):
-                    rep = general_subspace_bound(k, r, delta_k, sigma_k, gp, spec)
+                    emp = window_sin_theta(inst, 1, k, spec)
+                    rep = general_subspace_bound(k, r, delta_k, sigma_k, gp, spec, emp)
                     if not rep.preconditions.gap_ok:
                         continue
-                    emp = window_sin_theta(inst, 1, k, spec)
-                    assert rep.with_empirical(emp).violated is False, (seed, k, spec.label)
+                    assert rep.violated is False, (seed, k, spec.label)
 
     def test_small_gap_reports_not_met(self):
         gp = GeneralNoiseParams(op_bound=5.0, core_bound=4.0, corner_bound=1.0)
@@ -665,9 +671,8 @@ class TestEntrywise:
     def test_nonasymptotic_holds_strong_regime(self):
         p = self.params()
         inst = strong_instance(6)
-        rep = two_inf_bound(p, row_mass(inst.svd_signal.left[:, :2]))
         emp = window_2inf_residual(inst, 1, 1)
-        assert rep.with_empirical(emp).violated is False
+        assert two_inf_bound(p, row_mass(inst.svd_signal.left[:, :2]), emp).violated is False
 
     def test_tail_split_at_column_cut(self):
         # one value above n^2 lands in the wide-tail sum
@@ -733,15 +738,15 @@ class TestLinearBilinear:
         y = np.array([1.0])
         r = 2
         xu = float(np.linalg.norm(x @ inst.svd_signal.left[:, :r]))
-        lin, bil = linear_bilinear_bound(p, xu, y)
-        assert lin.probability_floor == bil.probability_floor == p.probability_floor(40.0) > 0
         u_w = inst.svd_signal.left[:, :1]
         ut_w = inst.svd_observed.left[:, :1]
         resid = ut_w - u_w @ (u_w.T @ ut_w)
-        lin_emp = float(np.linalg.norm(x @ resid))
-        assert lin.with_empirical(lin_emp).violated is False
-        bil_emp = float(abs(x @ resid @ y))
-        assert bil.with_empirical(bil_emp).violated is False
+        emp = (float(np.linalg.norm(x @ resid)), float(abs(x @ resid @ y)))
+        lin, bil = linear_bilinear_bound(p, xu, y, emp)
+        assert lin.probability_floor == bil.probability_floor == p.probability_floor(40.0) > 0
+        assert (lin.empirical_value, bil.empirical_value) == emp
+        assert lin.violated is False
+        assert bil.violated is False
 
     def test_hypothesis_flag_blocks_probability(self):
         # 600^2 < sigma_1 = 4e5 while every precondition holds
@@ -779,9 +784,9 @@ class TestWeighted:
     def test_theorem_strong_regime(self):
         p = strong_params()
         inst = strong_instance(9)
-        rep = weighted_window_bound(p, row_mass(inst.svd_signal.left[:, :2]))
         emp = window_weighted_residual(inst, 1, 1)
-        assert rep.with_empirical(emp).violated is False
+        rep = weighted_window_bound(p, row_mass(inst.svd_signal.left[:, :2]), emp)
+        assert rep.violated is False
 
     def test_corollary_needs_full_window(self):
         p = strong_params()  # window [1, 1] but rank 2
@@ -794,9 +799,9 @@ class TestWeighted:
         )
         inst = strong_instance(10)
         esv = singular_values(inst.noise)
-        rep = weighted_corollary_bound(p, row_mass(inst.svd_signal.left[:, :2]), float(esv[0]))
         emp = window_weighted_residual(inst, 1, 2, aligned=True)
-        assert rep.with_empirical(emp).violated is False
+        u = row_mass(inst.svd_signal.left[:, :2])
+        assert weighted_corollary_bound(p, u, float(esv[0]), emp).violated is False
 
 
 class TestSpectralNormEvent:

@@ -541,12 +541,43 @@ class TestRun:
         rows = run_monte_carlo(cfg).rows
         assert [(r["valid"], r["violations"]) for r in rows] == [(40, 0)] * 4
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # three workers on any machine
         cfg1 = config(threads=1)
         cfg2 = config(threads=3)
         s1 = run_monte_carlo(cfg1)
         s2 = run_monte_carlo(cfg2)
         assert s1.rows == s2.rows
+
+    @pytest.mark.parametrize(
+        "threads, trials, cpus, workers",
+        [(100_000, 1_000, 2, 2), (8, 3, 16, 3), (16, 10, 4, 4), (4, 10, None, 1), (1, 10, 16, 1)],
+    )
+    def test_workers_never_outnumber_trials_or_cpus(
+        self, monkeypatch, threads, trials, cpus, workers
+    ):
+        # a stand-in pool records its worker count and maps in order, so the
+        # large count is never started; one worker takes the serial path
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setitem(harness._FACTORIES, "selftest", lambda cfg: lambda seed: [])
+        run_monte_carlo(ExperimentConfig("selftest", trials, 0, (), {}, threads=threads))
+        assert pools == ([workers] if workers > 1 else [])
 
     def test_deterministic_reruns(self):
         s1 = run_monte_carlo(config())
@@ -892,6 +923,7 @@ class TestMain:
             ("selftest", {"trials": 2.5}),
             ("selftest", {"trials": True}),
             ("bounds", {"theorems": "mirsky:operator"}),
+            ("bounds", {"theorems": []}),
         ],
     )
     def test_unread_key_or_bad_row_is_config_error(self, tmp_path, capsys, scenario, doc):
@@ -1109,6 +1141,8 @@ class TestMain:
         assert err.startswith(f"error: runtime failure in trial 0 (seed {bad_seed}): ")
 
     def test_trial_failure_under_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path on any machine
+
         def trial_factory(cfg):
             def trial(seed):
                 if seed == derive_seed(11, 3):
@@ -1125,6 +1159,21 @@ class TestMain:
             run_monte_carlo(cfg)
         assert (info.value.index, info.value.seed) == (3, derive_seed(11, 3))
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_zj_bracket_failure_is_a_not_met_row(self, tmp_path, monkeypatch, capsys):
+        def no_bracket(*args):
+            raise NumericalFailureError("no bracket")
+
+        monkeypatch.setattr(harness, "solve_zj", no_bracket)
+        p = tmp_path / "cfg.json"
+        doc = {"theorems": ["phi_identity", "zj_bracket"], "model": {"n_rows": 10, "n_cols": 8}}
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["resolvent", "--config", str(p), "--trials", "3", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[2] == "zj_bracket,3,0,0,,,,"
+        assert rows[1].startswith("phi_identity,3,3,0,")
+        assert "no valid trial in rows: zj_bracket" in capsys.readouterr().err
 
     def test_runtime_failure_exit(self, monkeypatch, capsys):
         def boom(cfg):
