@@ -452,6 +452,10 @@ class _BoundsTrial:
         return [spectral_norm_report(self.inst.noise_top.value, *self.inst.shape)]
 
 
+def _failing(flags: PreconditionFlags) -> list[str]:
+    return [name for name, ok in asdict(flags).items() if not ok]
+
+
 def _not_met(evaluate, args, flags: PreconditionFlags):
     """A token under failed hypotheses: its constant rows, with no measured value."""
     rows = [BoundReport.build(gauss_row_id(evaluate.__name__, *args), np.inf, 0.0, flags)]
@@ -482,7 +486,7 @@ def _bounds_factory(cfg: ExperimentConfig):
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
     flags = params.preconditions
-    failing = [name for name, ok in asdict(flags).items() if not ok]
+    failing = _failing(flags)
     skipped, rows = ("gauss_",), "gauss_*"
     if noise_scale != 1.0:  # every Gaussian statement and the norm event assume unit noise
         failing.append("unit noise")
@@ -490,6 +494,10 @@ def _bounds_factory(cfg: ExperimentConfig):
         # the SNR hypothesis is stated in units of the noise deviation, so
         # scaled noise fails it even when the model's own flags all hold
         flags = replace(flags, snr_ok=False)
+    if not failing:  # the corollary reads the full window, whatever is configured
+        flags = replace(params, k_lo=1, k_hi=params.rank).preconditions
+        failing = [f"{name} on [1, {params.rank}]" for name in _failing(flags)]
+        skipped = rows = "gauss_weighted_corollary"
     if failing and any(f.__name__.startswith(skipped) for f, _ in bound):
         # the hypotheses read the model alone: no trial can count these rows
         bound = [
@@ -559,6 +567,9 @@ def _gmm_factory(cfg: ExperimentConfig):
     wanted = _fixed_rows(cfg, _GMM_ROWS)
     separations = [(spec.center_gap, spec.min_cluster)]
     flags, prob = _recovery_floor(p, n, k, tail, spec.sigma_min, separations)
+    if not flags.all_ok:  # the trials still run, but no row counts them
+        failing = ", ".join(_failing(flags))
+        model.notes.append(f"the model fails {failing}: gmm_* rows count no trial")
 
     def trial(seed: int) -> list[BoundReport]:
         emb = spectral_embedding(sample_gmm(spec, seed), k)
@@ -608,6 +619,9 @@ def _submatrix_factory(cfg: ExperimentConfig):
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
     separations = [(spec.row_gap, spec.min_rows), (spec.col_gap, spec.min_cols)]
     flags, prob = _recovery_floor(spec.n_rows, spec.n_cols, k, tail, spec.sigma_min, separations)
+    if not flags.all_ok:  # the trials still run, but no row counts them
+        failing = ", ".join(_failing(flags))
+        model.notes.append(f"the model fails {failing}: submatrix_recovery counts no trial")
 
     def trial(seed: int) -> list[BoundReport]:
         x = plant_submatrices(spec, seed)
@@ -921,6 +935,10 @@ class TrialFailure(RuntimeError):
         super().__init__(f"trial {index} (seed {seed})")
         self.index = index
         self.seed = seed
+
+    def __reduce__(self):
+        # the default rebuilds from args, the message alone
+        return type(self), (self.index, self.seed)
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:

@@ -9,12 +9,13 @@ gates demand zero violations at 1e-9 slack.
 The gates on the bounds and submatrix scenarios are ``run_monte_carlo``
 configs, the driver an ``svperturb`` run executes: they read the report's
 rows (trials, valid, violations, ratio_p99) by theorem id, so a slip in a
-shipped row or in the driver fails here. The 900-dimensional stream is one
-run shared by the four Gaussian-bound gates; the general-noise, submatrix
-and coherent-factor gates are one run each. A new gate is one config plus
-caps taken from its rows' probability floors.
+shipped row or in the driver fails here. Every bounds gate is one GATES row:
+a stream of STREAMS, run once per session and shared by its gates, and caps
+taken from its rows' probability floors. A new bounds gate is one more row,
+and a new stream one more STREAMS entry.
 """
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -78,8 +79,8 @@ SMALL_SIGMA = (10.0, 8.0, 6.0, 4.0, 2.0)
 SMALL_SPEC = LowRankSpec(n_rows=50, n_cols=50, singulars=SMALL_SIGMA)
 
 HEAVY_SIGMA = (2.0e5, 1.2e5)
-HEAVY_TRIALS = 200
 HEAVY_SEED = 0x5EED_0900
+RANK3_SIGMA = (3.6e5, 2.4e5, 1.2e5)
 
 GENERAL_SIGMA = (400.0, 300.0, 200.0, 100.0)
 
@@ -93,6 +94,7 @@ SPECTRAL_SEED = 0x5EED_0009
 GMM_SEED = 0x5EED_0010
 SUBMATRIX_SEED = 0x5EED_0011
 COHERENT_SEED = 777
+RANK3_SEED = 778
 
 
 def _line(tag: str, ok: bool, info: str) -> None:
@@ -220,194 +222,167 @@ def test_subspace_identities():
     assert prop_bad == 0
 
 
-# The heavy stream's tokens, in the order its rows run, so gauss_bilinear
-# draws x, then y, from the trial generator before gauss_linear does;
-# gauss_weighted_corollary is evaluated on the full window [1, rank].
-HEAVY_TOKENS = (
+# Each bounds stream the release gate reads: its seed, trial count, model and
+# theorem tokens in run order, which is the order they draw from the trial
+# generator: on the heavy stream gauss_bilinear draws x, then y, before
+# gauss_linear does. gauss_weighted_corollary is evaluated on the full window
+# [1, rank], which the rank-3 model fails (sigma_3 is below the SNR floor), so
+# that stream leaves it out.
+EXPLICIT_TOKENS = (
     "gauss_sin_theta:operator",
-    "gauss_sv_location:1",
-    "gauss_2inf",
-    "gauss_bilinear",
     "gauss_sin_theta:frobenius",
     "gauss_sin_theta:nuclear",
+    "gauss_sin_theta:kyfan2",
+    "gauss_sv_location:1",
+    "gauss_sv_location:2",
+    "gauss_2inf",
     "gauss_linear",
-    "gauss_weighted_corollary",
+    "gauss_bilinear",
+    "gauss_weighted",
 )
-ROWWISE = (
-    ("two_inf", "gauss_2inf"),
-    ("bilinear", "gauss_bilinear"),
-    ("weighted", "gauss_weighted_corollary"),
-)
-# explicit-constant statements, each with the count c of its probability floor
-# 1 - c (N+n)^-tail; at window [1, 1] the cross spectra hold two values, so
-# kyfan2 would repeat nuclear
-FLOOR_GATED = (
-    ("gauss_sin_theta:frobenius", 20.0),
-    ("gauss_sin_theta:nuclear", 20.0),
-    ("gauss_linear", 40.0),
-)
-
-
-@pytest.fixture(scope="module")
-def heavy_stream():
-    """200 draws at N = n = 900, rank 2, window [1, 1], shared by the Gaussian
-    gates: one bounds run of HEAVY_TOKENS, whose summary holds the rows and
-    the wall time."""
-    model = {"n_rows": 900, "n_cols": 900, "singulars": list(HEAVY_SIGMA), "k_lo": 1, "k_hi": 1}
-    return _run("bounds", HEAVY_TRIALS, HEAVY_SEED, model, HEAVY_TOKENS)
-
-
-def test_gauss_sin_theta_operator(heavy_stream):
-    summary, rows = heavy_stream
-    assert not summary.notes  # the model meets the Gaussian hypotheses
-    row = rows["gauss_sin_theta:operator"]
-    valid, bad = row["valid"], row["violations"]
-    cap = _rate_cap(20.0, 1800, 1.0, valid)
-    rate = bad / valid
-    wall = summary.wall_time_s
-    ok = valid == HEAVY_TRIALS and rate <= cap and wall < 600.0
-    _line(
-        "gauss-sin-theta",
-        ok,
-        f"{bad}/{valid} violations, rate {rate:.4f} <= {cap:.4f}, stream {wall:.0f}s",
-    )
-    assert valid == HEAVY_TRIALS
-    assert rate <= cap
-    assert wall < 600.0
-
-
-def test_singular_value_location(heavy_stream):
-    row = heavy_stream[1]["gauss_sv_location:j1"]
-    valid, bad = row["valid"], row["violations"]
-    cap = _rate_cap(10.0, 1800, 1.0, valid)
-    rate = bad / valid
-    ok = valid == HEAVY_TRIALS and rate <= cap
-    # a value in no strip is measured as +inf, a violation, so every trial
-    # without a violation is a strip membership
-    _line(
-        "sv-location",
-        ok,
-        f"{bad}/{valid} violations, at least {valid - bad} strip memberships, "
-        f"rate {rate:.4f} <= {cap:.4f}",
-    )
-    assert valid == HEAVY_TRIALS
-    assert rate <= cap
-
-
-def test_rowwise_bilinear_weighted(heavy_stream):
-    rows = heavy_stream[1]
-    parts = []
-    all_ok = True
-    for name, tok in ROWWISE:
-        valid, bad = rows[tok]["valid"], rows[tok]["violations"]
-        cap = _rate_cap(40.0, 1800, 1.0, valid)
-        part_ok = valid == HEAVY_TRIALS and bad / valid <= cap
-        all_ok = all_ok and part_ok
-        parts.append(f"{name} {bad}/{valid} (cap {cap:.4f})")
-    _line("rowwise-bilinear-weighted", all_ok, ", ".join(parts))
-    for _, tok in ROWWISE:
-        valid, bad = rows[tok]["valid"], rows[tok]["violations"]
-        assert valid == HEAVY_TRIALS
-        assert bad / valid <= _rate_cap(40.0, 1800, 1.0, valid)
-
-
-def _floor_gate(tag: str, rows: dict, gated, trials: int, note: str = "") -> None:
-    """Gate each (token, count) row of `gated` on its statement's floor
-    1 - count (N+n)^-tail: valid on every trial, and a violation rate within
-    the budget plus three binomial standard errors. One [gate] line with
-    each row's count, cap and p99 ratio, then `note`."""
-    results = []
-    for tok, count in gated:
-        row = rows[_row_id(tok)]
-        valid, bad = row["valid"], row["violations"]
-        results.append((tok, valid, bad, _rate_cap(count, 1800, 1.0, valid), row["ratio_p99"]))
-    ok = all(valid == trials and bad / valid <= cap for _, valid, bad, cap, _ in results)
-    info = ", ".join(
-        f"{tok} {bad}/{valid} (cap {cap:.4f}, ratio p99 {p99:.1e})"
-        for tok, valid, bad, cap, p99 in results
-    )
-    _line(tag, ok, info + note)
-    for _, valid, bad, cap, _ in results:
-        assert valid == trials
-        assert bad / valid <= cap
-
-
-def _row_id(token: str) -> str:
-    """The report row of a gauss_* token: a location index J reads jJ."""
-    return token.replace("gauss_sv_location:", "gauss_sv_location:j")
-
-
-def test_explicit_constant_rows(heavy_stream):
-    _floor_gate("explicit-constant", heavy_stream[1], FLOOR_GATED, HEAVY_TRIALS)
-
-
-# Coherent factors (the signal's first left vector is a coordinate axis) at
-# gate size on the full window [1, 2]: every explicit-constant statement with
-# the count of its floor, and the constant-free shape rows, ungated.
-COHERENT_TRIALS = 20
-COHERENT_GATED = (
-    ("gauss_sin_theta:operator", 20.0),
-    ("gauss_sin_theta:frobenius", 20.0),
-    ("gauss_sin_theta:nuclear", 20.0),
-    ("gauss_sin_theta:kyfan2", 20.0),
-    ("gauss_sv_location:1", 10.0),
-    ("gauss_sv_location:2", 10.0),
-    ("gauss_2inf", 40.0),
-    ("gauss_linear", 40.0),
-    ("gauss_bilinear", 40.0),
-    ("gauss_weighted", 40.0),
-    ("gauss_weighted_corollary", 40.0),
-)
-COHERENT_SHAPES = (
+SHAPE_TOKENS = (
     "gauss_sin_theta_simplified",
     "gauss_vector_inf",
     "gauss_matrix_2inf",
     "gauss_2inf_aligned",
 )
+STREAMS = {
+    "heavy": (
+        HEAVY_SEED,
+        200,
+        {"n_rows": 900, "n_cols": 900, "singulars": list(HEAVY_SIGMA), "k_lo": 1, "k_hi": 1},
+        (
+            "gauss_sin_theta:operator",
+            "gauss_sv_location:1",
+            "gauss_2inf",
+            "gauss_bilinear",
+            "gauss_sin_theta:frobenius",
+            "gauss_sin_theta:nuclear",
+            "gauss_linear",
+            "gauss_weighted_corollary",
+        ),
+    ),
+    # coherent factors: the signal's first left vector is a coordinate axis
+    "coherent": (
+        COHERENT_SEED,
+        20,
+        {
+            "n_rows": 900,
+            "n_cols": 900,
+            "singulars": list(HEAVY_SIGMA),
+            "factor_mode": "coherent",
+            "k_lo": 1,
+            "k_hi": 2,
+        },
+        (*EXPLICIT_TOKENS, "gauss_weighted_corollary", *SHAPE_TOKENS),
+    ),
+    "general": (
+        GENERAL_SEED,
+        500,
+        {"n_rows": 200, "n_cols": 200, "singulars": list(GENERAL_SIGMA), "k_lo": 1, "k_hi": 1},
+        tuple(
+            tok
+            for k in range(1, 5)
+            for tok in (
+                f"general_sv:{k}",
+                f"general_sin_theta:{k}:operator",
+                f"general_sin_theta:{k}:frobenius",
+            )
+        ),
+    ),
+    # rank 3 on the inner window [1, 2]: the cross spectra hold four values,
+    # so Ky Fan 2 and Schatten-3 differ from nuclear
+    "rank3": (
+        RANK3_SEED,
+        20,
+        {"n_rows": 900, "n_cols": 900, "singulars": list(RANK3_SIGMA), "k_lo": 1, "k_hi": 2},
+        (*EXPLICIT_TOKENS, "gauss_sin_theta:schatten3", *SHAPE_TOKENS),
+    ),
+}
+
+# Each gate: its stream and the count c of each capped row's probability floor
+# 1 - c (N+n)^-tail, by row id; c = 0 marks a deterministic statement, which
+# must show no violation. At window [1, 1] the cross spectra hold two values,
+# so the heavy stream's kyfan2 would repeat nuclear. The constant-free shape
+# rows claim no probability, so no cap can be taken from a floor: a gate
+# prints their p99 ratios ungated.
+EXPLICIT_CAPS = {
+    "gauss_sin_theta:operator": 20.0,
+    "gauss_sin_theta:frobenius": 20.0,
+    "gauss_sin_theta:nuclear": 20.0,
+    "gauss_sin_theta:kyfan2": 20.0,
+    "gauss_sv_location:j1": 10.0,
+    "gauss_sv_location:j2": 10.0,
+    "gauss_2inf": 40.0,
+    "gauss_linear": 40.0,
+    "gauss_bilinear": 40.0,
+    "gauss_weighted": 40.0,
+}
+GATES = {
+    "gauss-sin-theta": ("heavy", {"gauss_sin_theta:operator": 20.0}),
+    # a value in no strip is measured as +inf, a violation
+    "sv-location": ("heavy", {"gauss_sv_location:j1": 10.0}),
+    "rowwise-bilinear-weighted": (
+        "heavy",
+        {"gauss_2inf": 40.0, "gauss_bilinear": 40.0, "gauss_weighted_corollary": 40.0},
+    ),
+    "explicit-constant": (
+        "heavy",
+        {"gauss_sin_theta:frobenius": 20.0, "gauss_sin_theta:nuclear": 20.0, "gauss_linear": 40.0},
+    ),
+    "coherent-full-window": ("coherent", {**EXPLICIT_CAPS, "gauss_weighted_corollary": 40.0}),
+    "general-noise": (
+        "general",
+        {
+            tid: 0.0
+            for k in range(1, 5)
+            for tid in (
+                f"general_sv_lower:k{k}",
+                f"general_sv_upper:k{k}",
+                f"general_sin_theta:k{k}:operator",
+                f"general_sin_theta:k{k}:frobenius",
+            )
+        },
+    ),
+    "rank3-inner-window": ("rank3", {**EXPLICIT_CAPS, "gauss_sin_theta:schatten3": 20.0}),
+}
 
 
-def test_coherent_full_window():
-    model = {
-        "n_rows": 900,
-        "n_cols": 900,
-        "singulars": list(HEAVY_SIGMA),
-        "factor_mode": "coherent",
-        "k_lo": 1,
-        "k_hi": 2,
-    }
-    tokens = [tok for tok, _ in COHERENT_GATED] + list(COHERENT_SHAPES)
-    summary, rows = _run("bounds", COHERENT_TRIALS, COHERENT_SEED, model, tokens)
-    assert not summary.notes  # the model meets the Gaussian hypotheses
-    shapes = ", ".join(f"{tok} {rows[tok]['ratio_p99']:.1e}" for tok in COHERENT_SHAPES)
-    note = f"; ungated shape rows, ratio p99: {shapes}"
-    _floor_gate("coherent-full-window", rows, COHERENT_GATED, COHERENT_TRIALS, note)
+@functools.cache
+def _stream(name: str):
+    """STREAMS[name] run once per session: its wall time and rows by id."""
+    seed, trials, model, tokens = STREAMS[name]
+    summary, rows = _run("bounds", trials, seed, model, tokens)
+    assert not summary.notes  # the model meets every row's hypotheses
+    assert summary.wall_time_s < 600.0
+    return summary.wall_time_s, rows
 
 
-def test_general_noise_bounds():
-    model = {"n_rows": 200, "n_cols": 200, "singulars": list(GENERAL_SIGMA), "k_lo": 1, "k_hi": 1}
-    tokens = [
-        tok
-        for k in range(1, 5)
-        for tok in (
-            f"general_sv:{k}",
-            f"general_sin_theta:{k}:operator",
-            f"general_sin_theta:{k}:frobenius",
-        )
-    ]
-    _, rows = _run("bounds", 500, GENERAL_SEED, model, tokens)
-    valid = sum(row["valid"] for row in rows.values())
-    bad = sum(row["violations"] for row in rows.values())
-    # a general_sin_theta row excludes a trial only when its gap hypothesis fails
-    gap_fail = sum(
-        row["trials"] - row["valid"]
-        for tid, row in rows.items()
-        if tid.startswith("general_sin_theta")
+def _p99(row: dict) -> str:
+    return "none" if row["ratio_p99"] is None else f"{row['ratio_p99']:.1e}"
+
+
+@pytest.mark.parametrize("tag", GATES)
+def test_bounds_gate(tag):
+    """Every capped row is valid on every trial, and its violation rate is
+    within its floor's budget plus three binomial standard errors."""
+    name, caps = GATES[tag]
+    _, trials, model, _ = STREAMS[name]
+    dims = model["n_rows"] + model["n_cols"]
+    wall, rows = _stream(name)
+    results = [(tid, rows[tid], _rate_cap(count, dims, 1.0, trials)) for tid, count in caps.items()]
+    ok = all(r["valid"] == trials and r["violations"] / r["valid"] <= cap for _, r, cap in results)
+    info = ", ".join(
+        f"{tid} {r['violations']}/{r['valid']} (cap {cap:.4f}, ratio p99 {_p99(r)})"
+        for tid, r, cap in results
     )
-    every_valid = len(rows) == 16 and all(row["valid"] == 500 for row in rows.values())
-    ok = bad == 0 and every_valid
-    _line("general-noise", ok, f"{valid} checks, {bad} violations, {gap_fail} gap failures")
-    assert every_valid
-    assert bad == 0
+    shapes = ", ".join(f"{tid} {_p99(rows[tid])}" for tid in SHAPE_TOKENS if tid in rows)
+    if shapes:
+        info += f"; ungated shape rows, ratio p99: {shapes}"
+    _line(tag, ok, f"{info}; stream {name} {wall:.0f}s")
+    for _, row, cap in results:
+        assert row["valid"] == trials
+        assert row["violations"] / row["valid"] <= cap
 
 
 def test_resolvent_identities():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -333,6 +334,27 @@ class TestGaussianSkip:
             "the model fails unit noise: gauss_* and spectral_norm_event rows were not evaluated"
         ]
 
+    def test_failing_full_window_binds_the_corollary(self, monkeypatch):
+        # the inner window [1, 2] of this rank-3 model meets the hypotheses,
+        # but sigma_3 misses the SNR floor, so the corollary's [1, 3] fails
+        model = harness._ModelKeys(
+            {"n_rows": 900, "n_cols": 900, "singulars": [3.6e5, 2.4e5, 1.2e5], "k_hi": 2}
+        )
+        tokens = ("gauss_weighted_corollary", "gauss_2inf")
+        cfg = ExperimentConfig("bounds", theorems=tokens, model=model)
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("the corollary was evaluated")
+
+        monkeypatch.setattr(harness, "weighted_corollary_bound", untouched)
+        corollary, two_inf = harness._bounds_factory(cfg)(derive_seed(0, 0))
+        assert model.notes == [
+            "the model fails snr_ok on [1, 3]: gauss_weighted_corollary rows were not evaluated"
+        ]
+        assert corollary.theorem_id == "gauss_weighted_corollary"
+        assert corollary.empirical_value is None and not corollary.preconditions.snr_ok
+        assert two_inf.preconditions.all_ok and two_inf.violated is not None
+
     def test_scaled_noise_rows_never_read_all_ok(self):
         # the model meets dim_ok, snr_ok and gap_ok, yet its rows are not met
         model = harness._ModelKeys(
@@ -639,6 +661,44 @@ class TestRun:
         summary = run_monte_carlo(ExperimentConfig(scenario, 4, 1, (), model))
         assert len(calls) == 1
         assert all(row["trials"] == 4 for row in summary.rows)
+
+    @pytest.mark.parametrize(
+        "scenario, model, notes",
+        [
+            # the gmm gate's mixture: root^2 about 595 against about 1,921
+            (
+                "gmm",
+                {"n_features": 50, "n_samples": 300, "n_clusters": 3, "center_scale": 9.0e4},
+                ["the model fails dim_ok: gmm_* rows count no trial"],
+            ),
+            (
+                "gmm",
+                {"n_features": 300, "n_samples": 1500, "n_clusters": 3, "center_scale": 1.0e6},
+                [],
+            ),
+            (
+                "submatrix",
+                SUBMATRIX_MODEL,
+                ["the model fails dim_ok, snr_ok, gap_ok: submatrix_recovery counts no trial"],
+            ),
+            (
+                "submatrix",
+                dict(
+                    SUBMATRIX_MODEL,
+                    n_rows=600,
+                    n_cols=600,
+                    amplitudes=[6500.0, -6500.0],
+                    block_rows=100,
+                    block_cols=100,
+                ),
+                [],
+            ),
+        ],
+    )
+    def test_recovery_run_names_failed_hypotheses(self, scenario, model, notes):
+        keys = harness._ModelKeys(model)
+        harness._FACTORIES[scenario](ExperimentConfig(scenario, model=keys))
+        assert keys.notes == notes
 
     def test_local_law_bound_once_per_run(self, monkeypatch):
         calls = []
@@ -1159,6 +1219,12 @@ class TestMain:
             run_monte_carlo(cfg)
         assert (info.value.index, info.value.seed) == (3, derive_seed(11, 3))
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_trial_failure_pickles(self):
+        # a worker process hands its failure back pickled
+        exc = pickle.loads(pickle.dumps(TrialFailure(3, 7)))
+        assert (type(exc), exc.index, exc.seed) == (TrialFailure, 3, 7)
+        assert str(exc) == "trial 3 (seed 7)"
 
     def test_zj_bracket_failure_is_a_not_met_row(self, tmp_path, monkeypatch, capsys):
         def no_bracket(*args):
