@@ -24,7 +24,7 @@ from .errors import (
 from .matcore import NormSpec, gauge, require_norm
 from .models import PerturbationInstance, check_spectrum
 from .resolvent import margin_offsets, min_abs_z
-from .subspace import residual, row_mass, sin_theta_norm
+from .subspace import _residual, row_mass
 
 VIOLATION_SLACK = 1e-9
 
@@ -665,21 +665,19 @@ def spectral_norm_report(e_norm: float | None, n_rows: int, n_cols: int) -> Boun
 
 
 def window_sin_theta(inst: PerturbationInstance, k_lo: int, k_hi: int, spec: NormSpec) -> float:
-    """The larger of the left and right sin-theta norms of the window."""
-    w = _window_cols(inst, k_lo, k_hi)
-    sig, obs = inst.svd_signal, inst.svd_observed
-    return max(
-        sin_theta_norm(sig.left[:, w], obs.left[:, w], spec),
-        sin_theta_norm(sig.right[:, w], obs.right[:, w], spec),
-    )
+    """The larger of the left and right sin-theta norms of the window, from
+    the instance's kept spectra: ``max`` of the two ``sin_theta_norm`` values."""
+    _window_cols(inst, k_lo, k_hi)
+    return max(gauge(values, spec) for values in inst.sin_theta_spectra(k_lo, k_hi))
 
 
 def window_residual(
     inst: PerturbationInstance, k_lo: int, k_hi: int, aligned: bool = False
 ) -> np.ndarray:
-    """subspace.residual of the observed left window on the signal left window."""
+    """subspace.residual of the observed left window on the signal left
+    window, whose bases the instance checked when it was built."""
     w = _window_cols(inst, k_lo, k_hi)
-    return residual(inst.svd_signal.left[:, w], inst.svd_observed.left[:, w], aligned)
+    return _residual(inst.svd_signal.left[:, w], inst.svd_observed.left[:, w], aligned)
 
 
 def window_2inf_residual(

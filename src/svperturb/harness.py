@@ -928,17 +928,20 @@ class TrialFailure(RuntimeError):
     """An exception raised inside one trial, with the trial's index and seed.
 
     Trial i draws only from derive_seed(base_seed, i), and derive_seed(s, 0)
-    is s, so ``--trials 1 --seed <seed>`` replays the failing trial.
+    is s, so ``--trials 1 --seed <seed>`` replays the failing trial. cause
+    holds the trial's exception as ``TypeName: message``, which, unlike
+    ``__cause__``, survives pickling.
     """
 
-    def __init__(self, index: int, seed: int):
+    def __init__(self, index: int, seed: int, cause: str = ""):
         super().__init__(f"trial {index} (seed {seed})")
         self.index = index
         self.seed = seed
+        self.cause = cause
 
     def __reduce__(self):
         # the default rebuilds from args, the message alone
-        return type(self), (self.index, self.seed)
+        return type(self), (self.index, self.seed, self.cause)
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
@@ -969,7 +972,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
         try:
             return run_trial(seed)
         except Exception as exc:
-            raise TrialFailure(i, seed) from exc
+            raise TrialFailure(i, seed, f"{type(exc).__name__}: {exc}") from exc
 
     indices = range(cfg.trials)
     workers = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
@@ -1155,6 +1158,7 @@ _DEFAULT_TRIALS = {"bounds": 50, "gmm": 20, "submatrix": 20, "resolvent": 30, "s
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; ``main`` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="svperturb",
         description="Seeded Monte Carlo verification of matrix perturbation bounds",
@@ -1201,10 +1205,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
@@ -1220,11 +1226,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except TrialFailure as exc:
-        cause = exc.__cause__
-        print(
-            f"error: runtime failure in {exc}: {type(cause).__name__}: {cause}",
-            file=sys.stderr,
-        )
+        print(f"error: runtime failure in {exc}: {exc.cause}", file=sys.stderr)
         return EXIT_RUNTIME
     except (InvalidParameterError, InvalidInputError) as exc:
         # model and theorem-token validation happens when the scenario is built

@@ -399,13 +399,23 @@ def _wedin(a: np.ndarray, factors: SvdFactors) -> np.ndarray | None:
     return np.hypot(np.linalg.norm(r, axis=0), np.linalg.norm(t, axis=0)) / (gaps - eta)
 
 
-def _rayleigh_ritz(a: np.ndarray, block: np.ndarray) -> SvdFactors:
-    """Block subspace iteration from `block`, then Rayleigh-Ritz."""
+def _rayleigh_ritz(a: np.ndarray, block: np.ndarray) -> SvdFactors | None:
+    """Block subspace iteration from `block`, then Rayleigh-Ritz; None as
+    soon as a left basis Q leaves a residual tau = ||a - Q Q.T a||_F at or
+    above the k-th Ritz value s_k of Q.T a. Each basis is read from the
+    product the next round forms anyway: the R of a.T @ Q = P R holds the
+    Ritz values, and tau^2 = ||a||_F^2 - ||R||_F^2."""
     try:
-        q, _ = np.linalg.qr(a @ block)
-        for _ in range(LEADING_ITERATIONS):
-            p, _ = np.linalg.qr(a.T @ q)
-            q, _ = np.linalg.qr(a @ p)
+        # past ||a||_F = 1e154 the squares read inf or nan, and nan never exits
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.vdot(a, a)
+            q, _ = np.linalg.qr(a @ block)
+            for _ in range(LEADING_ITERATIONS):
+                p, r = np.linalg.qr(a.T @ q)
+                ritz = np.linalg.svd(r, compute_uv=False)
+                if total - ritz @ ritz >= ritz[-1] ** 2:
+                    return None
+                q, _ = np.linalg.qr(a @ p)
         w, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"subspace iteration failed: {exc}") from None
@@ -425,6 +435,10 @@ def leading_svd(a, k: int, start=None) -> SvdFactors:
     convention of ``svd``, are returned only when ``wedin_certificate``
     holds. Otherwise the result is ``svd(a)`` with its vector pairs
     truncated to k and all min(N, n) of its values, which it already holds.
+    That result comes at once, with no further round, when after any
+    product, the first included, the residual the basis leaves reaches the
+    k-th Ritz value: the certificate needs tau below s_k, and on a weak gap
+    (the command-line model) the iteration cannot get there in its rounds.
     Deterministic, and draws from no caller generator.
     """
     a = as_matrix(a)
@@ -439,7 +453,7 @@ def leading_svd(a, k: int, start=None) -> SvdFactors:
                 f"start block must be {a.shape[1]} x {k}, got {block.shape}"
             )
     ritz = _rayleigh_ritz(a, block)
-    if _wedin(a, ritz) is None:
+    if ritz is None or _wedin(a, ritz) is None:
         full = svd(a)
         return SvdFactors(left=full.left[:, :k], singulars=full.singulars, right=full.right[:, :k])
     return ritz

@@ -19,10 +19,12 @@ from .matcore import (
     SvdFactors,
     _gram,
     _gram_values,
+    check_orthonormal,
     leading_svd,
     singular_values,
     top_of_gram,
 )
+from .subspace import _sines
 
 
 def _signed_q(g: np.ndarray) -> np.ndarray:
@@ -116,11 +118,21 @@ class PerturbationInstance:
     vector pairs under the deterministic sign convention, with the r
     certified Ritz values or, after a fallback, all min(N, n) LAPACK values,
     which ``observed_spectrum`` always has.
+
+    The four bases are checked orthonormal once, here, and never again: the
+    bounds read their windows through subspace's unchecked core, so the
+    arrays must not change after construction.
     """
 
     noise: np.ndarray
     svd_signal: SvdFactors
     svd_observed: SvdFactors
+
+    def __post_init__(self):
+        for name in ("svd_signal", "svd_observed"):
+            factors = getattr(self, name)
+            check_orthonormal(factors.left, what=f"{name}.left")
+            check_orthonormal(factors.right, what=f"{name}.right")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -201,6 +213,20 @@ class PerturbationInstance:
             b2 = self.noise.T @ self.svd_observed.left[:, w]
             b2 -= v @ (v.T @ b2)
             held[key] = singular_values(b1), singular_values(b2)
+        return held[key]
+
+    def sin_theta_spectra(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sines of the principal angles between the signal and the observed
+        left vectors of the pairs k_lo..k_hi, then between the right ones: the
+        singular values of ``subspace.residual`` on each side's window, formed
+        once per window and kept."""
+        held, key = vars(self).setdefault("_sin_theta_spectra", {}), (k_lo, k_hi)
+        if key not in held:
+            sig, obs, w = self.svd_signal, self.svd_observed, slice(k_lo - 1, k_hi)
+            held[key] = (
+                _sines(sig.left[:, w], obs.left[:, w]),
+                _sines(sig.right[:, w], obs.right[:, w]),
+            )
         return held[key]
 
     @cached_property

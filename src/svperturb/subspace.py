@@ -47,7 +47,13 @@ def sin_theta_norm(u, v, spec: NormSpec) -> float:
     span(u): accurate to about eps, where the sine of an arccos'd cosine reads
     every angle below sqrt(eps) as 0 or 1.49e-8 (Bjorck and Golub 1973).
     """
-    return gauge(singular_values(residual(u, v)), spec)
+    return gauge(_sines(*_check_pair(u, v, equal_dim=False)), spec)
+
+
+def _sines(u, v) -> np.ndarray:
+    """The sin-theta spectrum sin_theta_norm takes the norm of, without the
+    basis checks: the windows of a PerturbationInstance's factors."""
+    return singular_values(_residual(u, v))
 
 
 def _rotation(u, v) -> np.ndarray:
@@ -65,12 +71,16 @@ def procrustes_align(u, v) -> np.ndarray:
     return _rotation(*_check_pair(u, v))
 
 
+def _residual(u, w, aligned: bool = False) -> np.ndarray:
+    """residual without the basis checks, for bases already checked."""
+    return w - u @ (_rotation(u, w) if aligned else u.T @ w)
+
+
 def residual(u, w, aligned: bool = False) -> np.ndarray:
     """The part of basis w that basis u does not fit: w - u (u.T w), the
     projection (dim(u) >= dim(w)), or, when aligned, w - u O at the
     Procrustes-optimal O (equal dimensions)."""
-    u, w = _check_pair(u, w, equal_dim=aligned)
-    return w - u @ (_rotation(u, w) if aligned else u.T @ w)
+    return _residual(*_check_pair(u, w, equal_dim=aligned), aligned)
 
 
 def aligned_distance(u, v, spec: NormSpec) -> float:

@@ -46,6 +46,7 @@ from svperturb.matcore import (
     gauge,
     gram_spectrum,
     kyfan,
+    schatten,
     singular_values,
     svd,
 )
@@ -55,7 +56,7 @@ from svperturb.models import (
     low_rank_from_rng,
     perturb,
 )
-from svperturb import models
+from svperturb import models, subspace
 from svperturb.resolvent import phi_values
 from svperturb.subspace import procrustes_align, row_mass, sin_theta_norm
 
@@ -851,17 +852,43 @@ class TestEmpiricalQuantity:
         assert p.delta(1) == float(s[0] - s[1])
         assert p.delta(3) == float(s[2])
 
-    def test_sin_theta_is_max_of_sides(self):
+    def test_sin_theta_is_max_of_sides(self, monkeypatch):
+        # one pair of spectra per window serves every norm kind, bit for bit
+        # the larger public sin_theta_norm of the two sides, and is formed once
         inst = self.inst
-        u_w = inst.svd_signal.left[:, :2]
-        ut_w = inst.svd_observed.left[:, :2]
-        v_w = inst.svd_signal.right[:, :2]
-        vt_w = inst.svd_observed.right[:, :2]
-        expect = max(
-            sin_theta_norm(u_w, ut_w, FROBENIUS), sin_theta_norm(v_w, vt_w, FROBENIUS)
+        sig, obs = inst.svd_signal, inst.svd_observed
+        specs = (OPERATOR, FROBENIUS, NUCLEAR, schatten(3), kyfan(2))
+        windows = ((1, 1), (1, 2), (2, 3), (1, 3))
+        want = []
+        for k_lo, k_hi in windows:
+            w = slice(k_lo - 1, k_hi)
+            for spec in specs:
+                left = sin_theta_norm(sig.left[:, w], obs.left[:, w], spec)
+                right = sin_theta_norm(sig.right[:, w], obs.right[:, w], spec)
+                want.append(max(left, right))
+
+        def reads():
+            return [window_sin_theta(inst, *window, spec) for window in windows for spec in specs]
+
+        assert reads() == want
+        calls = []
+        monkeypatch.setattr(
+            subspace, "singular_values", lambda b: calls.append(b.shape) or singular_values(b)
         )
-        got = window_sin_theta(inst, 1, 2, FROBENIUS)
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert reads() == want
+        assert calls == []
+
+    def test_window_reads_check_no_basis(self, monkeypatch):
+        # the instance checked its four bases when it was built
+        inst = self.inst
+        calls = []
+        monkeypatch.setattr(subspace, "check_orthonormal", lambda b, **kw: calls.append(kw))
+        window_sin_theta(inst, 1, 2, FROBENIUS)
+        window_residual(inst, 1, 2, aligned=True)
+        window_2inf_residual(inst, 2, 3)
+        window_weighted_residual(inst, 1, 3, aligned=True)
+        wedin_check(inst, 2, OPERATOR)
+        assert calls == []
 
     def test_two_inf_modes(self):
         inst = self.inst

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1225,6 +1227,49 @@ class TestMain:
         exc = pickle.loads(pickle.dumps(TrialFailure(3, 7)))
         assert (type(exc), exc.index, exc.seed) == (TrialFailure, 3, 7)
         assert str(exc) == "trial 3 (seed 7)"
+
+    def test_trial_failure_pickles_its_cause(self, monkeypatch, capsys):
+        # pickling drops __cause__, so the failure carries the cause's type
+        # name and message itself, and main prints them from there
+        def trial_factory(cfg):
+            return lambda seed: 1 / 0
+
+        monkeypatch.setitem(harness._FACTORIES, "selftest", trial_factory)
+        cfg = ExperimentConfig("selftest", 3, 9, (), {})
+        with pytest.raises(TrialFailure) as info:
+            run_monte_carlo(cfg)
+        exc = pickle.loads(pickle.dumps(info.value))
+        assert exc.__cause__ is None
+        assert (exc.index, exc.seed) == (0, 9)
+        assert exc.cause == "ZeroDivisionError: division by zero"
+
+        def crossed(cfg):
+            raise exc
+
+        monkeypatch.setattr(harness, "run_monte_carlo", crossed)
+        assert main(["selftest"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == f"error: runtime failure in {exc}: ZeroDivisionError: division by zero\n"
+        assert str(exc) == "trial 0 (seed 9)"
+
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "argparse", SimpleNamespace(ArgumentParser=Counting))
+        harness._parser.cache_clear()
+        try:
+            assert main(["selftest", "--trials", "0"]) == EXIT_CONFIG
+            first = len(built)
+            assert main(["selftest", "--trials", "0"]) == EXIT_CONFIG
+            assert main(["nonesuch"]) == EXIT_CONFIG
+            assert first > 0 and len(built) == first
+        finally:
+            harness._parser.cache_clear()
 
     def test_zj_bracket_failure_is_a_not_met_row(self, tmp_path, monkeypatch, capsys):
         def no_bracket(*args):

@@ -392,6 +392,25 @@ class TestLeadingSvd:
         assert np.array_equal(got.singulars, svd(observed).singulars)
         assert np.array_equal(got.right, right)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weak_gap_exits_after_the_first_product(self, seed, monkeypatch):
+        # on the command-line model the first basis already leaves a residual
+        # above the third Ritz value: LAPACK answers, with no further round
+        # and no certificate
+        rng = np.random.default_rng(seed)
+        fac = low_rank_from_rng(LowRankSpec(80, 60, (40.0, 30.0, 20.0)), rng)
+        observed = (fac.left * fac.singulars) @ fac.right.T + rng.standard_normal((80, 60))
+        qr, bases = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda x: bases.append(x.shape) or qr(x))
+        monkeypatch.setattr(matcore, "_wedin", lambda a, factors: pytest.fail("certified"))
+        got = leading_svd(observed, 3, start=fac.right)
+        # the first product's basis, then the next product, read and left
+        assert bases == [(80, 3), (60, 3)]
+        full = svd(observed)
+        assert np.array_equal(got.left, full.left[:, :3])
+        assert np.array_equal(got.singulars, full.singulars)
+        assert np.array_equal(got.right, full.right[:, :3])
+
     @given(low_rank_plus_noise())
     @settings(max_examples=30, deadline=None)
     def test_repeat_calls_are_byte_identical(self, case):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from svperturb.matcore import SvdFactors, gram_spectrum, gram_top, svd
 from svperturb.models import (
     GmmSpec,
     LowRankSpec,
+    PerturbationInstance,
     SubmatrixSpec,
     haar_basis,
     low_rank_from_rng,
@@ -124,6 +126,22 @@ class TestPerturb:
         for shape in ((7, 9), (9, 8)):
             with pytest.raises(InvalidInputError):
                 perturb(fac, np.random.default_rng(2).standard_normal(shape))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("field", ["svd_signal", "svd_observed"])
+    def test_instance_rejects_a_non_orthonormal_factor(self, field, side):
+        # an instance checks its four bases once, when it is built
+        inst = perturb(
+            low_rank_from_rng(LowRankSpec(9, 7, (4.0, 2.0)), np.random.default_rng(1)),
+            0.01 * np.random.default_rng(2).standard_normal((9, 7)),
+        )
+        factors = getattr(inst, field)
+        bent = getattr(factors, side).copy()
+        bent[:, 0] *= 1.0 + 1e-6
+        bad = dataclasses.replace(factors, **{side: bent})
+        parts = dict(noise=inst.noise, svd_signal=inst.svd_signal, svd_observed=inst.svd_observed)
+        with pytest.raises(InvalidInputError, match=f"{field}.{side}"):
+            PerturbationInstance(**{**parts, field: bad})
 
     def test_factors_must_fit_the_signal(self):
         # thin factors only: a cut svd holds more values than vector pairs
