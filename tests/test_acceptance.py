@@ -97,8 +97,12 @@ COHERENT_SEED = 777
 RANK3_SEED = 778
 
 
-def _line(tag: str, ok: bool, info: str) -> None:
-    print(f"[gate] {tag}: {'PASS' if ok else 'FAIL'} ({info})", flush=True)
+def _gate(tag: str, info: str, **checks: bool) -> None:
+    """Print the gate's one line, PASS when every named check holds, then
+    assert the checks, naming each that fails."""
+    failed = [name for name, ok in checks.items() if not ok]
+    print(f"[gate] {tag}: {'FAIL' if failed else 'PASS'} ({info})", flush=True)
+    assert not failed, f"{tag}: {', '.join(failed)} failed"
 
 
 def _run(scenario: str, trials: int, base_seed: int, model: dict, theorems=()):
@@ -138,14 +142,12 @@ def test_mirsky_displacement_bound():
             bad += bool(rep.violated)
             worst = max(worst, rep.ratio)
     wall = time.perf_counter() - t0
-    ok = bad == 0 and wall < 30.0
-    _line(
+    _gate(
         "mirsky",
-        ok,
         f"{valid} checks, {bad} violations, worst ratio {worst:.4f}, {wall:.1f}s",
+        no_violation=bad == 0,
+        within_30s=wall < 30.0,
     )
-    assert bad == 0
-    assert wall < 30.0
 
 
 def test_wedin_sin_theta_bound():
@@ -161,10 +163,12 @@ def test_wedin_sin_theta_bound():
                 else:
                     valid += 1
                     bad += bool(rep.violated)
-    ok = bad == 0 and valid > 0
-    _line("wedin", ok, f"{valid} checks with positive gap, {skipped} degenerate, {bad} violations")
-    assert valid > 0
-    assert bad == 0
+    _gate(
+        "wedin",
+        f"{valid} checks with positive gap, {skipped} degenerate, {bad} violations",
+        some_valid=valid > 0,
+        no_violation=bad == 0,
+    )
 
 
 def test_subspace_identities():
@@ -209,17 +213,15 @@ def test_subspace_identities():
         row_ok = row_mass(resid_o) <= row_mass(resid_p) + u_mass * sin_sq + SLACK
         if not (vec_ok and bil_ok and row_ok):
             prop_bad += 1
-    ok = worst_cos <= SLACK and worst_spect <= SLACK and sandwich_bad == 0 and prop_bad == 0
-    _line(
+    _gate(
         "subspace-identities",
-        ok,
         f"500 pairs, cos dev {worst_cos:.2e}, residual dev {worst_spect:.2e}, "
         f"sandwich {sandwich_bad}, alignment ineq {prop_bad}",
+        cosines=worst_cos <= SLACK,
+        residual_spectrum=worst_spect <= SLACK,
+        sandwich=sandwich_bad == 0,
+        alignment=prop_bad == 0,
     )
-    assert worst_cos <= SLACK
-    assert worst_spect <= SLACK
-    assert sandwich_bad == 0
-    assert prop_bad == 0
 
 
 # Each bounds stream the release gate reads: its seed, trial count, model and
@@ -371,7 +373,6 @@ def test_bounds_gate(tag):
     dims = model["n_rows"] + model["n_cols"]
     wall, rows = _stream(name)
     results = [(tid, rows[tid], _rate_cap(count, dims, 1.0, trials)) for tid, count in caps.items()]
-    ok = all(r["valid"] == trials and r["violations"] / r["valid"] <= cap for _, r, cap in results)
     info = ", ".join(
         f"{tid} {r['violations']}/{r['valid']} (cap {cap:.4f}, ratio p99 {_p99(r)})"
         for tid, r, cap in results
@@ -379,10 +380,11 @@ def test_bounds_gate(tag):
     shapes = ", ".join(f"{tid} {_p99(rows[tid])}" for tid in SHAPE_TOKENS if tid in rows)
     if shapes:
         info += f"; ungated shape rows, ratio p99: {shapes}"
-    _line(tag, ok, f"{info}; stream {name} {wall:.0f}s")
-    for _, row, cap in results:
-        assert row["valid"] == trials
-        assert row["violations"] / row["valid"] <= cap
+    checks = {}
+    for tid, r, cap in results:
+        checks[f"{tid} valid on every trial"] = r["valid"] == trials
+        checks[f"{tid} within its cap"] = bool(r["valid"]) and r["violations"] / r["valid"] <= cap
+    _gate(tag, f"{info}; stream {name} {wall:.0f}s", **checks)
 
 
 def test_resolvent_identities():
@@ -425,25 +427,17 @@ def test_resolvent_identities():
                 dense_worst,
                 abs(resolvent_bilinear(e, z, x, y) - dense_resolvent_bilinear(e, z, x, y)),
             )
-    ok = (
-        probes == 300
-        and ident_worst <= 1e-8
-        and mono_ok
-        and crude_ok
-        and uphiu_worst <= 1e-8
-        and dense_worst <= 1e-8
-    )
-    _line(
+    _gate(
         "resolvent-identities",
-        ok,
         f"{probes} probes, identity {ident_worst:.2e}, block dev {uphiu_worst:.2e}, "
         f"dense {dense_worst:.2e}, monotone {mono_ok}, crude {crude_ok}",
+        probes=probes == 300,
+        identity=ident_worst <= 1e-8,
+        monotone=mono_ok,
+        crude=crude_ok,
+        block=uphiu_worst <= 1e-8,
+        dense=dense_worst <= 1e-8,
     )
-    assert probes == 300
-    assert ident_worst <= 1e-8
-    assert mono_ok and crude_ok
-    assert uphiu_worst <= 1e-8
-    assert dense_worst <= 1e-8
 
 
 def test_resolvent_local_law():
@@ -464,9 +458,11 @@ def test_resolvent_local_law():
     budget = 9.0 * 400.0 ** (-2.0)
     floor = 1.0 - budget - 3.0 * float(np.sqrt(budget * (1.0 - budget) / trials))
     freq = hits / trials
-    ok = freq >= floor
-    _line("local-law", ok, f"{hits}/{trials} within bound, freq {freq:.5f} >= {floor:.5f}")
-    assert freq >= floor
+    _gate(
+        "local-law",
+        f"{hits}/{trials} within bound, freq {freq:.5f} >= {floor:.5f}",
+        above_floor=freq >= floor,
+    )
 
 
 def test_spectral_norm_event():
@@ -483,14 +479,12 @@ def test_spectral_norm_event():
     freq_small = float(np.mean(top <= 2.0 * (3.0 + 3.0)))
     budget = 2.0 * float(np.exp(-18.0))
     floor = 1.0 - budget - 3.0 * float(np.sqrt(budget * (1.0 - budget) / 100000.0))
-    ok = freq_big == 1.0 and freq_small >= floor
-    _line(
+    _gate(
         "spectral-event",
-        ok,
         f"200-dim freq {freq_big:.4f}, 9-dim freq {freq_small:.6f} >= {floor:.6f}",
+        every_200_dim_draw=freq_big == 1.0,
+        nine_dim_above_floor=freq_small >= floor,
     )
-    assert freq_big == 1.0
-    assert freq_small >= floor
 
 
 def test_gmm_recovery():
@@ -528,15 +522,13 @@ def test_gmm_recovery():
         rates.append(match_labels(spec2.truth, found).misclassification)
     median_rate = float(np.median(rates))
     wall = time.perf_counter() - t0
-    ok = exact >= 99 and wall < 120.0
-    _line(
+    _gate(
         "gmm-recovery",
-        ok,
         f"{exact}/100 exact, practical median misrate {median_rate:.3f} "
         f"(<= 0.05: {median_rate <= 0.05}), {wall:.1f}s",
+        exact_99=exact >= 99,
+        within_120s=wall < 120.0,
     )
-    assert exact >= 99
-    assert wall < 120.0
 
 
 def test_submatrix_recovery():
@@ -569,9 +561,7 @@ def test_submatrix_recovery():
     # a trial not exact on both axes violates the row's bound 0
     row = rows["submatrix_recovery"]
     exact = row["valid"] - row["violations"]
-    ok = exact >= 99
-    _line("submatrix-recovery", ok, f"{exact}/100 exact on both axes")
-    assert exact >= 99
+    _gate("submatrix-recovery", f"{exact}/100 exact on both axes", exact_99=exact >= 99)
 
 
 REPLAY_CONFIGS = {
@@ -858,6 +848,12 @@ REPLAY_CONFIGS = {
         "format": "csv",
     },
     "selftest": {"scenario": "selftest", "trials": 3, "base_seed": 19, "format": "json"},
+    # no model and no theorems: each pins the command line's starting point
+    # of its scenario, its model, theorem list and row order
+    "bounds-cli": {"scenario": "bounds", "trials": 3, "base_seed": 20261101, "format": "csv"},
+    "gmm-cli": {"scenario": "gmm", "trials": 3, "base_seed": 20261102, "format": "csv"},
+    "submatrix-cli": {"scenario": "submatrix", "trials": 3, "base_seed": 20261103, "format": "csv"},
+    "resolvent-cli": {"scenario": "resolvent", "trials": 3, "base_seed": 20261104, "format": "csv"},
 }
 
 
@@ -879,10 +875,8 @@ def test_reproducibility_byte_identical(shipped_reports, tmp_path):
     mismatched = [
         name for name in REPLAY_CONFIGS if shipped_reports[name] != replay_report(name, tmp_path)
     ]
-    ok = not mismatched
-    _line(
+    _gate(
         "reproducibility",
-        ok,
         f"{len(REPLAY_CONFIGS)} configs rerun, mismatches: {mismatched or 'none'}",
+        byte_identical=not mismatched,
     )
-    assert not mismatched

@@ -55,10 +55,40 @@ BOUNDS_MODEL = {
 }
 
 
-CLI_BOUNDS_MODEL = harness._DEFAULT_MODELS["bounds"]
-GMM_MODEL = harness._DEFAULT_MODELS["gmm"]
-SUBMATRIX_MODEL = harness._DEFAULT_MODELS["submatrix"]
-RESOLVENT_MODEL = harness._DEFAULT_MODELS["resolvent"]
+CLI_BOUNDS_MODEL = harness._SCENARIOS["bounds"].model
+GMM_MODEL = harness._SCENARIOS["gmm"].model
+SUBMATRIX_MODEL = harness._SCENARIOS["submatrix"].model
+RESOLVENT_MODEL = harness._SCENARIOS["resolvent"].model
+
+# the keys each factory takes with a default, each with a valid value: with
+# the record's own model, every key a CLI model could hold
+OPTIONAL_MODEL_KEYS = {
+    "bounds": {
+        "factor_mode": "haar",
+        "coherent_row": 0,
+        "k_lo": 1,
+        "k_hi": 1,
+        "margin": 2.0,
+        "tail": 1.0,
+        "noise_scale": 1.0,
+    },
+    "gmm": {"center_mode": "orthogonal", "assignment": "balanced", "tail": 1.0, "restarts": 10},
+    "submatrix": {"tail": 1.0, "restarts": 10},
+    "resolvent": {
+        "margin": 2.0,
+        "tail": 1.0,
+        "z_factors": [1.0, 1.5, 3.0],
+        "signal_rank": 3,
+        "dense": True,
+    },
+    "selftest": {},
+}
+
+
+def stub_factory(monkeypatch, factory) -> None:
+    """Run factory in place of the selftest scenario's own."""
+    stub = replace(harness._SCENARIOS["selftest"], factory=factory)
+    monkeypatch.setitem(harness._SCENARIOS, "selftest", stub)
 
 
 def wrong_kinds(value) -> list:
@@ -166,6 +196,12 @@ class TestTokenValidation:
             "submatrix": harness._SUBMATRIX_ROWS,
             "resolvent": harness._RESOLVENT_ROWS,
         }
+
+    def test_readme_lists_exactly_the_scenarios(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("Scenarios:")[1].split("\n\n")[1]
+        listed = re.findall(r"^- `([a-z]+)` +(.+)$", section, re.M)
+        assert listed == [(name, start.help) for name, start in harness._SCENARIOS.items()]
 
     def test_readme_lists_exactly_the_table_kinds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -599,7 +635,7 @@ class TestRun:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setitem(harness._FACTORIES, "selftest", lambda cfg: lambda seed: [])
+        stub_factory(monkeypatch, lambda cfg: lambda seed: [])
         run_monte_carlo(ExperimentConfig("selftest", trials, 0, (), {}, threads=threads))
         assert pools == ([workers] if workers > 1 else [])
 
@@ -699,8 +735,23 @@ class TestRun:
     )
     def test_recovery_run_names_failed_hypotheses(self, scenario, model, notes):
         keys = harness._ModelKeys(model)
-        harness._FACTORIES[scenario](ExperimentConfig(scenario, model=keys))
+        harness._SCENARIOS[scenario].factory(ExperimentConfig(scenario, model=keys))
         assert keys.notes == notes
+
+    @pytest.mark.parametrize(
+        "model, theorems, noted",
+        [
+            # the CLI model: root^2 about 198 against 32 * 2 * ln 100, about 295
+            (RESOLVENT_MODEL, (), True),
+            (RESOLVENT_MODEL, ("local_law",), True),
+            (RESOLVENT_MODEL, ("uphiu",), False),
+            ({"n_rows": 200, "n_cols": 200}, (), False),
+        ],
+    )
+    def test_resolvent_run_names_failed_local_law(self, model, theorems, noted):
+        keys = harness._ModelKeys(model)
+        harness._SCENARIOS["resolvent"].factory(ExperimentConfig("resolvent", 1, 0, theorems, keys))
+        assert keys.notes == ["the model fails dim_ok: local_law counts no trial"] * noted
 
     def test_local_law_bound_once_per_run(self, monkeypatch):
         calls = []
@@ -995,18 +1046,22 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: invalid config: ")
 
     def test_bad_value_of_any_model_key_is_config_error_naming_it(self, tmp_path, capsys):
-        # every key of every CLI default model, given a value of the wrong kind,
-        # and each single-key range
+        # every key of every CLI model and every optional key, given a value
+        # of the wrong kind, and each single-key range
+        models = {
+            scenario: dict(start.model, **OPTIONAL_MODEL_KEYS[scenario])
+            for scenario, start in harness._SCENARIOS.items()
+        }
         cases = [
             (scenario, key, bad)
-            for scenario, model in harness._DEFAULT_MODELS.items()
+            for scenario, model in models.items()
             for key, value in model.items()
             for bad in wrong_kinds(value)
         ]
         # an integer past int64, which no array size or index can take
         cases += [
             (scenario, key, bad)
-            for scenario, model in harness._DEFAULT_MODELS.items()
+            for scenario, model in models.items()
             for key, value in model.items()
             if isinstance(value, int) and not isinstance(value, bool)
             for bad in (2**63, -(2**63) - 1, 10**400)
@@ -1021,17 +1076,37 @@ class TestMain:
         ]
         p = tmp_path / "cfg.json"
         for scenario, key, bad in cases:
-            p.write_text(json.dumps({"model": dict(harness._DEFAULT_MODELS[scenario], **{key: bad})}))
+            p.write_text(json.dumps({"model": dict(models[scenario], **{key: bad})}))
             assert main([scenario, "--config", str(p), "--trials", "1"]) == EXIT_CONFIG, (key, bad)
             err = capsys.readouterr().err
             assert err.startswith(f"error: invalid config: model key {key!r}"), (key, bad, err)
 
     def test_every_default_model_key_is_read(self):
-        for scenario, model in harness._DEFAULT_MODELS.items():
-            cfg = ExperimentConfig(scenario, 1, 0, harness._DEFAULT_THEOREMS[scenario], model)
+        for scenario, start in harness._SCENARIOS.items():
+            model = dict(start.model, **OPTIONAL_MODEL_KEYS[scenario])
             keys = harness._ModelKeys(model)
-            harness._FACTORIES[scenario](replace(cfg, model=keys))
+            start.factory(ExperimentConfig(scenario, 1, 0, start.theorems, keys))
             assert keys.read >= set(model), scenario
+
+    def test_optional_keys_are_the_taken_defaults(self, monkeypatch):
+        # a record's model repeats no default its factory takes, and the
+        # test's optional keys are exactly the keys taken with a default
+        defaults: dict = {}
+        take = harness._ModelKeys.take
+
+        def recording(self, key, kind, default=None, **kw):
+            if default is not None:
+                defaults[key] = default
+            return take(self, key, kind, default, **kw)
+
+        monkeypatch.setattr(harness._ModelKeys, "take", recording)
+        for scenario, start in harness._SCENARIOS.items():
+            defaults.clear()
+            keys = harness._ModelKeys(start.model)
+            start.factory(ExperimentConfig(scenario, 1, 0, start.theorems, keys))
+            repeated = {k for k, v in start.model.items() if k in defaults and defaults[k] == v}
+            assert not repeated, scenario
+            assert set(defaults) - set(start.model) == set(OPTIONAL_MODEL_KEYS[scenario]), scenario
 
     @pytest.mark.parametrize("module", ["svperturb", "svperturb.harness"])
     def test_module_entry_point_runs(self, tmp_path, module):
@@ -1052,8 +1127,8 @@ class TestMain:
         script = (
             "import json, sys\n"
             "import svperturb\n"
-            "from svperturb.harness import main\n"
-            f"codes = [main([s, '--trials', '1', '--out', s + '.csv']) for s in {harness._SCENARIOS!r}]\n"
+            "from svperturb.harness import _SCENARIOS, main\n"
+            "codes = [main([s, '--trials', '1', '--out', s + '.csv']) for s in _SCENARIOS]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
         )
         proc = subprocess.run(
@@ -1073,7 +1148,7 @@ class TestMain:
         def factory(cfg):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setitem(harness._FACTORIES, "selftest", factory)
+        stub_factory(monkeypatch, factory)
         assert main(["selftest"]) == EXIT_RUNTIME
         assert "invalid config" not in capsys.readouterr().err
 
@@ -1122,6 +1197,15 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["config"]["base_seed"] == 4
         assert doc["config"]["scenario"] == "selftest"
+
+    def test_json_echo_lists_the_model_keys_given(self, tmp_path):
+        # the CLI's starting model holds only the keys the factory needs; the
+        # defaults it fills in are not echoed
+        out = tmp_path / "r.json"
+        assert main(["bounds", "--format", "json", "--trials", "1", "--out", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        assert config["model"] == {"n_rows": 80, "n_cols": 60, "singulars": [40.0, 30.0, 20.0]}
+        assert config["theorems"] == list(harness._SCENARIOS["bounds"].theorems)
 
     def test_json_bytes_do_not_depend_on_out_or_threads(self, tmp_path):
         # one config written as json to two paths at two thread counts
@@ -1213,7 +1297,7 @@ class TestMain:
 
             return trial
 
-        monkeypatch.setitem(harness._FACTORIES, "selftest", trial_factory)
+        stub_factory(monkeypatch, trial_factory)
         cfg = ExperimentConfig(
             scenario="selftest", trials=5, base_seed=11, theorems=(), model={}, threads=2
         )
@@ -1234,7 +1318,7 @@ class TestMain:
         def trial_factory(cfg):
             return lambda seed: 1 / 0
 
-        monkeypatch.setitem(harness._FACTORIES, "selftest", trial_factory)
+        stub_factory(monkeypatch, trial_factory)
         cfg = ExperimentConfig("selftest", 3, 9, (), {})
         with pytest.raises(TrialFailure) as info:
             run_monte_carlo(cfg)
