@@ -11,7 +11,7 @@ with constant 1 and claim probability 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -194,10 +194,10 @@ class GaussianBoundParams:
     def min_gap(self) -> float:
         return min(self.delta(self.k_lo - 1), self.delta(self.k_hi))
 
-    def require_full_window(self) -> None:
-        """The corollaries' rule: the window is [1, rank]."""
-        if self.k_lo != 1 or self.k_hi != self.rank:
-            raise InvalidParameterError("the corollary needs the full window [1, rank]")
+    @cached_property
+    def full_window(self) -> "GaussianBoundParams":
+        """These params on the full window [1, rank], the corollaries' window."""
+        return replace(self, k_lo=1, k_hi=self.rank)
 
     @cached_property
     def window_lead(self) -> float:
@@ -643,7 +643,8 @@ def weighted_corollary_bound(
 ) -> BoundReport:
     """Aligned corollary of the weighted bound on the full window [1, rank],
     with the measured noise operator norm e_norm."""
-    p.require_full_window()
+    if p.k_lo != 1 or p.k_hi != p.rank:
+        raise InvalidParameterError("the corollary needs the full window [1, rank]")
     u = _checked_row_mass(u_2inf)
     b = p.margin
     flags = p.preconditions

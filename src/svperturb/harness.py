@@ -23,6 +23,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -283,16 +284,24 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 # The bounds theorem table. A token is KIND[:ARG[:ARG]], and each kind is the
 # _BoundsTrial method of that name, registered by @_theorem with one validator
-# (text, params) -> value per argument. Validators run when the scenario is built.
+# (text, params) -> value per argument, run when the scenario is built, and its
+# hypotheses params -> the flags its rows report, kept on the method. A kind with
+# hypotheses also assumes unit-variance noise; None marks a distribution-free one.
 _BOUNDS_THEOREMS: dict[str, tuple] = {}
 
 
-def _theorem(*validators):
+def _theorem(*validators, hypotheses=attrgetter("preconditions")):
     def register(evaluate):
+        evaluate.hypotheses = hypotheses
         _BOUNDS_THEOREMS[evaluate.__name__] = (validators, evaluate)
         return evaluate
 
     return register
+
+
+def _unit_noise_only(p: GaussianBoundParams) -> PreconditionFlags:
+    """Hypotheses of a statement on unit-variance noise alone, none of the model's."""
+    return ALL_OK
 
 
 def _bind_token(token: str, params: GaussianBoundParams):
@@ -348,11 +357,11 @@ class _BoundsTrial:
             for k in range(1, sig.vector_count + 1)
         )
 
-    @_theorem(_norm)
+    @_theorem(_norm, hypotheses=None)
     def mirsky(self, spec: NormSpec) -> list[BoundReport]:
         return [mirsky_check(self.inst, spec)]
 
-    @_theorem(_rank_index, _norm)
+    @_theorem(_rank_index, _norm, hypotheses=None)
     def wedin(self, k: int, spec: NormSpec) -> list[BoundReport]:
         return [wedin_check(self.inst, k, spec)]
 
@@ -429,24 +438,24 @@ class _BoundsTrial:
         emp = window_weighted_residual(self.inst, p.k_lo, p.k_hi)
         return [weighted_window_bound(p, self.u_2inf, emp)]
 
-    @_theorem()
+    @_theorem(hypotheses=attrgetter("full_window.preconditions"))
     def gauss_weighted_corollary(self) -> list[BoundReport]:
-        p = replace(self.p, k_lo=1, k_hi=self.p.rank)  # the full window, whatever is configured
+        p = self.p.full_window  # a statement on [1, rank], whatever window is configured
         emp = window_weighted_residual(self.inst, 1, p.rank, aligned=True)
         return [weighted_corollary_bound(p, self.u_2inf, self.inst.noise_top.value, emp)]
 
-    @_theorem(_rank_index)
+    @_theorem(_rank_index, hypotheses=None)
     def general_sv(self, k: int) -> list[BoundReport]:
         return list(general_sv_bounds(self.inst, k, self.general[k - 1]))
 
-    @_theorem(_rank_index, _norm)
+    @_theorem(_rank_index, _norm, hypotheses=None)
     def general_sin_theta(self, k: int, spec: NormSpec) -> list[BoundReport]:
         inst, gp = self.inst, self.general[k - 1]
         sigma_k = float(inst.svd_signal.singulars[k - 1])
         emp = window_sin_theta(inst, 1, k, spec)
         return [general_subspace_bound(k, inst.rank(), self.p.delta(k), sigma_k, gp, spec, emp)]
 
-    @_theorem()
+    @_theorem(hypotheses=_unit_noise_only)
     def spectral_norm_event(self) -> list[BoundReport]:
         return [spectral_norm_report(self.inst.noise_top.value, *self.inst.shape)]
 
@@ -484,25 +493,21 @@ def _bounds_factory(cfg: ExperimentConfig):
         raise InvalidParameterError("bounds needs at least one theorem token")
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
-    flags = params.preconditions
-    failing = _failing(flags)
-    skipped, rows = ("gauss_",), "gauss_*"
-    if noise_scale != 1.0:  # every Gaussian statement and the norm event assume unit noise
-        failing.append("unit noise")
-        skipped, rows = ("gauss_", "spectral_norm_event"), "gauss_* and spectral_norm_event"
-        # the SNR hypothesis is stated in units of the noise deviation, so
-        # scaled noise fails it even when the model's own flags all hold
-        flags = replace(flags, snr_ok=False)
-    if not failing:  # the corollary reads the full window, whatever is configured
-        flags = replace(params, k_lo=1, k_hi=params.rank).preconditions
-        failing = [f"{name} on [1, {params.rank}]" for name in _failing(flags)]
-        skipped = rows = "gauss_weighted_corollary"
-    if failing and any(f.__name__.startswith(skipped) for f, _ in bound):
-        # the hypotheses read the model alone: no trial can count these rows
-        bound = [
-            _not_met(f, a, flags) if f.__name__.startswith(skipped) else (f, a) for f, a in bound
-        ]
-        model.notes.append(f"the model fails {', '.join(failing)}: {rows} rows were not evaluated")
+    unevaluated: dict[str, list[str]] = {}  # row ids by the hypotheses they fail
+    for i, (f, args) in enumerate(bound):
+        if f.hypotheses is None:  # a distribution-free statement
+            continue
+        flags = f.hypotheses(params)
+        failing = _failing(flags)
+        if noise_scale != 1.0:
+            # the SNR hypothesis is stated in units of the noise deviation, so
+            # scaled noise fails it even when the model's own flags all hold
+            flags, failing = replace(flags, snr_ok=False), [*failing, "unit noise"]
+        if failing:  # the hypotheses read the model alone: no trial can count these rows
+            bound[i] = _not_met(f, args, flags)
+            unevaluated.setdefault(", ".join(failing), []).append(gauss_row_id(f.__name__, *args))
+    for failing, ids in unevaluated.items():
+        model.notes.append(f"the model fails {failing}: rows {', '.join(ids)} were not evaluated")
 
     def trial(seed: int) -> list[BoundReport]:
         rng = np.random.default_rng(seed)
@@ -525,15 +530,17 @@ _SUBMATRIX_ROWS = ("submatrix_recovery",)
 
 
 def _recovery_floor(
-    n_rows: int, n_cols: int, k: int, tail: float, sigma_min: float, separations
+    n_rows: int, n_cols: int, k: int, tail: float, sigma_min: float, separations, notes, note
 ) -> tuple[PreconditionFlags, float]:
-    """Hypotheses and probability floor of the two recovery applications;
-    separations holds (gap, smallest group size) pairs."""
+    """Hypotheses and probability floor of the two recovery applications, with
+    note added to notes if they fail; separations holds (gap, smallest group size) pairs."""
     dim_ok, snr_ok = dim_snr_flags(n_rows, n_cols, k, tail, sigma_min)
     root = np.sqrt(n_rows) + np.sqrt(n_cols)
     need = 1800.0 * k * np.sqrt((tail + 7.0) * np.log(n_rows + n_cols))
     gap_ok = all(bool(gap >= max(40.0 * root / np.sqrt(n), need)) for gap, n in separations)
     flags = PreconditionFlags(dim_ok=dim_ok, snr_ok=snr_ok, gap_ok=gap_ok)
+    if not flags.all_ok:  # the trials still run, but no row counts them
+        notes.append(f"the model fails {', '.join(_failing(flags))}: {note}")
     return flags, probability_floor(40.0, n_rows, n_cols, tail, flags.all_ok)
 
 
@@ -565,10 +572,8 @@ def _gmm_factory(cfg: ExperimentConfig):
     kmeans_cfg = KMeansConfig(k=k, restarts=model.take("restarts", int, 10))
     wanted = _fixed_rows(cfg, _GMM_ROWS)
     separations = [(spec.center_gap, spec.min_cluster)]
-    flags, prob = _recovery_floor(p, n, k, tail, spec.sigma_min, separations)
-    if not flags.all_ok:  # the trials still run, but no row counts them
-        failing = ", ".join(_failing(flags))
-        model.notes.append(f"the model fails {failing}: gmm_* rows count no trial")
+    note = "gmm_* rows count no trial"
+    flags, prob = _recovery_floor(p, n, k, tail, spec.sigma_min, separations, model.notes, note)
 
     def trial(seed: int) -> list[BoundReport]:
         emb = spectral_embedding(sample_gmm(spec, seed), k)
@@ -617,10 +622,8 @@ def _submatrix_factory(cfg: ExperimentConfig):
     kmeans_cfg = KMeansConfig(k=k + 1, restarts=model.take("restarts", int, 10))
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
     separations = [(spec.row_gap, spec.min_rows), (spec.col_gap, spec.min_cols)]
-    flags, prob = _recovery_floor(spec.n_rows, spec.n_cols, k, tail, spec.sigma_min, separations)
-    if not flags.all_ok:  # the trials still run, but no row counts them
-        failing = ", ".join(_failing(flags))
-        model.notes.append(f"the model fails {failing}: submatrix_recovery counts no trial")
+    m, n, note = spec.n_rows, spec.n_cols, "submatrix_recovery counts no trial"
+    flags, prob = _recovery_floor(m, n, k, tail, spec.sigma_min, separations, model.notes, note)
 
     def trial(seed: int) -> list[BoundReport]:
         x = plant_submatrices(spec, seed)
@@ -1064,18 +1067,8 @@ def _aggregate(per_trial: list[list[BoundReport]]):
             p50, p90, p99 = _ratio_quantiles(a["ratios"])
         else:
             p50 = p90 = p99 = None
-        rows.append(
-            {
-                "theorem_id": tid,
-                "trials": a["trials"],
-                "valid": valid,
-                "violations": a["violations"],
-                "rate": rate,
-                "ratio_p50": p50,
-                "ratio_p90": p90,
-                "ratio_p99": p99,
-            }
-        )
+        cells = (tid, a["trials"], valid, a["violations"], rate, p50, p90, p99)
+        rows.append(dict(zip(_CSV_COLUMNS, cells)))
         if valid:
             budget = a["budget"]
             margin = 3.0 * np.sqrt(budget * (1.0 - budget) / valid)

@@ -726,6 +726,23 @@ REPLAY_CONFIGS = {
         },
         "format": "csv",
     },
+    # the window [1, 1] of a rank-2 model with a narrow gap fails gap_ok, but
+    # the corollary's own window [1, 2] meets every hypothesis: pins that
+    # its row counts every trial while the window's gauss_2inf counts none
+    "bounds-edge-corollary": {
+        "scenario": "bounds",
+        "trials": 2,
+        "base_seed": 5,
+        "theorems": ["gauss_weighted_corollary", "gauss_2inf", "mirsky:operator"],
+        "model": {
+            "n_rows": 900,
+            "n_cols": 900,
+            "singulars": [2.0e5, 1.99e5],
+            "k_lo": 1,
+            "k_hi": 1,
+        },
+        "format": "csv",
+    },
     # coherent factors and scaled noise: the only golden off the default model
     "bounds-coherent-scaled": {
         "scenario": "bounds",

@@ -319,8 +319,8 @@ class TestGaussianSkip:
         argv = ["bounds", "--config", str(p), "--trials", "4", "--out", str(tmp_path / "a.csv")]
         assert main(argv) == EXIT_OK
         err = capsys.readouterr().err.splitlines()
-        assert err[0] == (
-            "note: the model fails dim_ok, snr_ok, gap_ok: gauss_* rows were not evaluated"
+        noted = re.fullmatch(
+            r"note: the model fails dim_ok, snr_ok, gap_ok: rows (.+) were not evaluated", err[0]
         )
         assert err[1].startswith("note: no valid trial in rows: gauss_2inf, ")
 
@@ -342,6 +342,9 @@ class TestGaussianSkip:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         rows = (tmp_path / "a.csv").read_text().splitlines()
         assert sum(r.startswith("gauss_") and r.endswith(",4,0,0,,,,") for r in rows) == len(tokens)
+        # the note names every gauss_* row, and no other
+        gauss_ids = [r.split(",")[0] for r in rows if r.startswith("gauss_")]
+        assert sorted(noted.group(1).split(", ")) == gauss_ids
 
     @pytest.mark.parametrize("scale", [40.0, 0.2])
     def test_scaled_noise_evaluates_no_unit_noise_row(self, tmp_path, capsys, scale):
@@ -353,10 +356,11 @@ class TestGaussianSkip:
         p.write_text(json.dumps({"theorems": tokens, "model": model}))
         out = tmp_path / "r.csv"
         assert main(["bounds", "--config", str(p), "--trials", "3", "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err.splitlines()[0] == (
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            "note: the model fails unit noise: rows spectral_norm_event were not evaluated",
             "note: the model fails dim_ok, snr_ok, gap_ok, unit noise: "
-            "gauss_* and spectral_norm_event rows were not evaluated"
-        )
+            "rows gauss_2inf were not evaluated",
+        ]
         rows = out.read_text().splitlines()
         assert "spectral_norm_event,3,0,0,,,," in rows and "gauss_2inf,3,0,0,,,," in rows
         assert any(r.startswith("mirsky:operator,3,3,0,") for r in rows)
@@ -368,9 +372,7 @@ class TestGaussianSkip:
         )
         cfg = ExperimentConfig("bounds", theorems=("gauss_2inf",), model=model)
         harness._bounds_factory(cfg)
-        assert model.notes == [
-            "the model fails unit noise: gauss_* and spectral_norm_event rows were not evaluated"
-        ]
+        assert model.notes == ["the model fails unit noise: rows gauss_2inf were not evaluated"]
 
     def test_failing_full_window_binds_the_corollary(self, monkeypatch):
         # the inner window [1, 2] of this rank-3 model meets the hypotheses,
@@ -387,7 +389,7 @@ class TestGaussianSkip:
         monkeypatch.setattr(harness, "weighted_corollary_bound", untouched)
         corollary, two_inf = harness._bounds_factory(cfg)(derive_seed(0, 0))
         assert model.notes == [
-            "the model fails snr_ok on [1, 3]: gauss_weighted_corollary rows were not evaluated"
+            "the model fails snr_ok: rows gauss_weighted_corollary were not evaluated"
         ]
         assert corollary.theorem_id == "gauss_weighted_corollary"
         assert corollary.empirical_value is None and not corollary.preconditions.snr_ok
@@ -405,6 +407,64 @@ class TestGaussianSkip:
         for rep in reports:
             assert not rep.preconditions.all_ok, rep.theorem_id
             assert rep.violated is None and rep.empirical_value is None
+
+
+# One model of each binding case: every hypothesis met; a window [1, 1] that
+# fails gap_ok while the corollary's [1, 2] meets every flag; an inner window
+# whose full window [1, 3] fails snr_ok; scaled noise; the command line's model.
+BINDING_MODELS = {
+    "all-met": {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5]},
+    "edge": {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.99e5]},
+    "rank3-inner": {
+        "n_rows": 900, "n_cols": 900, "singulars": [3.6e5, 2.4e5, 1.2e5], "k_hi": 2
+    },
+    "scaled": {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "noise_scale": 0.5},
+    "cli": CLI_BOUNDS_MODEL,
+}
+# the statements that assume nothing of the noise's distribution
+DISTRIBUTION_FREE = {"mirsky", "wedin", "general_sv", "general_sin_theta"}
+
+
+class TestHypothesisBinding:
+    @pytest.mark.parametrize("name", sorted(BINDING_MODELS))
+    def test_binding_agrees_with_the_evaluated_flags(self, name, monkeypatch):
+        # the factory binds a token to a not-met row exactly when the row its
+        # evaluator gives on an instance fails a precondition, or when the
+        # statement assumes unit noise and the noise is scaled
+        model = BINDING_MODELS[name]
+        rank, k_hi = len(model["singulars"]), model.get("k_hi", 1)
+        scale = model.get("noise_scale", 1.0)
+        tokens = [t for kind in sorted(harness._BOUNDS_THEOREMS) for t in kind_tokens(kind, rank)]
+        not_met = set()
+        real = harness._not_met
+
+        def recording(evaluate, args, flags):
+            not_met.add((evaluate.__name__, *args))
+            return real(evaluate, args, flags)
+
+        monkeypatch.setattr(harness, "_not_met", recording)
+        cfg = ExperimentConfig("bounds", theorems=tokens, model=harness._ModelKeys(model))
+        harness._bounds_factory(cfg)
+        lr = LowRankSpec(model["n_rows"], model["n_cols"], tuple(model["singulars"]))
+        params = GaussianBoundParams(lr.n_rows, lr.n_cols, lr.singulars, 1, k_hi)
+        rng = np.random.default_rng(derive_seed(0, 0))
+        fac = low_rank_from_rng(lr, rng)
+        inst = perturb(fac, scale * rng.standard_normal(fac.shape))
+        trial = harness._BoundsTrial(inst, params, rng)
+        for token in tokens:
+            evaluate, args = harness._bind_token(token, params)
+            fails = not all(rep.preconditions.all_ok for rep in evaluate(trial, *args))
+            unit = evaluate.__name__ not in DISTRIBUTION_FREE and scale != 1.0
+            assert ((evaluate.__name__, *args) in not_met) == (fails or unit), token
+
+    def test_edge_model_notes_only_the_window_rows(self):
+        # the corollary's full window meets every hypothesis, so no note names it
+        model = harness._ModelKeys(BINDING_MODELS["edge"])
+        tokens = ("gauss_weighted_corollary", "gauss_2inf", "gauss_sv_location:1", "wedin:1:nuclear")
+        harness._bounds_factory(ExperimentConfig("bounds", theorems=tokens, model=model))
+        assert model.notes == [
+            "the model fails gap_ok: rows gauss_2inf, gauss_sv_location:j1 were not evaluated"
+        ]
 
 
 # the eight theorem tokens of the release gate's 900 x 900 bounds job
