@@ -270,6 +270,14 @@ class GaussianBoundParams:
         gap_ok = bool(self.min_gap >= 75.0 * self.chi * self.eta * self.rank)
         return PreconditionFlags(dim_ok=dim_ok, snr_ok=self.r0 is not None, gap_ok=gap_ok)
 
+    @cached_property
+    def directional_preconditions(self) -> PreconditionFlags:
+        """The preconditions of the directional (linear and bilinear) statements:
+        the window's, with their own hypothesis sigma_1 <= n_cols^2 in snr_ok."""
+        flags = self.preconditions
+        snr_ok = flags.snr_ok and self.singulars[0] <= float(self.n_cols) ** 2
+        return replace(flags, snr_ok=snr_ok)
+
     def probability_floor(self, count: float, holds: bool = True) -> float:
         """probability_floor on this model, holding when the preconditions
         and the statement's own hypothesis `holds` do."""
@@ -604,8 +612,9 @@ def linear_bilinear_bound(
     x_signal_norm is the measured length of the probe direction projected
     on the full signal left factor. y is the window-side unit direction of
     the bilinear form (length = window). Both statements require the top
-    signal value to stay below (column count)^2; otherwise the reports
-    claim no probability. empirical is the measured (linear, bilinear) pair.
+    signal value to stay below (column count)^2, which their flags report as
+    snr_ok (see directional_preconditions). empirical is the measured
+    (linear, bilinear) pair.
     """
     if x_signal_norm < 0:
         raise InvalidParameterError("x_signal_norm must be nonnegative")
@@ -613,9 +622,8 @@ def linear_bilinear_bound(
     w = p.window
     if y.shape[0] != w:
         raise InvalidParameterError(f"y must have window length {w}, got {y.shape[0]}")
-    hyp_ok = p.singulars[0] <= float(p.n_cols) ** 2
-    flags = p.preconditions
-    prob = p.probability_floor(40.0, hyp_ok)
+    flags = p.directional_preconditions
+    prob = p.probability_floor(40.0, flags.all_ok)
     lead = _over_gap(p.window_lead * x_signal_norm * p.eta, p.min_gap)
     tail_coef = p.tail_factor * p.gamma * (1.0 + x_signal_norm)
     sig = np.asarray(p.singulars[p.k_lo - 1 : p.k_hi])

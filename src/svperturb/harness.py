@@ -424,11 +424,11 @@ class _BoundsTrial:
         lin, bil = linear_bilinear_bound(p, xu, y, (float(np.linalg.norm(xr)), float(abs(xr @ y))))
         return [bil if bilinear else lin]
 
-    @_theorem()
+    @_theorem(hypotheses=attrgetter("directional_preconditions"))
     def gauss_linear(self) -> list[BoundReport]:
         return self._directional(bilinear=False)
 
-    @_theorem()
+    @_theorem(hypotheses=attrgetter("directional_preconditions"))
     def gauss_bilinear(self) -> list[BoundReport]:
         return self._directional(bilinear=True)
 
@@ -997,8 +997,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
     """Run cfg.trials seeded trials and aggregate per-theorem rows.
 
     Each scenario factory returns its trial function, which takes the trial
-    seed. A ValueError or TypeError while the scenario is built (a malformed
-    model value or theorem token) is re-raised as InvalidParameterError, and
+    seed. A ValueError, TypeError or ArithmeticError while the scenario is
+    built (a malformed model value or theorem token, or a model value whose
+    constants overflow) is re-raised as InvalidParameterError, and
     so is a model key the scenario never reads. An exception inside trial i
     is re-raised as TrialFailure, chained to it. Trials run on
     min(threads, trials, CPU count) threads; one runs them in order.
@@ -1009,7 +1010,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
         run_trial = _SCENARIOS[cfg.scenario].factory(replace(cfg, model=model))
     except np.linalg.LinAlgError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         # every model value and theorem token is checked here, before trial 0
         raise InvalidParameterError(str(exc)) from exc
     unread = set(model) - model.read

@@ -756,6 +756,11 @@ class TestLinearBilinear:
         lin, bil = linear_bilinear_bound(p, 0.5, np.array([1.0]))
         assert lin.probability_floor == 0.0
         assert bil.probability_floor == 0.0
+        # the statements' own hypothesis is reported, as snr_ok
+        assert p.preconditions.all_ok
+        expect = PreconditionFlags(dim_ok=True, snr_ok=False, gap_ok=True)
+        assert p.directional_preconditions == expect
+        assert lin.preconditions == bil.preconditions == expect
 
     def test_full_window_drops_lead(self):
         p = GaussianBoundParams(

@@ -1060,6 +1060,12 @@ class TestMain:
             pytest.param(
                 ["mirsky:operator"], dict(CLI_BOUNDS_MODEL, n_rows=10**400), id="n_rows-1e400"
             ),
+            # (margin - 1)^2 overflows while the hypotheses are read
+            pytest.param(
+                ["gauss_2inf"],
+                {"n_rows": 20, "n_cols": 20, "singulars": [5.0], "margin": 1e300},
+                id="margin-1e300",
+            ),
         ],
     )
     def test_malformed_token_or_model_is_config_error(self, tmp_path, capsys, theorems, model):
@@ -1097,6 +1103,7 @@ class TestMain:
             ("selftest", {"trials": True}),
             ("bounds", {"theorems": "mirsky:operator"}),
             ("bounds", {"theorems": []}),
+            ("resolvent", {"model": {"n_rows": 20, "n_cols": 20, "margin": 1e300}}),
         ],
     )
     def test_unread_key_or_bad_row_is_config_error(self, tmp_path, capsys, scenario, doc):
