@@ -321,13 +321,21 @@ def _window_cols(inst: PerturbationInstance, k_lo: int, k_hi: int) -> slice:
     return slice(k_lo - 1, k_hi)
 
 
+def sv_rounding(inst: PerturbationInstance) -> float:
+    """min(N, n) eps sigma~_1, the error bound of a computed singular value (a
+    backward-stable SVD, then Weyl): sigma_k - sigma~_k cancels to a few ulps of
+    sigma_1, 1.2e-4 each at sigma_1 = 1e12, past the slack on a noise-sized bound."""
+    return min(inst.shape) * np.finfo(float).eps * float(inst.svd_observed.singulars[0])
+
+
 def mirsky_check(inst: PerturbationInstance, spec: NormSpec) -> BoundReport:
     """Invariant norm of the singular-value displacement vs the same norm of
     the noise. Deterministic; holds for every draw.
 
     Under the operator norm only the noise norm and the (r+1)-th observed
     value are read, never the two whole spectra: each displacement past r is
-    an observed value, and the largest of those is the (r+1)-th.
+    an observed value, and the largest of those is the (r+1)-th. The bound
+    adds the norm of sv_rounding in each entry, the most rounding adds.
     """
     m = min(inst.shape)
     require_norm(spec, m)
@@ -341,6 +349,7 @@ def mirsky_check(inst: PerturbationInstance, spec: NormSpec) -> BoundReport:
         # thin signal factors hold only the r nonzero values
         diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
         empirical = gauge(diff, spec)
+    bound += gauge(np.full(m, sv_rounding(inst)), spec)
     return BoundReport.build(f"mirsky:{spec.label}", bound, 1.0, ALL_OK, empirical)
 
 
@@ -485,10 +494,9 @@ def general_sv_bounds(
     observed value exceeds the signal value by at most the second-order
     correction plus the core cap.
 
-    The lower bound adds min(N, n) eps sigma~_1, the error bound of a
-    computed singular value (a backward-stable SVD, then Weyl): sigma_k -
-    sigma~_k cancels to a few ulps of sigma_1, 1.2e-4 each at sigma_1 = 1e12,
-    which the relative slack on a corner cap near 1 does not cover.
+    The lower bound adds sv_rounding, the error bound of a computed
+    singular value: the relative slack on a corner cap near 1 does not cover
+    sigma_k - sigma~_k's rounding at sigma_1.
     """
     r = inst.rank()
     if not 1 <= k <= r:
@@ -496,7 +504,7 @@ def general_sv_bounds(
     sigma_k = float(inst.svd_signal.singulars[k - 1])
     held = inst.svd_observed.singulars
     observed_k = float(held[k - 1])
-    rounding = min(inst.shape) * np.finfo(float).eps * float(held[0])
+    rounding = sv_rounding(inst)
     prob = 1.0
     lower = BoundReport.build(
         f"general_sv_lower:k{k}", gp.corner_bound + rounding, prob, ALL_OK, sigma_k - observed_k

@@ -223,7 +223,7 @@ class SummaryReport:
     version: str
     wall_time_s: float = 0.0           # in-memory only, never serialized
     exceeded: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)  # in-memory only: what the model rules out
+    notes: list[str] = field(default_factory=list)  # in-memory only: rows that counted no trial
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +231,11 @@ class SummaryReport:
 
 
 class _ModelKeys(dict):
-    """A scenario's model; factories read it only through take, which records
-    each key, and note there what the model rules out."""
+    """A scenario's model; factories read it only through take, which records each key."""
 
     def __init__(self, model: dict):
         super().__init__(model)
         self.read: set = set()
-        self.notes: list[str] = []
 
     def take(self, key: str, kind, default=None, *, at_least=None, above=None):
         """key's value checked as kind (see _typed); if absent, default (unchecked) or an error.
@@ -460,10 +458,6 @@ class _BoundsTrial:
         return [spectral_norm_report(self.inst.noise_top.value, *self.inst.shape)]
 
 
-def _failing(flags: PreconditionFlags) -> list[str]:
-    return [name for name, ok in asdict(flags).items() if not ok]
-
-
 def _not_met(evaluate, args, flags: PreconditionFlags):
     """A token under failed hypotheses: its constant rows, with no measured value."""
     rows = [BoundReport.build(gauss_row_id(evaluate.__name__, *args), np.inf, 0.0, flags)]
@@ -493,21 +487,16 @@ def _bounds_factory(cfg: ExperimentConfig):
         raise InvalidParameterError("bounds needs at least one theorem token")
     bound = [_bind_token(tok, params) for tok in cfg.theorems]
     _reject_repeats(cfg.theorems, [(f.__name__, *args) for f, args in bound])
-    unevaluated: dict[str, list[str]] = {}  # row ids by the hypotheses they fail
     for i, (f, args) in enumerate(bound):
         if f.hypotheses is None:  # a distribution-free statement
             continue
         flags = f.hypotheses(params)
-        failing = _failing(flags)
         if noise_scale != 1.0:
             # the SNR hypothesis is stated in units of the noise deviation, so
             # scaled noise fails it even when the model's own flags all hold
-            flags, failing = replace(flags, snr_ok=False), [*failing, "unit noise"]
-        if failing:  # the hypotheses read the model alone: no trial can count these rows
+            flags = replace(flags, snr_ok=False)
+        if not flags.all_ok:  # the hypotheses read the model alone: no trial can count these rows
             bound[i] = _not_met(f, args, flags)
-            unevaluated.setdefault(", ".join(failing), []).append(gauss_row_id(f.__name__, *args))
-    for failing, ids in unevaluated.items():
-        model.notes.append(f"the model fails {failing}: rows {', '.join(ids)} were not evaluated")
 
     def trial(seed: int) -> list[BoundReport]:
         rng = np.random.default_rng(seed)
@@ -530,17 +519,15 @@ _SUBMATRIX_ROWS = ("submatrix_recovery",)
 
 
 def _recovery_floor(
-    n_rows: int, n_cols: int, k: int, tail: float, sigma_min: float, separations, notes, note
+    n_rows: int, n_cols: int, k: int, tail: float, sigma_min: float, separations
 ) -> tuple[PreconditionFlags, float]:
-    """Hypotheses and probability floor of the two recovery applications, with
-    note added to notes if they fail; separations holds (gap, smallest group size) pairs."""
+    """Hypotheses and probability floor of the two recovery applications, whose trials
+    run even when they fail; separations holds (gap, smallest group size) pairs."""
     dim_ok, snr_ok = dim_snr_flags(n_rows, n_cols, k, tail, sigma_min)
     root = np.sqrt(n_rows) + np.sqrt(n_cols)
     need = 1800.0 * k * np.sqrt((tail + 7.0) * np.log(n_rows + n_cols))
     gap_ok = all(bool(gap >= max(40.0 * root / np.sqrt(n), need)) for gap, n in separations)
     flags = PreconditionFlags(dim_ok=dim_ok, snr_ok=snr_ok, gap_ok=gap_ok)
-    if not flags.all_ok:  # the trials still run, but no row counts them
-        notes.append(f"the model fails {', '.join(_failing(flags))}: {note}")
     return flags, probability_floor(40.0, n_rows, n_cols, tail, flags.all_ok)
 
 
@@ -572,8 +559,7 @@ def _gmm_factory(cfg: ExperimentConfig):
     kmeans_cfg = KMeansConfig(k=k, restarts=model.take("restarts", int, 10))
     wanted = _fixed_rows(cfg, _GMM_ROWS)
     separations = [(spec.center_gap, spec.min_cluster)]
-    note = "gmm_* rows count no trial"
-    flags, prob = _recovery_floor(p, n, k, tail, spec.sigma_min, separations, model.notes, note)
+    flags, prob = _recovery_floor(p, n, k, tail, spec.sigma_min, separations)
 
     def trial(seed: int) -> list[BoundReport]:
         emb = spectral_embedding(sample_gmm(spec, seed), k)
@@ -622,8 +608,7 @@ def _submatrix_factory(cfg: ExperimentConfig):
     kmeans_cfg = KMeansConfig(k=k + 1, restarts=model.take("restarts", int, 10))
     _fixed_rows(cfg, _SUBMATRIX_ROWS)
     separations = [(spec.row_gap, spec.min_rows), (spec.col_gap, spec.min_cols)]
-    m, n, note = spec.n_rows, spec.n_cols, "submatrix_recovery counts no trial"
-    flags, prob = _recovery_floor(m, n, k, tail, spec.sigma_min, separations, model.notes, note)
+    flags, prob = _recovery_floor(spec.n_rows, spec.n_cols, k, tail, spec.sigma_min, separations)
 
     def trial(seed: int) -> list[BoundReport]:
         x = plant_submatrices(spec, seed)
@@ -666,9 +651,10 @@ def _resolvent_factory(cfg: ExperimentConfig):
     if not 1 <= signal_rank <= min(n_rows, n_cols):
         raise InvalidParameterError("signal_rank out of range")
     wanted = _fixed_rows(cfg, _RESOLVENT_ROWS)
-    named_dense = [name for name in _DENSE_ROWS if name in cfg.theorems]
-    if named_dense and not dense:
-        raise InvalidParameterError(f"rows {', '.join(named_dense)} need dense: true")
+    if not dense:
+        if named := [name for name in _DENSE_ROWS if name in cfg.theorems]:
+            raise InvalidParameterError(f"rows {', '.join(named)} need dense: true")
+        wanted -= set(_DENSE_ROWS)
     b = margin
     base = min_abs_z(n_rows, n_cols, margin)
     zs = [f * base for f in z_factors] + [complex(base, 0.5 * base)]
@@ -681,8 +667,6 @@ def _resolvent_factory(cfg: ExperimentConfig):
     law_dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
     law_prob = probability_floor(9.0, n_rows, n_cols, tail + 1.0, law_dim_ok)
     law_bound = local_law_bound(n_rows, n_cols, margin, tail, base)
-    if "local_law" in wanted and not law_dim_ok:  # the row still runs, but counts no trial
-        model.notes.append("the model fails dim_ok: local_law counts no trial")
 
     def trial(seed: int) -> list[BoundReport]:
         # rows run in this order, and uphiu, local_law and dense_match draw from rng
@@ -693,8 +677,15 @@ def _resolvent_factory(cfg: ExperimentConfig):
         # the six event rows hold on ||E|| <= 2 (sqrt(N) + sqrt(n)), with its floor
         on_event = e_norm <= norm_event.bound_value
         event = (norm_event.probability_floor, PreconditionFlags(True, on_event, True))
-        # phi at the z points, formed on first use (phi_values raises inside the spectrum)
+        # formed on first use: phi at the z points (phi_values raises inside the spectrum),
+        # varphi on the grid, the inverse of base - lin and its Neumann remainders' norms
         probes = cache(lambda: phi_values(eta, n_rows, n_cols, zs))
+        grid_phi = cache(
+            lambda: np.array([pr.varphi.real for pr in phi_values(eta, n_rows, n_cols, grid)])
+        )
+        dim = n_rows + n_cols
+        inverse = cache(lambda: np.linalg.inv(base * np.eye(dim) - linearized_noise(e)))
+        remainders = cache(lambda: remainder_norms(inverse(), base))
         reports: list[BoundReport] = []
 
         def row(name, bound, value, prob=1.0, flags=ALL_OK):
@@ -706,14 +697,13 @@ def _resolvent_factory(cfg: ExperimentConfig):
                 gap = abs(pr.phi1 - pr.phi2 + (n_cols - n_rows) / pr.z)
                 dev = max(dev, gap / max(1.0, abs(pr.phi1)))
             row("phi_identity", 1e-8, dev)
-        if wanted & {"phi_monotone", "phi_crude", "phi_lipschitz"}:
-            vals = np.array([pr.varphi.real for pr in phi_values(eta, n_rows, n_cols, grid)])
         if "phi_monotone" in wanted:
-            row("phi_monotone", 0.0, float(max(0.0, -np.min(np.diff(vals)))))
+            row("phi_monotone", 0.0, float(max(0.0, -np.min(np.diff(grid_phi())))))
         if "phi_crude" in wanted:
+            vals = grid_phi()
             row("phi_crude", 0.0, max(0.0, float(np.max(vals - grid**2)), float(np.max(-vals))))
         if "phi_lipschitz" in wanted:
-            worst = 0.0
+            worst, vals = 0.0, grid_phi()
             for v0, v1, z0, z1 in zip(vals, vals[1:], grid, grid[1:]):
                 dphi, dz2 = abs(v1 - v0), abs(z1**2 - z0**2)
                 worst = max(worst, lip_lo * dz2 - dphi, dphi - lip_hi * dz2)
@@ -741,24 +731,16 @@ def _resolvent_factory(cfg: ExperimentConfig):
                 row("zj_bracket", 0.0, None, 0.0, PreconditionFlags(True, False, True))
             else:
                 row("zj_bracket", 0.0, max(0.0, sigma_j - zj, zj - ring_hi * sigma_j), *event)
-        if dense and wanted.intersection(_DENSE_ROWS):
-            lin = linearized_noise(e)
-            dim, z, s = lin.shape[0], base, e_norm
-            g = np.linalg.inv(z * np.eye(dim) - lin)
-            if "dense_match" in wanted:
-                x, y = _unit_vector(rng, dim), _unit_vector(rng, dim)
-                via_solve = resolvent_bilinear(e, z, x, y)
-                via_dense = complex(x @ (g @ y))
-                row("dense_match", 1e-8, abs(via_solve - via_dense) / max(1.0, abs(via_dense)))
-            if wanted.intersection(_DENSE_ROWS[1:]):
-                # the norms of the successive Neumann remainders of g
-                norms = remainder_norms(g, z)
-                bounds = (
-                    b / ((b - 1.0) * z), b / (b - 1.0) * s / z**2, b / (b - 1.0) * s**2 / z**3
-                )
-                for name, norm, bound in zip(_DENSE_ROWS[1:], norms, bounds):
-                    if name in wanted:
-                        row(name, bound, norm, *event)
+        if "dense_match" in wanted:
+            x, y = _unit_vector(rng, dim), _unit_vector(rng, dim)
+            via_solve = resolvent_bilinear(e, base, x, y)
+            via_dense = complex(x @ (inverse() @ y))
+            row("dense_match", 1e-8, abs(via_solve - via_dense) / max(1.0, abs(via_dense)))
+        z, s = base, e_norm
+        bounds = (b / ((b - 1.0) * z), b / (b - 1.0) * s / z**2, b / (b - 1.0) * s**2 / z**3)
+        for i, name in enumerate(_DENSE_ROWS[1:]):
+            if name in wanted:
+                row(name, bounds[i], remainders()[i], *event)
         return reports
 
     return trial
@@ -1031,25 +1013,28 @@ def run_monte_carlo(cfg: ExperimentConfig) -> SummaryReport:
             per_trial = list(pool.map(trial, indices))
     else:
         per_trial = [trial(i) for i in indices]
-    rows, exceeded = _aggregate(per_trial)
+    rows, exceeded, notes = _aggregate(per_trial)
     return SummaryReport(
         rows=rows,
         config=cfg.echo(),
         version=__version__,
         wall_time_s=time.perf_counter() - start,
         exceeded=exceeded,
-        notes=model.notes,
+        notes=notes,
     )
 
 
 def _aggregate(per_trial: list[list[BoundReport]]):
+    """The rows by theorem id, the ids whose violation rate exceeds their
+    budget, and one note per reason naming the rows that counted no trial."""
     acc: dict[str, dict] = {}
     for reports in per_trial:
         for rep in reports:
-            a = acc.setdefault(
-                rep.theorem_id,
-                {"trials": 0, "valid": 0, "violations": 0, "ratios": [], "budget": 0.0},
-            )
+            a = acc.get(rep.theorem_id)
+            if a is None:
+                a = acc[rep.theorem_id] = dict(
+                    trials=0, valid=0, violations=0, ratios=[], budget=0.0, excluded=set()
+                )
             a["trials"] += 1
             if rep.preconditions.all_ok and rep.violated is not None:
                 a["valid"] += 1
@@ -1058,24 +1043,31 @@ def _aggregate(per_trial: list[list[BoundReport]]):
                 if rep.ratio is not None:
                     a["ratios"].append(rep.ratio)
                 a["budget"] = max(a["budget"], 1.0 - rep.probability_floor)
-    rows = []
-    exceeded = []
+            else:  # the distinct flags of the trials the row does not count
+                a["excluded"].add(rep.preconditions)
+    rows, exceeded = [], []
+    unjudged: dict[str, list[str]] = {}  # the rows that counted no trial, by why
     for tid in sorted(acc):
         a = acc[tid]
         valid = a["valid"]
         rate = (a["violations"] / valid) if valid else None
-        if a["ratios"]:
-            p50, p90, p99 = _ratio_quantiles(a["ratios"])
-        else:
-            p50 = p90 = p99 = None
-        cells = (tid, a["trials"], valid, a["violations"], rate, p50, p90, p99)
+        quantiles = _ratio_quantiles(a["ratios"]) if a["ratios"] else [None] * 3
+        cells = (tid, a["trials"], valid, a["violations"], rate, *quantiles)
         rows.append(dict(zip(_CSV_COLUMNS, cells)))
         if valid:
             budget = a["budget"]
             margin = 3.0 * np.sqrt(budget * (1.0 - budget) / valid)
             if rate > budget + margin:
                 exceeded.append(tid)
-    return rows, exceeded
+        else:  # each hypothesis an excluded trial failed, then whether one measured nothing
+            out = a["excluded"]
+            why = [f.name for f in fields(ALL_OK) if not all(getattr(x, f.name) for x in out)]
+            why += ["no measured value"] * (ALL_OK in out)
+            unjudged.setdefault(", ".join(why), []).append(tid)
+    notes = [
+        f"no valid trial in rows {', '.join(ids)} (failed: {why})" for why, ids in unjudged.items()
+    ]
+    return rows, exceeded, notes
 
 
 _RATIO_QUANTILES = (0.5, 0.9, 0.99)
@@ -1206,9 +1198,6 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     for note in summary.notes:
         print(f"note: {note}", file=sys.stderr)
-    unjudged = [row["theorem_id"] for row in summary.rows if not row["valid"]]
-    if unjudged:
-        print("note: no valid trial in rows: " + ", ".join(unjudged), file=sys.stderr)
     if summary.exceeded:
         print(
             "violation budget exceeded: " + ", ".join(summary.exceeded),

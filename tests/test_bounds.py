@@ -26,6 +26,7 @@ from svperturb.bounds import (
     mirsky_check,
     probability_floor,
     spectral_norm_report,
+    sv_rounding,
     two_inf_bound,
     vector_inf_bound,
     wedin_check,
@@ -56,7 +57,7 @@ from svperturb.models import (
     low_rank_from_rng,
     perturb,
 )
-from svperturb import models, subspace
+from svperturb import harness, models, subspace
 from svperturb.resolvent import phi_values
 from svperturb.subspace import procrustes_align, row_mass, sin_theta_norm
 
@@ -307,7 +308,9 @@ class TestMirsky:
         m, sig = n - 20, np.asarray(singulars)
         assert (inst.svd_observed.singulars.size == m) == fallback
         rep = mirsky_check(inst, OPERATOR)
-        bound = gauge(gram_spectrum(inst.noise), OPERATOR)
+        # both paths add the rounding allowance of a computed singular value
+        allowance = gauge(np.full(m, sv_rounding(inst)), OPERATOR)
+        bound = gauge(gram_spectrum(inst.noise), OPERATOR) + allowance
         diff = np.concatenate((sig, np.zeros(m - sig.size))) - inst.observed_spectrum
         empirical = gauge(diff, OPERATOR)
         if n <= 400:  # below the crossover both are the same floats
@@ -663,6 +666,47 @@ class TestGeneralNoise:
         gp = GeneralNoiseParams(op_bound=1.0, core_bound=0.1, corner_bound=0.1)
         rep = general_subspace_bound(3, 3, 5.0, 20.0, gp, OPERATOR)
         assert rep.bound_value == pytest.approx(2.0 * 1.0 / 20.0)
+
+
+class TestTranspose:
+    @given(
+        st.integers(4, 30),
+        st.integers(4, 30),
+        st.lists(st.floats(1.0, 20.0), min_size=1, max_size=4),
+        st.floats(0.05, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_free_statements_read_the_transpose_alike(
+        self, n_rows, n_cols, values, scale, seed
+    ):
+        # A + E and its transpose have one spectrum, and their left and right
+        # subspaces trade places: every distribution-free row must read the same,
+        # which catches a slip between N and n. The certified trailing value
+        # (LEADING_CERT_TOL 1e-6) is the loosest quantity these rows read.
+        singulars = tuple(sorted(values, reverse=True))
+        rng = np.random.default_rng(seed)
+        f = low_rank_from_rng(LowRankSpec(n_rows, n_cols, singulars), rng)
+        e = scale * rng.standard_normal((n_rows, n_cols))
+        tokens = ["mirsky:operator", "mirsky:frobenius", "mirsky:nuclear"]
+        for k in range(1, len(singulars) + 1):
+            tokens += [f"wedin:{k}:operator", f"wedin:{k}:frobenius", f"general_sv:{k}"]
+            tokens += [f"general_sin_theta:{k}:operator", f"general_sin_theta:{k}:frobenius"]
+
+        def rows(inst):
+            params = GaussianBoundParams(*inst.shape, singulars, 1, 1)
+            trial = harness._BoundsTrial(inst, params, rng)
+            bound = [harness._bind_token(token, params) for token in tokens]
+            return [rep for evaluate, args in bound for rep in evaluate(trial, *args)]
+
+        flipped = perturb(SvdFactors(f.right, f.singulars, f.left), e.T)
+        for a, b in zip(rows(perturb(f, e)), rows(flipped), strict=True):
+            assert (a.theorem_id, a.preconditions) == (b.theorem_id, b.preconditions)
+            assert a.bound_value == pytest.approx(b.bound_value, rel=1e-5, abs=1e-12)
+            if a.empirical_value is None or b.empirical_value is None:
+                assert a.empirical_value is b.empirical_value, a.theorem_id
+            else:
+                assert a.empirical_value == pytest.approx(b.empirical_value, rel=1e-5, abs=1e-12)
 
 
 class TestEntrywise:

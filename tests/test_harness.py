@@ -319,10 +319,10 @@ class TestGaussianSkip:
         argv = ["bounds", "--config", str(p), "--trials", "4", "--out", str(tmp_path / "a.csv")]
         assert main(argv) == EXIT_OK
         err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
         noted = re.fullmatch(
-            r"note: the model fails dim_ok, snr_ok, gap_ok: rows (.+) were not evaluated", err[0]
+            r"note: no valid trial in rows (.+) \(failed: dim_ok, snr_ok, gap_ok\)", err[0]
         )
-        assert err[1].startswith("note: no valid trial in rows: gauss_2inf, ")
 
         def untouched(*args, **kwargs):
             raise AssertionError("a gauss_* row was evaluated")
@@ -342,7 +342,7 @@ class TestGaussianSkip:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         rows = (tmp_path / "a.csv").read_text().splitlines()
         assert sum(r.startswith("gauss_") and r.endswith(",4,0,0,,,,") for r in rows) == len(tokens)
-        # the note names every gauss_* row, and no other
+        # the one note names every gauss_* row, and no other
         gauss_ids = [r.split(",")[0] for r in rows if r.startswith("gauss_")]
         assert sorted(noted.group(1).split(", ")) == gauss_ids
 
@@ -356,23 +356,22 @@ class TestGaussianSkip:
         p.write_text(json.dumps({"theorems": tokens, "model": model}))
         out = tmp_path / "r.csv"
         assert main(["bounds", "--config", str(p), "--trials", "3", "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err.splitlines()[:2] == [
-            "note: the model fails unit noise: rows spectral_norm_event were not evaluated",
-            "note: the model fails dim_ok, snr_ok, gap_ok, unit noise: "
-            "rows gauss_2inf were not evaluated",
+        # scaled noise fails snr_ok, and the rows are named in id order
+        assert capsys.readouterr().err.splitlines() == [
+            "note: no valid trial in rows gauss_2inf (failed: dim_ok, snr_ok, gap_ok)",
+            "note: no valid trial in rows spectral_norm_event (failed: snr_ok)",
         ]
         rows = out.read_text().splitlines()
         assert "spectral_norm_event,3,0,0,,,," in rows and "gauss_2inf,3,0,0,,,," in rows
         assert any(r.startswith("mirsky:operator,3,3,0,") for r in rows)
 
     def test_scaled_noise_note_on_a_gaussian_model(self):
-        # a model that meets dim_ok, snr_ok and gap_ok fails only unit noise
-        model = harness._ModelKeys(
-            {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "noise_scale": 0.5}
-        )
+        # a model that meets dim_ok, snr_ok and gap_ok fails only snr_ok, in units of the noise
+        model = {"n_rows": 900, "n_cols": 900, "singulars": [2.0e5, 1.2e5], "noise_scale": 0.5}
         cfg = ExperimentConfig("bounds", theorems=("gauss_2inf",), model=model)
-        harness._bounds_factory(cfg)
-        assert model.notes == ["the model fails unit noise: rows gauss_2inf were not evaluated"]
+        assert run_monte_carlo(cfg).notes == [
+            "no valid trial in rows gauss_2inf (failed: snr_ok)"
+        ]
 
     def test_failing_full_window_binds_the_corollary(self, monkeypatch):
         # the inner window [1, 2] of this rank-3 model meets the hypotheses,
@@ -388,11 +387,9 @@ class TestGaussianSkip:
 
         monkeypatch.setattr(harness, "weighted_corollary_bound", untouched)
         corollary, two_inf = harness._bounds_factory(cfg)(derive_seed(0, 0))
-        assert model.notes == [
-            "the model fails snr_ok: rows gauss_weighted_corollary were not evaluated"
-        ]
         assert corollary.theorem_id == "gauss_weighted_corollary"
-        assert corollary.empirical_value is None and not corollary.preconditions.snr_ok
+        assert corollary.empirical_value is None
+        assert corollary.preconditions == PreconditionFlags(True, False, True)
         assert two_inf.preconditions.all_ok and two_inf.violated is not None
 
     def test_scaled_noise_rows_never_read_all_ok(self):
@@ -459,11 +456,10 @@ class TestHypothesisBinding:
 
     def test_edge_model_notes_only_the_window_rows(self):
         # the corollary's full window meets every hypothesis, so no note names it
-        model = harness._ModelKeys(BINDING_MODELS["edge"])
+        model = BINDING_MODELS["edge"]
         tokens = ("gauss_weighted_corollary", "gauss_2inf", "gauss_sv_location:1", "wedin:1:nuclear")
-        harness._bounds_factory(ExperimentConfig("bounds", theorems=tokens, model=model))
-        assert model.notes == [
-            "the model fails gap_ok: rows gauss_2inf, gauss_sv_location:j1 were not evaluated"
+        assert run_monte_carlo(ExperimentConfig("bounds", theorems=tokens, model=model)).notes == [
+            "no valid trial in rows gauss_2inf, gauss_sv_location:j1 (failed: gap_ok)"
         ]
 
 
@@ -652,14 +648,18 @@ class TestRun:
         assert [(r["valid"], r["violations"]) for r in rows] == [(3, 0), (3, 0)]
 
     def test_sv_displacement_at_sigma_1_rounding_is_not_a_violation(self):
-        # sigma_1 - sigma~_1 cancels to a few ulps of 1e12 (1.2e-4 each), past
-        # the 1e-9 slack on a corner cap near 1: the lower row's bound must
-        # carry the error bound of a computed singular value
-        model = {"n_rows": 20, "n_cols": 20, "singulars": [1e12, 0.1]}
-        theorems = ("general_sv:1", "general_sv:2")
-        cfg = config(trials=40, base_seed=0, theorems=theorems, model=model)
-        rows = run_monte_carlo(cfg).rows
-        assert [(r["valid"], r["violations"]) for r in rows] == [(40, 0)] * 4
+        # sigma_1 - sigma~_1 cancels to a few ulps of sigma_1 (1.2e-4 each at
+        # 1e12, 22 at 1e17), past the 1e-9 slack on a bound near the noise's
+        # size: the general_sv lower row and the Mirsky rows must carry the
+        # error bound of a computed singular value
+        for singulars, theorems, count in (
+            ([1e12, 0.1], ("general_sv:1", "general_sv:2"), 4),
+            ([1e17], ("mirsky:operator", "mirsky:frobenius"), 2),
+        ):
+            model = {"n_rows": 20, "n_cols": 20, "singulars": singulars}
+            cfg = config(trials=40, base_seed=0, theorems=theorems, model=model)
+            rows = run_monte_carlo(cfg).rows
+            assert [(r["valid"], r["violations"]) for r in rows] == [(40, 0)] * count
 
     def test_threads_do_not_change_results(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)  # three workers on any machine
@@ -767,7 +767,7 @@ class TestRun:
             (
                 "gmm",
                 {"n_features": 50, "n_samples": 300, "n_clusters": 3, "center_scale": 9.0e4},
-                ["the model fails dim_ok: gmm_* rows count no trial"],
+                ["no valid trial in rows gmm_embedding_gap, gmm_recovery (failed: dim_ok)"],
             ),
             (
                 "gmm",
@@ -777,7 +777,7 @@ class TestRun:
             (
                 "submatrix",
                 SUBMATRIX_MODEL,
-                ["the model fails dim_ok, snr_ok, gap_ok: submatrix_recovery counts no trial"],
+                ["no valid trial in rows submatrix_recovery (failed: dim_ok, snr_ok, gap_ok)"],
             ),
             (
                 "submatrix",
@@ -794,9 +794,7 @@ class TestRun:
         ],
     )
     def test_recovery_run_names_failed_hypotheses(self, scenario, model, notes):
-        keys = harness._ModelKeys(model)
-        harness._SCENARIOS[scenario].factory(ExperimentConfig(scenario, model=keys))
-        assert keys.notes == notes
+        assert run_monte_carlo(ExperimentConfig(scenario, model=model)).notes == notes
 
     @pytest.mark.parametrize(
         "model, theorems, noted",
@@ -809,9 +807,8 @@ class TestRun:
         ],
     )
     def test_resolvent_run_names_failed_local_law(self, model, theorems, noted):
-        keys = harness._ModelKeys(model)
-        harness._SCENARIOS["resolvent"].factory(ExperimentConfig("resolvent", 1, 0, theorems, keys))
-        assert keys.notes == ["the model fails dim_ok: local_law counts no trial"] * noted
+        summary = run_monte_carlo(ExperimentConfig("resolvent", 1, 0, theorems, model))
+        assert summary.notes == ["no valid trial in rows local_law (failed: dim_ok)"] * noted
 
     def test_local_law_bound_once_per_run(self, monkeypatch):
         calls = []
@@ -863,7 +860,7 @@ class TestAggregate:
             [self.rep("t", 1.0, 0.25)],
             [self.rep("t", 1.0, 0.75)],
         ]
-        rows, exceeded = _aggregate(per_trial)
+        rows, exceeded, _ = _aggregate(per_trial)
         row = rows[0]
         assert row["valid"] == 4
         assert row["violations"] == 1
@@ -877,7 +874,7 @@ class TestAggregate:
             [self.rep("t", 1.0, 2.0, flags=bad)],
             [self.rep("t", 1.0, 0.5)],
         ]
-        rows, exceeded = _aggregate(per_trial)
+        rows, exceeded, _ = _aggregate(per_trial)
         row = rows[0]
         assert row["trials"] == 2
         assert row["valid"] == 1
@@ -887,13 +884,13 @@ class TestAggregate:
     def test_exceeded_triggers_on_high_rate(self):
         # floor 0.9 allows a 10% budget; 100% violations far exceeds it
         per_trial = [[self.rep("t", 1.0, 2.0)] for _ in range(50)]
-        rows, exceeded = _aggregate(per_trial)
+        rows, exceeded, _ = _aggregate(per_trial)
         assert exceeded == ["t"]
 
     def test_within_budget_not_exceeded(self):
         reports = [[self.rep("t", 1.0, 0.5)] for _ in range(48)]
         reports += [[self.rep("t", 1.0, 2.0)] for _ in range(2)]
-        rows, exceeded = _aggregate(reports)
+        rows, exceeded, _ = _aggregate(reports)
         assert rows[0]["rate"] == pytest.approx(2.0 / 50.0)
         assert exceeded == []
 
@@ -934,9 +931,38 @@ class TestAggregate:
 
     def test_none_empirical_not_valid(self):
         per_trial = [[BoundReport.build("t", 1.0, 0.9, ALL_OK, None)]]
-        rows, _ = _aggregate(per_trial)
+        rows, _, notes = _aggregate(per_trial)
         assert rows[0]["valid"] == 0
         assert rows[0]["rate"] is None
+        assert notes == ["no valid trial in rows t (failed: no measured value)"]
+
+    def test_rows_without_a_valid_trial_are_named_once_by_reason(self):
+        # each row that counted no trial is named once, with every reason its
+        # trials gave: failed flags in field order, then a missing value
+        snr, gap = PreconditionFlags(True, False, True), PreconditionFlags(True, True, False)
+        per_trial = [
+            [
+                self.rep("a", 1.0, 0.5, flags=gap),
+                self.rep("b", 1.0, None),
+                self.rep("c", 1.0, 0.5, flags=gap),
+                self.rep("d", 1.0, 0.5),
+            ],
+            [
+                self.rep("a", 1.0, 0.5, flags=snr),
+                self.rep("b", 1.0, 0.5, flags=gap),
+                self.rep("c", 1.0, 0.5, flags=gap),
+                self.rep("d", 1.0, 0.5, flags=snr),
+            ],
+        ]
+        rows, _, notes = _aggregate(per_trial)
+        assert [row["valid"] for row in rows] == [0, 0, 0, 1]
+        assert notes == [
+            "no valid trial in rows a (failed: snr_ok, gap_ok)",
+            "no valid trial in rows b (failed: gap_ok, no measured value)",
+            "no valid trial in rows c (failed: gap_ok)",
+        ]
+        same = [[self.rep(t, 1.0, 0.5, flags=gap) for t in "xyz"]]
+        assert _aggregate(same)[2] == ["no valid trial in rows x, y, z (failed: gap_ok)"]
 
 
 class TestEmit:
@@ -1250,7 +1276,9 @@ class TestMain:
         out, err = capsys.readouterr()
         assert "wedin:k1:frobenius,3,0,0,,,,\n" in out
         assert "wedin:k1:operator,3,0,0,,,,\n" in out
-        assert err == "note: no valid trial in rows: wedin:k1:frobenius, wedin:k1:operator\n"
+        assert err == (
+            "note: no valid trial in rows wedin:k1:frobenius, wedin:k1:operator (failed: gap_ok)\n"
+        )
         p.write_text(json.dumps({"model": model, "trials": 3, "theorems": ["mirsky:operator"]}))
         assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
         assert capsys.readouterr().err == ""
@@ -1435,7 +1463,9 @@ class TestMain:
         rows = out.read_text().splitlines()
         assert rows[2] == "zj_bracket,3,0,0,,,,"
         assert rows[1].startswith("phi_identity,3,3,0,")
-        assert "no valid trial in rows: zj_bracket" in capsys.readouterr().err
+        # a failed bracket reads as a failed snr_ok, the one reason the note gives
+        err = capsys.readouterr().err
+        assert err == "note: no valid trial in rows zj_bracket (failed: snr_ok)\n"
 
     def test_runtime_failure_exit(self, monkeypatch, capsys):
         def boom(cfg):
