@@ -666,7 +666,7 @@ def _resolvent_factory(cfg: ExperimentConfig):
     ring_lo, ring_hi, lip_lo, lip_hi = 1.0 - ring, 1.0 + ring, 1.0 - lip, 1.0 + lip
     law_dim_ok = bool(root**2 >= 32.0 * (tail + 1.0) * np.log(n_rows + n_cols))
     law_prob = probability_floor(9.0, n_rows, n_cols, tail + 1.0, law_dim_ok)
-    law_bound = local_law_bound(n_rows, n_cols, margin, tail, base)
+    law_bounds = [local_law_bound(n_rows, n_cols, margin, tail, z) for z in zs]
 
     def trial(seed: int) -> list[BoundReport]:
         # rows run in this order, and uphiu, local_law and dense_match draw from rng
@@ -720,10 +720,11 @@ def _resolvent_factory(cfg: ExperimentConfig):
             u_lin = linearized_basis(u, haar_basis(rng, n_cols, signal_rank))
             dev = max(uphiu_deviation(pr, u_lin, n_rows, n_cols) for pr in probes())
             row("uphiu", 1e-8, dev)
-        if "local_law" in wanted:
-            x, y = _unit_vector(rng, n_rows + n_cols), _unit_vector(rng, n_rows + n_cols)
-            gap = local_law_gap(e, phi_values(eta, n_rows, n_cols, base), x, y)
-            row("local_law", law_bound, gap, law_prob, PreconditionFlags(law_dim_ok, True, True))
+        if "local_law" in wanted and not law_dim_ok:  # no trial can count it: it draws nothing
+            row("local_law", np.inf, None, law_prob, PreconditionFlags(False, True, True))
+        elif "local_law" in wanted:  # at one probe point, drawn after x and y
+            x, y, i = _unit_vector(rng, dim), _unit_vector(rng, dim), rng.integers(len(zs))
+            row("local_law", law_bounds[i], local_law_gap(e, probes()[i], x, y), law_prob)
         if "zj_bracket" in wanted:
             try:
                 zj = solve_zj(eta, n_rows, n_cols, sigma_j, margin)
@@ -904,9 +905,9 @@ def _selftest_factory(cfg: ExperimentConfig):
 @dataclass(frozen=True)
 class _Scenario:
     """A scenario: its help line, its factory, and the run the command line
-    starts from. model holds only the keys the CLI must give: those the
-    factory has no default for, and gmm's center_scale, which the CLI sets
-    above the factory's 1."""
+    starts from, where no theorems means every row the model admits. model
+    holds only the keys the CLI must give: those the factory has no default
+    for, and gmm's center_scale, which the CLI sets above the factory's 1."""
 
     help: str
     factory: Callable[[ExperimentConfig], Callable[[int], list[BoundReport]]]
@@ -934,22 +935,19 @@ _SCENARIOS = {
         "spectral clustering recovery on Gaussian mixtures",
         _gmm_factory,
         20,
-        _GMM_ROWS,
-        dict(n_features=50, n_samples=300, n_clusters=3, center_scale=60.0),
+        model=dict(n_features=50, n_samples=300, n_clusters=3, center_scale=60.0),
     ),
     "submatrix": _Scenario(
         "planted submatrix recovery",
         _submatrix_factory,
         20,
-        _SUBMATRIX_ROWS,
-        dict(n_rows=200, n_cols=200, amplitudes=[8.0, -8.0], block_rows=40, block_cols=40),
+        model=dict(n_rows=200, n_cols=200, amplitudes=[8.0, -8.0], block_rows=40, block_cols=40),
     ),
     "resolvent": _Scenario(
         "linearization resolvent probes",
         _resolvent_factory,
         30,
-        _RESOLVENT_ROWS,
-        dict(n_rows=60, n_cols=40),
+        model=dict(n_rows=60, n_cols=40),
     ),
     "selftest": _Scenario("deterministic invariant checks", _selftest_factory, 1),
 }

@@ -22,8 +22,6 @@ The gates that stay hand-written, each with its reason:
 - mirsky and wedin: each instance scales its noise to a norm drawn from
   [0.1 sigma_r, 2 sigma_1], which no model key states; one loop over one set
   of instances checks both statements;
-- local-law: the gate draws z per trial, while the resolvent scenario's
-  local_law row probes only z = base;
 - the 9 x 9 spectral-norm batch: 100,000 draws, one batched SVD here and
   minutes as trials;
 - the subspace and resolvent identities: library identities on random
@@ -70,8 +68,6 @@ from svperturb.models import (
 from svperturb.resolvent import (
     dense_resolvent_bilinear,
     linearized_basis,
-    local_law_bound,
-    local_law_gap,
     min_abs_z,
     phi_values,
     resolvent_bilinear,
@@ -295,31 +291,6 @@ def test_resolvent_identities():
         crude=crude_ok,
         block=uphiu_worst <= 1e-8,
         dense=dense_worst <= 1e-8,
-    )
-
-
-def test_resolvent_local_law():
-    rng = np.random.default_rng(LAW_SEED)
-    base = min_abs_z(200, 200, 2.0)
-    hits = 0
-    trials = 2000
-    for i in range(trials):
-        e = rng.standard_normal((200, 200))
-        zf = rng.uniform(1.0, 3.0)
-        z = base * complex(zf, 0.5) if i % 3 == 0 else base * zf
-        x = rng.standard_normal(400)
-        x /= np.linalg.norm(x)
-        y = rng.standard_normal(400)
-        y /= np.linalg.norm(y)
-        gap = local_law_gap(e, phi_values(gram_spectrum(e), 200, 200, z), x, y)
-        hits += gap <= local_law_bound(200, 200, 2.0, 1.0, z)
-    budget = 9.0 * 400.0 ** (-2.0)
-    floor = 1.0 - budget - 3.0 * float(np.sqrt(budget * (1.0 - budget) / trials))
-    freq = hits / trials
-    _gate(
-        "local-law",
-        f"{hits}/{trials} within bound, freq {freq:.5f} >= {floor:.5f}",
-        above_floor=freq >= floor,
     )
 
 
@@ -699,8 +670,8 @@ REPLAY_CONFIGS = {
         "model": {"n_rows": 100, "n_cols": 80, "dense": True},
         "format": "csv",
     },
-    # z_factors starting past 1.0: pins that local_law probes at the base
-    # radius, not at the first z point
+    # z_factors starting past 1.0: pins that local_law never probes z = base,
+    # only the run's own z points
     "resolvent-offset-z": {
         "scenario": "resolvent",
         "trials": 3,
@@ -832,6 +803,9 @@ STREAMS = {
         "submatrix", SUBMATRIX_SEED, 100, REPLAY_CONFIGS["submatrix-recovery"]["model"]
     ),
     "gmm": Stream("gmm", GMM_STREAM_SEED, 100, REPLAY_CONFIGS["gmm-valid"]["model"]),
+    # margin 2 and tail 1, the factory's defaults; each trial's local_law
+    # probes one z point of the default set, drawn after its x and y
+    "law": Stream("resolvent", LAW_SEED, 2000, {"n_rows": 200, "n_cols": 200}, ("local_law",)),
 }
 
 # Each gate: its stream and the count c of each capped row's probability floor
@@ -883,6 +857,8 @@ GATES = {
     "rank3-inner-window": ("rank3", {**EXPLICIT_CAPS, "gauss_sin_theta:schatten3": 20.0}),
     # the mixture application under its own hypotheses
     "gmm-valid": ("gmm", {"gmm_recovery": 40.0, "gmm_embedding_gap": 40.0}),
+    # the law's floor is 1 - 9 (N+n)^-(tail+1): at the table's exponent 1, c = 9/(N+n)
+    "local-law": ("law", {"local_law": 9.0 / 400.0}),
 }
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svperturb.bounds import (
@@ -707,6 +707,44 @@ class TestTranspose:
                 assert a.empirical_value is b.empirical_value, a.theorem_id
             else:
                 assert a.empirical_value == pytest.approx(b.empirical_value, rel=1e-5, abs=1e-12)
+
+
+class TestScale:
+    @given(
+        st.integers(4, 60),
+        st.integers(4, 60),
+        st.lists(st.integers(1, 100), min_size=1, max_size=4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_scale_with_the_signal(self, n_rows, n_cols, halves, a, b, c):
+        # Scaling the signal spectrum by c, with the measured inputs fixed,
+        # divides every sin-theta, row-wise and directional bound by c and
+        # leaves the weighted bound alone. The values lie on a grid of 0.5, so
+        # a gap is 0 or at least 0.5 and keeps its relative accuracy under c.
+        sigma = tuple(sorted((h / 2.0 for h in halves), reverse=True))
+        # past n_cols^2 a value moves to two_inf_bound's wide-tail sum
+        assume(sigma[0] * max(c, 1.0) <= float(n_cols) ** 2)
+        k_lo, k_hi = sorted(min(k, len(sigma)) for k in (a, b))
+        y = np.arange(1.0, k_hi - k_lo + 2.0)
+        y /= np.linalg.norm(y)
+
+        def bounds(values):
+            p = GaussianBoundParams(n_rows, n_cols, values, k_lo, k_hi)
+            specs = (OPERATOR, FROBENIUS, NUCLEAR, schatten(3))
+            reports = [gauss_subspace_bound(p, spec, 3.0) for spec in specs]
+            reports += [gauss_subspace_simplified(p, 2.0), two_inf_bound(p, 0.4)]
+            reports += [vector_inf_bound(p, 0.4), matrix_2inf_bound(p, 0.4)]
+            reports += [*linear_bilinear_bound(p, 0.6, y), weighted_window_bound(p, 0.4)]
+            return [rep.bound_value for rep in reports]
+
+        *falling, weighted = bounds(sigma)
+        *scaled, scaled_weighted = bounds(tuple(c * v for v in sigma))
+        for got, want in zip(scaled, falling, strict=True):
+            assert c * got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert scaled_weighted == pytest.approx(weighted, rel=1e-12, abs=0.0)
 
 
 class TestEntrywise:

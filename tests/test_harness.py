@@ -816,7 +816,24 @@ class TestRun:
         monkeypatch.setattr(harness, "local_law_bound", lambda *a: calls.append(a) or real(*a))
         model = {"n_rows": 10, "n_cols": 8}
         summary = run_monte_carlo(ExperimentConfig("resolvent", 3, 5, ("local_law",), model))
-        assert len(calls) == 1 and summary.rows[0]["trials"] == 3
+        # one per probe point: the three real z points and the complex one
+        assert len(calls) == 4 and summary.rows[0]["trials"] == 3
+
+    def test_unmet_local_law_draws_nothing(self, tmp_path, monkeypatch, capsys):
+        # the command-line model fails dim_ok: the row is the same not-met row
+        # in every trial, so no trial evaluates the law
+        out = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        assert main(["resolvent", "--trials", "3", "--out", str(out[0])]) == EXIT_OK
+
+        def untouched(*args):
+            raise AssertionError("the local law was evaluated")
+
+        monkeypatch.setattr(harness, "local_law_gap", untouched)
+        assert main(["resolvent", "--trials", "3", "--out", str(out[1])]) == EXIT_OK
+        assert out[0].read_bytes() == out[1].read_bytes()
+        assert "local_law,3,0,0,,,," in out[0].read_text().splitlines()
+        note = "note: no valid trial in rows local_law (failed: dim_ok)\n"
+        assert capsys.readouterr().err == 2 * note
 
     def test_selftest_all_pass(self):
         cfg = ExperimentConfig(
@@ -1303,15 +1320,20 @@ class TestMain:
         assert config["theorems"] == list(harness._SCENARIOS["bounds"].theorems)
 
     def test_json_bytes_do_not_depend_on_out_or_threads(self, tmp_path):
-        # one config written as json to two paths at two thread counts
+        # one config per scenario written as json to two paths at two thread
+        # counts; a resolvent config that gives only a model starts from every
+        # row the model admits, here none of the dense rows
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"trials": 4, "format": "json", "model": BOUNDS_MODEL}))
-        reports = []
-        for name, threads in (("one.json", "1"), ("three.json", "3")):
-            out = tmp_path / name
-            assert main(["bounds", "--config", str(p), "--out", str(out), "--threads", threads]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        cases = (("bounds", BOUNDS_MODEL), ("resolvent", {"n_rows": 70, "n_cols": 60}))
+        for scenario, model in cases:
+            p.write_text(json.dumps({"trials": 4, "format": "json", "model": model}))
+            reports = []
+            for name, threads in (("one.json", "1"), ("three.json", "3")):
+                out = tmp_path / name
+                argv = [scenario, "--config", str(p), "--out", str(out), "--threads", threads]
+                assert main(argv) == 0, scenario
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], scenario
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
